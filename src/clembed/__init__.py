@@ -8,9 +8,8 @@ with significance testing, and unsupervised cross-lingual retrieval.
 from .embeddings import (PreprocessChain, WordVectorSpace,
                          load_text_embeddings, normalize,
                          save_text_embeddings)
-from .evaluation import (BliResult, SignificanceReport, bli_evaluate,
-                         bonferroni, paired_ttest, rank_correlation,
-                         shuffling_test)
+from .evaluation import (BliResult, bli_evaluate, bonferroni, paired_ttest,
+                         rank_correlation, shuffling_test)
 from .lexicon import (AlignedMatrices, TranslationLexicon,
                       build_aligned_matrices, frequency_split, load_lexicon,
                       make_lexicon, mutual_nearest_neighbors)

@@ -3,8 +3,8 @@
 Subcommands: preprocess, dict-split, align, eval-bli, compare, eval-clir,
 table. Flags mirror the config keys; a flat INI-style config file can
 supply defaults (section.key), with explicit flags winning. Outputs are
-staged to temporary files and renamed on success, so failures never leave
-partial results behind.
+staged in a temporary directory and renamed into place once all are
+written, so failures never leave partial results behind.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
@@ -40,21 +41,21 @@ class CliError(Exception):
     pass
 
 
-def _atomic_write_text(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_staged(outdir: str, writers: dict) -> None:
+    """Write files into `outdir`, all of them or none: each writer(path) fills
+    a file in a temporary directory there, and only once every writer has
+    returned are the files renamed into place, in the given order."""
+    os.makedirs(outdir, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=outdir, prefix=".tmp-") as staging:
+        for name, write in writers.items():
+            write(os.path.join(staging, name))
+        for name in writers:
+            os.replace(os.path.join(staging, name), os.path.join(outdir, name))
 
 
-def _atomic_write_json(path: str, record: dict) -> None:
-    _atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+def _write_json(record: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _require_file(path: str, what: str) -> str:
@@ -97,10 +98,8 @@ def cmd_preprocess(args) -> int:
     space = _load_space(args.input, args.max_vocab, "input")
     steps = tuple(s for s in (args.steps or "").split(",") if s)
     out = normalize(space, PreprocessChain(steps=steps))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.output)) or ".")
-    os.close(fd)
-    save_text_embeddings(out, tmp)
-    os.replace(tmp, args.output)
+    outdir, name = os.path.split(os.path.abspath(args.output))
+    _write_staged(outdir, {name: partial(save_text_embeddings, out)})
     print(f"wrote {len(out)} x {out.dim} embeddings to {args.output}")
     return 0
 
@@ -109,10 +108,10 @@ def cmd_dict_split(args) -> int:
     lex = load_lexicon(_require_file(args.input, "dictionary"))
     train_sizes = [int(s) for s in args.train_sizes.split(",")]
     trains, test = frequency_split(lex, train_sizes, args.test_size)
-    os.makedirs(args.outdir, exist_ok=True)
-    for size, train in zip(train_sizes, trains):
-        save_lexicon(train, os.path.join(args.outdir, f"train.{size}.txt"))
-    save_lexicon(test, os.path.join(args.outdir, "test.txt"))
+    writers = {f"train.{size}.txt": partial(save_lexicon, train)
+               for size, train in zip(train_sizes, trains)}
+    writers["test.txt"] = partial(save_lexicon, test)
+    _write_staged(args.outdir, writers)
     print(f"wrote {len(trains)} train splits and a {len(test)}-pair test set "
           f"to {args.outdir}")
     return 0
@@ -134,9 +133,11 @@ def _run_aligner(args, src_space, tgt_space):
         return align_rcsls(aligned, src_space.matrix, tgt_space.matrix, cfg)
     if method == "proc-b":
         lex = load_lexicon(_require_file(args.dict, "training dictionary"))
-        return align_proc_b(src_space, tgt_space, lex, iters=args.iters or 1,
+        iters = {} if args.iters is None else {"iters": args.iters}
+        return align_proc_b(src_space, tgt_space, lex,
                             search_cap=args.search_cap or 20000,
-                            metric=args.metric or "cosine")
+                            metric=args.metric or "cosine",
+                            csls_n=args.csls_n or 10, **iters)
     if method == "dlv":
         lex = load_lexicon(_require_file(args.dict, "training dictionary"))
         return align_dlv(src_space, tgt_space, lex,
@@ -146,7 +147,7 @@ def _run_aligner(args, src_space, tgt_space):
         seed_lex = vecmap_seed(src_space, tgt_space, cap=args.search_cap or 4000)
         cfg = SelfLearnConfig(vocab_cap=args.search_cap or 4000,
                               metric=args.metric or "cosine",
-                              seed=args.seed)
+                              csls_n=args.csls_n or 10, seed=args.seed)
         return self_learn(src_space, tgt_space, seed_lex, cfg)
     if method == "icp":
         cfg = IcpConfig(pca_dim=min(args.pca_dim or 50, src_space.dim),
@@ -174,22 +175,17 @@ def cmd_align(args) -> int:
     start = time.monotonic()
     pair = _run_aligner(args, src_space, tgt_space)
     wall = time.monotonic() - start
-    os.makedirs(args.outdir, exist_ok=True)
-    # matrices first, metadata record last: a crash leaves no projection.json
-    with tempfile.TemporaryDirectory(dir=args.outdir) as staging:
-        save_matrix_text(pair.w_src, os.path.join(staging, "w_src.txt"))
-        save_matrix_text(pair.w_tgt, os.path.join(staging, "w_tgt.txt"))
-        os.replace(os.path.join(staging, "w_src.txt"),
-                   os.path.join(args.outdir, "w_src.txt"))
-        os.replace(os.path.join(staging, "w_tgt.txt"),
-                   os.path.join(args.outdir, "w_tgt.txt"))
     metadata = {k: v for k, v in pair.metadata.items()
                 if k != "final_dictionary"}
     metadata["seed"] = args.seed
     record = {"method": pair.method, "orthogonal_src": pair.orthogonal_src,
               "metadata": metadata,
               "timing": {"wall_time_s": round(wall, 3)}}
-    _atomic_write_json(os.path.join(args.outdir, "projection.json"), record)
+    # matrices first, metadata record last: a crash leaves no projection.json
+    _write_staged(args.outdir, {
+        "w_src.txt": partial(save_matrix_text, pair.w_src),
+        "w_tgt.txt": partial(save_matrix_text, pair.w_tgt),
+        "projection.json": partial(_write_json, record)})
     print(f"method={pair.method} dict_size={pair.metadata.get('dict_size')} "
           f"orthogonal={pair.orthogonal_src} wall_time={wall:.2f}s")
     return 0
@@ -203,13 +199,12 @@ def cmd_eval_bli(args) -> int:
     result = bli_evaluate(pair, src_space, tgt_space, test_lex,
                           metric=args.metric or "cosine",
                           csls_n=args.csls_n or 10)
-    os.makedirs(args.outdir, exist_ok=True)
-    report_path = os.path.join(args.outdir, "report.tsv")
-    write_bli_report(result, report_path)
     summary = bli_summary(result)
     summary["method"] = args.method_label or pair.method
     summary["pair"] = args.pair_label or f"{src_space.lang_tag}-{tgt_space.lang_tag}"
-    _atomic_write_json(os.path.join(args.outdir, "summary.json"), summary)
+    _write_staged(args.outdir, {
+        "report.tsv": partial(write_bli_report, result),
+        "summary.json": partial(_write_json, summary)})
     print(f"MAP={result.map_score:.4f} P@1={result.p_at_k[1]:.4f} "
           f"P@5={result.p_at_k[5]:.4f} P@10={result.p_at_k[10]:.4f} "
           f"success={result.successful} queries={result.query_count} "
@@ -237,6 +232,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval_clir(args) -> int:
+    """Write run.trec (top 1000 documents per query) and summary.json, whose
+    MAP is over the full ranking, so a MAP recomputed from run.trec is lower
+    once a relevant document ranks below 1000."""
     pair = load_projection(_require_file(args.proj, "projection directory"))
     query_space = _load_space(args.query_emb, args.max_vocab, "query")
     doc_space = _load_space(args.doc_emb, args.max_vocab, "document")
@@ -249,13 +247,12 @@ def cmd_eval_clir(args) -> int:
     else:
         weighting = clir_mod.idf_weighting(collection)
     run = clir_mod.clir_run(collection, pair, query_space, doc_space, weighting)
-    os.makedirs(args.outdir, exist_ok=True)
-    clir_mod.write_trec_run(run, os.path.join(args.outdir, "run.trec"))
-    _atomic_write_json(os.path.join(args.outdir, "summary.json"),
-                       {"map": run.map_score,
-                        "scored_queries": run.scored_queries,
-                        "skipped_queries": run.skipped_queries,
-                        "empty_queries": list(run.empty_queries)})
+    summary = {"map": run.map_score, "scored_queries": run.scored_queries,
+               "skipped_queries": run.skipped_queries,
+               "empty_queries": list(run.empty_queries)}
+    _write_staged(args.outdir, {
+        "run.trec": partial(clir_mod.write_trec_run, run),
+        "summary.json": partial(_write_json, summary)})
     print(f"MAP={run.map_score:.4f} queries={run.scored_queries} "
           f"skipped={run.skipped_queries}")
     return 0

@@ -9,7 +9,6 @@ documents and queries, TREC 4-column qrels, and TREC run output.
 from __future__ import annotations
 
 import math
-import os
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import WordVectorSpace
+from .evaluation import average_precision_from_ranks, gold_ranks
 from .projection import ProjectionPair
+from .similarity import unit_rows
 
 
 @dataclass(frozen=True)
@@ -156,50 +157,41 @@ def clir_run(collection: DocumentCollection, pair: ProjectionPair,
     if weighting is None:
         weighting = idf_weighting(collection)
     doc_ids = sorted(collection.docs)
-    doc_vecs = np.vstack([
+    query_ids = sorted(collection.queries)
+    doc_unit = unit_rows(np.vstack([
         aggregate_text(collection.docs[d], doc_space, weighting) @ pair.w_tgt
-        for d in doc_ids])
-    norms = np.linalg.norm(doc_vecs, axis=1)
-    doc_unit = doc_vecs / np.where(norms == 0.0, 1.0, norms)[:, None]
+        for d in doc_ids]))
+    query_vecs = np.vstack([
+        aggregate_text(collection.queries[q], query_space, weighting) @ pair.w_src
+        for q in query_ids])
+    empty = np.linalg.norm(query_vecs, axis=1) == 0.0
+    scores = unit_rows(query_vecs) @ doc_unit.T
+    order = np.argsort(-scores, axis=1, kind="stable")  # ties: ascending doc id
+    rankings = {qid: tuple(doc_ids[i] for i in row)
+                for qid, row in zip(query_ids, order)}
     relevant_by_query: dict[str, set[str]] = {}
     for qid, did in collection.qrels:
         relevant_by_query.setdefault(qid, set()).add(did)
-    rankings = {}
+    doc_col = {d: j for j, d in enumerate(doc_ids)}
     relevant_ranks = []
     aps = []
-    skipped = 0
-    empty_queries = []
-    for qid in sorted(collection.queries):
-        qvec = aggregate_text(collection.queries[qid], query_space,
-                              weighting) @ pair.w_src
-        qnorm = np.linalg.norm(qvec)
-        if qnorm == 0.0:
-            empty_queries.append(qid)
-            scores = np.zeros(len(doc_ids))
-        else:
-            scores = doc_unit @ (qvec / qnorm)
-        order = np.argsort(-scores, kind="stable")  # ties: ascending doc id
-        ranked = tuple(doc_ids[i] for i in order)
-        rankings[qid] = ranked
-        relevant = relevant_by_query.get(qid)
+    for k, qid in enumerate(query_ids):
+        relevant = sorted(relevant_by_query.get(qid, ()))
         if not relevant:
-            skipped += 1
             continue
-        hits = 0
-        precisions = []
-        for rank, did in enumerate(ranked, start=1):
-            if did in relevant:
-                hits += 1
-                precisions.append(hits / rank)
-                relevant_ranks.append((qid, did, rank))
-        aps.append(float(np.mean(precisions)))
+        ranks = gold_ranks(scores[[k] * len(relevant)],
+                           [doc_col[d] for d in relevant]).tolist()
+        relevant_ranks.extend((qid, did, rank)
+                              for rank, did in sorted(zip(ranks, relevant)))
+        aps.append(average_precision_from_ranks(ranks))
     if not aps:
         raise ValueError("clir_run: no query has relevant documents")
     return ClirRun(rankings=rankings,
                    relevant_ranks=tuple(relevant_ranks),
                    map_score=float(np.mean(aps)),
-                   scored_queries=len(aps), skipped_queries=skipped,
-                   empty_queries=tuple(empty_queries))
+                   scored_queries=len(aps),
+                   skipped_queries=len(query_ids) - len(aps),
+                   empty_queries=tuple(q for q, e in zip(query_ids, empty) if e))
 
 
 def clir_significance(run_a: ClirRun, run_b: ClirRun) -> float:
@@ -228,7 +220,10 @@ def clir_significance(run_a: ClirRun, run_b: ClirRun) -> float:
 
 def write_trec_run(run: ClirRun, path, tag: str = "clembed",
                    depth: int = 1000) -> None:
-    """TREC run format: qid Q0 docid rank score tag (score = 1/rank)."""
+    """TREC run format: qid Q0 docid rank score tag (score = 1/rank).
+
+    Only the top `depth` documents per query are written, while
+    `run.map_score` covers the full ranking."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(run.rankings):
             for rank, did in enumerate(run.rankings[qid][:depth], start=1):

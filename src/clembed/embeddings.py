@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .similarity import unit_rows
+
 VALID_STEPS = ("unit-length", "mean-center", "zca-whiten")
+MAX_STEPS = 3
 
 
 class EmbeddingParseError(ValueError):
@@ -78,14 +81,13 @@ class PreprocessChain:
 
     steps: tuple[str, ...] = ()
     whiten_eps: float = 1e-12
-    max_steps: int = 3
 
     def __post_init__(self):
         for step in self.steps:
             if step not in VALID_STEPS:
                 raise ValueError(f"unknown preprocessing step {step!r}")
-        if len(self.steps) > self.max_steps:
-            raise ValueError(f"chain exceeds {self.max_steps} steps")
+        if len(self.steps) > MAX_STEPS:
+            raise ValueError(f"chain exceeds {MAX_STEPS} steps")
         if self.whiten_eps <= 0:
             raise ValueError("whitening epsilon must be positive")
 
@@ -172,12 +174,11 @@ def save_text_embeddings(space: WordVectorSpace, path: str | os.PathLike,
 
 def _apply_step(matrix: np.ndarray, step: str, eps: float) -> np.ndarray:
     if step == "unit-length":
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        zero_rows = int(np.sum(norms == 0.0))
+        zero_rows = int(np.sum(np.linalg.norm(matrix, axis=1) == 0.0))
         if zero_rows:
             warnings.warn(f"unit-length: {zero_rows} zero rows left unchanged",
                           stacklevel=3)
-        return matrix / np.where(norms == 0.0, 1.0, norms)
+        return unit_rows(matrix)
     if step == "mean-center":
         return matrix - matrix.mean(axis=0)
     if step == "zca-whiten":

@@ -8,7 +8,6 @@ single gold target.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from scipy import stats
 from .embeddings import WordVectorSpace
 from .lexicon import TranslationLexicon
 from .projection import ProjectionPair
-from .similarity import csls_hubness, csls_scores, unit_rows
+from .similarity import csls_hubness, row_blocks, unit_rows
 
 SUCCESS_MAP_THRESHOLD = 0.05
 P_AT_KS = (1, 5, 10)
@@ -53,11 +52,14 @@ def average_precision_from_ranks(ranks) -> float:
     return float(np.mean([(i + 1) / r for i, r in enumerate(ordered)]))
 
 
-def _group_queries(test_lex: TranslationLexicon) -> "OrderedDict[str, list[str]]":
-    grouped: OrderedDict[str, list[str]] = OrderedDict()
-    for src, tgt in test_lex.pairs:
-        grouped.setdefault(src, []).append(tgt)
-    return grouped
+def gold_ranks(scores: np.ndarray, cols) -> np.ndarray:
+    """1-based rank of column g = cols[i] in row i of `scores`, ties going to
+    the lowest index: 1 + #{j: s_j > s_g} + #{j < g: s_j == s_g}."""
+    cols = np.asarray(cols, dtype=np.intp)[:, None]
+    gold = np.take_along_axis(scores, cols, axis=1)
+    ahead = (scores > gold) | ((scores == gold)
+                               & (np.arange(scores.shape[1]) < cols))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
@@ -72,53 +74,47 @@ def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
     """
     if metric not in ("cosine", "csls"):
         raise ValueError(f"unknown metric {metric!r}")
-    grouped = _group_queries(test_lex)
-    tgt_proj = pair.project_tgt(tgt_space.matrix)
-    tgt_unit = unit_rows(tgt_proj)
-    if metric == "csls":
-        src_proj_full = pair.project_src(src_space.matrix)
-        cand_hub = csls_hubness(tgt_proj, src_proj_full, csls_n)
-    records = []
+    grouped: dict[str, list[str]] = {}
+    for src, tgt in test_lex.pairs:
+        grouped.setdefault(src, []).append(tgt)
+    queries = []
     oov = 0
     for src_word, golds in grouped.items():
         gold_idx = [tgt_space.index[g] for g in golds if g in tgt_space]
         if src_word not in src_space or not gold_idx:
             oov += 1
             continue
-        query = src_space.vector(src_word) @ pair.w_src
-        if metric == "cosine":
-            qn = np.linalg.norm(query) or 1.0
-            scores = tgt_unit @ (query / qn)
-        else:
-            scores = csls_scores(query, tgt_proj, cand_hub)
-        order = np.argsort(-scores, kind="stable")
-        positions = np.empty(len(scores), dtype=int)
-        positions[order] = np.arange(1, len(scores) + 1)
-        gold_ranks = [int(positions[g]) for g in gold_idx]
-        records.append(QueryRecord(
-            source=src_word,
-            golds=tuple(tgt_space.words[g] for g in gold_idx),
-            best_rank=min(gold_ranks),
-            average_precision=average_precision_from_ranks(gold_ranks)))
-    if not records:
+        queries.append((src_word, gold_idx))
+    if not queries:
         raise ValueError("bli_evaluate: no usable queries")
+    tgt_proj = pair.project_tgt(tgt_space.matrix)
+    tgt_unit = unit_rows(tgt_proj)
+    if metric == "csls":
+        cand_hub = csls_hubness(tgt_proj, pair.project_src(src_space.matrix),
+                                csls_n)
+    src_rows = [src_space.index[w] for w, _ in queries]
+    records = []
+    for rows in row_blocks(len(queries), len(tgt_unit)):
+        block = queries[rows]
+        scores = unit_rows(pair.project_src(src_space.matrix[src_rows[rows]])) \
+            @ tgt_unit.T
+        if metric == "csls":
+            scores = 2.0 * scores - cand_hub
+        counts = [len(gold_idx) for _, gold_idx in block]
+        ranks = gold_ranks(np.repeat(scores, counts, axis=0),
+                           np.concatenate([gold_idx for _, gold_idx in block]))
+        for (src_word, gold_idx), end in zip(block, np.cumsum(counts)):
+            query_ranks = ranks[end - len(gold_idx):end].tolist()
+            records.append(QueryRecord(
+                source=src_word,
+                golds=tuple(tgt_space.words[g] for g in gold_idx),
+                best_rank=min(query_ranks),
+                average_precision=average_precision_from_ranks(query_ranks)))
     aps = [r.average_precision for r in records]
     p_at_k = {k: float(np.mean([r.best_rank <= k for r in records]))
               for k in P_AT_KS}
     return BliResult(records=tuple(records), map_score=float(np.mean(aps)),
                      p_at_k=p_at_k, query_count=len(records), oov_skipped=oov)
-
-
-@dataclass(frozen=True)
-class SignificanceReport:
-    test_name: str
-    p_values: tuple[float, ...]
-    alpha: float
-    corrected_alpha: float
-
-    @property
-    def decisions(self) -> tuple[bool, ...]:
-        return tuple(p < self.corrected_alpha for p in self.p_values)
 
 
 def paired_ttest(scores_a, scores_b) -> float:

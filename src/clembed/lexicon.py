@@ -33,14 +33,6 @@ class TranslationLexicon:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @property
-    def source_words(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.pairs)
-
-    @property
-    def target_words(self) -> tuple[str, ...]:
-        return tuple(t for _, t in self.pairs)
-
     def union(self, other: "TranslationLexicon") -> "TranslationLexicon":
         return make_lexicon(list(self.pairs) + list(other.pairs))
 

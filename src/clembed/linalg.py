@@ -20,15 +20,6 @@ class SvdResult:
     vt: np.ndarray
 
 
-@dataclass(frozen=True)
-class PcaResult:
-    projected: np.ndarray      # n x out_dim
-    basis: np.ndarray          # d x out_dim, orthonormal columns
-    mean: np.ndarray           # column mean removed before projection
-    explained_variance: np.ndarray
-    degenerate_dims: int       # trailing components with near-zero variance
-
-
 def svd(a: np.ndarray) -> SvdResult:
     """Thin SVD with a deterministic sign convention.
 
@@ -112,21 +103,14 @@ def solve_cca(x_src: np.ndarray, x_tgt: np.ndarray,
     return a, b, corr
 
 
-def pca_project(x: np.ndarray, out_dim: int) -> PcaResult:
+def pca_project(x: np.ndarray, out_dim: int) -> np.ndarray:
     """Project mean-centered rows onto the top `out_dim` principal axes."""
     x = np.asarray(x, dtype=float)
-    n, d = x.shape
+    d = x.shape[1]
     if out_dim > d:
         raise ValueError(f"pca_project: out_dim {out_dim} exceeds dimension {d}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    res = svd(centered)
-    basis = res.vt[:out_dim].T
-    var = (res.s[:out_dim] ** 2) / max(n - 1, 1)
-    scale = var[0] if var.size and var[0] > 0 else 1.0
-    degenerate = int(np.sum(var < 1e-12 * scale))
-    return PcaResult(projected=centered @ basis, basis=basis, mean=mean,
-                     explained_variance=var, degenerate_dims=degenerate)
+    centered = x - x.mean(axis=0)
+    return centered @ svd(centered).vt[:out_dim].T
 
 
 def sinkhorn_scale(kernel: np.ndarray, p: np.ndarray, q: np.ndarray,

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# Block size for chunked similarity sweeps; bounds peak memory at
-# roughly block * m floats.
-_BLOCK = 4096
+# Cells (rows x pool rows) in one block of a row-blocked similarity sweep;
+# bounds each block at about 8 * _CELLS bytes whatever the pool size.
+_CELLS = 2 ** 24
+
+
+def row_blocks(n_rows: int, pool_rows: int) -> list[slice]:
+    """Slices of range(n_rows) in blocks that fit the budget against `pool_rows`."""
+    step = max(1, _CELLS // max(1, pool_rows))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -47,23 +53,9 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     va = unit_rows(vectors)
     pb = unit_rows(pool)
     out = np.empty(va.shape[0])
-    for start in range(0, va.shape[0], _BLOCK):
-        sims = va[start:start + _BLOCK] @ pb.T
-        out[start:start + _BLOCK] = topk_mean(sims, n_neighbors, axis=1)
+    for rows in row_blocks(va.shape[0], pb.shape[0]):
+        out[rows] = topk_mean(va[rows] @ pb.T, n_neighbors, axis=1)
     return out
-
-
-def csls_scores(query: np.ndarray, candidates: np.ndarray,
-                candidate_hubness: np.ndarray, query_hubness: float = 0.0) -> np.ndarray:
-    """CSLS scores of one query against all candidate rows.
-
-    score_j = 2 * cos(query, cand_j) - r(cand_j) - r(query), with the
-    hubness terms precomputed (see `csls_hubness`). The query-side term is
-    a constant shift and does not affect the induced ranking.
-    """
-    q = query / (np.linalg.norm(query) or 1.0)
-    cos = unit_rows(candidates) @ q
-    return 2.0 * cos - candidate_hubness - query_hubness
 
 
 def csls_matrix(src: np.ndarray, tgt: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -94,6 +86,12 @@ def mutual_argmax_pairs(sim: np.ndarray) -> list[tuple[int, int]]:
     Ties resolve to the lowest index (np.argmax convention), which for
     frequency-ordered vocabularies prefers the more frequent word.
     """
-    fwd = np.argmax(sim, axis=1)
-    bwd = np.argmax(sim, axis=0)
-    return [(i, int(j)) for i, j in enumerate(fwd) if bwd[j] == i]
+    return mutual_pairs(np.argmax(sim, axis=1), np.argmax(sim, axis=0))
+
+
+def mutual_pairs(fwd: np.ndarray, bwd: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs (i, fwd[i]) with bwd[fwd[i]] == i, in row order: the mutual
+    nearest neighbours, given each row's best column and each column's best row."""
+    fwd = np.asarray(fwd)
+    rows = np.flatnonzero(np.asarray(bwd)[fwd] == np.arange(fwd.size))
+    return list(zip(rows.tolist(), fwd[rows].tolist()))

@@ -18,7 +18,8 @@ from .lexicon import (AlignedMatrices, TranslationLexicon,
                       build_aligned_matrices, make_lexicon)
 from .linalg import solve_cca, solve_procrustes
 from .projection import ProjectionPair
-from .similarity import cosine_matrix, similarity_matrix, topk_mean, unit_rows
+from .similarity import (mutual_argmax_pairs, mutual_pairs, similarity_matrix,
+                         unit_rows)
 
 _DLV_PAD = -1e6  # weight for non-candidate edges in the sparsified assignment
 
@@ -48,31 +49,16 @@ def align_proc(aligned: AlignedMatrices) -> ProjectionPair:
                   "final_objective": residual})
 
 
-def _directional_mutual_pairs(src_fwd: np.ndarray, tgt_full: np.ndarray,
-                              tgt_bwd: np.ndarray, src_full: np.ndarray,
-                              src_words, tgt_words, metric: str,
-                              csls_n: int) -> TranslationLexicon:
-    """Mutual matches when forward and backward sweeps use different maps.
-
-    Forward: src_fwd rows vs tgt_full. Backward: tgt_bwd rows vs src_full.
-    A pair survives only if each side is the other's most-similar match.
-    """
-    fwd = np.argmax(similarity_matrix(src_fwd, tgt_full, metric, csls_n), axis=1)
-    bwd = np.argmax(similarity_matrix(tgt_bwd, src_full, metric, csls_n), axis=1)
-    pairs = [(src_words[i], tgt_words[int(j)])
-             for i, j in enumerate(fwd) if bwd[int(j)] == i]
-    return make_lexicon(pairs)
-
-
 def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
-                 seed_lex: TranslationLexicon, iters: int = 1,
+                 seed_lex: TranslationLexicon, iters: int = 2,
                  search_cap: int = 20000, metric: str = "cosine",
                  csls_n: int = 10) -> ProjectionPair:
     """Bootstrapped orthogonal solve.
 
     Each iteration learns both directional maps, then (except on the last
     iteration) augments the dictionary with the mutual nearest neighbours
-    found between the two directionally projected spaces.
+    found between the two directionally projected spaces. The default of
+    two iterations is one augmentation round; iters=1 is the plain solve.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -92,10 +78,14 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         w_tgt = solve_procrustes(aligned.x_tgt, aligned.x_src)
         if it == iters - 1:
             break
-        induced = _directional_mutual_pairs(
-            src_space.matrix[:ns] @ w_src, tgt_space.matrix[:nt],
-            tgt_space.matrix[:nt] @ w_tgt, src_space.matrix[:ns],
-            src_space.words[:ns], tgt_space.words[:nt], metric, csls_n)
+        fwd = np.argmax(similarity_matrix(src_space.matrix[:ns] @ w_src,
+                                          tgt_space.matrix[:nt], metric,
+                                          csls_n), axis=1)
+        bwd = np.argmax(similarity_matrix(tgt_space.matrix[:nt] @ w_tgt,
+                                          src_space.matrix[:ns], metric,
+                                          csls_n), axis=1)
+        induced = make_lexicon((src_space.words[i], tgt_space.words[j])
+                               for i, j in mutual_pairs(fwd, bwd))
         if len(induced) == 0:
             empty_augmentation = True
         lex = lex.union(induced)
@@ -169,9 +159,7 @@ def align_dlv(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         sim = (src_unit[:ns] @ w) @ tgt_unit[:nt].T
         matches = _sparsified_assignment(sim, cand_per_node)
         if not matches:
-            fwd = np.argmax(sim, axis=1)
-            bwd = np.argmax(sim, axis=0)
-            matches = [(i, int(j)) for i, j in enumerate(fwd) if bwd[int(j)] == i]
+            matches = mutual_argmax_pairs(sim)
             fallbacks += 1
         match_sizes.append(len(matches))
         idx_s = [i for i, _ in matches]

@@ -9,7 +9,7 @@ adversarially initialized systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .lexicon import (TranslationLexicon, build_aligned_matrices, make_lexicon,
 from .linalg import pca_project, sinkhorn_scale, solve_procrustes, svd, \
     zca_whitening_matrix
 from .projection import ProjectionPair
-from .similarity import (cosine_matrix, mutual_argmax_pairs, similarity_matrix,
-                         unit_rows)
+from .similarity import (cosine_matrix, mutual_argmax_pairs, mutual_pairs,
+                         similarity_matrix, unit_rows)
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class PostprocessOptions:
 @dataclass(frozen=True)
 class TransportPlan:
     gamma: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    lam: float
-    outer_iters: int
     marginal_violation: float
 
     def __post_init__(self):
@@ -301,8 +297,8 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     ns = min(cfg.top_n_words, len(src_space))
     nt = min(cfg.top_n_words, len(tgt_space))
     p_dim = min(cfg.pca_dim, src_space.dim)
-    p1 = pca_project(src_space.matrix[:ns], p_dim).projected
-    p2 = pca_project(tgt_space.matrix[:nt], p_dim).projected
+    p1 = pca_project(src_space.matrix[:ns], p_dim)
+    p2 = pca_project(tgt_space.matrix[:nt], p_dim)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best = None
     for idx, stream in enumerate(streams):
@@ -317,8 +313,7 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
                     "history": history}
     if best is None:
         raise RuntimeError("align_icp: all restarts produced non-finite loss")
-    mutual = [(i, int(best["f1"][i])) for i in range(ns)
-              if best["f2"][int(best["f1"][i])] == i]
+    mutual = mutual_pairs(best["f1"], best["f2"])
     if not mutual:
         mutual = [(i, int(best["f1"][i])) for i in range(ns)]
     idx_s = [i for i, _ in mutual]
@@ -377,9 +372,7 @@ def gromov_wasserstein_plan(src_vectors: np.ndarray, tgt_vectors: np.ndarray,
                                          max_iter=sinkhorn_max_iter,
                                          tol=sinkhorn_tol)
         gamma = (a[:, None] * kernel) * b[None, :]
-    return TransportPlan(gamma=gamma, a=a, b=b, lam=lam,
-                         outer_iters=outer_iters,
-                         marginal_violation=violation)
+    return TransportPlan(gamma=gamma, marginal_violation=violation)
 
 
 def align_gwa(src_space: WordVectorSpace, tgt_space: WordVectorSpace,

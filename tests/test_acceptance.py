@@ -160,8 +160,8 @@ def test_criterion_7_icp_recovery(spiral_pair):
     assert score >= 0.8
     # Exact monotonicity of the alternating objective at lambda_cyc = 0,
     # checked per restart.
-    p1 = pca_project(src.matrix[:300], 3).projected
-    p2 = pca_project(tgt.matrix[:300], 3).projected
+    p1 = pca_project(src.matrix[:300], 3)
+    p2 = pca_project(tgt.matrix[:300], 3)
     rng = np.random.default_rng(0)
     for _ in range(5):
         w0 = random_rotation(3, rng)

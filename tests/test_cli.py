@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from clembed import cli
 from clembed.cli import load_config, main
 from clembed.embeddings import WordVectorSpace, load_text_embeddings, \
     save_text_embeddings
 from clembed.lexicon import make_lexicon, save_lexicon
-from clembed.projection import load_projection
+from clembed.projection import identity_pair, load_projection
 from conftest import RotatedPair
 
 
@@ -66,6 +67,61 @@ def test_align_and_eval_bli(workspace, tmp_path):
     summary = json.loads((rep / "summary.json").read_text())
     assert summary["map"] >= 0.9
     assert summary["method"] == "proc"
+
+
+def test_proc_b_bootstraps_by_default(workspace, tmp_path):
+    spaces = ["--src-emb", workspace / "src.vec", "--tgt-emb",
+              workspace / "tgt.vec", "--dict", workspace / "train.txt"]
+    assert run("align", "--method", "proc", *spaces,
+               "--outdir", tmp_path / "proc") == 0
+    assert run("align", "--method", "proc-b", *spaces,
+               "--outdir", tmp_path / "proc-b") == 0
+    record = json.loads((tmp_path / "proc-b" / "projection.json").read_text())
+    assert len(record["metadata"]["dict_sizes"]) == 2
+    assert (tmp_path / "proc-b" / "w_src.txt").read_text() != \
+        (tmp_path / "proc" / "w_src.txt").read_text()
+
+
+def test_csls_n_reaches_proc_b_and_vecmap(workspace, tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_proc_b(*args, **kwargs):
+        seen["proc-b"] = kwargs["csls_n"]
+        return identity_pair(10)
+
+    def fake_self_learn(src, tgt, seed_lex, cfg):
+        seen["vecmap"] = cfg.csls_n
+        return identity_pair(10)
+
+    monkeypatch.setattr(cli, "align_proc_b", fake_proc_b)
+    monkeypatch.setattr(cli, "self_learn", fake_self_learn)
+    for method in ("proc-b", "vecmap"):
+        assert run("align", "--method", method,
+                   "--src-emb", workspace / "src.vec",
+                   "--tgt-emb", workspace / "tgt.vec",
+                   "--dict", workspace / "train.txt", "--seed", "1",
+                   "--metric", "csls", "--csls-n", "7",
+                   "--outdir", tmp_path / method) == 0
+    assert seen == {"proc-b": 7, "vecmap": 7}
+
+
+def test_failed_write_leaves_no_file(workspace, tmp_path, monkeypatch):
+    proj = tmp_path / "proj"
+    assert run("align", "--method", "proc", "--src-emb", workspace / "src.vec",
+               "--tgt-emb", workspace / "tgt.vec",
+               "--dict", workspace / "train.txt", "--outdir", proj) == 0
+
+    def write_half_a_report(result, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("half a report")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_bli_report", write_half_a_report)
+    rep = tmp_path / "bli"
+    assert run("eval-bli", "--proj", proj, "--src-emb", workspace / "src.vec",
+               "--tgt-emb", workspace / "tgt.vec",
+               "--test-dict", workspace / "test.txt", "--outdir", rep) == 1
+    assert list(rep.iterdir()) == []
 
 
 def test_compare_identical_runs(workspace, tmp_path, capsys):

@@ -90,12 +90,12 @@ def test_pca_orders_variance_and_projects():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((100, 6)) * np.array([5.0, 3.0, 1.0, 0.5, 0.2, 0.1])
     res = pca_project(x, 3)
-    var = res.projected.var(axis=0)
+    var = res.var(axis=0)
     assert np.all(np.diff(var) <= 1e-9)
-    assert res.projected.shape == (100, 3)
+    assert res.shape == (100, 3)
     # Full-dimensional projection keeps pairwise distances (rotation of
     # the centered data).
-    full = pca_project(x, 6).projected
+    full = pca_project(x, 6)
     d_orig = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
     d_proj = np.linalg.norm(full[:, None] - full[None, :], axis=-1)
     assert np.allclose(d_orig, d_proj, atol=1e-8)

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clembed.embeddings import WordVectorSpace
+from clembed.evaluation import average_precision_from_ranks, bli_evaluate
+from clembed.lexicon import make_lexicon
+from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness, csls_matrix,
-                                csls_scores, mutual_argmax_pairs,
+                                mutual_argmax_pairs, mutual_pairs, row_blocks,
                                 similarity_matrix, topk_mean, unit_rows)
 
 
@@ -72,18 +76,25 @@ def test_csls_hubness_is_topk_mean_of_cosines():
 
 
 @pytest.mark.parametrize("n", [1, 5, 10])
-def test_csls_scores_match_brute_force(n):
+def test_bli_csls_ranks_match_brute_force(n):
     rng = np.random.default_rng(4)
-    query = rng.standard_normal((6, 8))
-    candidates = rng.standard_normal((12, 8))
-    src_pool = rng.standard_normal((15, 8))
-    cand_hub = csls_hubness(candidates, src_pool, n)
-    query_hub = brute_hubness(query, candidates, n)
-    got = np.vstack([
-        csls_scores(query[i], candidates, cand_hub, query_hub[i])
-        for i in range(len(query))])
-    want = brute_force_csls(query, candidates, src_pool, candidates, n)
-    assert np.allclose(got, want, atol=1e-12)
+    x = rng.standard_normal((15, 8))
+    y = rng.standard_normal((12, 8))
+    w, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    pair = ProjectionPair(w_src=w, w_tgt=np.eye(8), orthogonal_src=True,
+                          method="test")
+    src = WordVectorSpace(tuple(f"s{i}" for i in range(15)), x)
+    tgt = WordVectorSpace(tuple(f"t{j}" for j in range(12)), y)
+    golds = {i: [i, (3 * i + 5) % 12] for i in range(6)}
+    lex = make_lexicon((f"s{i}", f"t{j}") for i, js in golds.items() for j in js)
+    res = bli_evaluate(pair, src, tgt, lex, metric="csls", csls_n=n)
+    scores = brute_force_csls(x[:6] @ w, y, x @ w, y, n)
+    assert res.query_count == 6
+    for i, rec in enumerate(res.records):
+        order = list(np.argsort(-scores[i], kind="stable"))
+        ranks = [order.index(j) + 1 for j in golds[i]]
+        assert rec.best_rank == min(ranks)
+        assert rec.average_precision == average_precision_from_ranks(ranks)
 
 
 def test_csls_matrix_consistent_with_scores():
@@ -119,6 +130,26 @@ def test_mutual_argmax_identity_on_self_similarity():
     m = rng.standard_normal((10, 4))
     pairs = mutual_argmax_pairs(cosine_matrix(m, m))
     assert pairs == [(i, i) for i in range(10)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(0, m - 1), min_size=0, max_size=8),
+    st.lists(st.integers(0, 7), min_size=m, max_size=m))))
+def test_mutual_pairs_match_list_comprehension(case):
+    fwd, bwd = case
+    fwd = np.array(fwd, dtype=np.intp)
+    bwd = np.array(bwd, dtype=np.intp)
+    want = [(i, int(j)) for i, j in enumerate(fwd) if bwd[int(j)] == i]
+    assert mutual_pairs(fwd, bwd) == want
+
+
+def test_row_blocks_size_rows_by_the_cell_budget():
+    # rows per block = max(1, 2**24 // pool rows)
+    assert row_blocks(5, 2 ** 23) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert row_blocks(2, 2 ** 30) == [slice(0, 1), slice(1, 2)]
+    assert row_blocks(5, 1) == [slice(0, 2 ** 24)]
+    assert row_blocks(0, 100) == []
 
 
 @settings(max_examples=40, deadline=None)
