@@ -224,10 +224,15 @@ def write_trec_run(run: ClirRun, path, tag: str = "clembed",
 
     Only the top `depth` documents per query are written, while
     `run.map_score` covers the full ranking."""
+    # the columns after the docid depend on the rank alone; zip with the
+    # tails cuts each ranking at `depth`
+    n = min(depth, max(map(len, run.rankings.values()), default=0))
+    tails = [f" {rank} {1.0 / rank:.6f} {tag}\n" for rank in range(1, n + 1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(run.rankings):
-            for rank, did in enumerate(run.rankings[qid][:depth], start=1):
-                fh.write(f"{qid} Q0 {did} {rank} {1.0 / rank:.6f} {tag}\n")
+            head = f"{qid} Q0 "
+            fh.write("".join([f"{head}{did}{tail}" for did, tail
+                              in zip(run.rankings[qid], tails)]))
 
 
 def read_trec_run(path) -> dict[str, list[tuple[str, int, float]]]:

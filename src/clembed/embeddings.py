@@ -3,11 +3,13 @@
 File format is the word2vec-style text format: an optional header line
 "<count> <dim>", then one line per word ("token v1 v2 ... vd", single
 spaces, UTF-8, LF). Both headered and headerless files are accepted on
-read; the header is always written on save.
+read; the header is always written on save. Values are read with numpy's
+float syntax.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -18,6 +20,8 @@ from .similarity import unit_rows
 
 VALID_STEPS = ("unit-length", "mean-center", "zca-whiten")
 MAX_STEPS = 3
+# Lines per chunk of a text load or save: one numpy parse, or one write, each.
+_CHUNK_LINES = 4096
 
 
 class EmbeddingParseError(ValueError):
@@ -99,11 +103,20 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     File order is frequency order for standard trainers, so the prefix is
     the most frequent vocabulary. Duplicate tokens after the first
     occurrence are dropped with a warning.
+
+    Lines are read in chunks of `_CHUNK_LINES`. Python checks each line's
+    structure (value count, duplicates, the `max_vocab` cut, after which no
+    line is parsed or checked); the values of a whole chunk then go through
+    one call of numpy's text parser, so they follow numpy's float syntax:
+    `1_0` and non-ASCII digits, which Python's `float` accepts, are
+    unparseable, while numbers padded with the control characters
+    \\x1c-\\x1f are read. Errors name the first bad line, as a line-by-line
+    read would.
     """
     if max_vocab is not None and max_vocab <= 0:
         raise ValueError("max_vocab must be positive")
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     seen: set[str] = set()
     duplicates = 0
     dim: int | None = None
@@ -122,59 +135,106 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
         else:
             fh.seek(0)
             start_line = 0
-        for lineno, line in enumerate(fh, start=start_line + 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(" ")
-            token, values = fields[0], fields[1:]
-            if dim is None:
-                if not values:
-                    raise EmbeddingParseError("no vector values", line=lineno)
-                dim = len(values)
-            elif len(values) != dim:
-                raise EmbeddingParseError(
-                    f"expected {dim} values, got {len(values)}", line=lineno)
-            try:
-                vec = np.array(values, dtype=float)
-            except ValueError:
-                raise EmbeddingParseError("unparseable float", line=lineno)
-            if token in seen:
-                duplicates += 1
-                continue
-            seen.add(token)
-            words.append(token)
-            rows.append(vec)
-            if max_vocab is not None and len(words) >= max_vocab:
+        numbered = enumerate(fh, start=start_line + 1)
+        full = False
+        while not full:
+            chunk = list(itertools.islice(numbered, _CHUNK_LINES))
+            if not chunk:
                 break
+            values: list[str] = []      # value fields of the lines to parse
+            linenos: list[int] = []
+            kept: list[int] = []        # positions in `values` of new words
+            error = None
+            for lineno, line in chunk:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                token, sep, rest = line.partition(" ")
+                count = rest.count(" ") + 1 if sep else 0
+                if dim is None:
+                    if not count:
+                        error = EmbeddingParseError("no vector values", line=lineno)
+                        break
+                    dim = count
+                elif count != dim:
+                    error = EmbeddingParseError(
+                        f"expected {dim} values, got {count}", line=lineno)
+                    break
+                if not rest:
+                    # "token " has one empty value, which numpy's parser
+                    # would skip as a blank line rather than reject
+                    error = EmbeddingParseError("unparseable float", line=lineno)
+                    break
+                values.append(rest)
+                linenos.append(lineno)
+                if token in seen:
+                    duplicates += 1
+                    continue
+                seen.add(token)
+                words.append(token)
+                kept.append(len(values) - 1)
+                full = max_vocab is not None and len(words) >= max_vocab
+                if full:
+                    break
+            if values:
+                # an unparseable line before a structural error is reported first
+                block = _parse_values(values, linenos)
+                blocks.append(block if len(kept) == len(values) else block[kept])
+            if error is not None:
+                raise error
     if not words:
         raise EmbeddingParseError("no embeddings found in file")
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
                       "(kept first occurrences)", stacklevel=2)
-    return WordVectorSpace(words=tuple(words), matrix=np.vstack(rows),
+    return WordVectorSpace(words=tuple(words), matrix=np.concatenate(blocks),
                            lang_tag=lang_tag)
+
+
+def _parse_values(values: list[str], linenos: list[int]) -> np.ndarray:
+    """Parse lines of space-separated floats in one numpy call; on failure,
+    parse them one at a time to name the first bad line."""
+    try:
+        return _parse_rows(values)
+    except ValueError:
+        for text, lineno in zip(values, linenos):
+            try:
+                _parse_rows([text])
+            except ValueError:
+                raise EmbeddingParseError("unparseable float", line=lineno) from None
+        raise
+
+
+def _parse_rows(values: list[str]) -> np.ndarray:
+    return np.loadtxt(values, dtype=float, delimiter=" ", comments=None,
+                      quotechar=None, ndmin=2)
 
 
 def save_text_embeddings(space: WordVectorSpace, path: str | os.PathLike,
                          precision: int = 6) -> None:
     """Write the space back out with a header line and fixed precision.
 
-    Round-trips through `load_text_embeddings` to within the documented
-    number of significant digits (default 6).
+    Each value is written as `%.<precision>g`, byte for byte what
+    `f"{v:.{precision}g}"` gives, from one row format applied to
+    `_CHUNK_LINES` rows per write. Round-trips through
+    `load_text_embeddings` to within the documented number of significant
+    digits (default 6).
     """
     if len(space) == 0:
         raise ValueError("refusing to save an empty space")
+    row_format = "%s " + " ".join([f"%.{precision}g"] * space.dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
-        for word, row in zip(space.words, space.matrix):
-            values = " ".join(f"{v:.{precision}g}" for v in row)
-            fh.write(f"{word} {values}\n")
+        for start in range(0, len(space), _CHUNK_LINES):
+            stop = start + _CHUNK_LINES
+            rows = space.matrix[start:stop].tolist()
+            fh.write("".join([row_format % (word, *row) for word, row
+                              in zip(space.words[start:stop], rows)]))
 
 
 def _apply_step(matrix: np.ndarray, step: str, eps: float) -> np.ndarray:
     if step == "unit-length":
-        zero_rows = int(np.sum(np.linalg.norm(matrix, axis=1) == 0.0))
+        zero_rows = int(np.sum(~matrix.any(axis=1)))
         if zero_rows:
             warnings.warn(f"unit-length: {zero_rows} zero rows left unchanged",
                           stacklevel=3)

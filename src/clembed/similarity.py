@@ -20,11 +20,28 @@ def row_blocks(n_rows: int, pool_rows: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
+# A norm below this is the root of a subnormal sum of squares: underflow
+# has cost it precision.
+_TINY_NORM = np.sqrt(np.finfo(float).tiny)
+
+
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Return a copy with each nonzero row scaled to unit Euclidean norm."""
+    """Return a copy with each nonzero row scaled to unit Euclidean norm.
+
+    Nonzero rows whose norm is below `_TINY_NORM` are first divided by their
+    largest magnitude, so that their squares do not underflow; rows of zeros
+    are left unchanged.
+    """
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return matrix / safe
+    small = norms < _TINY_NORM
+    out = matrix / np.where(small, 1.0, norms)
+    if small.any():
+        tiny = np.flatnonzero(small)
+        tiny = tiny[matrix[tiny].any(axis=1)]
+        if tiny.size:
+            rows = matrix[tiny] / np.abs(matrix[tiny]).max(axis=1, keepdims=True)
+            out[tiny] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return out
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -84,6 +84,13 @@ class TestPreprocess:
         out = normalize(tiny_space, PreprocessChain(("unit-length",)))
         assert np.allclose(np.linalg.norm(out.matrix, axis=1), 1.0)
 
+    def test_unit_length_counts_only_rows_of_zeros(self):
+        space = WordVectorSpace(("a", "b", "c"),
+                                np.array([[0.0, 0.0], [1e-170, 1e-170], [3.0, 4.0]]))
+        with pytest.warns(UserWarning, match="1 zero rows left unchanged"):
+            out = normalize(space, PreprocessChain(("unit-length",)))
+        assert np.allclose(np.linalg.norm(out.matrix[1:], axis=1), 1.0)
+
     def test_mean_center(self, tiny_space):
         out = normalize(tiny_space, PreprocessChain(("mean-center",)))
         assert np.allclose(out.matrix.mean(axis=0), 0.0, atol=1e-12)

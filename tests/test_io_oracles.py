@@ -1,0 +1,288 @@
+"""The chunked embedding loader, the row-format saver and the TREC writer
+against the line-at-a-time code they replaced.
+
+`oracle_load_text_embeddings` and `oracle_save_text_embeddings` are the
+earlier implementations: one `np.array(values, dtype=float)` per line, and
+one f-string per value. The library checks each line's structure in Python
+but parses a chunk of lines in one numpy call, and formats a row with one
+`%`-format. The loader must return an equal space (same words, bit-equal
+matrix, same duplicate warning) or raise the same message with the same line
+number; the savers must write the same bytes. Loader files span several
+chunks because the chunk size is patched down to 2 or 3 lines.
+
+One difference is intended and has its own tests: values follow numpy's
+float syntax. Spellings that only Python's `float` reads (`1_0`, non-ASCII
+digits) are "unparseable float", and numbers padded with the control
+characters \\x1c-\\x1f are read. The generated files use neither.
+"""
+
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from clembed import embeddings
+from clembed.clir import ClirRun, write_trec_run
+from clembed.embeddings import (EmbeddingParseError, WordVectorSpace,
+                                load_text_embeddings, save_text_embeddings)
+
+
+def oracle_load_text_embeddings(path, max_vocab=None, lang_tag=""):
+    if max_vocab is not None and max_vocab <= 0:
+        raise ValueError("max_vocab must be positive")
+    words = []
+    rows = []
+    seen = set()
+    duplicates = 0
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise EmbeddingParseError("empty embedding file")
+        start_line = 1
+        parts = first.rstrip("\n").split(" ")
+        if len(parts) == 2:
+            try:
+                int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EmbeddingParseError("malformed header line", line=1)
+        else:
+            fh.seek(0)
+            start_line = 0
+        for lineno, line in enumerate(fh, start=start_line + 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split(" ")
+            token, values = fields[0], fields[1:]
+            if dim is None:
+                if not values:
+                    raise EmbeddingParseError("no vector values", line=lineno)
+                dim = len(values)
+            elif len(values) != dim:
+                raise EmbeddingParseError(
+                    f"expected {dim} values, got {len(values)}", line=lineno)
+            try:
+                vec = np.array(values, dtype=float)
+            except ValueError:
+                raise EmbeddingParseError("unparseable float", line=lineno)
+            if token in seen:
+                duplicates += 1
+                continue
+            seen.add(token)
+            words.append(token)
+            rows.append(vec)
+            if max_vocab is not None and len(words) >= max_vocab:
+                break
+    if not words:
+        raise EmbeddingParseError("no embeddings found in file")
+    if duplicates:
+        warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
+                      "(kept first occurrences)", stacklevel=2)
+    return WordVectorSpace(words=tuple(words), matrix=np.vstack(rows),
+                           lang_tag=lang_tag)
+
+
+def oracle_save_text_embeddings(space, path, precision=6):
+    if len(space) == 0:
+        raise ValueError("refusing to save an empty space")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(space)} {space.dim}\n")
+        for word, row in zip(space.words, space.matrix):
+            values = " ".join(f"{v:.{precision}g}" for v in row)
+            fh.write(f"{word} {values}\n")
+
+
+def oracle_write_trec_run(run, path, tag="clembed", depth=1000):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for qid in sorted(run.rankings):
+            for rank, did in enumerate(run.rankings[qid][:depth], start=1):
+                fh.write(f"{qid} Q0 {did} {rank} {1.0 / rank:.6f} {tag}\n")
+
+
+def load_outcome(load, path, **kwargs):
+    """What a load gives: words, matrix bytes and warnings, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            space = load(path, **kwargs)
+        except ValueError as exc:
+            return ("raised", type(exc).__name__, str(exc))
+    return ("loaded", space.words, space.matrix.shape, space.matrix.dtype,
+            space.matrix.tobytes(), space.lang_tag,
+            [str(w.message) for w in caught])
+
+
+def write_raw(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def assert_loads_like_oracle(path, text, **kwargs):
+    """The new loader and the oracle give the same outcome on `text`."""
+    write_raw(path, text)
+    want = load_outcome(oracle_load_text_embeddings, path, **kwargs)
+    assert load_outcome(load_text_embeddings, path, **kwargs) == want
+    return want
+
+
+FLOAT_FORMATS = (repr, "{:.3g}".format, "{:.17e}".format, "{:.25f}".format)
+BAD_FIELDS = ("zero", "", "1e", "--1", "0x10", "1.2.3", "1,5", "+", ".",
+              "nan", "inf", "-Infinity")
+WORDS = ("a", "b", "c", "ü", "w_1", "")
+
+good_field = st.builds(lambda fmt, v: fmt(v), st.sampled_from(FLOAT_FORMATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def embedding_files(draw):
+    """Text of a word2vec file: an optional header, blank and space-only
+    lines, duplicates, wrong value counts, bad and empty fields, LF or CRLF
+    endings, and lines that may end in spaces."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(
+            [f"{draw(st.integers(0, 9))} {dim}", "3 x", "3 2 1"])))
+    kinds = ("row",) * 8 + ("blank", "blank", "count", "bad")
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", " ", "  "))))
+            continue
+        count = draw(st.integers(0, dim + 1)) if kind == "count" else dim
+        fields = [draw(good_field) for _ in range(count)]
+        if kind == "bad":
+            fields[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        lines.append(" ".join([draw(st.sampled_from(WORDS))] + fields))
+    ends = [draw(st.sampled_from(("\n", "\r\n", " \n", " \r\n")))
+            for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")              # no newline at the end
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=embedding_files(), chunk=st.sampled_from((2, 3, 4096)),
+       max_vocab=st.one_of(st.none(), st.integers(1, 6)))
+def test_loader_matches_oracle(tmp_path_factory, text, chunk, max_vocab):
+    path = tmp_path_factory.mktemp("load") / "vec.txt"
+    with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+        assert_loads_like_oracle(path, text, max_vocab=max_vocab,
+                                 lang_tag="xx")
+
+
+def numbered_file(n_rows, dim, bad_row, bad_text):
+    """Headered file of `n_rows` distinct words; row `bad_row` is `bad_text`."""
+    lines = [f"{n_rows} {dim}"]
+    for i in range(n_rows):
+        lines.append(bad_text if i == bad_row
+                     else " ".join([f"w{i}"] + [f"{i}.{j}" for j in range(dim)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk", (2, 3, 4096))
+@pytest.mark.parametrize("bad_text, message", [
+    ("bad 1 zero 3", "unparseable float"),
+    ("bad 1  3", "unparseable float"),
+    ("bad 1 2", "expected 3 values, got 2"),
+    ("bad 1 2 3 4", "expected 3 values, got 4"),
+    ("bad", "expected 3 values, got 0"),
+    ("w0 1 x 3", "unparseable float"),           # a malformed duplicate
+])
+@pytest.mark.parametrize("bad_row", (1, 5, 6))
+def test_errors_name_the_line_across_chunks(tmp_path, chunk, bad_text, message,
+                                            bad_row):
+    path = tmp_path / "vec.txt"
+    text = numbered_file(8, 3, bad_row, bad_text)
+    with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+        want = assert_loads_like_oracle(path, text)
+        assert want == ("raised", "EmbeddingParseError",
+                        f"line {bad_row + 2}: {message}")
+        # a cut just before the bad line: it is neither parsed nor checked
+        loaded = assert_loads_like_oracle(path, text, max_vocab=bad_row)
+        assert loaded[0] == "loaded" and len(loaded[1]) == bad_row
+
+
+def test_unparseable_line_before_a_count_error_is_reported_first(tmp_path):
+    path = tmp_path / "vec.txt"
+    want = assert_loads_like_oracle(path, "a 1 2\nb 1 x\nc 1 2 3\n")
+    assert want == ("raised", "EmbeddingParseError", "line 2: unparseable float")
+
+
+@pytest.mark.parametrize("text, line", [("2 1\na 1\nb \n", 3),
+                                        ("2 1\na \nb 1\n", 2),
+                                        ("2 1\na 1\n \n", 3)])
+def test_one_empty_value_is_unparseable(tmp_path, text, line):
+    """numpy's parser skips an empty value field as a blank line; the loader
+    must still reject it, as the line-at-a-time loader did."""
+    want = assert_loads_like_oracle(tmp_path / "vec.txt", text)
+    assert want == ("raised", "EmbeddingParseError",
+                    f"line {line}: unparseable float")
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "١", "１", "1e1_0"])
+def test_python_only_float_spellings_are_unparseable(tmp_path, spelling):
+    """The intended difference: numpy's parser, unlike `float`, rejects
+    underscores and non-ASCII digits."""
+    path = tmp_path / "vec.txt"
+    write_raw(path, f"a 1 2\nb 3 {spelling}\n")
+    assert oracle_load_text_embeddings(path).matrix[1, 1] == float(spelling)
+    with pytest.raises(EmbeddingParseError, match="line 2: unparseable float"):
+        load_text_embeddings(path)
+
+
+@pytest.mark.parametrize("padded", ["\x1c1", "1\x1f"])
+def test_numbers_padded_with_separator_controls_are_read(tmp_path, padded):
+    """The intended difference: numpy's parser, unlike `float`, skips the
+    control characters \\x1c-\\x1f around a number."""
+    path = tmp_path / "vec.txt"
+    write_raw(path, f"a 1 2\nb 3 {padded}\n")
+    assert load_text_embeddings(path).matrix[1].tolist() == [3.0, 1.0]
+    with pytest.raises(EmbeddingParseError, match="line 2: unparseable float"):
+        oracle_load_text_embeddings(path)
+
+
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+            -1e-300, 1e300, -1e300, 1.7976931348623157e308)
+value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(EXTREMES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=st.integers(1, 5).flatmap(lambda d: arrays(
+           np.float64, st.tuples(st.integers(1, 7), st.just(d)), elements=value)),
+       precision=st.integers(1, 17), chunk=st.sampled_from((2, 3, 4096)))
+def test_saver_writes_the_oracles_bytes(tmp_path_factory, matrix, precision,
+                                        chunk):
+    space = WordVectorSpace(tuple(f"w{i}%s" for i in range(len(matrix))), matrix)
+    tmp = tmp_path_factory.mktemp("save")
+    oracle_save_text_embeddings(space, tmp / "old.txt", precision=precision)
+    with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+        save_text_embeddings(space, tmp / "new.txt", precision=precision)
+    assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
+
+
+def trec_run(n_queries, n_docs):
+    rng = np.random.default_rng(n_queries * 1000 + n_docs)
+    docs = [f"doc{i}" for i in range(n_docs)]
+    rankings = {f"q{i}": tuple(docs[j] for j in rng.permutation(n_docs)[i:])
+                for i in rng.permutation(n_queries)}
+    return ClirRun(rankings=rankings, relevant_ranks=(), map_score=0.0,
+                   scored_queries=n_queries, skipped_queries=0, empty_queries=())
+
+
+@pytest.mark.parametrize("depth", (0, 1, 7, 20, 30, 31, 1000))
+@pytest.mark.parametrize("tag", ("clembed", "run-b"))
+def test_trec_writer_writes_the_oracles_bytes(tmp_path, depth, tag):
+    run = trec_run(12, 30)
+    oracle_write_trec_run(run, tmp_path / "old.trec", tag=tag, depth=depth)
+    write_trec_run(run, tmp_path / "new.trec", tag=tag, depth=depth)
+    assert (tmp_path / "new.trec").read_bytes() == \
+        (tmp_path / "old.trec").read_bytes()

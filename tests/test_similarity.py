@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -45,6 +45,14 @@ def test_unit_rows_keeps_zero_rows():
     u = unit_rows(m)
     assert np.allclose(u[0], 0.0)
     assert np.allclose(u[1], [0.6, 0.8])
+
+
+def test_unit_rows_scales_rows_whose_squares_underflow():
+    m = np.array([[1e-170, -1e-170], [6.285e-161, 0.0], [0.0, 0.0], [3.0, 4.0]])
+    u = unit_rows(m)
+    assert np.allclose(np.linalg.norm(u[[0, 1, 3]], axis=1), 1.0, rtol=0,
+                       atol=1e-15)
+    assert np.array_equal(u[2], [0.0, 0.0])
 
 
 def test_cosine_matrix_matches_loop():
@@ -164,6 +172,8 @@ def test_cosine_bounded(m):
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, (5, 4),
               elements=st.floats(-100, 100, allow_nan=False)))
+@example(np.full((5, 4), 6.285e-161))       # squares underflow to subnormals
+@example(np.full((5, 4), 1e-170))            # squares underflow to 0
 def test_unit_rows_idempotent(m):
     once = unit_rows(m)
     assert np.allclose(unit_rows(once), once, atol=1e-12)
