@@ -77,18 +77,6 @@ def load_config(path: str) -> dict:
     return flat
 
 
-def _fill(args: argparse.Namespace, config_key: str, attr: str, cast,
-          default=None):
-    """Resolve flag -> config -> default for one option."""
-    if getattr(args, attr, None) is not None:
-        return
-    config = getattr(args, "_config", {})
-    if config_key in config:
-        setattr(args, attr, cast(config[config_key]))
-    else:
-        setattr(args, attr, default)
-
-
 def _load_space(path: str, max_vocab, tag: str):
     return load_text_embeddings(_require_file(path, f"{tag} embeddings"),
                                 max_vocab=max_vocab, lang_tag=tag)
@@ -119,8 +107,9 @@ def cmd_dict_split(args) -> int:
 
 def _run_aligner(args, src_space, tgt_space):
     method = args.method
-    if method in ("proc", "cca", "rcsls"):
+    if method in ("proc", "proc-b", "cca", "dlv", "rcsls"):
         lex = load_lexicon(_require_file(args.dict, "training dictionary"))
+    if method in ("proc", "cca", "rcsls"):
         aligned = build_aligned_matrices(lex, src_space, tgt_space)
         if method == "proc":
             return align_proc(aligned)
@@ -132,14 +121,12 @@ def _run_aligner(args, src_space, tgt_space):
                           epochs=args.epochs or 10)
         return align_rcsls(aligned, src_space.matrix, tgt_space.matrix, cfg)
     if method == "proc-b":
-        lex = load_lexicon(_require_file(args.dict, "training dictionary"))
         iters = {} if args.iters is None else {"iters": args.iters}
         return align_proc_b(src_space, tgt_space, lex,
                             search_cap=args.search_cap or 20000,
                             metric=args.metric or "cosine",
                             csls_n=args.csls_n or 10, **iters)
     if method == "dlv":
-        lex = load_lexicon(_require_file(args.dict, "training dictionary"))
         return align_dlv(src_space, tgt_space, lex,
                          em_iters=args.iters or 3,
                          match_cap=args.search_cap or 2500)
@@ -155,8 +142,6 @@ def _run_aligner(args, src_space, tgt_space):
                         restarts=args.restarts or 20, seed=args.seed)
         return align_icp(src_space, tgt_space, cfg)
     if method == "gwa":
-        if args.gw_lambda is not None and args.gw_lambda <= 0:
-            raise CliError("gwa requires a positive lambda")
         return align_gwa(src_space, tgt_space, cap=args.search_cap or 2000,
                          lam=args.gw_lambda or 5e-2,
                          outer_iters=args.iters or 30)
@@ -284,6 +269,17 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _positive(cast):
+    """An argparse type for a flag that must be > 0, so that `args.x or
+    default` replaces only a flag that was not given."""
+    def parse(text: str):
+        if not (value := cast(text)) > 0:
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {cast.__name__}"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clembed",
@@ -319,16 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict")
     p.add_argument("--outdir", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--search-cap", type=int)
+    p.add_argument("--iters", type=_positive(int))
+    p.add_argument("--search-cap", type=_positive(int))
     p.add_argument("--metric", choices=["cosine", "csls"])
-    p.add_argument("--csls-n", type=int)
+    p.add_argument("--csls-n", type=_positive(int))
     p.add_argument("--keep-dims")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--pca-dim", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--gw-lambda", type=float)
+    p.add_argument("--learning-rate", type=_positive(float))
+    p.add_argument("--epochs", type=_positive(int))
+    p.add_argument("--pca-dim", type=_positive(int))
+    p.add_argument("--restarts", type=_positive(int))
+    p.add_argument("--gw-lambda", type=_positive(float))
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("eval-bli", help="score a projection on a test dictionary")
@@ -338,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-emb")
     p.add_argument("--test-dict")
     p.add_argument("--metric", choices=["cosine", "csls"])
-    p.add_argument("--csls-n", type=int)
+    p.add_argument("--csls-n", type=_positive(int))
     p.add_argument("--outdir", required=True)
     p.add_argument("--method-label")
     p.add_argument("--pair-label")
@@ -351,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--m-comparisons", type=int, default=1)
     p.add_argument("--test", choices=["ttest", "shuffle"], default="ttest")
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--iterations", type=_positive(int))
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_compare)
 
@@ -383,11 +379,12 @@ _CONFIG_KEYS = {
 
 
 def _apply_config(args: argparse.Namespace) -> None:
+    """Fill each path flag the command has but was not given from the
+    config file's section.key, if it has one."""
     config = load_config(args.config) if getattr(args, "config", None) else {}
-    args._config = config
     for attr, key in _CONFIG_KEYS.items():
-        if hasattr(args, attr):
-            _fill(args, key, attr, str)
+        if getattr(args, attr, "") is None and key in config:
+            setattr(args, attr, config[key])
 
 
 def main(argv=None) -> int:

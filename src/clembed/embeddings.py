@@ -84,7 +84,6 @@ class PreprocessChain:
     """Ordered normalization steps drawn from {unit-length, mean-center, zca-whiten}."""
 
     steps: tuple[str, ...] = ()
-    whiten_eps: float = 1e-12
 
     def __post_init__(self):
         for step in self.steps:
@@ -92,8 +91,6 @@ class PreprocessChain:
                 raise ValueError(f"unknown preprocessing step {step!r}")
         if len(self.steps) > MAX_STEPS:
             raise ValueError(f"chain exceeds {MAX_STEPS} steps")
-        if self.whiten_eps <= 0:
-            raise ValueError("whitening epsilon must be positive")
 
 
 def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
@@ -218,10 +215,15 @@ def save_text_embeddings(space: WordVectorSpace, path: str | os.PathLike,
     `f"{v:.{precision}g}"` gives, from one row format applied to
     `_CHUNK_LINES` rows per write. Round-trips through
     `load_text_embeddings` to within the documented number of significant
-    digits (default 6).
+    digits (default 6). A word holding a space or a line break, which the
+    format cannot hold, is a ValueError before the file is opened.
     """
     if len(space) == 0:
         raise ValueError("refusing to save an empty space")
+    for word in space.words:
+        if " " in word or "\n" in word or "\r" in word:
+            raise ValueError(f"word {word!r} holds a space or a line break; "
+                             "the text format cannot hold it")
     row_format = "%s " + " ".join([f"%.{precision}g"] * space.dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
@@ -232,7 +234,7 @@ def save_text_embeddings(space: WordVectorSpace, path: str | os.PathLike,
                               in zip(space.words[start:stop], rows)]))
 
 
-def _apply_step(matrix: np.ndarray, step: str, eps: float) -> np.ndarray:
+def _apply_step(matrix: np.ndarray, step: str) -> np.ndarray:
     if step == "unit-length":
         zero_rows = int(np.sum(~matrix.any(axis=1)))
         if zero_rows:
@@ -243,8 +245,7 @@ def _apply_step(matrix: np.ndarray, step: str, eps: float) -> np.ndarray:
         return matrix - matrix.mean(axis=0)
     if step == "zca-whiten":
         from .linalg import zca_whitening_matrix
-        centered_cov_input = matrix - matrix.mean(axis=0)
-        return matrix @ zca_whitening_matrix(centered_cov_input, eps)
+        return matrix @ zca_whitening_matrix(matrix - matrix.mean(axis=0))
     raise ValueError(f"unknown preprocessing step {step!r}")
 
 
@@ -252,7 +253,7 @@ def normalize(space: WordVectorSpace, chain: PreprocessChain) -> WordVectorSpace
     """Apply the chain's steps in order, returning a new space."""
     matrix = np.array(space.matrix, dtype=float)
     for step in chain.steps:
-        matrix = _apply_step(matrix, step, chain.whiten_eps)
+        matrix = _apply_step(matrix, step)
         if not np.all(np.isfinite(matrix)):
             raise ValueError(f"non-finite values produced by step {step!r}")
     return WordVectorSpace(words=space.words, matrix=matrix,

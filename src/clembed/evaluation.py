@@ -16,7 +16,7 @@ from scipy import stats
 from .embeddings import WordVectorSpace
 from .lexicon import TranslationLexicon
 from .projection import ProjectionPair
-from .similarity import csls_hubness, row_blocks, unit_rows
+from .similarity import csls_hubness, similarity_sweep
 
 SUCCESS_MAP_THRESHOLD = 0.05
 P_AT_KS = (1, 5, 10)
@@ -88,18 +88,14 @@ def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
     if not queries:
         raise ValueError("bli_evaluate: no usable queries")
     tgt_proj = pair.project_tgt(tgt_space.matrix)
-    tgt_unit = unit_rows(tgt_proj)
-    if metric == "csls":
-        cand_hub = csls_hubness(tgt_proj, pair.project_src(src_space.matrix),
-                                csls_n)
+    cand_hub = (csls_hubness(tgt_proj, pair.project_src(src_space.matrix),
+                             csls_n) if metric == "csls" else None)
     src_rows = [src_space.index[w] for w, _ in queries]
     records = []
-    for rows in row_blocks(len(queries), len(tgt_unit)):
+    for rows, scores in similarity_sweep(
+            pair.project_src(src_space.matrix[src_rows]), tgt_proj, metric,
+            csls_n, cand_hub):
         block = queries[rows]
-        scores = unit_rows(pair.project_src(src_space.matrix[src_rows[rows]])) \
-            @ tgt_unit.T
-        if metric == "csls":
-            scores = 2.0 * scores - cand_hub
         counts = [len(gold_idx) for _, gold_idx in block]
         ranks = gold_ranks(np.repeat(scores, counts, axis=0),
                            np.concatenate([gold_idx for _, gold_idx in block]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import WordVectorSpace
-from .similarity import mutual_argmax_pairs, similarity_matrix
+from .similarity import mutual_argmax_pairs, similarity_sweep
 
 
 class LexiconParseError(ValueError):
@@ -140,8 +140,7 @@ def mutual_nearest_neighbors(src_proj: np.ndarray, tgt_proj: np.ndarray,
     """
     if src_proj.shape[0] == 0 or tgt_proj.shape[0] == 0:
         raise ValueError("mutual_nearest_neighbors: empty input matrix")
-    ns = min(search_cap, src_proj.shape[0])
-    nt = min(search_cap, tgt_proj.shape[0])
-    sim = similarity_matrix(src_proj[:ns], tgt_proj[:nt], metric, csls_n)
-    pairs = [(src_words[i], tgt_words[j]) for i, j in mutual_argmax_pairs(sim)]
-    return make_lexicon(pairs)
+    tgt_proj = tgt_proj[:search_cap]
+    sweep = similarity_sweep(src_proj[:search_cap], tgt_proj, metric, csls_n)
+    return make_lexicon((src_words[i], tgt_words[j])
+                        for i, j in mutual_argmax_pairs(sweep, len(tgt_proj)))

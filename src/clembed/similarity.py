@@ -1,8 +1,9 @@
 """Cosine and CSLS similarity primitives shared by aligners and evaluation.
 
 All functions operate on row-vector matrices (one embedding per row) and are
-exact: no approximate nearest-neighbor shortcuts. Larger sweeps are processed
-in row blocks to bound memory.
+exact: no approximate nearest-neighbor shortcuts. `similarity_sweep` scores
+queries against a pool in row blocks (`row_blocks`); hubness, argmaxes and
+gold ranks are reductions over those blocks, never a full matrix.
 """
 
 from __future__ import annotations
@@ -49,61 +50,71 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return unit_rows(a) @ unit_rows(b).T
 
 
-def topk_mean(scores: np.ndarray, k: int, axis: int = 1) -> np.ndarray:
-    """Mean of the k largest entries along `axis`; k is clamped to the size."""
-    n = scores.shape[axis]
+def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each row's k largest entries; k is clamped to the row length."""
+    n = scores.shape[1]
     k = min(k, n)
     if k == n:
-        return scores.mean(axis=axis)
-    part = np.partition(scores, n - k, axis=axis)
-    sl = [slice(None)] * scores.ndim
-    sl[axis] = slice(n - k, n)
-    return part[tuple(sl)].mean(axis=axis)
+        return scores.mean(axis=1)
+    return np.partition(scores, n - k, axis=1)[:, n - k:].mean(axis=1)
 
 
 def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.ndarray:
     """Per-row mean cosine of each vector to its n nearest neighbors in `pool`.
 
-    This is the local-scaling term r(.) of CSLS. n_neighbors is clamped to
-    the pool size.
+    This is the local-scaling term r(.) of CSLS. n_neighbors must be
+    positive and is clamped to the pool size.
     """
-    va = unit_rows(vectors)
-    pb = unit_rows(pool)
-    out = np.empty(va.shape[0])
-    for rows in row_blocks(va.shape[0], pb.shape[0]):
-        out[rows] = topk_mean(va[rows] @ pb.T, n_neighbors, axis=1)
-    return out
+    if n_neighbors < 1:
+        raise ValueError(f"CSLS needs at least 1 neighbour, got {n_neighbors}")
+    return np.concatenate([topk_mean(cos, n_neighbors) for _, cos
+                           in similarity_sweep(vectors, pool)])
 
 
-def csls_matrix(src: np.ndarray, tgt: np.ndarray, n_neighbors: int) -> np.ndarray:
-    """All-pairs CSLS matrix: 2*cos - r_src[:, None] - r_tgt[None, :].
+def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
+                     metric: str = "cosine", csls_n: int = 10,
+                     r_pool: np.ndarray | None = None):
+    """Yield (rows, scores of queries[rows] against every pool row) over row
+    blocks; metric is one of {cosine, csls}.
 
-    r_src is each source row's mean cosine to its n nearest targets; r_tgt
-    each target row's mean cosine to its n nearest sources.
+    CSLS is 2*cos - r_q[rows, None] - r_p[None, :]: r_q, each query's mean
+    cosine to its csls_n nearest pool rows, comes from the block itself;
+    r_p (`r_pool`), each pool row's to its nearest queries, from one
+    `csls_hubness` pass before the sweep unless given.
     """
-    cos = cosine_matrix(src, tgt)
-    r_src = topk_mean(cos, n_neighbors, axis=1)
-    r_tgt = topk_mean(cos, n_neighbors, axis=0)
-    return 2.0 * cos - r_src[:, None] - r_tgt[None, :]
+    if metric not in ("cosine", "csls"):
+        raise ValueError(f"unknown similarity metric: {metric!r}")
+    if metric == "csls" and r_pool is None:
+        r_pool = csls_hubness(pool, queries, csls_n)
+    qu = unit_rows(queries)
+    pu = unit_rows(pool)
+    for rows in row_blocks(qu.shape[0], pu.shape[0]):
+        scores = qu[rows] @ pu.T
+        if metric == "csls":
+            r_rows = topk_mean(scores, csls_n)
+            scores *= 2.0
+            scores -= r_rows[:, None]
+            scores -= r_pool
+        yield rows, scores
 
 
-def similarity_matrix(src: np.ndarray, tgt: np.ndarray, metric: str = "cosine",
-                      csls_n: int = 10) -> np.ndarray:
-    """Dispatch on metric name; metric is one of {cosine, csls}."""
-    if metric == "cosine":
-        return cosine_matrix(src, tgt)
-    if metric == "csls":
-        return csls_matrix(src, tgt, csls_n)
-    raise ValueError(f"unknown similarity metric: {metric!r}")
-
-
-def mutual_argmax_pairs(sim: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs (i, j) that are each other's row/column argmax.
+def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
+    """Index pairs (i, j) that are each other's row/column argmax over a
+    sweep's (rows, scores) blocks, in row order, of `n_pool` columns.
 
     Ties resolve to the lowest index (np.argmax convention), which for
     frequency-ordered vocabularies prefers the more frequent word.
     """
-    return mutual_pairs(np.argmax(sim, axis=1), np.argmax(sim, axis=0))
+    fwd = []
+    col_best = np.full(n_pool, -np.inf)
+    col_arg = np.zeros(n_pool, dtype=np.intp)
+    for rows, scores in blocks:
+        fwd.append(scores.argmax(axis=1))
+        top = scores.max(axis=0)
+        better = top > col_best          # strict: a lower row keeps a tie
+        col_best[better] = top[better]
+        col_arg[better] = scores.argmax(axis=0)[better] + rows.start
+    return mutual_pairs(np.concatenate(fwd), col_arg)
 
 
 def mutual_pairs(fwd: np.ndarray, bwd: np.ndarray) -> list[tuple[int, int]]:

@@ -18,10 +18,10 @@ from .lexicon import (AlignedMatrices, TranslationLexicon,
                       build_aligned_matrices, make_lexicon)
 from .linalg import solve_cca, solve_procrustes
 from .projection import ProjectionPair
-from .similarity import (mutual_argmax_pairs, mutual_pairs, similarity_matrix,
-                         unit_rows)
+from .similarity import mutual_pairs, row_blocks, similarity_sweep, unit_rows
 
 _DLV_PAD = -1e6  # weight for non-candidate edges in the sparsified assignment
+_DLV_CANDIDATES = 10  # highest-cosine edges kept per node in dlv's assignment
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class RcslsConfig:
     neighborhood: int = 10
     learning_rate: float = 1.0
     epochs: int = 10
-    spectral_norm: bool = False
 
     def __post_init__(self):
         if self.neighborhood < 1:
@@ -68,9 +67,8 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     lex = aligned.kept_pairs
     dict_sizes = []
     empty_augmentation = False
-    ns = min(search_cap, len(src_space))
-    nt = min(search_cap, len(tgt_space))
-    w_src = w_tgt = None
+    src_cap = src_space.matrix[:search_cap]
+    tgt_cap = tgt_space.matrix[:search_cap]
     for it in range(iters):
         aligned = build_aligned_matrices(lex, src_space, tgt_space)
         dict_sizes.append(len(aligned.kept_pairs))
@@ -78,12 +76,10 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         w_tgt = solve_procrustes(aligned.x_tgt, aligned.x_src)
         if it == iters - 1:
             break
-        fwd = np.argmax(similarity_matrix(src_space.matrix[:ns] @ w_src,
-                                          tgt_space.matrix[:nt], metric,
-                                          csls_n), axis=1)
-        bwd = np.argmax(similarity_matrix(tgt_space.matrix[:nt] @ w_tgt,
-                                          src_space.matrix[:ns], metric,
-                                          csls_n), axis=1)
+        fwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
+            src_cap @ w_src, tgt_cap, metric, csls_n)])
+        bwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
+            tgt_cap @ w_tgt, src_cap, metric, csls_n)])
         induced = make_lexicon((src_space.words[i], tgt_space.words[j])
                                for i, j in mutual_pairs(fwd, bwd))
         if len(induced) == 0:
@@ -115,19 +111,18 @@ def align_cca(aligned: AlignedMatrices, keep_dims: int | str = "all") -> Project
                   "correlations": [float(c) for c in corr]})
 
 
-def _sparsified_assignment(sim: np.ndarray, cand_per_node: int
-                           ) -> list[tuple[int, int]]:
+def _sparsified_assignment(sim: np.ndarray) -> list[tuple[int, int]]:
     """Max-weight one-to-one matching keeping only top candidate edges.
 
     Non-candidate edges get a large negative weight so the exact solver
     stays feasible; matches that land on padded edges are discarded.
     """
     n, m = sim.shape
-    k = min(cand_per_node, m)
+    k = min(_DLV_CANDIDATES, m)
     mask = np.zeros_like(sim, dtype=bool)
     rows_top = np.argpartition(sim, m - k, axis=1)[:, m - k:]
     np.put_along_axis(mask, rows_top, True, axis=1)
-    kc = min(cand_per_node, n)
+    kc = min(_DLV_CANDIDATES, n)
     cols_top = np.argpartition(sim, n - kc, axis=0)[n - kc:, :]
     np.put_along_axis(mask, cols_top, True, axis=0)
     weights = np.where(mask, sim, _DLV_PAD)
@@ -137,33 +132,30 @@ def _sparsified_assignment(sim: np.ndarray, cand_per_node: int
 
 def align_dlv(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
               seed_lex: TranslationLexicon, em_iters: int = 3,
-              cand_per_node: int = 10, match_cap: int = 2500) -> ProjectionPair:
+              match_cap: int = 2500) -> ProjectionPair:
     """EM over a sparsified bipartite matching, re-solving the orthogonal map.
 
     E-step: exact max-weight one-to-one assignment over the `match_cap` most
-    frequent words, keeping `cand_per_node` highest-cosine edges per node.
+    frequent words, keeping `_DLV_CANDIDATES` highest-cosine edges per node.
     M-step: orthogonal solve on matched pairs united with the seed.
     Embeddings are unit-normalized internally (edge weight = cosine).
     """
-    src_unit = unit_rows(src_space.matrix)
-    tgt_unit = unit_rows(tgt_space.matrix)
+    src_unit = unit_rows(src_space.matrix[:match_cap])
+    tgt_unit = unit_rows(tgt_space.matrix[:match_cap])
     aligned = build_aligned_matrices(seed_lex, src_space, tgt_space)
     seed_src = unit_rows(aligned.x_src)
     seed_tgt = unit_rows(aligned.x_tgt)
     w = solve_procrustes(seed_src, seed_tgt)
-    ns = min(match_cap, len(src_space))
-    nt = min(match_cap, len(tgt_space))
     fallbacks = 0
     match_sizes = []
     for _ in range(em_iters):
-        sim = (src_unit[:ns] @ w) @ tgt_unit[:nt].T
-        matches = _sparsified_assignment(sim, cand_per_node)
+        sim = (src_unit @ w) @ tgt_unit.T
+        matches = _sparsified_assignment(sim)
         if not matches:
-            matches = mutual_argmax_pairs(sim)
+            matches = mutual_pairs(sim.argmax(axis=1), sim.argmax(axis=0))
             fallbacks += 1
         match_sizes.append(len(matches))
-        idx_s = [i for i, _ in matches]
-        idx_t = [j for _, j in matches]
+        idx_s, idx_t = np.array(matches).T
         x_s = np.vstack([seed_src, src_unit[idx_s]])
         x_t = np.vstack([seed_tgt, tgt_unit[idx_t]])
         w = solve_procrustes(x_s, x_t)
@@ -183,12 +175,14 @@ def rcsls_neighbor_sets(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
     projected source x_s[k] @ w; row k of the second holds the n source-pool
     rows whose projections are nearest to the paired target x_t[k].
     """
-    proj = x_s @ w
-    sim_t = proj @ tgt_pool.T
-    nt = np.argpartition(sim_t, sim_t.shape[1] - n, axis=1)[:, -n:]
-    sim_s = x_t @ (src_pool @ w).T
-    ns = np.argpartition(sim_s, sim_s.shape[1] - n, axis=1)[:, -n:]
-    return nt, ns
+    sets = []
+    for queries, pool in ((x_s @ w, tgt_pool), (x_t, src_pool @ w)):
+        top = np.empty((queries.shape[0], n), dtype=np.intp)
+        for rows in row_blocks(queries.shape[0], pool.shape[0]):
+            sim = queries[rows] @ pool.T
+            top[rows] = np.argpartition(sim, sim.shape[1] - n, axis=1)[:, -n:]
+        sets.append(top)
+    return tuple(sets)
 
 
 def rcsls_objective(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
@@ -242,9 +236,6 @@ def align_rcsls(aligned: AlignedMatrices, full_src_matrix: np.ndarray,
     for _ in range(cfg.epochs):
         grad = rcsls_gradient(w, x_s, x_t, src_pool, tgt_pool, neighbors)
         w = w - lr * grad
-        if cfg.spectral_norm:
-            u, s, vt = np.linalg.svd(w, full_matrices=False)
-            w = u @ np.diag(np.minimum(s, 1.0)) @ vt
         neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
         obj = rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors)
         if obj > prev:

@@ -20,7 +20,9 @@ from .linalg import pca_project, sinkhorn_scale, solve_procrustes, svd, \
     zca_whitening_matrix
 from .projection import ProjectionPair
 from .similarity import (cosine_matrix, mutual_argmax_pairs, mutual_pairs,
-                         similarity_matrix, unit_rows)
+                         similarity_sweep, unit_rows)
+
+_CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class SelfLearnConfig:
     max_rounds: int = 50
     keep_prob_init: float = 0.1
     keep_prob_growth: float = 2.0
-    convergence_window: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -91,10 +92,8 @@ def vecmap_seed(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     profile is nearest. Orthogonal transforms of either space leave the
     output unchanged.
     """
-    ns = min(cap, len(src_space))
-    nt = min(cap, len(tgt_space))
-    src_unit = unit_rows(src_space.matrix[:ns])
-    tgt_unit = unit_rows(tgt_space.matrix[:nt])
+    src_unit = unit_rows(src_space.matrix[:cap])
+    tgt_unit = unit_rows(tgt_space.matrix[:cap])
     src_profiles = np.sort(src_unit @ src_unit.T, axis=1)[:, ::-1]
     tgt_profiles = np.sort(tgt_unit @ tgt_unit.T, axis=1)[:, ::-1]
     width = min(src_profiles.shape[1], tgt_profiles.shape[1])
@@ -114,31 +113,27 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     mutual nearest neighbours; similarity entries are independently zeroed
     with probability 1 - keep_prob, and keep_prob grows whenever the mean
     best-match similarity stalls. Converges when the dictionary is stable
-    across the configured window at keep_prob = 1.
+    for `_CONVERGENCE_WINDOW` rounds at keep_prob = 1.
     """
     if len(init_lex) == 0:
         raise ValueError("self_learn: initial lexicon is empty")
     rng = np.random.default_rng(cfg.seed)
-    ns = min(cfg.vocab_cap, len(src_space))
-    nt = min(cfg.vocab_cap, len(tgt_space))
-    src_cap = src_space.matrix[:ns]
-    tgt_cap = tgt_space.matrix[:nt]
+    src_cap = src_space.matrix[:cfg.vocab_cap]
+    tgt_cap = tgt_space.matrix[:cfg.vocab_cap]
     lex = init_lex
     keep_prob = cfg.keep_prob_init
     prev_objective = -np.inf
     stable_rounds = 0
     rounds = 0
-    w = None
     for rounds in range(1, cfg.max_rounds + 1):
         aligned = build_aligned_matrices(lex, src_space, tgt_space)
         w = solve_procrustes(aligned.x_src, aligned.x_tgt)
-        sim = similarity_matrix(src_cap @ w, tgt_cap, cfg.metric, cfg.csls_n)
-        objective = float(np.mean(np.max(sim, axis=1)))
-        if keep_prob < 1.0:
-            sim = np.where(rng.random(sim.shape) < keep_prob, sim, 0.0)
-        pairs = [(src_space.words[i], tgt_space.words[j])
-                 for i, j in mutual_argmax_pairs(sim)]
-        induced = make_lexicon(pairs)
+        best = np.empty(len(src_cap))
+        sweep = _dropout(similarity_sweep(src_cap @ w, tgt_cap, cfg.metric,
+                                          cfg.csls_n), best, keep_prob, rng)
+        induced = make_lexicon((src_space.words[i], tgt_space.words[j])
+                               for i, j in mutual_argmax_pairs(sweep, len(tgt_cap)))
+        objective = float(np.mean(best))
         if len(induced) == 0:
             if rounds == 1:
                 raise ValueError("self_learn: empty dictionary at round 0")
@@ -146,7 +141,7 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         unchanged = induced.pairs == lex.pairs
         if keep_prob >= 1.0 and unchanged:
             stable_rounds += 1
-            if stable_rounds >= cfg.convergence_window:
+            if stable_rounds >= _CONVERGENCE_WINDOW:
                 lex = induced
                 break
         else:
@@ -162,6 +157,18 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         method="self-learn",
         metadata={"dict_size": len(lex), "rounds": rounds,
                   "final_dictionary": [list(p) for p in lex.pairs]})
+
+
+def _dropout(blocks, best: np.ndarray, keep_prob: float,
+             rng: np.random.Generator):
+    """Record each row's best score in `best`, then zero each score with
+    probability 1 - keep_prob (drawn block by block in row order, the same
+    numbers as one draw over the whole matrix)."""
+    for rows, scores in blocks:
+        best[rows] = scores.max(axis=1)
+        if keep_prob < 1.0:
+            scores = np.where(rng.random(scores.shape) < keep_prob, scores, 0.0)
+        yield rows, scores
 
 
 def vecmap_postprocess(pair: ProjectionPair, aligned: AlignedMatrices,
@@ -294,11 +301,11 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     consistent assignments. Those pairs seed a mutual-NN dictionary in the
     original spaces, on which the final orthogonal map is solved.
     """
-    ns = min(cfg.top_n_words, len(src_space))
-    nt = min(cfg.top_n_words, len(tgt_space))
+    src_top = src_space.matrix[:cfg.top_n_words]
+    tgt_top = tgt_space.matrix[:cfg.top_n_words]
     p_dim = min(cfg.pca_dim, src_space.dim)
-    p1 = pca_project(src_space.matrix[:ns], p_dim)
-    p2 = pca_project(tgt_space.matrix[:nt], p_dim)
+    p1 = pca_project(src_top, p_dim)
+    p2 = pca_project(tgt_top, p_dim)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best = None
     for idx, stream in enumerate(streams):
@@ -315,18 +322,14 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         raise RuntimeError("align_icp: all restarts produced non-finite loss")
     mutual = mutual_pairs(best["f1"], best["f2"])
     if not mutual:
-        mutual = [(i, int(best["f1"][i])) for i in range(ns)]
-    idx_s = [i for i, _ in mutual]
-    idx_t = [j for _, j in mutual]
-    w0 = solve_procrustes(src_space.matrix[:ns][idx_s],
-                          tgt_space.matrix[:nt][idx_t])
-    sim = cosine_matrix(src_space.matrix[:ns] @ w0, tgt_space.matrix[:nt])
-    pairs = mutual_argmax_pairs(sim)
+        mutual = list(enumerate(best["f1"].tolist()))
+    idx_s, idx_t = np.array(mutual).T
+    w0 = solve_procrustes(src_top[idx_s], tgt_top[idx_t])
+    pairs = mutual_argmax_pairs(similarity_sweep(src_top @ w0, tgt_top),
+                                len(tgt_top))
     if pairs:
-        idx_s = [i for i, _ in pairs]
-        idx_t = [j for _, j in pairs]
-    w = solve_procrustes(src_space.matrix[:ns][idx_s],
-                         tgt_space.matrix[:nt][idx_t])
+        idx_s, idx_t = np.array(pairs).T
+    w = solve_procrustes(src_top[idx_s], tgt_top[idx_t])
     return ProjectionPair(
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True, method="icp",
         metadata={"dict_size": len(idx_s), "best_restart": best["restart"],

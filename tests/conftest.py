@@ -7,6 +7,7 @@ whose shape constrains the rotation at every scale.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from clembed.embeddings import WordVectorSpace
 from clembed.lexicon import TranslationLexicon, make_lexicon
@@ -85,3 +86,27 @@ def tiny_space() -> WordVectorSpace:
 
 def identity_lexicon(words) -> TranslationLexicon:
     return make_lexicon((w, w) for w in words)
+
+
+@st.composite
+def exact_row(draw, dim, diagonal=True):
+    """A small-integer vector whose unit vector is exact: zero, a signed
+    axis, or (in four dimensions) four entries of +-1; times 1, 2 or 3.
+
+    Unit entries are then 0, +-1/2 or +-1, so every product and sum in a
+    cosine is exact and equal scores are equal in any order of summation.
+    """
+    kinds = ["zero", "axis"] + (["diagonal"] if diagonal and dim == 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    row = np.zeros(dim)
+    if kind == "axis":
+        row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    elif kind == "diagonal":
+        row[:] = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=4,
+                               max_size=4))
+    return row * draw(st.integers(1, 3))
+
+
+def exact_rows(dim, min_size, max_size, diagonal=True):
+    return st.lists(exact_row(dim, diagonal), min_size=min_size,
+                    max_size=max_size).map(np.array)

@@ -25,7 +25,7 @@ from clembed.lexicon import (build_aligned_matrices, load_lexicon,
                              make_lexicon)
 from clembed.linalg import pca_project
 from clembed.projection import identity_pair
-from clembed.similarity import cosine_matrix, csls_matrix, unit_rows
+from clembed.similarity import cosine_matrix, similarity_sweep, unit_rows
 from clembed.supervised import (RcslsConfig, align_proc, align_proc_b,
                                 align_rcsls, rcsls_gradient,
                                 rcsls_neighbor_sets, rcsls_objective)
@@ -88,7 +88,7 @@ def test_criterion_4_csls_oracle():
     tgt = rng.standard_normal((50, 12))
     su, tu = unit_rows(src), unit_rows(tgt)
     for n in (1, 5, 10):
-        got = csls_matrix(src, tgt, n)
+        got = np.vstack([s for _, s in similarity_sweep(src, tgt, "csls", n)])
         for i in range(50):
             for j in range(50):
                 cos_ij = float(su[i] @ tu[j])

@@ -124,6 +124,40 @@ def test_failed_write_leaves_no_file(workspace, tmp_path, monkeypatch):
     assert list(rep.iterdir()) == []
 
 
+def test_preprocess_unsavable_word_leaves_no_file(workspace, tmp_path,
+                                                  monkeypatch, capsys):
+    # the loader splits words at spaces and line breaks, so such a word can
+    # only come from elsewhere; stand in for that with a patched loader
+    def load_space_with_a_space(path, max_vocab=None, lang_tag=""):
+        return WordVectorSpace(("a b", "c"), np.eye(2))
+
+    monkeypatch.setattr(cli, "load_text_embeddings", load_space_with_a_space)
+    out = tmp_path / "out" / "norm.vec"
+    assert run("preprocess", "--input", workspace / "src.vec",
+               "--output", out) == 1
+    assert "'a b'" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+ALIGN_FLAGS = ("--iters", "--search-cap", "--csls-n", "--learning-rate",
+               "--epochs", "--pca-dim", "--restarts", "--gw-lambda")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", [
+    *(("align", flag) for flag in ALIGN_FLAGS),
+    ("eval-bli", "--csls-n"), ("compare", "--iterations")])
+def test_numeric_flags_must_be_positive(tmp_path, capsys, command, flag,
+                                        value):
+    required = {"align": ["--method", "proc", "--outdir", tmp_path],
+                "eval-bli": ["--proj", tmp_path, "--outdir", tmp_path],
+                "compare": ["--run-a", "a", "--run-b", "b"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run(command, *required, f"{flag}={value}")
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid positive" in capsys.readouterr().err
+
+
 def test_compare_identical_runs(workspace, tmp_path, capsys):
     proj = tmp_path / "proj"
     run("align", "--method", "proc", "--src-emb", workspace / "src.vec",

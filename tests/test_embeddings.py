@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ class TestLoadSave:
         p = write(tmp_path, "")
         with pytest.raises(EmbeddingParseError):
             load_text_embeddings(p)
+
+    @pytest.mark.parametrize("word", ["a b", "a\nb", "a\rb"])
+    def test_save_rejects_words_the_loader_would_split(self, tmp_path, word):
+        p = tmp_path / "out.txt"
+        space = WordVectorSpace((word, "c"), np.eye(2))
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            save_text_embeddings(space, p)
+        assert not p.exists()
+
+    def test_save_round_trips_other_unusual_words(self, tmp_path):
+        p = tmp_path / "out.txt"
+        words = ("", "a\tb", "a\x0bb", "a\x85b", "a\u2028b")
+        save_text_embeddings(WordVectorSpace(words, np.eye(5)), p)
+        assert load_text_embeddings(p).words == words
 
 
 class TestPreprocess:

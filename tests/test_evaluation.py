@@ -78,6 +78,13 @@ class TestBliEvaluate:
                            noisy_pair.tgt, lex, metric="csls")
         assert res.map_score >= 0.9
 
+    def test_csls_needs_a_positive_neighbourhood(self):
+        src, tgt = self.spaces()
+        lex = make_lexicon([("a0", "b0")])
+        with pytest.raises(ValueError, match="at least 1 neighbour"):
+            bli_evaluate(identity_pair(3), src, tgt, lex, metric="csls",
+                         csls_n=0)
+
     def test_success_threshold(self):
         src, tgt = self.spaces()
         lex = make_lexicon([("a0", "b0")])

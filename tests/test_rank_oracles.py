@@ -11,8 +11,8 @@ also runs with a row budget small enough to split the queries into many
 blocks.
 
 The tie-heavy inputs are built so that every score is computed exactly
-(see `exact_row`): then equal scores are equal in both codes and the tie
-rule is what gets compared. With generic vectors, scores that are equal in
+(see `conftest.exact_row`): then equal scores are equal in both codes and
+the tie rule is what gets compared. With generic vectors, scores that are equal in
 real arithmetic can round differently in the old matrix-vector and the new
 matrix-matrix product (a fused multiply-add leaves a 1e-17 residue where the
 other gives 0), and on larger shapes BLAS can even give identical rows
@@ -39,6 +39,7 @@ from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.projection import ProjectionPair, identity_pair
 from clembed.similarity import topk_mean, unit_rows
 from clembed.supervised import align_proc
+from conftest import exact_rows
 
 CELL_BUDGETS = (1, 40, 2 ** 24)
 
@@ -53,7 +54,7 @@ def oracle_bli_evaluate(pair, src_space, tgt_space, test_lex,
     if metric == "csls":
         src_proj_full = pair.project_src(src_space.matrix)
         cand_hub = topk_mean(unit_rows(tgt_proj) @ unit_rows(src_proj_full).T,
-                             csls_n, axis=1)
+                             csls_n)
     records = []
     oov = 0
     for src_word, golds in grouped.items():
@@ -182,30 +183,6 @@ def test_bli_matches_oracle_on_fixture(noisy_pair, metric, cells):
                               metric=metric, csls_n=5)
     assert new.oov_skipped == 2
     assert_same(new, old)
-
-
-@st.composite
-def exact_row(draw, dim, diagonal=True):
-    """A small-integer vector whose unit vector is exact: zero, a signed
-    axis, or (in four dimensions) four entries of +-1; times 1, 2 or 3.
-
-    Unit entries are then 0, +-1/2 or +-1, so every product and sum in a
-    cosine is exact and equal scores are equal in any order of summation.
-    """
-    kinds = ["zero", "axis"] + (["diagonal"] if diagonal and dim == 4 else [])
-    kind = draw(st.sampled_from(kinds))
-    row = np.zeros(dim)
-    if kind == "axis":
-        row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-1.0, 1.0]))
-    elif kind == "diagonal":
-        row[:] = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=4,
-                               max_size=4))
-    return row * draw(st.integers(1, 3))
-
-
-def exact_rows(dim, min_size, max_size, diagonal=True):
-    return st.lists(exact_row(dim, diagonal), min_size=min_size,
-                    max_size=max_size).map(np.array)
 
 
 @st.composite

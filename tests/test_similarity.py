@@ -8,9 +8,15 @@ from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import average_precision_from_ranks, bli_evaluate
 from clembed.lexicon import make_lexicon
 from clembed.projection import ProjectionPair
-from clembed.similarity import (cosine_matrix, csls_hubness, csls_matrix,
+from clembed.similarity import (cosine_matrix, csls_hubness,
                                 mutual_argmax_pairs, mutual_pairs, row_blocks,
-                                similarity_matrix, topk_mean, unit_rows)
+                                similarity_sweep, topk_mean, unit_rows)
+
+
+def swept(queries, pool, metric="cosine", csls_n=10):
+    """The sweep's row blocks stacked into one matrix."""
+    return np.vstack([s for _, s in similarity_sweep(queries, pool, metric,
+                                                     csls_n)])
 
 
 def brute_hubness(vectors, pool, n):
@@ -105,24 +111,24 @@ def test_bli_csls_ranks_match_brute_force(n):
         assert rec.average_precision == average_precision_from_ranks(ranks)
 
 
-def test_csls_matrix_consistent_with_scores():
+def test_csls_sweep_consistent_with_scores():
     rng = np.random.default_rng(5)
     src = rng.standard_normal((7, 6))
     tgt = rng.standard_normal((9, 6))
-    got = csls_matrix(src, tgt, 3)
+    got = swept(src, tgt, "csls", 3)
     want = brute_force_csls(src, tgt, src, tgt, 3)
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_similarity_matrix_dispatch():
+def test_similarity_sweep_dispatch():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((5, 3))
-    assert np.allclose(similarity_matrix(a, b, "cosine"), cosine_matrix(a, b))
-    assert np.allclose(similarity_matrix(a, b, "csls", csls_n=2),
-                       csls_matrix(a, b, 2))
+    assert np.allclose(swept(a, b, "cosine"), cosine_matrix(a, b))
+    assert np.allclose(swept(a, b, "csls", csls_n=2),
+                       brute_force_csls(a, b, a, b, 2))
     with pytest.raises(ValueError):
-        similarity_matrix(a, b, "euclid")
+        swept(a, b, "euclid")
 
 
 def test_mutual_argmax_pairs_hand_case():
@@ -130,13 +136,15 @@ def test_mutual_argmax_pairs_hand_case():
                     [0.2, 0.8, 0.3],
                     [0.7, 0.0, 0.1]])
     # Row 2's best is column 0, but column 0 prefers row 0: not mutual.
-    assert mutual_argmax_pairs(sim) == [(0, 0), (1, 1)]
+    assert mutual_argmax_pairs([(slice(0, 3), sim)], 3) == [(0, 0), (1, 1)]
+    one_row_blocks = [(slice(i, i + 1), sim[i:i + 1]) for i in range(3)]
+    assert mutual_argmax_pairs(one_row_blocks, 3) == [(0, 0), (1, 1)]
 
 
 def test_mutual_argmax_identity_on_self_similarity():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((10, 4))
-    pairs = mutual_argmax_pairs(cosine_matrix(m, m))
+    pairs = mutual_argmax_pairs(similarity_sweep(m, m), 10)
     assert pairs == [(i, i) for i in range(10)]
 
 
@@ -150,6 +158,11 @@ def test_mutual_pairs_match_list_comprehension(case):
     bwd = np.array(bwd, dtype=np.intp)
     want = [(i, int(j)) for i, j in enumerate(fwd) if bwd[int(j)] == i]
     assert mutual_pairs(fwd, bwd) == want
+
+
+def test_csls_hubness_rejects_nonpositive_neighbours():
+    with pytest.raises(ValueError, match="at least 1 neighbour"):
+        csls_hubness(np.eye(3), np.eye(3), 0)
 
 
 def test_row_blocks_size_rows_by_the_cell_budget():
