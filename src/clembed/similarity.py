@@ -1,9 +1,14 @@
 """Cosine and CSLS similarity primitives shared by aligners and evaluation.
 
-All functions operate on row-vector matrices (one embedding per row) and are
-exact: no approximate nearest-neighbor shortcuts. `similarity_sweep` scores
-queries against a pool in row blocks (`row_blocks`); hubness, argmaxes and
-gold ranks are reductions over those blocks, never a full matrix.
+All functions operate on row-vector matrices (one embedding per row) and
+return float64 results with no approximate nearest-neighbor shortcuts.
+`similarity_sweep` scores queries against a pool in row blocks
+(`row_blocks`); hubness, argmaxes and gold ranks are reductions over those
+blocks, never a full matrix. `csls_hubness` alone uses float32, and only to
+choose candidates: it screens each block in float32, rescores the chosen
+columns in float64 and recomputes in full in float64 any row whose choice
+a proven error bound cannot certify (see its docstring), so its values are
+the float64 top-n means.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ import numpy as np
 # Cells (rows x pool rows) in one block of a row-blocked similarity sweep;
 # bounds each block at about 8 * _CELLS bytes whatever the pool size.
 _CELLS = 2 ** 24
+# Columns per strided group in the top-n selection of `_top_columns`.
+_GROUP = 16
+# Columns the float32 hubness screen keeps beyond the n it needs, so that
+# a near tie at the n-th place seldom sends a row to the float64 fallback.
+_SPARE = 6
 
 
 def row_blocks(n_rows: int, pool_rows: int) -> list[slice]:
@@ -50,13 +60,51 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return unit_rows(a) @ unit_rows(b).T
 
 
+def _largest(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of each row's m largest values (every index when a row has no
+    more) and the largest value left out (-inf when none is)."""
+    b, n = values.shape
+    if n <= m:
+        return np.broadcast_to(np.arange(n), (b, n)), np.full(b, -np.inf)
+    part = np.argpartition(values, n - m - 1, axis=1)
+    left_out = np.take_along_axis(values, part[:, n - m - 1:n - m], axis=1)
+    return part[:, n - m:], left_out[:, 0]
+
+
+def _top_columns(scores: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns holding each row's m largest scores (all columns when a row
+    has no more), and the largest score of each row left out of them.
+
+    No full-width partition: the first width * groups columns form `groups`
+    strided groups {g, g + groups, g + 2 * groups, ...}, whose maxima take
+    one vectorised reduction. A row's m largest scores lie in its m groups
+    with the largest maxima and the fewer than `width` columns after the
+    groups; only those columns are partitioned. Among equal scores either
+    may be kept: every score left out is at most the m-th largest kept.
+    """
+    b, n = scores.shape
+    width = _GROUP if n // _GROUP > m else 1
+    groups = n // width
+    maxima = scores[:, :width * groups].reshape(b, width, groups).max(axis=1)
+    best, left_out = _largest(maxima, m)
+    cols = (best[:, :, None] + groups * np.arange(width)).reshape(b, -1)
+    tail = np.arange(width * groups, n)
+    cols = np.concatenate([cols, np.broadcast_to(tail, (b, tail.size))], axis=1)
+    kept, dropped = _largest(np.take_along_axis(scores, cols, axis=1), m)
+    return np.take_along_axis(cols, kept, axis=1), np.maximum(left_out, dropped)
+
+
+def _descending_mean(values: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each row's k largest values, summed in descending order, so
+    that it does not depend on the order the values come in."""
+    return (-np.sort(-values, axis=1)[:, :k]).mean(axis=1)
+
+
 def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
     """Mean of each row's k largest entries; k is clamped to the row length."""
-    n = scores.shape[1]
-    k = min(k, n)
-    if k == n:
-        return scores.mean(axis=1)
-    return np.partition(scores, n - k, axis=1)[:, n - k:].mean(axis=1)
+    k = min(k, scores.shape[1])
+    cols, _ = _top_columns(scores, k)
+    return _descending_mean(np.take_along_axis(scores, cols, axis=1), k)
 
 
 def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -64,11 +112,53 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
 
     This is the local-scaling term r(.) of CSLS. n_neighbors must be
     positive and is clamped to the pool size.
+
+    Every cosine that enters a mean is computed in float64; float32 only
+    chooses which ones. Both sides are made unit rows in float64 and cast to
+    float32 once, and each row block is scored by one float32 product. Per
+    row, `_top_columns` keeps the n + _SPARE best-screened columns and
+    bounds every score left out. The kept columns are rescored in float64
+    and the n largest of those averaged.
+
+    The band: rounding unit rows u, v to float32 moves u.v by at most
+    (2 + 2**-24) * 2**-24, and a float32 dot product of length d errs by at
+    most about d * 2**-24 (any summation order); the float64 cosine differs
+    from the exact one by about d * 2**-53. So a screened cosine is within
+    delta = (d + 4) * 2**-24 of the float64 one for d far below 2**24. The
+    row's n-th kept screened score s_n then bounds its float64 n-th largest
+    cosine from below by s_n - delta, and a column screened below
+    s_n - 2 * delta cannot reach it. A row whose largest left-out score is
+    not that far below s_n (near ties, e.g. duplicated pool rows) is scored
+    again in full in float64 (`_exact_hubness`), so the result is always
+    the float64 top-n mean.
     """
     if n_neighbors < 1:
         raise ValueError(f"CSLS needs at least 1 neighbour, got {n_neighbors}")
-    return np.concatenate([topk_mean(cos, n_neighbors) for _, cos
-                           in similarity_sweep(vectors, pool)])
+    vu, pu = unit_rows(vectors), unit_rows(pool)
+    k = min(n_neighbors, len(pu))
+    band = 2.0 * (vu.shape[1] + 4) * 2.0 ** -24
+    v32, p32 = vu.astype(np.float32), pu.astype(np.float32)
+    out = np.empty(len(vu))
+    for rows in row_blocks(len(vu), len(pu)):
+        screen = v32[rows] @ p32.T
+        cols, left_out = _top_columns(screen, k + _SPARE)
+        kept = np.take_along_axis(screen, cols, axis=1)
+        del screen
+        kth = np.partition(kept, cols.shape[1] - k, axis=1)[:, cols.shape[1] - k]
+        unsure = np.flatnonzero(~(left_out < kth.astype(float) - band))
+        exact = np.stack([np.einsum("bd,bd->b", vu[rows], pu[c])
+                          for c in cols.T], axis=1)
+        out[rows] = _descending_mean(exact, k)
+        if unsure.size:
+            unsure += rows.start
+            out[unsure] = _exact_hubness(vu[unsure], pu, k)
+    return out
+
+
+def _exact_hubness(unit_vectors: np.ndarray, unit_pool: np.ndarray,
+                   k: int) -> np.ndarray:
+    """`csls_hubness` of unit rows computed in full in float64."""
+    return topk_mean(unit_vectors @ unit_pool.T, k)
 
 
 def similarity_sweep(queries: np.ndarray, pool: np.ndarray,

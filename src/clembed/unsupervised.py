@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .embeddings import WordVectorSpace
 from .lexicon import (TranslationLexicon, build_aligned_matrices, make_lexicon,
@@ -234,24 +235,21 @@ def _solve_linear_map(points: np.ndarray, targets: np.ndarray,
     Minimizes ||points @ W - targets||^2
             + lam * ||cyc_self @ W @ other_map - cyc_self||^2
             + lam * ||cyc_other_points @ W - cyc_other_targets||^2
-    via the normal equations, which take the form P W + Q W R = S and are
-    solved through their Kronecker lift.
+    via the normal equations P W + Q W R = S, with P positive definite and
+    Q, R positive semidefinite. With Q V = P V diag(l), V' P V = I
+    (generalized eigenvectors) and R = U diag(m) U', the substitution
+    W = V Y U' turns them into Y_ij (1 + l_i m_j) = (V' S U)_ij: O(p^3),
+    where the p^2 x p^2 Kronecker lift is O(p^6). lam = 0 gives Q = 0 and
+    W = P^-1 S. A P that is not positive definite (points of rank < p)
+    raises numpy.linalg.LinAlgError.
     """
-    p_dim = points.shape[1]
-    ata = points.T @ points
-    lhs_p = ata.copy()
-    rhs = points.T @ targets
-    if lam > 0:
-        lhs_p += lam * (cyc_other_points.T @ cyc_other_points)
-        rhs += lam * (cyc_self.T @ cyc_self) @ other_map.T
-        rhs += lam * (cyc_other_points.T @ cyc_other_targets)
-        q = lam * (cyc_self.T @ cyc_self)
-        r = other_map @ other_map.T
-        system = np.kron(np.eye(p_dim), lhs_p) + np.kron(r.T, q)
-    else:
-        system = np.kron(np.eye(p_dim), lhs_p)
-    vec = np.linalg.solve(system, rhs.reshape(-1, order="F"))
-    return vec.reshape(p_dim, p_dim, order="F")
+    cyc_gram = lam * (cyc_self.T @ cyc_self)
+    lhs_p = points.T @ points + lam * (cyc_other_points.T @ cyc_other_points)
+    rhs = (points.T @ targets + cyc_gram @ other_map.T
+           + lam * (cyc_other_points.T @ cyc_other_targets))
+    ell, v = scipy.linalg.eigh(cyc_gram, lhs_p)
+    mu, u = np.linalg.eigh(other_map @ other_map.T)
+    return v @ ((v.T @ rhs @ u) / (1.0 + np.outer(ell, mu))) @ u.T
 
 
 def icp_loss(p1: np.ndarray, p2: np.ndarray, w1: np.ndarray, w2: np.ndarray,

@@ -17,6 +17,13 @@ tolerance. The hypothesis inputs are built so that every score is computed
 exactly (zero, signed-axis and +-1 vectors, duplicated rows; see
 `conftest.exact_row`): then equal scores are equal in both codes,
 and the tie rule is what gets compared.
+
+`oracle_csls_hubness` and `oracle_topk_mean` are the float64 hubness and
+the full-width partition it used. The library screens hubness in float32
+and rescores in float64 (`similarity.csls_hubness`), and selects top-n
+columns through strided group maxima (`similarity.topk_mean`): on generic
+inputs the means may differ from the oracles only in the last bits of a
+float64 sum, and on exact inputs not at all.
 """
 
 import tracemalloc
@@ -32,8 +39,9 @@ from clembed.lexicon import (build_aligned_matrices, make_lexicon,
                              mutual_nearest_neighbors)
 from clembed.linalg import solve_procrustes
 from clembed.projection import ProjectionPair
-from clembed.similarity import (cosine_matrix, mutual_argmax_pairs,
-                                mutual_pairs, similarity_sweep, unit_rows)
+from clembed.similarity import (cosine_matrix, csls_hubness,
+                                mutual_argmax_pairs, mutual_pairs, row_blocks,
+                                similarity_sweep, topk_mean, unit_rows)
 from clembed.supervised import align_proc, align_proc_b, rcsls_neighbor_sets
 from clembed.unsupervised import (IcpConfig, SelfLearnConfig, align_icp,
                                   self_learn, vecmap_seed)
@@ -53,6 +61,12 @@ def oracle_topk_mean(scores, k, axis=1):
     sl = [slice(None)] * scores.ndim
     sl[axis] = slice(n - k, n)
     return part[tuple(sl)].mean(axis=axis)
+
+
+def oracle_csls_hubness(vectors, pool, n_neighbors):
+    vu, pu = unit_rows(vectors), unit_rows(pool)
+    return np.concatenate([oracle_topk_mean(vu[rows] @ pu.T, n_neighbors)
+                           for rows in row_blocks(len(vu), len(pu))])
 
 
 def oracle_csls_matrix(src, tgt, n_neighbors):
@@ -346,6 +360,107 @@ def test_rcsls_neighbor_sets_match_oracle_on_ties(case, cells):
         assert np.array_equal(a, b)
 
 
+# --- hubness and top-n means -----------------------------------------------------
+
+def count_fallback_rows():
+    """Patch the float64 fallback of `csls_hubness` to count the rows it gets."""
+    rows = []
+    exact = similarity._exact_hubness
+
+    def counted(vectors, pool, k):
+        rows.append(len(vectors))
+        return exact(vectors, pool, k)
+    return rows, mock.patch.object(similarity, "_exact_hubness", counted)
+
+
+# pools of one row and of fewer rows than n; pools too narrow for groups of
+# `similarity._GROUP` columns (17, 250 at n = 10); and group selection with
+# 13 columns after the last whole group (333) and with none (1024)
+@pytest.mark.parametrize("pool_rows", [1, 3, 17, 250, 333, 1024])
+@pytest.mark.parametrize("n", [1, 5, 10])
+@pytest.mark.parametrize("cells", CELL_BUDGETS)
+def test_csls_hubness_matches_oracle(pool_rows, n, cells):
+    rng = np.random.default_rng(pool_rows * 100 + n)
+    vectors = rng.standard_normal((120, 30))
+    pool = rng.standard_normal((pool_rows, 30))
+    fallback, patch = count_fallback_rows()
+    with mock.patch.object(similarity, "_CELLS", cells), patch:
+        got = csls_hubness(vectors, pool, n)
+    want = oracle_csls_hubness(vectors, pool, n)
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    assert sum(fallback) == 0
+
+
+@pytest.mark.parametrize("width", [1, 4, 17, 200, 500])
+@pytest.mark.parametrize("k", [1, 3, 10, 40])
+def test_topk_mean_matches_oracle(width, k):
+    rng = np.random.default_rng(width * 100 + k)
+    scores = rng.uniform(-1.0, 1.0, (50, width))
+    assert np.allclose(topk_mean(scores, k), oracle_topk_mean(scores, k),
+                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("width", [7, 500])
+def test_topk_mean_ignores_the_column_order(width):
+    """The selected values are summed in descending order, so permuting
+    columns cannot move the last bit, as a partition's order could."""
+    rng = np.random.default_rng(width)
+    scores = rng.uniform(-1.0, 1.0, (200, width))
+    want = topk_mean(scores, 10)
+    for _ in range(5):
+        assert np.array_equal(topk_mean(scores[:, rng.permutation(width)], 10),
+                              want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 12), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_topk_mean_matches_oracle_on_integer_ties(width, k, values, seed):
+    """Few distinct integers: ties everywhere, across and within groups."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-values, values + 1, (6, width)).astype(float)
+    assert np.array_equal(topk_mean(scores, k), oracle_topk_mean(scores, k))
+
+
+@st.composite
+def hubness_cases(draw):
+    dim = draw(st.integers(1, 4))
+    vectors = draw(exact_rows(dim, 1, 8))
+    base = draw(exact_rows(dim, 1, 5))
+    # up to 400 pool rows drawn from a few base rows, so that the group
+    # selection runs on pools made of duplicates
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = base[rng.integers(0, len(base), draw(st.integers(1, 400)))]
+    return vectors, pool, draw(st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hubness_cases(), st.sampled_from(CELL_BUDGETS))
+def test_csls_hubness_matches_oracle_on_exact_rows(case, cells):
+    vectors, pool, n = case
+    with mock.patch.object(similarity, "_CELLS", cells):
+        got = csls_hubness(vectors, pool, n)
+    assert np.array_equal(got, oracle_csls_hubness(vectors, pool, n))
+
+
+def test_csls_hubness_falls_back_inside_the_band():
+    """Forty pool rows, nearest to every vector, whose cosines to it lie
+    within 1.4e-6 of one another: distinct in float32, but inside the band
+    2 * delta = 4.1e-6 at d = 30, so the screen cannot certify which n are
+    the largest."""
+    rng = np.random.default_rng(11)
+    centre = rng.standard_normal(30)
+    cluster = centre + 1e-5 * rng.standard_normal((40, 30))
+    pool = np.vstack([rng.standard_normal((600, 30)), cluster])
+    vectors = centre + 0.1 * rng.standard_normal((50, 30))
+    fallback, patch = count_fallback_rows()
+    with patch:
+        got = csls_hubness(vectors, pool, 3)
+    assert sum(fallback) == 50
+    assert np.allclose(got, oracle_csls_hubness(vectors, pool, 3),
+                       rtol=0, atol=1e-15)
+
+
 # --- memory ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
@@ -364,4 +479,21 @@ def test_mutual_nearest_neighbors_stays_within_its_blocks(metric):
         finally:
             tracemalloc.stop()
     assert len(lex) > 1900
+    assert peak < 4 * 2 ** 20
+
+
+def test_csls_hubness_stays_within_its_blocks():
+    """2000 x 2000 float64 is 32 MB; blocks of 2**16 cells are 0.25 MB."""
+    rng = np.random.default_rng(1)
+    vectors = rng.standard_normal((2000, 20))
+    pool = rng.standard_normal((2000, 20))
+    with mock.patch.object(similarity, "_CELLS", 2 ** 16):
+        tracemalloc.start()
+        try:
+            got = csls_hubness(vectors, pool, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.allclose(got, oracle_csls_hubness(vectors, pool, 10),
+                       rtol=0, atol=1e-15)
     assert peak < 4 * 2 ** 20

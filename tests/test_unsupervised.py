@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from clembed import unsupervised
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import bli_evaluate
 from clembed.lexicon import build_aligned_matrices, make_lexicon
@@ -142,6 +145,72 @@ class TestIcp:
             IcpConfig(restarts=0)
         with pytest.raises(ValueError):
             IcpConfig(lambda_cyc=-1.0)
+
+
+def oracle_solve_linear_map(points, targets, cyc_self, other_map,
+                            cyc_other_points, cyc_other_targets, lam):
+    """The earlier solve of P W + Q W R = S through its p^2 x p^2 Kronecker
+    lift: (I kron P + R' kron Q) vec(W) = vec(S)."""
+    p_dim = points.shape[1]
+    lhs_p = points.T @ points
+    rhs = points.T @ targets
+    if lam > 0:
+        lhs_p += lam * (cyc_other_points.T @ cyc_other_points)
+        rhs += lam * (cyc_self.T @ cyc_self) @ other_map.T
+        rhs += lam * (cyc_other_points.T @ cyc_other_targets)
+        q = lam * (cyc_self.T @ cyc_self)
+        r = other_map @ other_map.T
+        system = np.kron(np.eye(p_dim), lhs_p) + np.kron(r.T, q)
+    else:
+        system = np.kron(np.eye(p_dim), lhs_p)
+    vec = np.linalg.solve(system, rhs.reshape(-1, order="F"))
+    return vec.reshape(p_dim, p_dim, order="F")
+
+
+class TestIcpMapSolve:
+    """The generalized-eigen solve against the Kronecker lift it replaced."""
+
+    @staticmethod
+    def problem(p_dim, seed):
+        # random points make P, Q and R random symmetric positive definite
+        rng = np.random.default_rng(seed)
+        p1 = rng.standard_normal((4 * p_dim, p_dim))
+        p2 = rng.standard_normal((4 * p_dim, p_dim)) * rng.uniform(0.1, 3.0, p_dim)
+        w2 = rng.standard_normal((p_dim, p_dim))
+        return p1, p2[rng.permutation(len(p2))], p1, w2, p2 @ w2, p2
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0, 25.0])
+    @pytest.mark.parametrize("p_dim", range(2, 13))
+    def test_matches_kronecker_oracle(self, p_dim, lam):
+        args = self.problem(p_dim, seed=p_dim)
+        got = unsupervised._solve_linear_map(*args, lam)
+        want = oracle_solve_linear_map(*args, lam)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_singular_points_raise(self, lam):
+        p1, p2, _, w2, _, _ = self.problem(4, seed=0)
+        flat = p1.copy()
+        flat[:, 3] = flat[:, 0]                   # rank 3 < p = 4
+        with pytest.raises(np.linalg.LinAlgError):
+            unsupervised._solve_linear_map(flat, p2, flat, w2, flat, flat, lam)
+
+    def test_align_icp_is_the_same_with_either_solve(self, spiral_pair):
+        src, tgt, _ = spiral_pair
+        cfg = IcpConfig(pca_dim=3, top_n_words=300, lambda_cyc=1.0,
+                        restarts=4, max_iters=60, seed=0)
+        new = align_icp(src, tgt, cfg)
+        with mock.patch.object(unsupervised, "_solve_linear_map",
+                               oracle_solve_linear_map):
+            old = align_icp(src, tgt, cfg)
+        assert np.array_equal(new.w_src, old.w_src)
+        losses = ("best_loss", "loss_history")
+        assert {k: v for k, v in new.metadata.items() if k not in losses} == \
+            {k: v for k, v in old.metadata.items() if k not in losses}
+        assert new.metadata["best_loss"] == pytest.approx(
+            old.metadata["best_loss"], rel=1e-10)
+        assert new.metadata["loss_history"] == pytest.approx(
+            old.metadata["loss_history"], rel=1e-10)
 
 
 class TestGwa:
