@@ -1,9 +1,13 @@
 """Unsupervised cross-lingual document retrieval over a shared space.
 
 Queries and documents are represented as weighted averages of word vectors
-(uniform or idf weighting), scored by cosine, and evaluated with MAP over
-binary relevance judgments. File formats: line-oriented "id<TAB>text" for
-documents and queries, TREC 4-column qrels, and TREC run output.
+(uniform or idf weighting; BWE-Agg, Litschko et al. 2018), scored by cosine,
+and evaluated with MAP over binary relevance judgments. A whole collection
+side is aggregated at once: the term weights form one sparse text x
+vocabulary matrix, and its product with the embedding matrix adds each
+text's token vectors in token order, as a per-token loop would. File
+formats: line-oriented "id<TAB>text" for documents and queries, TREC
+4-column qrels, and TREC run output.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
+from scipy import sparse, stats
 
 from .embeddings import WordVectorSpace
 from .evaluation import average_precision_from_ranks, gold_ranks
@@ -58,10 +64,24 @@ class ClirRun:
     empty_queries: tuple[str, ...]
 
 
+class _PunctuationTable(dict):
+    """A `str.translate` table that deletes Unicode punctuation (category
+    P*) and keeps every other character. It fills itself as characters are
+    first seen, so `unicodedata.category` runs once per distinct code
+    point, and holds at most one entry per code point."""
+
+    def __missing__(self, code: int):
+        keep = not unicodedata.category(chr(code)).startswith("P")
+        self[code] = code if keep else None
+        return self[code]
+
+
+_PUNCTUATION = _PunctuationTable()
+
+
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase, strip Unicode punctuation, drop single-character tokens."""
-    stripped = "".join(
-        ch for ch in text if not unicodedata.category(ch).startswith("P"))
+    stripped = text.translate(_PUNCTUATION)
     return tuple(tok for tok in stripped.lower().split() if len(tok) > 1)
 
 
@@ -112,35 +132,64 @@ def ingest_collection(doc_path, query_path, qrel_path) -> DocumentCollection:
 def idf_weighting(collection: DocumentCollection) -> TermWeighting:
     """idf = ln(N / df) over the ingested documents."""
     n_docs = len(collection.docs)
-    df: Counter[str] = Counter()
-    for tokens in collection.docs.values():
-        df.update(set(tokens))
+    df = Counter(chain.from_iterable(map(set, collection.docs.values())))
     idf = {tok: math.log(n_docs / count) for tok, count in df.items()}
     return TermWeighting(scheme="idf", idf=idf)
+
+
+def aggregate_texts(texts, space: WordVectorSpace,
+                    weighting: TermWeighting = TermWeighting(scheme="uniform")
+                    ) -> np.ndarray:
+    """(n, d) weighted means of the in-vocabulary token vectors of each of
+    the n token sequences in the list `texts`; a zero row where a text has
+    none.
+
+    Under idf weighting, tokens absent from the idf table (query-only
+    terms) get weight 1.0. Each token is looked up once in the vocabulary,
+    and each distinct in-vocabulary token once in the idf table. The
+    weights form a sparse n x |V| matrix whose product with `space.matrix`
+    adds each row's token vectors in token order, so a row is bit-equal to
+    a per-token `acc += weight * vector` loop divided by the weight total.
+    """
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    rows = np.fromiter(
+        map(space.index.get, chain.from_iterable(texts), repeat(-1)),
+        dtype=np.intp, count=int(lengths.sum()))
+    text_of = np.repeat(np.arange(len(texts)), lengths)
+    known = rows >= 0
+    rows, text_of = rows[known], text_of[known]
+    if weighting.scheme == "idf" and weighting.idf:
+        vocab_rows, slot = np.unique(rows, return_inverse=True)
+        idf, words = weighting.idf, space.words
+        weights = np.array([idf.get(words[r], 1.0)
+                            for r in vocab_rows.tolist()], dtype=float)[slot]
+    else:
+        weights = np.ones(len(rows))
+    indptr = np.zeros(len(texts) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(text_of, minlength=len(texts)), out=indptr[1:])
+    sums = sparse.csr_matrix((weights, rows, indptr),
+                             shape=(len(texts), len(space))) @ space.matrix
+    totals = np.bincount(text_of, weights=weights, minlength=len(texts))
+    return sums / np.where(totals > 0, totals, 1.0)[:, None]
 
 
 def aggregate_text(tokens, space: WordVectorSpace,
                    weighting: TermWeighting = TermWeighting(scheme="uniform")
                    ) -> np.ndarray:
-    """Weighted mean of in-vocabulary token vectors; zero vector if none.
+    """`aggregate_texts` of the one text `tokens`, as a vector."""
+    return aggregate_texts([tuple(tokens)], space, weighting)[0]
 
-    Under idf weighting, tokens absent from the idf table (query-only
-    terms) get weight 1.0.
-    """
-    acc = np.zeros(space.dim)
-    total = 0.0
-    for tok in tokens:
-        if tok not in space:
-            continue
-        if weighting.scheme == "idf":
-            weight = (weighting.idf or {}).get(tok, 1.0)
-        else:
-            weight = 1.0
-        acc += weight * space.vector(tok)
-        total += weight
-    if total > 0:
-        acc /= total
-    return acc
+
+def _descending_order(scores: np.ndarray) -> np.ndarray:
+    """Per-row argsort of `scores`, highest first, equal scores in ascending
+    column order: the stable sort's permutation. Rows are sorted unstably,
+    and only rows with two equal adjacent sorted scores again stably."""
+    negated = -scores
+    order = np.argsort(negated, axis=1)
+    ranked = np.take_along_axis(negated, order, axis=1)
+    tied = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
+    order[tied] = np.argsort(negated[tied], axis=1, kind="stable")
+    return order
 
 
 def clir_run(collection: DocumentCollection, pair: ProjectionPair,
@@ -148,9 +197,15 @@ def clir_run(collection: DocumentCollection, pair: ProjectionPair,
              weighting: TermWeighting | None = None) -> ClirRun:
     """Rank all documents for every query by cosine of aggregate vectors.
 
-    Ties break by ascending document id. Queries with no relevant document
-    are excluded from MAP and counted; queries with no in-vocabulary token
-    score all documents 0 and are reported, not dropped.
+    Ties break by ascending document id. Each distinct document vector is
+    scored once and its score copied to its duplicates, so identical
+    documents tie exactly. Queries with no relevant document are excluded
+    from MAP and counted; queries with no in-vocabulary token score all
+    documents 0 and are reported, not dropped.
+
+    Each side is aggregated by one `aggregate_texts` call and projected by
+    one product; every relevant document's rank comes from one `gold_ranks`
+    call.
     """
     if not collection.docs or not collection.queries:
         raise ValueError("clir_run: empty collection")
@@ -158,32 +213,38 @@ def clir_run(collection: DocumentCollection, pair: ProjectionPair,
         weighting = idf_weighting(collection)
     doc_ids = sorted(collection.docs)
     query_ids = sorted(collection.queries)
-    doc_unit = unit_rows(np.vstack([
-        aggregate_text(collection.docs[d], doc_space, weighting) @ pair.w_tgt
-        for d in doc_ids]))
-    query_vecs = np.vstack([
-        aggregate_text(collection.queries[q], query_space, weighting) @ pair.w_src
-        for q in query_ids])
+    doc_unit = unit_rows(pair.project_tgt(aggregate_texts(
+        [collection.docs[d] for d in doc_ids], doc_space, weighting)))
+    query_vecs = pair.project_src(aggregate_texts(
+        [collection.queries[q] for q in query_ids], query_space, weighting))
     empty = np.linalg.norm(query_vecs, axis=1) == 0.0
-    scores = unit_rows(query_vecs) @ doc_unit.T
-    order = np.argsort(-scores, axis=1, kind="stable")  # ties: ascending doc id
-    rankings = {qid: tuple(doc_ids[i] for i in row)
-                for qid, row in zip(query_ids, order)}
-    relevant_by_query: dict[str, set[str]] = {}
-    for qid, did in collection.qrels:
-        relevant_by_query.setdefault(qid, set()).add(did)
+    # one score per distinct document row (rows compared as bytes), copied
+    # to its duplicates, so identical documents tie exactly
+    keys = np.ascontiguousarray(doc_unit)
+    _, first, copy_of = np.unique(
+        keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel(),
+        return_index=True, return_inverse=True)
+    scores = (unit_rows(query_vecs) @ doc_unit[first].T)[:, copy_of]
+    order = _descending_order(scores)  # ties: ascending doc id
+    rankings = dict(zip(query_ids, map(
+        tuple, np.array(doc_ids, dtype=object)[order].tolist())))
+    relevant_by_query: dict[str, list[str]] = {}
+    for qid, did in sorted(collection.qrels):
+        relevant_by_query.setdefault(qid, []).append(did)
+    relevant = [relevant_by_query.get(q, []) for q in query_ids]
+    counts = [len(dids) for dids in relevant]
     doc_col = {d: j for j, d in enumerate(doc_ids)}
+    gold_cols = [doc_col[d] for dids in relevant for d in dids]
+    ranks = gold_ranks(np.repeat(scores, counts, axis=0), gold_cols).tolist()
     relevant_ranks = []
     aps = []
-    for k, qid in enumerate(query_ids):
-        relevant = sorted(relevant_by_query.get(qid, ()))
-        if not relevant:
+    for qid, dids, end in zip(query_ids, relevant, np.cumsum(counts).tolist()):
+        if not dids:
             continue
-        ranks = gold_ranks(scores[[k] * len(relevant)],
-                           [doc_col[d] for d in relevant]).tolist()
-        relevant_ranks.extend((qid, did, rank)
-                              for rank, did in sorted(zip(ranks, relevant)))
-        aps.append(average_precision_from_ranks(ranks))
+        query_ranks = ranks[end - len(dids):end]
+        relevant_ranks.extend((qid, did, rank) for rank, did
+                              in sorted(zip(query_ranks, dids)))
+        aps.append(average_precision_from_ranks(query_ranks))
     if not aps:
         raise ValueError("clir_run: no query has relevant documents")
     return ClirRun(rankings=rankings,
@@ -195,10 +256,12 @@ def clir_run(collection: DocumentCollection, pair: ProjectionPair,
 
 
 def clir_significance(run_a: ClirRun, run_b: ClirRun) -> float:
-    """Two-tailed t-test on the two lists of relevant-document ranks.
+    """Two-tailed paired t-test on the relevant-document ranks of two runs,
+    paired by (query, doc).
 
-    Both runs must cover the same (query, doc) relevance pairs. A zero mean
-    rank difference returns p = 1; a constant nonzero shift returns 0.
+    Both runs must cover the same (query, doc) relevance pairs. Identical
+    ranks return p = 1; a constant nonzero shift, whose t statistic is
+    unbounded, returns 0.
     """
     key = lambda triple: (triple[0], triple[1])
     ranks_a = {key(t): t[2] for t in run_a.relevant_ranks}
@@ -208,14 +271,12 @@ def clir_significance(run_a: ClirRun, run_b: ClirRun) -> float:
     keys = sorted(ranks_a)
     a = np.array([ranks_a[k] for k in keys], dtype=float)
     b = np.array([ranks_b[k] for k in keys], dtype=float)
-    from scipy import stats
-    if np.mean(a) == np.mean(b) and np.array_equal(a, b):
+    diffs = a - b
+    if not diffs.any():
         return 1.0
-    res = stats.ttest_ind(a, b)
-    p = float(res.pvalue)
-    if math.isnan(p):
-        return 0.0 if np.mean(a) != np.mean(b) else 1.0
-    return p
+    if np.all(diffs == diffs[0]):
+        return 0.0
+    return float(stats.ttest_rel(a, b).pvalue)
 
 
 def write_trec_run(run: ClirRun, path, tag: str = "clembed",

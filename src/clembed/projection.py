@@ -37,12 +37,21 @@ class ProjectionPair:
             if err >= ORTHOGONALITY_TOL:
                 raise ValueError(
                     f"w_src flagged orthogonal but ||W'W - I||_max = {err:.2e}")
+        # decided once per pair: which maps are exactly the identity
+        object.__setattr__(self, "_identity", tuple(
+            np.array_equal(w, np.eye(len(w)))
+            for w in (self.w_src, self.w_tgt)))
 
     def project_src(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix @ self.w_src
+        """matrix @ w_src, or `matrix` itself when w_src is exactly the
+        identity. For finite input the product equals `matrix` except that
+        a -0.0 may come back as +0.0, which no cosine or rank can see."""
+        return matrix if self._identity[0] else matrix @ self.w_src
 
     def project_tgt(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix @ self.w_tgt
+        """matrix @ w_tgt, or `matrix` itself when w_tgt is exactly the
+        identity (see `project_src`)."""
+        return matrix if self._identity[1] else matrix @ self.w_tgt
 
 
 def identity_pair(dim: int, method: str = "identity") -> ProjectionPair:

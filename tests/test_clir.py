@@ -1,12 +1,19 @@
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from clembed.clir import (ClirRun, DocumentCollection, TermWeighting,
                           aggregate_text, clir_run, clir_significance,
                           idf_weighting, ingest_collection, read_trec_run,
                           tokenize, write_trec_run)
 from clembed.embeddings import WordVectorSpace
+from clembed.lexicon import build_aligned_matrices
 from clembed.projection import identity_pair
+from clembed.supervised import align_proc
 
 
 def toy_collection():
@@ -41,6 +48,23 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("  . ! ") == ()
+
+    @staticmethod
+    def oracle_tokenize(text):
+        """One `unicodedata.category` call per character."""
+        stripped = "".join(
+            ch for ch in text if not unicodedata.category(ch).startswith("P"))
+        return tuple(tok for tok in stripped.lower().split() if len(tok) > 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    def test_matches_per_character_oracle(self, text):
+        assert tokenize(text) == self.oracle_tokenize(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from("aZé ß\t\n.,-'«»\u2019\u00a0\u3001İ")))
+    def test_matches_oracle_on_punctuation_and_spaces(self, text):
+        assert tokenize(text) == self.oracle_tokenize(text)
 
 
 class TestWeighting:
@@ -128,6 +152,41 @@ class TestClirRun:
         run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
         assert run.empty_queries == ("q1",)
 
+    def test_zero_query_ranks_by_doc_id(self):
+        docs = {f"d{i}": (("apple",), ("banana",), ())[i % 3]
+                for i in range(9)}
+        coll = DocumentCollection(docs=docs, queries={"q": ("zzz",)},
+                                  qrels=frozenset({("q", "d4")}))
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
+        assert run.rankings["q"] == tuple(sorted(docs))
+        assert run.relevant_ranks == (("q", "d4", 5),)
+
+    def test_duplicate_documents_tie_exactly(self, noisy_pair):
+        """Document 0 duplicated as document 120 among 121 documents with
+        generic vectors (d = 20): the copy follows the original in every
+        ranking, for all queries at once and for each query alone, whose
+        single score row would otherwise come from a matrix-vector product
+        that can round the two copies differently."""
+        rng = np.random.default_rng(11)
+        words = noisy_pair.src.words
+        docs = {f"d{i:03d}": tuple(rng.choice(words, size=12))
+                for i in range(120)}
+        docs["d120"] = docs["d000"]
+        queries = {f"q{i:02d}": tuple(rng.choice(words, size=4))
+                   for i in range(30)}
+        pair = align_proc(build_aligned_matrices(
+            noisy_pair.train_lex, noisy_pair.src, noisy_pair.tgt))
+        runs = []
+        for subset in [sorted(queries)] + [[q] for q in sorted(queries)]:
+            coll = DocumentCollection(
+                docs=docs, queries={q: queries[q] for q in subset},
+                qrels=frozenset((q, "d120") for q in subset))
+            runs.append(clir_run(coll, pair, noisy_pair.src, noisy_pair.tgt,
+                                 TermWeighting(scheme="uniform")))
+        for run in runs:
+            for ranking in run.rankings.values():
+                assert ranking.index("d120") == ranking.index("d000") + 1
+
     def test_qrel_referential_integrity(self):
         with pytest.raises(ValueError):
             DocumentCollection(docs={"d1": ("x",)}, queries={"q1": ("y",)},
@@ -139,6 +198,31 @@ class TestSignificance:
         coll = toy_collection()
         run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
         assert clir_significance(run, run) == 1.0
+
+    @staticmethod
+    def run_with_ranks(ranks):
+        triples = tuple((f"q{i // 3}", f"d{i}", r)
+                        for i, r in enumerate(ranks))
+        return ClirRun(rankings={}, relevant_ranks=triples, map_score=0.0,
+                       scored_queries=len(ranks), skipped_queries=0,
+                       empty_queries=())
+
+    def test_matches_hand_computed_paired_t(self):
+        a = [1, 4, 2, 9, 3, 7, 1, 12]
+        b = [2, 3, 5, 14, 3, 9, 6, 13]
+        d = np.subtract(a, b, dtype=float)
+        t = d.mean() / (d.std(ddof=1) / np.sqrt(len(d)))
+        want = 2 * stats.t.sf(abs(t), len(d) - 1)
+        got = clir_significance(self.run_with_ranks(a), self.run_with_ranks(b))
+        assert got == pytest.approx(want, rel=1e-12)
+        # pairing matters: the unpaired test on the same ranks differs
+        assert got != pytest.approx(stats.ttest_ind(a, b).pvalue, rel=1e-3)
+
+    def test_constant_shift_p_zero(self):
+        a = [1, 4, 2, 9]
+        got = clir_significance(self.run_with_ranks(a),
+                                self.run_with_ranks([r + 2 for r in a]))
+        assert got == 0.0
 
     def test_mismatched_runs_rejected(self):
         coll = toy_collection()

@@ -1,9 +1,11 @@
-"""The paper's evaluation shape, run once in a fresh process.
+"""The paper's evaluation shape, each test run once in a fresh process.
 
-V = 200k words per side, d = 300, a 5k-pair training dictionary: a CSLS
-`bli_evaluate` over the full target vocabulary and `align_proc_b` with
-CSLS at search cap 20000. The process's peak resident set must stay under
-6 GiB, so that the paper's configuration runs on a 7 GB machine.
+V = 200k words per side, d = 300. One test aligns with a 5k-pair training
+dictionary and runs a CSLS `bli_evaluate` over the full target vocabulary
+and `align_proc_b` with CSLS at search cap 20000. The other runs an
+idf-weighted `clir_run` of 200 queries over 50k documents of 100 tokens
+each. Each process's peak resident set must stay under 6 GiB, so that the
+paper's configuration runs on a 7 GB machine.
 
 Marked `slow` (several minutes, several GB): deselected by default, run
 with `pytest -m slow tests/test_paper_scale.py`.
@@ -56,18 +58,75 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.slow
-def test_paper_shape_csls_runs_within_the_memory_budget():
+CLIR_SCRIPT = textwrap.dedent("""
+    import json, resource, time
+    import numpy as np
+    from clembed.clir import DocumentCollection, clir_run, idf_weighting
+    from clembed.embeddings import WordVectorSpace
+    from clembed.projection import ProjectionPair
+
+    vocab, dim, n_docs, doc_len, n_queries, query_len = (
+        200_000, 300, 50_000, 100, 200, 10)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((vocab, dim))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    y = x @ q
+    y += 0.3 * rng.standard_normal((vocab, dim))
+    words = tuple(f"w{i}" for i in range(vocab))
+    src, tgt = WordVectorSpace(words, x), WordVectorSpace(words, y)
+    del x, y
+    # Zipfian word choice, so that idf varies; query k is query_len tokens
+    # of document k, its one relevant document
+    zipf = 1.0 / np.arange(1, vocab + 1)
+    ids = rng.choice(vocab, size=(n_docs, doc_len), p=zipf / zipf.sum())
+    docs = {f"d{k:05d}": tuple(words[i] for i in row.tolist())
+            for k, row in enumerate(ids)}
+    queries = {f"q{k:03d}": tuple(rng.choice(docs[f"d{k:05d}"],
+                                             size=query_len))
+               for k in range(n_queries)}
+    collection = DocumentCollection(
+        docs=docs, queries=queries,
+        qrels=frozenset((f"q{k:03d}", f"d{k:05d}") for k in range(n_queries)))
+    pair = ProjectionPair(w_src=q, w_tgt=np.eye(dim), orthogonal_src=True,
+                          method="rotation")
+    start = time.perf_counter()
+    weighting = idf_weighting(collection)
+    run = clir_run(collection, pair, src, tgt, weighting)
+    print(json.dumps({
+        "clir_map": run.map_score, "scored_queries": run.scored_queries,
+        "docs_ranked": len(run.rankings["q000"]),
+        "clir_s": time.perf_counter() - start,
+        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+""")
+
+
+def run_script(script: str) -> dict:
+    """Run `script` in a fresh interpreter; its last stdout line, as JSON."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(clembed.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=3600)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     print(report)
+    return report
+
+
+@pytest.mark.slow
+def test_paper_shape_csls_runs_within_the_memory_budget():
+    report = run_script(SCRIPT)
     assert report["queries"] == 1000
     assert report["csls_map"] > 0.9
     assert report["dict_size"] > 5000
+    assert report["maxrss_kib"] < RSS_BUDGET_KIB
+
+
+@pytest.mark.slow
+def test_paper_shape_clir_runs_within_the_memory_budget():
+    report = run_script(CLIR_SCRIPT)
+    assert report["scored_queries"] == 200
+    assert report["docs_ranked"] == 50_000
+    assert report["clir_map"] > 0.5    # a random ranking averages ~2e-4
     assert report["maxrss_kib"] < RSS_BUDGET_KIB

@@ -4,14 +4,44 @@ import pytest
 from clembed.projection import (ProjectionPair, identity_pair,
                                 load_matrix_text, load_projection,
                                 save_matrix_text, save_projection)
+from clembed.lexicon import build_aligned_matrices
+from clembed.supervised import align_cca
 from conftest import random_rotation
 
 
 def test_identity_pair_projects_unchanged():
     pair = identity_pair(4)
     m = np.arange(12.0).reshape(3, 4)
-    assert np.allclose(pair.project_src(m), m)
-    assert np.allclose(pair.project_tgt(m), m)
+    assert pair.project_src(m) is m
+    assert pair.project_tgt(m) is m
+
+
+def test_identity_skip_equals_the_product_up_to_the_sign_of_zero():
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((7, 5))
+    m[0, :2] = -0.0
+    pair = identity_pair(5)
+    assert np.array_equal(pair.project_src(m), m @ np.eye(5))
+
+
+def test_cca_pair_still_multiplies(noisy_pair):
+    pair = align_cca(build_aligned_matrices(noisy_pair.train_lex,
+                                            noisy_pair.src, noisy_pair.tgt))
+    m = noisy_pair.tgt.matrix[:10]
+    assert np.array_equal(pair.project_tgt(m), m @ pair.w_tgt)
+    assert np.array_equal(pair.project_src(m), m @ pair.w_src)
+    assert not np.array_equal(pair.project_tgt(m), m)
+
+
+def test_almost_identity_still_multiplies():
+    w = np.eye(3)
+    w[1, 1] = np.nextafter(1.0, 2.0)
+    pair = ProjectionPair(w_src=np.eye(3), w_tgt=w, orthogonal_src=True,
+                          method="x")
+    m = np.full((2, 3), 3.0)
+    assert pair.project_src(m) is m
+    assert np.array_equal(pair.project_tgt(m), m @ w)
+    assert not np.array_equal(pair.project_tgt(m), m)
 
 
 def test_orthogonality_enforced_when_claimed():

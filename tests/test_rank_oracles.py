@@ -3,21 +3,25 @@
 `oracle_bli_evaluate` and `oracle_clir_run` are the earlier implementations:
 one query at a time, a stable argsort of the whole row, and each gold item's
 rank read off the inverse permutation (BLI) or off a walk down the ranking
-(CLIR). The library scores queries in row blocks and counts ranks with
-`gold_ranks`. Results must be equal, not close, including on inputs built to
-tie: small-integer vectors, duplicated target rows and documents, zero
-vectors, multi-gold and out-of-vocabulary queries. Every BLI comparison
-also runs with a row budget small enough to split the queries into many
-blocks.
+(CLIR); `oracle_aggregate_text` is the per-token loop that averaged one
+text's word vectors. The library scores queries in row blocks, aggregates
+a whole collection side with one sparse product, ranks with an unstable
+sort that only tied rows redo stably, and counts ranks with `gold_ranks`.
+Results must be equal, not close, including on inputs built to tie:
+small-integer vectors, duplicated target rows and documents, zero vectors,
+multi-gold and out-of-vocabulary queries. Every BLI comparison also runs
+with a row budget small enough to split the queries into many blocks.
 
 The tie-heavy inputs are built so that every score is computed exactly
 (see `conftest.exact_row`): then equal scores are equal in both codes and
-the tie rule is what gets compared. With generic vectors, scores that are equal in
-real arithmetic can round differently in the old matrix-vector and the new
-matrix-matrix product (a fused multiply-add leaves a 1e-17 residue where the
-other gives 0), and on larger shapes BLAS can even give identical rows
-different last-bit scores depending on where they sit in the matrix. The
-old code did not keep such ties either, so they are not compared.
+the tie rule is what gets compared. With generic vectors, scores that are
+equal in real arithmetic can round differently in the old matrix-vector
+and the new matrix-matrix product (a fused multiply-add leaves a 1e-17
+residue where the other gives 0), and on larger shapes BLAS can even give
+identical rows different last-bit scores depending on where they sit in
+the matrix. The old code did not keep such ties, so they are not compared
+here; `clir_run` now scores each distinct document once, and
+`tests/test_clir.py` checks that duplicated generic documents tie.
 """
 
 from collections import OrderedDict
@@ -30,7 +34,8 @@ from hypothesis import strategies as st
 
 from clembed import similarity
 from clembed.clir import (ClirRun, DocumentCollection, TermWeighting,
-                          aggregate_text, clir_run, idf_weighting)
+                          _descending_order, aggregate_text, aggregate_texts,
+                          clir_run, idf_weighting)
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import (BliResult, QueryRecord, P_AT_KS,
                                 average_precision_from_ranks, bli_evaluate,
@@ -86,11 +91,29 @@ def oracle_bli_evaluate(pair, src_space, tgt_space, test_lex,
                      p_at_k=p_at_k, query_count=len(records), oov_skipped=oov)
 
 
+def oracle_aggregate_text(tokens, space, weighting) -> np.ndarray:
+    acc = np.zeros(space.dim)
+    total = 0.0
+    for tok in tokens:
+        if tok not in space:
+            continue
+        if weighting.scheme == "idf":
+            weight = (weighting.idf or {}).get(tok, 1.0)
+        else:
+            weight = 1.0
+        acc += weight * space.vector(tok)
+        total += weight
+    if total > 0:
+        acc /= total
+    return acc
+
+
 def oracle_clir_run(collection, pair, query_space, doc_space,
                     weighting) -> ClirRun:
     doc_ids = sorted(collection.docs)
     doc_vecs = np.vstack([
-        aggregate_text(collection.docs[d], doc_space, weighting) @ pair.w_tgt
+        oracle_aggregate_text(collection.docs[d], doc_space, weighting)
+        @ pair.w_tgt
         for d in doc_ids])
     norms = np.linalg.norm(doc_vecs, axis=1)
     doc_unit = doc_vecs / np.where(norms == 0.0, 1.0, norms)[:, None]
@@ -103,8 +126,8 @@ def oracle_clir_run(collection, pair, query_space, doc_space,
     skipped = 0
     empty_queries = []
     for qid in sorted(collection.queries):
-        qvec = aggregate_text(collection.queries[qid], query_space,
-                              weighting) @ pair.w_src
+        qvec = oracle_aggregate_text(collection.queries[qid], query_space,
+                                     weighting) @ pair.w_src
         qnorm = np.linalg.norm(qvec)
         if qnorm == 0.0:
             empty_queries.append(qid)
@@ -225,6 +248,59 @@ def test_bli_matches_oracle_on_ties(case, cells):
 # --- CLIR ------------------------------------------------------------------------
 
 VOCAB = ("apple", "banana", "cherry", "date")
+
+
+@st.composite
+def aggregate_cases(draw):
+    dim = draw(st.integers(1, 4))
+    space = WordVectorSpace(VOCAB,
+                            draw(exact_rows(dim, len(VOCAB), len(VOCAB))))
+    words = st.sampled_from(VOCAB + ("oov", "kiwi"))
+    texts = draw(st.lists(st.lists(words, max_size=8).map(tuple), max_size=6))
+    weighting = draw(st.one_of(
+        st.just(TermWeighting(scheme="uniform")),
+        st.just(TermWeighting(scheme="idf")),
+        st.dictionaries(st.sampled_from(VOCAB + ("kiwi",)),
+                        st.floats(0.0, 5.0)).map(
+            lambda idf: TermWeighting(scheme="idf", idf=idf))))
+    return texts, space, weighting
+
+
+@settings(max_examples=300, deadline=None)
+@given(aggregate_cases())
+def test_aggregate_texts_matches_loop_on_exact_rows(case):
+    texts, space, weighting = case
+    got = aggregate_texts(texts, space, weighting)
+    assert got.shape == (len(texts), space.dim)
+    for row, tokens in zip(got, texts):
+        want = oracle_aggregate_text(tokens, space, weighting)
+        assert np.array_equal(row, want)
+        assert np.array_equal(aggregate_text(tokens, space, weighting), want)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "idf"])
+def test_aggregate_texts_matches_loop_on_generic_vectors(noisy_pair, scheme):
+    rng = np.random.default_rng(5)
+    words = list(noisy_pair.src.words) + ["oov-a", "oov-b"]
+    texts = [tuple(rng.choice(words, size=rng.integers(0, 60)))
+             for _ in range(80)]
+    idf = {w: float(rng.exponential()) for w in rng.choice(words, size=300)}
+    weighting = TermWeighting(scheme=scheme, idf=idf)
+    got = aggregate_texts(texts, noisy_pair.src, weighting)
+    for row, tokens in zip(got, texts):
+        want = oracle_aggregate_text(tokens, noisy_pair.src, weighting)
+        assert np.max(np.abs(row - want)) <= 1e-15 * np.linalg.norm(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-1, 1)),
+             min_size=width, max_size=width),
+    min_size=1, max_size=6)))
+def test_descending_order_is_the_stable_permutation(rows):
+    scores = np.array(rows)
+    want = np.argsort(-scores, axis=1, kind="stable")
+    assert np.array_equal(_descending_order(scores), want)
 
 
 @st.composite
