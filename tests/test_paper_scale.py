@@ -4,8 +4,9 @@ V = 200k words per side, d = 300. One test aligns with a 5k-pair training
 dictionary and runs a CSLS `bli_evaluate` over the full target vocabulary
 and `align_proc_b` with CSLS at search cap 20000. The other runs an
 idf-weighted `clir_run` of 200 queries over 50k documents of 100 tokens
-each. Each process's peak resident set must stay under 6 GiB, so that the
-paper's configuration runs on a 7 GB machine.
+each, with 5 relevant documents per query. Each process's peak resident
+set must stay under 6 GiB, so that the paper's configuration runs on a
+7 GB machine.
 
 Marked `slow` (several minutes, several GB): deselected by default, run
 with `pytest -m slow tests/test_paper_scale.py`.
@@ -65,8 +66,8 @@ CLIR_SCRIPT = textwrap.dedent("""
     from clembed.embeddings import WordVectorSpace
     from clembed.projection import ProjectionPair
 
-    vocab, dim, n_docs, doc_len, n_queries, query_len = (
-        200_000, 300, 50_000, 100, 200, 10)
+    vocab, dim, n_docs, doc_len, n_queries, query_len, n_relevant = (
+        200_000, 300, 50_000, 100, 200, 10, 5)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((vocab, dim))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -75,18 +76,26 @@ CLIR_SCRIPT = textwrap.dedent("""
     words = tuple(f"w{i}" for i in range(vocab))
     src, tgt = WordVectorSpace(words, x), WordVectorSpace(words, y)
     del x, y
-    # Zipfian word choice, so that idf varies; query k is query_len tokens
-    # of document k, its one relevant document
+    # Zipfian word choice, so that idf varies. Query k has n_relevant
+    # relevant documents: document n_relevant * k, whose tokens it draws
+    # query_len of, and the next n_relevant - 1, which hold the same tokens
+    # in other orders
     zipf = 1.0 / np.arange(1, vocab + 1)
     ids = rng.choice(vocab, size=(n_docs, doc_len), p=zipf / zipf.sum())
+    for first in range(0, n_relevant * n_queries, n_relevant):
+        for k in range(first + 1, first + n_relevant):
+            ids[k] = rng.permutation(ids[first])
     docs = {f"d{k:05d}": tuple(words[i] for i in row.tolist())
             for k, row in enumerate(ids)}
-    queries = {f"q{k:03d}": tuple(rng.choice(docs[f"d{k:05d}"],
-                                             size=query_len))
-               for k in range(n_queries)}
+    relevant = {f"q{k:03d}": [f"d{n_relevant * k + j:05d}"
+                              for j in range(n_relevant)]
+                for k in range(n_queries)}
+    queries = {qid: tuple(rng.choice(docs[dids[0]], size=query_len))
+               for qid, dids in relevant.items()}
     collection = DocumentCollection(
         docs=docs, queries=queries,
-        qrels=frozenset((f"q{k:03d}", f"d{k:05d}") for k in range(n_queries)))
+        qrels=frozenset((qid, did) for qid, dids in relevant.items()
+                        for did in dids))
     pair = ProjectionPair(w_src=q, w_tgt=np.eye(dim), orthogonal_src=True,
                           method="rotation")
     start = time.perf_counter()
@@ -94,6 +103,7 @@ CLIR_SCRIPT = textwrap.dedent("""
     run = clir_run(collection, pair, src, tgt, weighting)
     print(json.dumps({
         "clir_map": run.map_score, "scored_queries": run.scored_queries,
+        "relevant_ranks": len(run.relevant_ranks),
         "docs_ranked": len(run.rankings["q000"]),
         "clir_s": time.perf_counter() - start,
         "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
@@ -127,6 +137,7 @@ def test_paper_shape_csls_runs_within_the_memory_budget():
 def test_paper_shape_clir_runs_within_the_memory_budget():
     report = run_script(CLIR_SCRIPT)
     assert report["scored_queries"] == 200
+    assert report["relevant_ranks"] == 1000
     assert report["docs_ranked"] == 50_000
     assert report["clir_map"] > 0.5    # a random ranking averages ~2e-4
     assert report["maxrss_kib"] < RSS_BUDGET_KIB

@@ -6,7 +6,8 @@ rank read off the inverse permutation (BLI) or off a walk down the ranking
 (CLIR); `oracle_aggregate_text` is the per-token loop that averaged one
 text's word vectors. The library scores queries in row blocks, aggregates
 a whole collection side with one sparse product, ranks with an unstable
-sort that only tied rows redo stably, and counts ranks with `gold_ranks`.
+sort that only tied rows redo stably, and counts ranks with `gold_ranks`
+(BLI) or off the inverse of the ranking permutation (CLIR).
 Results must be equal, not close, including on inputs built to tie:
 small-integer vectors, duplicated target rows and documents, zero vectors,
 multi-gold and out-of-vocabulary queries. Every BLI comparison also runs
