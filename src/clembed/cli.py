@@ -1,10 +1,11 @@
 """Batch command-line surface.
 
 Subcommands: preprocess, dict-split, align, eval-bli, compare, eval-clir,
-table. Flags mirror the config keys; a flat INI-style config file can
-supply defaults (section.key), with explicit flags winning. Outputs are
-staged in a temporary directory and renamed into place once all are
-written, so failures never leave partial results behind.
+table. Every value reaches a subcommand through argparse: a `--config` INI
+file only sets parser defaults (see `_set_config_defaults`), and a flag not
+given is not passed on, so each tuning default lives once, in the library.
+Outputs are staged and renamed into place once all are written, so
+failures never leave partial results behind.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import configparser
 import json
 import os
 import sys
-import tempfile
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -27,7 +28,8 @@ from .evaluation import (bli_evaluate, bli_summary, bonferroni, paired_ttest,
                          read_bli_report, shuffling_test, write_bli_report)
 from .lexicon import (build_aligned_matrices, frequency_split, load_lexicon,
                       save_lexicon)
-from .projection import load_projection, save_matrix_text
+from .projection import (load_projection, save_projection, write_json,
+                         write_staged)
 from .supervised import (RcslsConfig, align_cca, align_dlv, align_proc,
                          align_proc_b, align_rcsls)
 from .unsupervised import (IcpConfig, SelfLearnConfig, align_gwa, align_icp,
@@ -41,40 +43,12 @@ class CliError(Exception):
     pass
 
 
-def _write_staged(outdir: str, writers: dict) -> None:
-    """Write files into `outdir`, all of them or none: each writer(path) fills
-    a file in a temporary directory there, and only once every writer has
-    returned are the files renamed into place, in the given order."""
-    os.makedirs(outdir, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=outdir, prefix=".tmp-") as staging:
-        for name, write in writers.items():
-            write(os.path.join(staging, name))
-        for name in writers:
-            os.replace(os.path.join(staging, name), os.path.join(outdir, name))
-
-
-def _write_json(record: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
 def _require_file(path: str, what: str) -> str:
     if path is None:
         raise CliError(f"missing required {what}")
     if not os.path.exists(path):
         raise CliError(f"{what} not found: {path}")
     return path
-
-
-def load_config(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise CliError(f"config not found: {path}")
-    flat = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[f"{section}.{key}"] = value
-    return flat
 
 
 def _load_space(path: str, max_vocab, tag: str):
@@ -84,10 +58,10 @@ def _load_space(path: str, max_vocab, tag: str):
 
 def cmd_preprocess(args) -> int:
     space = _load_space(args.input, args.max_vocab, "input")
-    steps = tuple(s for s in (args.steps or "").split(",") if s)
+    steps = tuple(s for s in args.steps.split(",") if s)
     out = normalize(space, PreprocessChain(steps=steps))
     outdir, name = os.path.split(os.path.abspath(args.output))
-    _write_staged(outdir, {name: partial(save_text_embeddings, out)})
+    write_staged(outdir, {name: partial(save_text_embeddings, out)})
     print(f"wrote {len(out)} x {out.dim} embeddings to {args.output}")
     return 0
 
@@ -99,53 +73,59 @@ def cmd_dict_split(args) -> int:
     writers = {f"train.{size}.txt": partial(save_lexicon, train)
                for size, train in zip(train_sizes, trains)}
     writers["test.txt"] = partial(save_lexicon, test)
-    _write_staged(args.outdir, writers)
+    write_staged(args.outdir, writers)
     print(f"wrote {len(trains)} train splits and a {len(test)}-pair test set "
           f"to {args.outdir}")
     return 0
 
 
+# The library parameter of each flag, per align method and for the other
+# library calls a command tunes; a flag that was not given is left out.
+LIBRARY_PARAMS = {
+    "proc": {}, "cca": {"keep_dims": "keep_dims"},
+    "proc-b": {"iters": "iters", "search_cap": "search_cap",
+               "metric": "metric", "csls_n": "csls_n"},
+    "dlv": {"iters": "em_iters", "search_cap": "match_cap"},
+    "rcsls": {"csls_n": "neighborhood", "learning_rate": "learning_rate",
+              "epochs": "epochs"},
+    "vecmap": {"search_cap": "vocab_cap", "metric": "metric",
+               "csls_n": "csls_n", "seed": "seed"},
+    "icp": {"pca_dim": "pca_dim", "search_cap": "top_n_words",
+            "restarts": "restarts", "seed": "seed"},
+    "gwa": {"search_cap": "cap", "gw_lambda": "lam", "iters": "outer_iters"},
+    "bli_evaluate": {"metric": "metric", "csls_n": "csls_n"},
+    "shuffling_test": {"iterations": "iterations", "seed": "seed"},
+}
+
+
+def _given(args, key: str) -> dict:
+    return {param: getattr(args, flag)
+            for flag, param in LIBRARY_PARAMS[key].items()
+            if getattr(args, flag) is not None}
+
+
 def _run_aligner(args, src_space, tgt_space):
-    method = args.method
-    if method in ("proc", "proc-b", "cca", "dlv", "rcsls"):
-        lex = load_lexicon(_require_file(args.dict, "training dictionary"))
-    if method in ("proc", "cca", "rcsls"):
-        aligned = build_aligned_matrices(lex, src_space, tgt_space)
-        if method == "proc":
-            return align_proc(aligned)
-        if method == "cca":
-            keep = "all" if args.keep_dims in (None, "all") else int(args.keep_dims)
-            return align_cca(aligned, keep_dims=keep)
-        cfg = RcslsConfig(neighborhood=args.csls_n or 10,
-                          learning_rate=args.learning_rate or 1.0,
-                          epochs=args.epochs or 10)
-        return align_rcsls(aligned, src_space.matrix, tgt_space.matrix, cfg)
-    if method == "proc-b":
-        iters = {} if args.iters is None else {"iters": args.iters}
-        return align_proc_b(src_space, tgt_space, lex,
-                            search_cap=args.search_cap or 20000,
-                            metric=args.metric or "cosine",
-                            csls_n=args.csls_n or 10, **iters)
-    if method == "dlv":
-        return align_dlv(src_space, tgt_space, lex,
-                         em_iters=args.iters or 3,
-                         match_cap=args.search_cap or 2500)
+    method, kwargs = args.method, _given(args, args.method)
     if method == "vecmap":
-        seed_lex = vecmap_seed(src_space, tgt_space, cap=args.search_cap or 4000)
-        cfg = SelfLearnConfig(vocab_cap=args.search_cap or 4000,
-                              metric=args.metric or "cosine",
-                              csls_n=args.csls_n or 10, seed=args.seed)
+        cfg = SelfLearnConfig(**kwargs)
+        seed_lex = vecmap_seed(src_space, tgt_space, cap=cfg.vocab_cap)
         return self_learn(src_space, tgt_space, seed_lex, cfg)
     if method == "icp":
-        cfg = IcpConfig(pca_dim=min(args.pca_dim or 50, src_space.dim),
-                        top_n_words=args.search_cap or 2500,
-                        restarts=args.restarts or 20, seed=args.seed)
-        return align_icp(src_space, tgt_space, cfg)
+        return align_icp(src_space, tgt_space, IcpConfig(**kwargs))
     if method == "gwa":
-        return align_gwa(src_space, tgt_space, cap=args.search_cap or 2000,
-                         lam=args.gw_lambda or 5e-2,
-                         outer_iters=args.iters or 30)
-    raise CliError(f"unknown method {method!r} (choose from {METHODS})")
+        return align_gwa(src_space, tgt_space, **kwargs)
+    lex = load_lexicon(_require_file(args.dict, "training dictionary"))
+    if method == "proc-b":
+        return align_proc_b(src_space, tgt_space, lex, **kwargs)
+    if method == "dlv":
+        return align_dlv(src_space, tgt_space, lex, **kwargs)
+    aligned = build_aligned_matrices(lex, src_space, tgt_space)
+    if method == "proc":
+        return align_proc(aligned)
+    if method == "cca":
+        return align_cca(aligned, **kwargs)
+    return align_rcsls(aligned, src_space.matrix, tgt_space.matrix,
+                       RcslsConfig(**kwargs))
 
 
 def cmd_align(args) -> int:
@@ -160,17 +140,8 @@ def cmd_align(args) -> int:
     start = time.monotonic()
     pair = _run_aligner(args, src_space, tgt_space)
     wall = time.monotonic() - start
-    metadata = {k: v for k, v in pair.metadata.items()
-                if k != "final_dictionary"}
-    metadata["seed"] = args.seed
-    record = {"method": pair.method, "orthogonal_src": pair.orthogonal_src,
-              "metadata": metadata,
-              "timing": {"wall_time_s": round(wall, 3)}}
-    # matrices first, metadata record last: a crash leaves no projection.json
-    _write_staged(args.outdir, {
-        "w_src.txt": partial(save_matrix_text, pair.w_src),
-        "w_tgt.txt": partial(save_matrix_text, pair.w_tgt),
-        "projection.json": partial(_write_json, record)})
+    pair = replace(pair, metadata={**pair.metadata, "seed": args.seed})
+    save_projection(pair, args.outdir, timing={"wall_time_s": round(wall, 3)})
     print(f"method={pair.method} dict_size={pair.metadata.get('dict_size')} "
           f"orthogonal={pair.orthogonal_src} wall_time={wall:.2f}s")
     return 0
@@ -182,14 +153,13 @@ def cmd_eval_bli(args) -> int:
     tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target")
     test_lex = load_lexicon(_require_file(args.test_dict, "test dictionary"))
     result = bli_evaluate(pair, src_space, tgt_space, test_lex,
-                          metric=args.metric or "cosine",
-                          csls_n=args.csls_n or 10)
+                          **_given(args, "bli_evaluate"))
     summary = bli_summary(result)
     summary["method"] = args.method_label or pair.method
     summary["pair"] = args.pair_label or f"{src_space.lang_tag}-{tgt_space.lang_tag}"
-    _write_staged(args.outdir, {
+    write_staged(args.outdir, {
         "report.tsv": partial(write_bli_report, result),
-        "summary.json": partial(_write_json, summary)})
+        "summary.json": partial(write_json, summary)})
     print(f"MAP={result.map_score:.4f} P@1={result.p_at_k[1]:.4f} "
           f"P@5={result.p_at_k[5]:.4f} P@10={result.p_at_k[10]:.4f} "
           f"success={result.successful} queries={result.query_count} "
@@ -204,11 +174,8 @@ def cmd_compare(args) -> int:
         raise CliError("per-query reports cover different query sets")
     a = [r.average_precision for r in recs_a]
     b = [r.average_precision for r in recs_b]
-    if args.test == "shuffle":
-        p = shuffling_test(a, b, iterations=args.iterations or 10000,
-                           seed=args.seed or 0)
-    else:
-        p = paired_ttest(a, b)
+    p = (shuffling_test(a, b, **_given(args, "shuffling_test"))
+         if args.test == "shuffle" else paired_ttest(a, b))
     threshold = bonferroni(args.alpha, args.m_comparisons)
     decision = "significant" if p < threshold else "not significant"
     print(f"test={args.test} p={p:.6g} corrected_alpha={threshold:.6g} "
@@ -235,9 +202,9 @@ def cmd_eval_clir(args) -> int:
     summary = {"map": run.map_score, "scored_queries": run.scored_queries,
                "skipped_queries": run.skipped_queries,
                "empty_queries": list(run.empty_queries)}
-    _write_staged(args.outdir, {
+    write_staged(args.outdir, {
         "run.trec": partial(clir_mod.write_trec_run, run),
-        "summary.json": partial(_write_json, summary)})
+        "summary.json": partial(write_json, summary)})
     print(f"MAP={run.map_score:.4f} queries={run.scored_queries} "
           f"skipped={run.skipped_queries}")
     return 0
@@ -269,26 +236,57 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _positive(cast):
-    """An argparse type for a flag that must be > 0, so that `args.x or
-    default` replaces only a flag that was not given."""
+def _positive(cast, *words):
+    """An argparse type for a flag that must be > 0 or one of `words`: any
+    other value, from the command line or from config, is a usage error."""
     def parse(text: str):
+        if text in words:
+            return text
         if not (value := cast(text)) > 0:
             raise ValueError(text)
         return value
-    parse.__name__ = f"positive {cast.__name__}"
+    parse.__name__ = " or ".join([f"positive {cast.__name__}",
+                                  *map(repr, words)])
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _set_config_defaults(parser, commands: dict, path: str) -> None:
+    """Make the INI file at `path` the defaults of `commands` (name ->
+    subparser): [<subcommand>] fills that subcommand's optional flags, keyed
+    by dest, and [DEFAULT] those of every subcommand that has the flag.
+    argparse parses a string default by the flag's type; given flags win."""
+    # [DEFAULT] is read as a plain section, apart from the ones it fills
+    config = configparser.ConfigParser(default_section="", interpolation=None)
+    if not config.read(path, encoding="utf-8"):
+        raise CliError(f"config not found: {path}")
+    sections = {name: dict(config[name]) for name in config.sections()}
+    flags = {name: {a.dest: a for a in p._actions if a.option_strings
+                    and not a.required and a.dest != "config"}
+             for name, p in commands.items()}
+    flags["DEFAULT"] = {k: a for f in flags.values() for k, a in f.items()}
+    for section, values in sections.items():
+        if section not in flags:
+            parser.error(f"config section [{section}] names no subcommand")
+        for key, value in values.items():
+            if (action := flags[section].get(key)) is None:
+                parser.error(f"config [{section}] {key}: no such optional flag")
+            if action.choices is not None and value not in action.choices:
+                parser.error(f"config [{section}] {key}: invalid choice {value!r}")
+    for name, p in commands.items():
+        p.set_defaults(**{k: v for k, v in sections.get("DEFAULT", {}).items()
+                          if k in flags[name]} | sections.get(name, {}))
+
+
+def build_parser(config: str | None = None) -> argparse.ArgumentParser:
+    """The clembed parser, with defaults from the INI file `config`."""
     parser = argparse.ArgumentParser(
         prog="clembed",
         description="Cross-lingual word embedding alignment and evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="INI config file with section.key defaults")
-        p.add_argument("--max-vocab", type=int)
+        p.add_argument("--config", help="INI file of flag defaults")
+        p.add_argument("--max-vocab", type=_positive(int))
 
     p = sub.add_parser("preprocess", help="normalize an embedding file")
     common(p)
@@ -303,36 +301,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--train-sizes", required=True,
                    help="comma list, e.g. 1000,3000,5000")
-    p.add_argument("--test-size", type=int, required=True)
+    p.add_argument("--test-size", type=_positive(int), required=True)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_dict_split)
 
     p = sub.add_parser("align", help="learn a projection pair")
     common(p)
     p.add_argument("--method", required=True)
-    p.add_argument("--src-emb")
-    p.add_argument("--tgt-emb")
-    p.add_argument("--dict")
+    for flag in ("--src-emb", "--tgt-emb", "--dict"):
+        p.add_argument(flag)
     p.add_argument("--outdir", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--iters", type=_positive(int))
-    p.add_argument("--search-cap", type=_positive(int))
     p.add_argument("--metric", choices=["cosine", "csls"])
-    p.add_argument("--csls-n", type=_positive(int))
-    p.add_argument("--keep-dims")
-    p.add_argument("--learning-rate", type=_positive(float))
-    p.add_argument("--epochs", type=_positive(int))
-    p.add_argument("--pca-dim", type=_positive(int))
-    p.add_argument("--restarts", type=_positive(int))
-    p.add_argument("--gw-lambda", type=_positive(float))
+    p.add_argument("--keep-dims", type=_positive(int, "all"))
+    for flag in ("--iters", "--search-cap", "--csls-n", "--epochs",
+                 "--pca-dim", "--restarts"):
+        p.add_argument(flag, type=_positive(int))
+    for flag in ("--learning-rate", "--gw-lambda"):
+        p.add_argument(flag, type=_positive(float))
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("eval-bli", help="score a projection on a test dictionary")
     common(p)
     p.add_argument("--proj", required=True)
-    p.add_argument("--src-emb")
-    p.add_argument("--tgt-emb")
-    p.add_argument("--test-dict")
+    for flag in ("--src-emb", "--tgt-emb", "--test-dict"):
+        p.add_argument(flag)
     p.add_argument("--metric", choices=["cosine", "csls"])
     p.add_argument("--csls-n", type=_positive(int))
     p.add_argument("--outdir", required=True)
@@ -345,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-a", required=True)
     p.add_argument("--run-b", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--m-comparisons", type=int, default=1)
+    p.add_argument("--m-comparisons", type=_positive(int), default=1)
     p.add_argument("--test", choices=["ttest", "shuffle"], default="ttest")
     p.add_argument("--iterations", type=_positive(int))
     p.add_argument("--seed", type=int)
@@ -354,11 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-clir", help="cross-lingual retrieval evaluation")
     common(p)
     p.add_argument("--proj", required=True)
-    p.add_argument("--query-emb")
-    p.add_argument("--doc-emb")
-    p.add_argument("--docs")
-    p.add_argument("--queries")
-    p.add_argument("--qrels")
+    for flag in ("--query-emb", "--doc-emb", "--docs", "--queries", "--qrels"):
+        p.add_argument(flag)
     p.add_argument("--weighting", choices=["idf", "uniform"], default="idf")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_eval_clir)
@@ -367,33 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("summaries", nargs="+")
     p.set_defaults(func=cmd_table)
 
+    if config:
+        _set_config_defaults(parser, sub.choices, config)
     return parser
-
-
-_CONFIG_KEYS = {
-    "src_emb": "align.src_emb", "tgt_emb": "align.tgt_emb",
-    "dict": "align.dict", "test_dict": "eval.test_dict",
-    "query_emb": "clir.query_emb", "doc_emb": "clir.doc_emb",
-    "docs": "clir.docs", "queries": "clir.queries", "qrels": "clir.qrels",
-}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill each path flag the command has but was not given from the
-    config file's section.key, if it has one."""
-    config = load_config(args.config) if getattr(args, "config", None) else {}
-    for attr, key in _CONFIG_KEYS.items():
-        if getattr(args, attr, "") is None and key in config:
-            setattr(args, attr, config[key])
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        if getattr(args, "config", None):
+            args = build_parser(args.config).parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError, RuntimeError,
-            FloatingPointError) as exc:
+    except (CliError, ValueError, OSError, RuntimeError, FloatingPointError,
+            configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -69,15 +71,36 @@ def load_matrix_text(path: str | os.PathLike) -> np.ndarray:
     return np.atleast_2d(np.loadtxt(path))
 
 
-def save_projection(pair: ProjectionPair, out_dir: str | os.PathLike) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    save_matrix_text(pair.w_src, os.path.join(out_dir, "w_src.txt"))
-    save_matrix_text(pair.w_tgt, os.path.join(out_dir, "w_tgt.txt"))
+def write_staged(outdir: str | os.PathLike, writers: dict) -> None:
+    """Write files into `outdir`, all of them or none: each writer(path) fills
+    a file in a temporary directory there, and only once every writer has
+    returned are the files renamed into place, in the given order."""
+    os.makedirs(outdir, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=outdir, prefix=".tmp-") as staging:
+        for name, write in writers.items():
+            write(os.path.join(staging, name))
+        for name in writers:
+            os.replace(os.path.join(staging, name), os.path.join(outdir, name))
+
+
+def write_json(record: dict, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def save_projection(pair: ProjectionPair, out_dir: str | os.PathLike,
+                    timing: dict | None = None) -> None:
+    """Write w_src.txt, w_tgt.txt, then projection.json (with `timing`, if
+    given, but no `final_dictionary`), all of them or none."""
     record = {"method": pair.method, "orthogonal_src": pair.orthogonal_src,
-              "metadata": pair.metadata}
-    with open(os.path.join(out_dir, "projection.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+              "metadata": {k: v for k, v in pair.metadata.items()
+                           if k != "final_dictionary"}}
+    if timing is not None:
+        record["timing"] = timing
+    write_staged(out_dir, {
+        "w_src.txt": partial(save_matrix_text, pair.w_src),
+        "w_tgt.txt": partial(save_matrix_text, pair.w_tgt),
+        "projection.json": partial(write_json, record)})
 
 
 def load_projection(out_dir: str | os.PathLike) -> ProjectionPair:

@@ -28,7 +28,7 @@ _CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
 
 @dataclass(frozen=True)
 class SelfLearnConfig:
-    vocab_cap: int = 5000
+    vocab_cap: int = 4000
     metric: str = "cosine"
     csls_n: int = 10
     max_rounds: int = 50

@@ -3,12 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from clembed import cli
-from clembed.cli import load_config, main
+from clembed import cli, projection
+from clembed.cli import main
 from clembed.embeddings import WordVectorSpace, load_text_embeddings, \
     save_text_embeddings
-from clembed.lexicon import make_lexicon, save_lexicon
-from clembed.projection import identity_pair, load_projection
+from clembed.lexicon import (build_aligned_matrices, load_lexicon,
+                             make_lexicon, save_lexicon)
+from clembed.projection import identity_pair, load_projection, \
+    save_matrix_text
+from clembed.supervised import (align_cca, align_dlv, align_proc,
+                                align_proc_b, align_rcsls)
+from clembed.unsupervised import (align_gwa, align_icp, self_learn,
+                                  vecmap_seed)
 from conftest import RotatedPair
 
 
@@ -111,6 +117,25 @@ def test_failed_write_leaves_no_file(workspace, tmp_path, monkeypatch):
                "--tgt-emb", workspace / "tgt.vec",
                "--dict", workspace / "train.txt", "--outdir", proj) == 0
 
+    written = []
+
+    def fail_on_the_second_matrix(matrix, path):
+        if written:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("half a matrix")
+            raise OSError("disk full")
+        written.append(path)
+        save_matrix_text(matrix, path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "save_matrix_text", fail_on_the_second_matrix)
+        failed = tmp_path / "failed"
+        assert run("align", "--method", "proc",
+                   "--src-emb", workspace / "src.vec",
+                   "--tgt-emb", workspace / "tgt.vec",
+                   "--dict", workspace / "train.txt", "--outdir", failed) == 1
+    assert written and list(failed.iterdir()) == []
+
     def write_half_a_report(result, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("half a report")
@@ -140,22 +165,34 @@ def test_preprocess_unsavable_word_leaves_no_file(workspace, tmp_path,
 
 
 ALIGN_FLAGS = ("--iters", "--search-cap", "--csls-n", "--learning-rate",
-               "--epochs", "--pca-dim", "--restarts", "--gw-lambda")
+               "--epochs", "--pca-dim", "--restarts", "--gw-lambda",
+               "--keep-dims", "--max-vocab")
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
 @pytest.mark.parametrize("command, flag", [
     *(("align", flag) for flag in ALIGN_FLAGS),
-    ("eval-bli", "--csls-n"), ("compare", "--iterations")])
+    ("eval-bli", "--csls-n"), ("compare", "--iterations"),
+    ("compare", "--m-comparisons"), ("dict-split", "--test-size")])
 def test_numeric_flags_must_be_positive(tmp_path, capsys, command, flag,
                                         value):
     required = {"align": ["--method", "proc", "--outdir", tmp_path],
                 "eval-bli": ["--proj", tmp_path, "--outdir", tmp_path],
-                "compare": ["--run-a", "a", "--run-b", "b"]}[command]
+                "compare": ["--run-a", "a", "--run-b", "b"],
+                "dict-split": ["--input", "d", "--train-sizes", "1",
+                               "--outdir", tmp_path]}[command]
     with pytest.raises(SystemExit) as exc:
         run(command, *required, f"{flag}={value}")
     assert exc.value.code == 2
     assert f"argument {flag}: invalid positive" in capsys.readouterr().err
+
+
+def test_keep_dims_takes_all_or_a_positive_int():
+    parser = cli.build_parser()
+    for text, value in (("all", "all"), ("3", 3)):
+        args = parser.parse_args(["align", "--method", "cca", "--outdir", "o",
+                                  "--keep-dims", text])
+        assert args.keep_dims == value
 
 
 def test_compare_identical_runs(workspace, tmp_path, capsys):
@@ -260,11 +297,119 @@ def test_config_file_supplies_paths(workspace, tmp_path):
     assert (proj / "w_src.txt").exists()
 
 
-def test_load_config_flattens_sections(tmp_path):
+def spaces(workspace):
+    return ["--src-emb", workspace / "src.vec", "--tgt-emb",
+            workspace / "tgt.vec", "--dict", workspace / "train.txt"]
+
+
+def test_config_values_reach_the_aligner(workspace, tmp_path):
     cfg = tmp_path / "c.ini"
-    cfg.write_text("[align]\nmethod = proc\n[eval]\ntest_dict = t.txt\n")
-    flat = load_config(str(cfg))
-    assert flat == {"align.method": "proc", "eval.test_dict": "t.txt"}
+    cfg.write_text("[align]\ncsls_n = 3\nepochs = 2\n")
+    proj = tmp_path / "proj"
+    assert run("align", "--method", "rcsls", *spaces(workspace),
+               "--config", cfg, "--outdir", proj) == 0
+    metadata = json.loads((proj / "projection.json").read_text())["metadata"]
+    assert (metadata["neighborhood"], metadata["epochs"]) == (3, 2)
+
+
+def test_explicit_flags_beat_config(workspace, tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[DEFAULT]\nepochs = 4\n[align]\ncsls_n = 3\nepochs = 2\n")
+    proj = tmp_path / "proj"
+    assert run("align", "--method", "rcsls", *spaces(workspace),
+               "--config", cfg, "--csls-n", "5", "--epochs", "1",
+               "--outdir", proj) == 0
+    metadata = json.loads((proj / "projection.json").read_text())["metadata"]
+    assert (metadata["neighborhood"], metadata["epochs"]) == (5, 1)
+
+
+def test_config_value_is_checked_like_a_flag(workspace, tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[align]\nsearch_cap = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        run("align", "--method", "proc-b", *spaces(workspace),
+            "--config", cfg, "--outdir", tmp_path / "proj")
+    assert exc.value.code == 2
+    assert "argument --search-cap: invalid positive int value: '0'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "proj").exists()
+
+
+def test_config_metric_reaches_bli_evaluate(workspace, tmp_path,
+                                            monkeypatch):
+    proj = tmp_path / "proj"
+    assert run("align", "--method", "proc", *spaces(workspace),
+               "--outdir", proj) == 0
+    seen = {}
+    real = cli.bli_evaluate
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bli_evaluate", spy)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[eval-bli]\nmetric = csls\n")
+    assert run("eval-bli", "--proj", proj, "--src-emb", workspace / "src.vec",
+               "--tgt-emb", workspace / "tgt.vec", "--config", cfg,
+               "--test-dict", workspace / "test.txt",
+               "--outdir", tmp_path / "bli") == 0
+    assert seen == {"metric": "csls"}
+
+
+def test_default_section_fills_every_subcommand(workspace, tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[DEFAULT]\nsrc_emb = {workspace / 'src.vec'}\n"
+                   f"tgt_emb = {workspace / 'tgt.vec'}\n"
+                   f"[align]\ndict = {workspace / 'train.txt'}\n"
+                   f"[eval-bli]\ntest_dict = {workspace / 'test.txt'}\n")
+    proj, rep = tmp_path / "proj", tmp_path / "bli"
+    assert run("align", "--method", "proc", "--config", cfg,
+               "--outdir", proj) == 0
+    assert run("eval-bli", "--proj", proj, "--config", cfg,
+               "--outdir", rep) == 0
+    assert json.loads((rep / "summary.json").read_text())["map"] >= 0.9
+
+
+@pytest.mark.parametrize("text", [
+    "[eval]\ntest_dict = t.txt\n", "[clir]\ndocs = d.tsv\n",
+    "[align]\nsearch-cap = 5\n", "[align]\ntest_dict = t.txt\n",
+    "[align]\noutdir = out\n", "[DEFAULT]\nbogus = 1\n",
+    "[align]\nmetric = CSLS\n",
+], ids=["eval-section", "clir-section", "flag-not-dest", "other-command-flag",
+        "required-flag", "default-bogus", "not-a-choice"])
+def test_config_unknown_key_or_section_is_a_usage_error(tmp_path, text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run("align", "--method", "proc", "--config", cfg,
+            "--outdir", tmp_path / "proj")
+    assert exc.value.code == 2
+    assert not (tmp_path / "proj").exists()
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_align_defaults_are_the_library_defaults(workspace, tmp_path, method):
+    src = load_text_embeddings(workspace / "src.vec")
+    tgt = load_text_embeddings(workspace / "tgt.vec")
+    lex = load_lexicon(workspace / "train.txt")
+    aligned = build_aligned_matrices(lex, src, tgt)
+    pair = {
+        "proc": lambda: align_proc(aligned),
+        "proc-b": lambda: align_proc_b(src, tgt, lex),
+        "cca": lambda: align_cca(aligned),
+        "dlv": lambda: align_dlv(src, tgt, lex),
+        "rcsls": lambda: align_rcsls(aligned, src.matrix, tgt.matrix),
+        "vecmap": lambda: self_learn(src, tgt, vecmap_seed(src, tgt)),
+        "icp": lambda: align_icp(src, tgt),
+        "gwa": lambda: align_gwa(src, tgt),
+    }[method]()
+    proj = tmp_path / "proj"
+    assert run("align", "--method", method, *spaces(workspace), "--seed", "0",
+               "--outdir", proj) == 0
+    for name, w in (("w_src.txt", pair.w_src), ("w_tgt.txt", pair.w_tgt)):
+        save_matrix_text(w, tmp_path / name)
+        assert (proj / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_missing_file_reports_error(tmp_path, capsys):
