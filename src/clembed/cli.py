@@ -36,6 +36,7 @@ from .unsupervised import (IcpConfig, SelfLearnConfig, align_gwa, align_icp,
                            self_learn, vecmap_seed)
 
 METHODS = ("proc", "proc-b", "cca", "dlv", "rcsls", "vecmap", "icp", "gwa")
+SUPERVISED_METHODS = ("proc", "proc-b", "cca", "dlv", "rcsls")
 STOCHASTIC_METHODS = ("vecmap", "icp")
 
 
@@ -51,9 +52,9 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _load_space(path: str, max_vocab, tag: str):
+def _load_space(path: str, max_vocab, tag: str, **kwargs):
     return load_text_embeddings(_require_file(path, f"{tag} embeddings"),
-                                max_vocab=max_vocab, lang_tag=tag)
+                                max_vocab=max_vocab, lang_tag=tag, **kwargs)
 
 
 def cmd_preprocess(args) -> int:
@@ -104,7 +105,7 @@ def _given(args, key: str) -> dict:
             if getattr(args, flag) is not None}
 
 
-def _run_aligner(args, src_space, tgt_space):
+def _run_aligner(args, src_space, tgt_space, lex):
     method, kwargs = args.method, _given(args, args.method)
     if method == "vecmap":
         cfg = SelfLearnConfig(**kwargs)
@@ -114,7 +115,6 @@ def _run_aligner(args, src_space, tgt_space):
         return align_icp(src_space, tgt_space, IcpConfig(**kwargs))
     if method == "gwa":
         return align_gwa(src_space, tgt_space, **kwargs)
-    lex = load_lexicon(_require_file(args.dict, "training dictionary"))
     if method == "proc-b":
         return align_proc_b(src_space, tgt_space, lex, **kwargs)
     if method == "dlv":
@@ -135,10 +135,20 @@ def cmd_align(args) -> int:
         raise CliError(f"--seed is mandatory for method {args.method}")
     if args.seed is None:
         args.seed = 0
-    src_space = _load_space(args.src_emb, args.max_vocab, "source")
-    tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target")
+    lex = (load_lexicon(_require_file(args.dict, "training dictionary"))
+           if args.method in SUPERVISED_METHODS else None)
+    # proc and cca read only the dictionary's rows, so each load may stop
+    # once it holds every dictionary word of its side
+    src_needed = tgt_needed = None
+    if args.method in ("proc", "cca"):
+        src_needed = {src for src, _ in lex.pairs}
+        tgt_needed = {tgt for _, tgt in lex.pairs}
+    src_space = _load_space(args.src_emb, args.max_vocab, "source",
+                            needed=src_needed)
+    tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target",
+                            needed=tgt_needed)
     start = time.monotonic()
-    pair = _run_aligner(args, src_space, tgt_space)
+    pair = _run_aligner(args, src_space, tgt_space, lex)
     wall = time.monotonic() - start
     pair = replace(pair, metadata={**pair.metadata, "seed": args.seed})
     save_projection(pair, args.outdir, timing={"wall_time_s": round(wall, 3)})
@@ -149,9 +159,15 @@ def cmd_align(args) -> int:
 
 def cmd_eval_bli(args) -> int:
     pair = load_projection(_require_file(args.proj, "projection directory"))
-    src_space = _load_space(args.src_emb, args.max_vocab, "source")
-    tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target")
     test_lex = load_lexicon(_require_file(args.test_dict, "test dictionary"))
+    # cosine (the default) scores only the test words' source rows; CSLS
+    # hubness needs the whole projected source vocabulary. Every target is
+    # ranked, so the target load is always whole.
+    src_needed = ({src for src, _ in test_lex.pairs}
+                  if args.metric != "csls" else None)
+    src_space = _load_space(args.src_emb, args.max_vocab, "source",
+                            needed=src_needed)
+    tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target")
     result = bli_evaluate(pair, src_space, tgt_space, test_lex,
                           **_given(args, "bli_evaluate"))
     summary = bli_summary(result)
@@ -362,8 +378,26 @@ def build_parser(config: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unread_flags(parser, args) -> None:
+    """Exit 2 if `align` was given, on the command line, a tuning flag (one
+    that some method reads; `--seed` is recorded by all) that its method
+    does not read. `args` must come from a parse without a config, because
+    a config shared by a grid of methods may set any tuning flag."""
+    if args.command != "align" or args.method not in METHODS:
+        return
+    tuning = {flag for method in METHODS for flag in LIBRARY_PARAMS[method]}
+    unread = sorted(flag for flag in tuning - {"seed"}
+                    - LIBRARY_PARAMS[args.method].keys()
+                    if getattr(args, flag) is not None)
+    if unread:
+        flags = ", ".join("--" + flag.replace("_", "-") for flag in unread)
+        parser.error(f"method {args.method} does not read {flags}")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _refuse_unread_flags(parser, args)
     try:
         if getattr(args, "config", None):
             args = build_parser(args.config).parse_args(argv)

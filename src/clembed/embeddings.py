@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,16 +95,25 @@ class PreprocessChain:
 
 
 def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
-                         lang_tag: str = "") -> WordVectorSpace:
+                         lang_tag: str = "",
+                         needed: Iterable[str] | None = None) -> WordVectorSpace:
     """Read a word2vec-style text file, keeping the first `max_vocab` entries.
 
     File order is frequency order for standard trainers, so the prefix is
     the most frequent vocabulary. Duplicate tokens after the first
     occurrence are dropped with a warning.
 
+    With `needed`, a set of words the caller will look up, the read also
+    stops after the line that completes that set (an empty set: after the
+    first word), or at `max_vocab` if that comes first. The result is then
+    the full load's prefix up to that line, equal to the load with
+    `max_vocab` set to its word count. If a needed word is not in the file,
+    the whole file is read. As with `max_vocab`, lines after the stop are
+    neither parsed nor checked, and a duplicate after it is not counted.
+
     Lines are read in chunks of `_CHUNK_LINES`. Python checks each line's
-    structure (value count, duplicates, the `max_vocab` cut, after which no
-    line is parsed or checked); the values of a whole chunk then go through
+    structure (value count, duplicates, the stop, after which no line is
+    parsed or checked); the values of a whole chunk then go through
     one call of numpy's text parser, so they follow numpy's float syntax:
     `1_0` and non-ASCII digits, which Python's `float` accepts, are
     unparseable, while numbers padded with the control characters
@@ -115,6 +125,7 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     words: list[str] = []
     blocks: list[np.ndarray] = []
     seen: set[str] = set()
+    missing = None if needed is None else set(needed)
     duplicates = 0
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -171,6 +182,9 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
                 words.append(token)
                 kept.append(len(values) - 1)
                 full = max_vocab is not None and len(words) >= max_vocab
+                if missing is not None:
+                    missing.discard(token)
+                    full = full or not missing
                 if full:
                     break
             if values:

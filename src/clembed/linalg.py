@@ -130,17 +130,19 @@ def sinkhorn_scale(kernel: np.ndarray, p: np.ndarray, q: np.ndarray,
     q = np.asarray(q, dtype=float)
     b = np.ones_like(q)
     a = p / (kernel @ b)
+    kt_a = kernel.T @ a
     violation = np.inf
     for _ in range(max_iter):
-        b = q / (kernel.T @ a)
+        b = q / kt_a
         a = p / (kernel @ b)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise FloatingPointError(
                 "sinkhorn_scale: overflow/underflow; increase the entropic "
                 "regularization (lambda)")
         # a-update pins the row marginals, so only columns can violate.
-        col = (a @ kernel) * b
-        violation = float(np.max(np.abs(col - q)))
+        # K^T a serves both this check and the next step's b-update.
+        kt_a = kernel.T @ a
+        violation = float(np.max(np.abs(kt_a * b - q)))
         if violation < tol:
             break
     return a, b, violation

@@ -149,6 +149,73 @@ def test_failed_write_leaves_no_file(workspace, tmp_path, monkeypatch):
     assert list(rep.iterdir()) == []
 
 
+def outputs(outdir):
+    """Each output file's bytes; projection.json without its wall time."""
+    files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    if "projection.json" in files:
+        record = json.loads(files["projection.json"])
+        del record["timing"]["wall_time_s"]
+        files["projection.json"] = record
+    return files
+
+
+@pytest.fixture(scope="module")
+def broken_src(workspace):
+    """src.vec with a malformed last line (line 202), after every word of
+    the training and test dictionaries; also writes the proc projection
+    `proj` from the clean files."""
+    path = workspace / "src-broken.vec"
+    path.write_text((workspace / "src.vec").read_text() + "w9999 1 2\n")
+    assert run("align", "--method", "proc", *spaces(workspace),
+               "--outdir", workspace / "proj") == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["align", "--method", "proc", "--dict", "train.txt"],
+    ["align", "--method", "cca", "--dict", "train.txt"],
+    ["eval-bli", "--proj", "proj", "--test-dict", "test.txt"],
+    ["eval-bli", "--proj", "proj", "--test-dict", "test.txt",
+     "--metric", "cosine"],
+], ids=["proc", "cca", "eval-bli", "eval-bli-cosine"])
+def test_load_stops_once_it_holds_every_word_used(workspace, broken_src,
+                                                  tmp_path, argv):
+    """proc, cca and cosine BLI read only dictionary rows, so their source
+    load stops before the malformed line, with the clean file's outputs."""
+    argv = [workspace / a if a in ("train.txt", "test.txt", "proj") else a
+            for a in argv]
+    tgt = ["--tgt-emb", workspace / "tgt.vec"]
+    assert run(*argv, "--src-emb", workspace / "src.vec", *tgt,
+               "--outdir", tmp_path / "clean") == 0
+    assert run(*argv, "--src-emb", broken_src, *tgt,
+               "--outdir", tmp_path / "broken") == 0
+    assert outputs(tmp_path / "broken") == outputs(tmp_path / "clean")
+
+
+@pytest.mark.parametrize("argv", [
+    ["align", "--method", "rcsls", "--dict", "train.txt", "--tgt-emb",
+     "tgt.vec", "--epochs", "1"],
+    ["eval-bli", "--proj", "proj", "--test-dict", "test.txt", "--tgt-emb",
+     "tgt.vec", "--metric", "csls"],
+], ids=["rcsls", "eval-bli-csls"])
+def test_loads_that_use_every_row_report_a_malformed_last_line(
+        workspace, broken_src, tmp_path, capsys, argv):
+    argv = [workspace / a if a in ("train.txt", "test.txt", "proj", "tgt.vec")
+            else a for a in argv]
+    capsys.readouterr()
+    assert run(*argv, "--src-emb", broken_src,
+               "--outdir", tmp_path / "out") == 1
+    assert "line 202: expected 10 values, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_checks_the_whole_file(broken_src, tmp_path, capsys):
+    assert run("preprocess", "--input", broken_src,
+               "--output", tmp_path / "norm.vec") == 1
+    assert "line 202: expected 10 values, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "norm.vec").exists()
+
+
 def test_preprocess_unsavable_word_leaves_no_file(workspace, tmp_path,
                                                   monkeypatch, capsys):
     # the loader splits words at spaces and line breaks, so such a word can
@@ -418,3 +485,35 @@ def test_missing_file_reports_error(tmp_path, capsys):
                "--outdir", tmp_path / "p")
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, flags, named", [
+    ("proc", ["--epochs", "5", "--gw-lambda", "3"], "--epochs, --gw-lambda"),
+    ("proc", ["--metric", "csls"], "--metric"),
+    ("cca", ["--iters", "2", "--keep-dims", "3"], "--iters"),
+    ("rcsls", ["--search-cap", "50"], "--search-cap"),
+    ("gwa", ["--csls-n", "5", "--seed", "1"], "--csls-n"),
+])
+def test_align_refuses_a_tuning_flag_its_method_does_not_read(
+        workspace, tmp_path, capsys, method, flags, named):
+    with pytest.raises(SystemExit) as exc:
+        run("align", "--method", method, *spaces(workspace), *flags,
+            "--outdir", tmp_path / "proj")
+    assert exc.value.code == 2
+    assert f"method {method} does not read {named}\n" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "proj").exists()
+
+
+def test_config_tuning_values_a_method_does_not_read_stay_silent(
+        workspace, tmp_path):
+    """A [align] section shared by a grid of methods may set any of them."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[align]\nepochs = 5\ngw_lambda = 3\nmetric = csls\n")
+    assert run("align", "--method", "proc", *spaces(workspace), "--seed", "4",
+               "--config", cfg, "--outdir", tmp_path / "config") == 0
+    assert run("align", "--method", "proc", *spaces(workspace),
+               "--outdir", tmp_path / "plain") == 0
+    for name in ("w_src.txt", "w_tgt.txt"):
+        assert (tmp_path / "config" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()

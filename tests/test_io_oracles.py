@@ -178,6 +178,45 @@ def test_loader_matches_oracle(tmp_path_factory, text, chunk, max_vocab):
                                  lang_tag="xx")
 
 
+def distinct_tokens(path):
+    """The first field of each non-empty line after a header, in file order,
+    each once: the words a full load keeps, for any file it accepts."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    first = lines[0].split(" ") if lines else []
+    if len(first) == 2 and all(part.lstrip("-").isdigit() for part in first):
+        lines = lines[1:]
+    return list(dict.fromkeys(line.partition(" ")[0] for line in lines if line))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=embedding_files(), chunk=st.sampled_from((2, 3, 4096)),
+       max_vocab=st.one_of(st.none(), st.integers(1, 6)), data=st.data())
+def test_needed_words_stop_the_load_like_max_vocab(tmp_path_factory, text,
+                                                   chunk, max_vocab, data):
+    """A load with a needed set is the load cut at k words, k counting the
+    distinct words up to the line that completes the set (1 for an empty
+    set), or at `max_vocab` if that is smaller; with a word absent from the
+    file, it is the load without a needed set."""
+    path = tmp_path_factory.mktemp("needed") / "vec.txt"
+    write_raw(path, text)
+    tokens = distinct_tokens(path)
+    needed = data.draw(st.sets(st.sampled_from(tokens)) if tokens
+                       else st.just(set()))
+    if data.draw(st.booleans()):
+        needed |= data.draw(st.sets(st.sampled_from(("absent", "w_2")),
+                                    min_size=1))
+    cut = max_vocab
+    if needed <= set(tokens):
+        k = max([tokens.index(word) + 1 for word in needed], default=1)
+        cut = k if max_vocab is None else min(k, max_vocab)
+    with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+        assert load_outcome(load_text_embeddings, path, needed=needed,
+                            max_vocab=max_vocab, lang_tag="xx") == \
+            load_outcome(load_text_embeddings, path, max_vocab=cut,
+                         lang_tag="xx")
+
+
 def numbered_file(n_rows, dim, bad_row, bad_text):
     """Headered file of `n_rows` distinct words; row `bad_row` is `bad_text`."""
     lines = [f"{n_rows} {dim}"]
@@ -208,6 +247,12 @@ def test_errors_name_the_line_across_chunks(tmp_path, chunk, bad_text, message,
         # a cut just before the bad line: it is neither parsed nor checked
         loaded = assert_loads_like_oracle(path, text, max_vocab=bad_row)
         assert loaded[0] == "loaded" and len(loaded[1]) == bad_row
+        # so neither is it after the stop for a set of needed words, unless
+        # one of them is absent and the whole file is read
+        needed = {"w0", f"w{bad_row - 1}"}
+        assert load_outcome(load_text_embeddings, path, needed=needed) == loaded
+        assert load_outcome(load_text_embeddings, path,
+                            needed=needed | {"absent"}) == want
 
 
 def test_unparseable_line_before_a_count_error_is_reported_first(tmp_path):

@@ -113,6 +113,53 @@ def test_sinkhorn_balances_marginals():
     assert violation < 1e-7
 
 
+def oracle_sinkhorn_scale(kernel, p, q, max_iter=1000, tol=1e-9):
+    """The earlier loop, three matrix-vector products per step: its column
+    check multiplied by `a` on the left, apart from the next step's K^T a.
+    Also returns the number of steps taken."""
+    b = np.ones_like(q)
+    a = p / (kernel @ b)
+    violation = np.inf
+    steps = 0
+    for steps in range(1, max_iter + 1):
+        b = q / (kernel.T @ a)
+        a = p / (kernel @ b)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise FloatingPointError("sinkhorn_scale: overflow/underflow")
+        col = (a @ kernel) * b
+        violation = float(np.max(np.abs(col - q)))
+        if violation < tol:
+            break
+    return a, b, violation, steps
+
+
+@pytest.mark.parametrize("shape, spread, max_iter, tol, stops_early", [
+    ((6, 8), 1.0, 1000, 1e-9, True),
+    ((300, 200), 3.0, 1000, 1e-9, True),
+    ((300, 200), 3.0, 7, 1e-9, False),
+    ((1000, 1000), 2.0, 1000, 1e-6, True),
+    ((150, 90), 8.0, 40, 0.0, False),
+])
+def test_sinkhorn_matches_the_three_product_loop(shape, spread, max_iter,
+                                                 tol, stops_early):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    kernel = np.exp(spread * rng.standard_normal(shape))
+    p = rng.random(shape[0]) + 0.1
+    q = rng.random(shape[1]) + 0.1
+    p, q = p / p.sum(), q / q.sum()
+    a, b, violation, steps = oracle_sinkhorn_scale(kernel, p, q, max_iter,
+                                                   tol)
+    got = sinkhorn_scale(kernel, p, q, max_iter=max_iter, tol=tol)
+    assert got[0].tobytes() == a.tobytes()
+    assert got[1].tobytes() == b.tobytes()
+    assert got[2] == violation
+    assert (violation < tol) is stops_early
+    assert (steps < max_iter) is stops_early
+    # the same stopping step: one step fewer leaves a different result
+    fewer = sinkhorn_scale(kernel, p, q, max_iter=steps - 1, tol=tol)
+    assert fewer[0].tobytes() != a.tobytes()
+
+
 def test_sinkhorn_rejects_degenerate_kernel():
     k = np.zeros((3, 3))
     p = q = np.full(3, 1 / 3)
