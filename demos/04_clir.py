@@ -38,5 +38,5 @@ print(f"MAP = {run.map_score:.4f} over {run.scored_queries} queries")
 # A run is trivially indistinguishable from itself.
 print("p-value vs. itself:", clir_significance(run, run))
 
-write_trec_run(run, "demo_run.trec", tag="demo")
+write_trec_run(run, "demo_run.trec")
 print("wrote demo_run.trec (TREC run format)")

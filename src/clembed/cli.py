@@ -129,8 +129,6 @@ def _run_aligner(args, src_space, tgt_space, lex):
 
 
 def cmd_align(args) -> int:
-    if args.method not in METHODS:
-        raise CliError(f"unknown method {args.method!r} (choose from {METHODS})")
     if args.method in STOCHASTIC_METHODS and args.seed is None:
         raise CliError(f"--seed is mandatory for method {args.method}")
     if args.seed is None:
@@ -323,7 +321,7 @@ def build_parser(config: str | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("align", help="learn a projection pair")
     common(p)
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", required=True, choices=METHODS)
     for flag in ("--src-emb", "--tgt-emb", "--dict"):
         p.add_argument(flag)
     p.add_argument("--outdir", required=True)
@@ -378,29 +376,35 @@ def build_parser(config: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_unread_flags(parser, args) -> None:
-    """Exit 2 if `align` was given, on the command line, a tuning flag (one
-    that some method reads; `--seed` is recorded by all) that its method
-    does not read. `args` must come from a parse without a config, because
-    a config shared by a grid of methods may set any tuning flag."""
-    if args.command != "align" or args.method not in METHODS:
-        return
-    tuning = {flag for method in METHODS for flag in LIBRARY_PARAMS[method]}
-    unread = sorted(flag for flag in tuning - {"seed"}
-                    - LIBRARY_PARAMS[args.method].keys()
-                    if getattr(args, flag) is not None)
-    if unread:
-        flags = ", ".join("--" + flag.replace("_", "-") for flag in unread)
-        parser.error(f"method {args.method} does not read {flags}")
+def _refuse_unread_flags(parser, given, args) -> None:
+    """Exit 2 if a flag given on the command line is one its command does not
+    read: for `align`, `--dict` or a tuning flag (one that some method
+    reads; `--seed` is recorded by all) that its method does not read, and
+    for `eval-bli`, `--csls-n` unless the metric is csls. `given` is the
+    parse without a config, because a config shared by a grid of methods may
+    set any of these flags; `args` is the final parse, whose metric may come
+    from the config."""
+    if given.command == "align":
+        read = LIBRARY_PARAMS[given.method].keys() | {"seed"}
+        if given.method in SUPERVISED_METHODS:
+            read |= {"dict"}
+        flags = {"dict"}.union(*(LIBRARY_PARAMS[m] for m in METHODS)) - read
+        unread = sorted(f for f in flags if getattr(given, f) is not None)
+        if unread:
+            names = ", ".join("--" + f.replace("_", "-") for f in unread)
+            parser.error(f"method {given.method} does not read {names}")
+    elif (given.command == "eval-bli" and given.csls_n is not None
+          and args.metric != "csls"):
+        parser.error("eval-bli reads --csls-n only under --metric csls")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _refuse_unread_flags(parser, args)
+    args = given = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args = build_parser(args.config).parse_args(argv)
+        if getattr(given, "config", None):
+            args = build_parser(given.config).parse_args(argv)
+        _refuse_unread_flags(parser, given, args)
         return args.func(args)
     except (CliError, ValueError, OSError, RuntimeError, FloatingPointError,
             configparser.Error) as exc:

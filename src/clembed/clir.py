@@ -5,9 +5,10 @@ Queries and documents are represented as weighted averages of word vectors
 and evaluated with MAP over binary relevance judgments. A whole collection
 side is aggregated at once: the term weights form one sparse text x
 vocabulary matrix, and its product with the embedding matrix adds each
-text's token vectors in token order, as a per-token loop would. File
+text's token vectors in token order, as a per-token loop would. Two runs
+are compared by a paired t-test on their relevant-document ranks. File
 formats: line-oriented "id<TAB>text" for documents and queries, TREC
-4-column qrels, and TREC run output.
+4-column qrels, and TREC run output (written, never read back).
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse
 
 from .embeddings import WordVectorSpace
-from .evaluation import average_precision_from_ranks
+from .evaluation import average_precision_from_ranks, paired_ttest
 from .projection import ProjectionPair
 from .similarity import unit_rows
+
+_TREC_DEPTH = 1000  # documents written per query to a TREC run
+_TREC_TAG = "clembed"  # the run tag column of a TREC run
 
 
 @dataclass(frozen=True)
@@ -173,13 +177,6 @@ def aggregate_texts(texts, space: WordVectorSpace,
     return sums / np.where(totals > 0, totals, 1.0)[:, None]
 
 
-def aggregate_text(tokens, space: WordVectorSpace,
-                   weighting: TermWeighting = TermWeighting(scheme="uniform")
-                   ) -> np.ndarray:
-    """`aggregate_texts` of the one text `tokens`, as a vector."""
-    return aggregate_texts([tuple(tokens)], space, weighting)[0]
-
-
 def _descending_order(scores: np.ndarray) -> np.ndarray:
     """Per-row argsort of `scores`, highest first, equal scores in ascending
     column order: the stable sort's permutation. Rows are sorted unstably,
@@ -262,57 +259,34 @@ def clir_run(collection: DocumentCollection, pair: ProjectionPair,
 
 
 def clir_significance(run_a: ClirRun, run_b: ClirRun) -> float:
-    """Two-tailed paired t-test on the relevant-document ranks of two runs,
+    """`evaluation.paired_ttest` on the relevant-document ranks of two runs,
     paired by (query, doc).
 
-    Both runs must cover the same (query, doc) relevance pairs. Identical
-    ranks return p = 1; a constant nonzero shift, whose t statistic is
-    unbounded, returns 0.
+    Both runs must cover the same (query, doc) relevance pairs, at least
+    two of them. Identical ranks return p = 1; a constant nonzero shift,
+    whose t statistic is unbounded, returns 0.
     """
-    key = lambda triple: (triple[0], triple[1])
-    ranks_a = {key(t): t[2] for t in run_a.relevant_ranks}
-    ranks_b = {key(t): t[2] for t in run_b.relevant_ranks}
+    ranks_a = {(qid, did): rank for qid, did, rank in run_a.relevant_ranks}
+    ranks_b = {(qid, did): rank for qid, did, rank in run_b.relevant_ranks}
     if ranks_a.keys() != ranks_b.keys():
         raise ValueError("clir_significance: runs cover different qrel sets")
     keys = sorted(ranks_a)
-    a = np.array([ranks_a[k] for k in keys], dtype=float)
-    b = np.array([ranks_b[k] for k in keys], dtype=float)
-    diffs = a - b
-    if not diffs.any():
-        return 1.0
-    if np.all(diffs == diffs[0]):
-        return 0.0
-    return float(stats.ttest_rel(a, b).pvalue)
+    return paired_ttest([ranks_a[k] for k in keys], [ranks_b[k] for k in keys])
 
 
-def write_trec_run(run: ClirRun, path, tag: str = "clembed",
-                   depth: int = 1000) -> None:
-    """TREC run format: qid Q0 docid rank score tag (score = 1/rank).
+def write_trec_run(run: ClirRun, path) -> None:
+    """TREC run format: qid Q0 docid rank score tag (score = 1/rank, tag
+    `_TREC_TAG`).
 
-    Only the top `depth` documents per query are written, while
+    Only the top `_TREC_DEPTH` documents per query are written, while
     `run.map_score` covers the full ranking."""
     # the columns after the docid depend on the rank alone; zip with the
-    # tails cuts each ranking at `depth`
-    n = min(depth, max(map(len, run.rankings.values()), default=0))
-    tails = [f" {rank} {1.0 / rank:.6f} {tag}\n" for rank in range(1, n + 1)]
+    # tails cuts each ranking at the depth
+    n = min(_TREC_DEPTH, max(map(len, run.rankings.values()), default=0))
+    tails = [f" {rank} {1.0 / rank:.6f} {_TREC_TAG}\n"
+             for rank in range(1, n + 1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(run.rankings):
             head = f"{qid} Q0 "
             fh.write("".join([f"{head}{did}{tail}" for did, tail
                               in zip(run.rankings[qid], tails)]))
-
-
-def read_trec_run(path) -> dict[str, list[tuple[str, int, float]]]:
-    """Parse a TREC run file into qid -> [(docid, rank, score)]."""
-    out: dict[str, list[tuple[str, int, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 6 or fields[1] != "Q0":
-                raise ValueError(f"{path}: line {lineno}: not TREC run format")
-            qid, _, did, rank, score, _tag = fields
-            out.setdefault(qid, []).append((did, int(rank), float(score)))
-    return out

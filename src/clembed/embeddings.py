@@ -23,6 +23,7 @@ VALID_STEPS = ("unit-length", "mean-center", "zca-whiten")
 MAX_STEPS = 3
 # Lines per chunk of a text load or save: one numpy parse, or one write, each.
 _CHUNK_LINES = 4096
+_DIGITS = 6  # significant digits of each value a save writes
 
 
 class EmbeddingParseError(ValueError):
@@ -221,15 +222,14 @@ def _parse_rows(values: list[str]) -> np.ndarray:
                       quotechar=None, ndmin=2)
 
 
-def save_text_embeddings(space: WordVectorSpace, path: str | os.PathLike,
-                         precision: int = 6) -> None:
-    """Write the space back out with a header line and fixed precision.
+def save_text_embeddings(space: WordVectorSpace,
+                         path: str | os.PathLike) -> None:
+    """Write the space back out with a header line and 6 significant digits.
 
-    Each value is written as `%.<precision>g`, byte for byte what
-    `f"{v:.{precision}g}"` gives, from one row format applied to
-    `_CHUNK_LINES` rows per write. Round-trips through
-    `load_text_embeddings` to within the documented number of significant
-    digits (default 6). A word holding a space or a line break, which the
+    Each value is written as `%.6g` (`_DIGITS` = 6), byte for byte what
+    `f"{v:.6g}"` gives, from one row format applied to `_CHUNK_LINES` rows
+    per write. Round-trips through `load_text_embeddings` to within 6
+    significant digits. A word holding a space or a line break, which the
     format cannot hold, is a ValueError before the file is opened.
     """
     if len(space) == 0:
@@ -238,7 +238,7 @@ def save_text_embeddings(space: WordVectorSpace, path: str | os.PathLike,
         if " " in word or "\n" in word or "\r" in word:
             raise ValueError(f"word {word!r} holds a space or a line break; "
                              "the text format cannot hold it")
-    row_format = "%s " + " ".join([f"%.{precision}g"] * space.dim) + "\n"
+    row_format = "%s " + " ".join([f"%.{_DIGITS}g"] * space.dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for start in range(0, len(space), _CHUNK_LINES):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import WordVectorSpace
-from .similarity import mutual_argmax_pairs, similarity_sweep
 
 
 class LexiconParseError(ValueError):
@@ -57,7 +56,6 @@ class AlignedMatrices:
     x_tgt: np.ndarray
     kept_pairs: TranslationLexicon
     coverage: float
-    skipped: int
 
     def __post_init__(self):
         if self.x_src.shape != self.x_tgt.shape:
@@ -124,23 +122,4 @@ def build_aligned_matrices(lex: TranslationLexicon, src_space: WordVectorSpace,
                          "alignment impossible")
     coverage = len(kept) / len(lex.pairs) if lex.pairs else 0.0
     return AlignedMatrices(x_src=np.vstack(src_rows), x_tgt=np.vstack(tgt_rows),
-                           kept_pairs=make_lexicon(kept), coverage=coverage,
-                           skipped=len(lex.pairs) - len(kept))
-
-
-def mutual_nearest_neighbors(src_proj: np.ndarray, tgt_proj: np.ndarray,
-                             src_words, tgt_words, metric: str = "cosine",
-                             search_cap: int = 20000,
-                             csls_n: int = 10) -> TranslationLexicon:
-    """Word pairs that are each other's most-similar match.
-
-    The sweep is restricted to the first `search_cap` rows of each side
-    (most frequent words, given frequency order). Ties break to the lowest
-    index.
-    """
-    if src_proj.shape[0] == 0 or tgt_proj.shape[0] == 0:
-        raise ValueError("mutual_nearest_neighbors: empty input matrix")
-    tgt_proj = tgt_proj[:search_cap]
-    sweep = similarity_sweep(src_proj[:search_cap], tgt_proj, metric, csls_n)
-    return make_lexicon((src_words[i], tgt_words[j])
-                        for i, j in mutual_argmax_pairs(sweep, len(tgt_proj)))
+                           kept_pairs=make_lexicon(kept), coverage=coverage)

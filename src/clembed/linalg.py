@@ -1,27 +1,23 @@
 """Dense linear-algebra and iterative-scaling primitives.
 
 Thin deterministic wrappers over numpy/scipy: sign-fixed SVD, the orthogonal
-Procrustes solve, regularized CCA, PCA projection, and Sinkhorn marginal
-scaling. Everything is pure and safe for concurrent use.
+Procrustes solve, ridge-regularized CCA and ZCA whitening, PCA projection,
+and Sinkhorn marginal scaling. Results are plain arrays, numbers or tuples
+of them, and everything is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SvdResult:
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
+_ZCA_EPS = 1e-12  # ridge added to the covariance eigenvalues before whitening
+_CCA_EPS = 1e-8  # ridge of each side's within-space covariance in CCA
 
 
-def svd(a: np.ndarray) -> SvdResult:
-    """Thin SVD with a deterministic sign convention.
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) with a deterministic sign convention.
 
     The largest-magnitude entry of each column of U is made positive (the
     corresponding row of Vt is flipped with it), so repeated runs and
@@ -36,7 +32,7 @@ def svd(a: np.ndarray) -> SvdResult:
         if u[i, k] < 0:
             u[:, k] = -u[:, k]
             vt[k, :] = -vt[k, :]
-    return SvdResult(u=u, s=s, vt=vt)
+    return u, s, vt
 
 
 def solve_procrustes(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
@@ -51,11 +47,11 @@ def solve_procrustes(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
     if x_src.shape != x_tgt.shape:
         raise ValueError("solve_procrustes: shapes differ "
                          f"({x_src.shape} vs {x_tgt.shape})")
-    res = svd(x_src.T @ x_tgt)
-    if res.s.size and res.s[-1] <= 1e-12 * max(res.s[0], 1.0):
+    u, s, vt = svd(x_src.T @ x_tgt)
+    if s.size and s[-1] <= 1e-12 * max(s[0], 1.0):
         warnings.warn("solve_procrustes: rank-deficient cross-covariance; "
                       "solution is not unique", stacklevel=2)
-    return res.u @ res.vt
+    return u @ vt
 
 
 def _inv_sqrt_psd(c: np.ndarray, eps: float) -> np.ndarray:
@@ -65,22 +61,22 @@ def _inv_sqrt_psd(c: np.ndarray, eps: float) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def zca_whitening_matrix(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def zca_whitening_matrix(x: np.ndarray) -> np.ndarray:
     """d x d matrix M with cov(x @ M) = I for mean-centered x."""
     x = np.asarray(x, dtype=float)
     c = (x.T @ x) / max(x.shape[0] - 1, 1)
-    return _inv_sqrt_psd(c, eps)
+    return _inv_sqrt_psd(c, _ZCA_EPS)
 
 
 def solve_cca(x_src: np.ndarray, x_tgt: np.ndarray,
-              keep_dims: int | str = "all",
-              eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              keep_dims: int | str = "all"
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical correlation analysis via per-side whitening plus SVD.
 
     Returns (A, B, correlations): projections a -> x_src @ A and
     x_tgt @ B land in a shared space where successive coordinate pairs are
     maximally correlated. Singular within-space covariances are handled by
-    the eps ridge rather than failing.
+    the `_CCA_EPS` ridge rather than failing.
     """
     x_src = np.asarray(x_src, dtype=float)
     x_tgt = np.asarray(x_tgt, dtype=float)
@@ -90,16 +86,15 @@ def solve_cca(x_src: np.ndarray, x_tgt: np.ndarray,
     xs = x_src - x_src.mean(axis=0)
     xt = x_tgt - x_tgt.mean(axis=0)
     denom = k - 1
-    ws = _inv_sqrt_psd((xs.T @ xs) / denom, eps)
-    wt = _inv_sqrt_psd((xt.T @ xt) / denom, eps)
-    cross = ws @ ((xs.T @ xt) / denom) @ wt
-    res = svd(cross)
-    dims = res.s.size if keep_dims == "all" else int(keep_dims)
-    if not 1 <= dims <= res.s.size:
+    ws = _inv_sqrt_psd((xs.T @ xs) / denom, _CCA_EPS)
+    wt = _inv_sqrt_psd((xt.T @ xt) / denom, _CCA_EPS)
+    u, s, vt = svd(ws @ ((xs.T @ xt) / denom) @ wt)
+    dims = s.size if keep_dims == "all" else int(keep_dims)
+    if not 1 <= dims <= s.size:
         raise ValueError(f"solve_cca: keep_dims {keep_dims!r} out of range")
-    a = ws @ res.u[:, :dims]
-    b = wt @ res.vt[:dims, :].T
-    corr = np.clip(res.s[:dims], 0.0, 1.0)
+    a = ws @ u[:, :dims]
+    b = wt @ vt[:dims, :].T
+    corr = np.clip(s[:dims], 0.0, 1.0)
     return a, b, corr
 
 
@@ -110,7 +105,8 @@ def pca_project(x: np.ndarray, out_dim: int) -> np.ndarray:
     if out_dim > d:
         raise ValueError(f"pca_project: out_dim {out_dim} exceeds dimension {d}")
     centered = x - x.mean(axis=0)
-    return centered @ svd(centered).vt[:out_dim].T
+    _, _, vt = svd(centered)
+    return centered @ vt[:out_dim].T
 
 
 def sinkhorn_scale(kernel: np.ndarray, p: np.ndarray, q: np.ndarray,

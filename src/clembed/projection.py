@@ -56,10 +56,10 @@ class ProjectionPair:
         return matrix if self._identity[1] else matrix @ self.w_tgt
 
 
-def identity_pair(dim: int, method: str = "identity") -> ProjectionPair:
+def identity_pair(dim: int) -> ProjectionPair:
     eye = np.eye(dim)
     return ProjectionPair(w_src=eye, w_tgt=eye.copy(), orthogonal_src=True,
-                          method=method)
+                          method="identity")
 
 
 def save_matrix_text(matrix: np.ndarray, path: str | os.PathLike) -> None:

@@ -24,6 +24,12 @@ from .similarity import (cosine_matrix, mutual_argmax_pairs, mutual_pairs,
                          similarity_sweep, unit_rows)
 
 _CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
+# stochastic dictionary induction (Artetxe et al. 2018): the share of
+# similarity entries kept in the first round, and its growth factor once the
+# objective stalls
+_KEEP_PROB_INIT = 0.1
+_KEEP_PROB_GROWTH = 2.0
+_LAMBDA_CYC = 1.0  # ICP's cycle-consistency weight (Hoshen & Wolf 2018)
 
 
 @dataclass(frozen=True)
@@ -32,22 +38,13 @@ class SelfLearnConfig:
     metric: str = "cosine"
     csls_n: int = 10
     max_rounds: int = 50
-    keep_prob_init: float = 0.1
-    keep_prob_growth: float = 2.0
     seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.keep_prob_init <= 1.0:
-            raise ValueError("keep_prob_init must be in (0, 1]")
-        if self.keep_prob_growth <= 1.0:
-            raise ValueError("keep_prob_growth must exceed 1")
 
 
 @dataclass(frozen=True)
 class IcpConfig:
     pca_dim: int = 50
     top_n_words: int = 2500
-    lambda_cyc: float = 1.0
     restarts: int = 20
     max_iters: int = 50
     seed: int = 0
@@ -55,8 +52,6 @@ class IcpConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.lambda_cyc < 0:
-            raise ValueError("lambda_cyc must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -70,16 +65,6 @@ class PostprocessOptions:
     def any_enabled(self) -> bool:
         return (self.whiten or self.reweight_power is not None
                 or self.dewhiten or self.reduce_dim is not None)
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    gamma: np.ndarray
-    marginal_violation: float
-
-    def __post_init__(self):
-        if np.any(self.gamma < 0):
-            raise ValueError("transport plan entries must be nonnegative")
 
 
 def vecmap_seed(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
@@ -112,7 +97,8 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     Each round solves the orthogonal map on the current dictionary,
     projects the capped source vocabulary, and re-induces the dictionary by
     mutual nearest neighbours; similarity entries are independently zeroed
-    with probability 1 - keep_prob, and keep_prob grows whenever the mean
+    with probability 1 - keep_prob, and keep_prob (`_KEEP_PROB_INIT` at
+    first) grows `_KEEP_PROB_GROWTH`-fold, up to 1, whenever the mean
     best-match similarity stalls. Converges when the dictionary is stable
     for `_CONVERGENCE_WINDOW` rounds at keep_prob = 1.
     """
@@ -122,7 +108,7 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     src_cap = src_space.matrix[:cfg.vocab_cap]
     tgt_cap = tgt_space.matrix[:cfg.vocab_cap]
     lex = init_lex
-    keep_prob = cfg.keep_prob_init
+    keep_prob = _KEEP_PROB_INIT
     prev_objective = -np.inf
     stable_rounds = 0
     rounds = 0
@@ -148,7 +134,7 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         else:
             stable_rounds = 0
         if objective <= prev_objective:
-            keep_prob = min(1.0, keep_prob * cfg.keep_prob_growth)
+            keep_prob = min(1.0, keep_prob * _KEEP_PROB_GROWTH)
         prev_objective = objective
         lex = induced
     aligned = build_aligned_matrices(lex, src_space, tgt_space)
@@ -194,8 +180,8 @@ def vecmap_postprocess(pair: ProjectionPair, aligned: AlignedMatrices,
     else:
         w1 = np.eye(d)
         w2 = np.eye(d)
-    res = svd((x_s @ w1).T @ (x_t @ w2))
-    u, s, v = res.u, res.s, res.vt.T
+    u, s, vt = svd((x_s @ w1).T @ (x_t @ w2))
+    v = vt.T
     w_src = w1 @ u
     w_tgt = w2 @ v
     if options.reweight_power is not None:
@@ -294,9 +280,9 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     """Point-cloud alignment by restarted ICP, finished with Procrustes.
 
     The most frequent words of both sides are reduced with PCA, ICP runs
-    from `restarts` random orthogonal initializations, and the best restart
-    (lowest final loss, ties to the lowest index) supplies cyclically
-    consistent assignments. Those pairs seed a mutual-NN dictionary in the
+    from `restarts` random orthogonal initializations with cycle weight
+    `_LAMBDA_CYC`, and the best restart (lowest final loss, ties to the
+    lowest index) supplies cyclically consistent assignments. Those pairs seed a mutual-NN dictionary in the
     original spaces, on which the final orthogonal map is solved.
     """
     src_top = src_space.matrix[:cfg.top_n_words]
@@ -310,7 +296,7 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         rng = np.random.default_rng(stream)
         q, _ = np.linalg.qr(rng.standard_normal((p_dim, p_dim)))
         w1, w2, f1, f2, history = icp_restart(
-            p1, p2, q, cfg.lambda_cyc, cfg.max_iters)
+            p1, p2, q, _LAMBDA_CYC, cfg.max_iters)
         if not history or not np.isfinite(history[-1]):
             continue
         if best is None or history[-1] < best["loss"]:
@@ -339,14 +325,17 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
 def gromov_wasserstein_plan(src_vectors: np.ndarray, tgt_vectors: np.ndarray,
                             lam: float = 5e-2, outer_iters: int = 30,
                             sinkhorn_max_iter: int = 1000,
-                            sinkhorn_tol: float = 1e-9) -> TransportPlan:
-    """Entropic transport plan between two embedding clouds.
+                            sinkhorn_tol: float = 1e-9
+                            ) -> tuple[np.ndarray, float]:
+    """Entropic transport plan (gamma, marginal violation) between two
+    embedding clouds.
 
     Costs are intra-space cosine matrices, so any orthogonal transform of
     either whole space leaves the plan unchanged. Each outer iteration
     rebuilds the pseudo-cost from the current coupling, rescales it to
     max-abs 1, exponentiates, and re-balances the marginals by diagonal
-    scaling.
+    scaling. gamma = diag(a) K diag(b) with K > 0 and finite positive
+    scalings, so no entry is negative.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -373,7 +362,7 @@ def gromov_wasserstein_plan(src_vectors: np.ndarray, tgt_vectors: np.ndarray,
                                          max_iter=sinkhorn_max_iter,
                                          tol=sinkhorn_tol)
         gamma = (a[:, None] * kernel) * b[None, :]
-    return TransportPlan(gamma=gamma, marginal_violation=violation)
+    return gamma, violation
 
 
 def align_gwa(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
@@ -387,16 +376,16 @@ def align_gwa(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     """
     ns = min(cap, len(src_space))
     nt = min(cap, len(tgt_space))
-    plan = gromov_wasserstein_plan(
+    gamma, violation = gromov_wasserstein_plan(
         src_space.matrix[:ns], tgt_space.matrix[:nt], lam=lam,
         outer_iters=outer_iters, sinkhorn_max_iter=sinkhorn_max_iter,
         sinkhorn_tol=sinkhorn_tol)
-    idx_t = np.argmax(plan.gamma, axis=1)
+    idx_t = np.argmax(gamma, axis=1)
     w = solve_procrustes(src_space.matrix[:ns],
                          tgt_space.matrix[:nt][idx_t])
     return ProjectionPair(
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True, method="gwa",
         metadata={"dict_size": int(ns), "lambda": lam,
                   "outer_iters": outer_iters,
-                  "marginal_violation": plan.marginal_violation,
+                  "marginal_violation": violation,
                   "distinct_targets": int(np.unique(idx_t).size)})

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from clembed.embeddings import WordVectorSpace
 from clembed.lexicon import TranslationLexicon, make_lexicon
+from clembed.similarity import mutual_argmax_pairs, similarity_sweep
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,3 +111,11 @@ def exact_row(draw, dim, diagonal=True):
 def exact_rows(dim, min_size, max_size, diagonal=True):
     return st.lists(exact_row(dim, diagonal), min_size=min_size,
                     max_size=max_size).map(np.array)
+
+
+def capped_mutual_pairs(queries, pool, cap, metric="cosine", csls_n=10):
+    """Mutual nearest neighbours among the first `cap` rows of each side, by
+    the blocked sweep and argmax that `self_learn` and `align_icp` run."""
+    pool = pool[:cap]
+    return mutual_argmax_pairs(
+        similarity_sweep(queries[:cap], pool, metric, csls_n), len(pool))

@@ -102,11 +102,8 @@ def test_csls_n_reaches_proc_b_and_vecmap(workspace, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "align_proc_b", fake_proc_b)
     monkeypatch.setattr(cli, "self_learn", fake_self_learn)
     for method in ("proc-b", "vecmap"):
-        assert run("align", "--method", method,
-                   "--src-emb", workspace / "src.vec",
-                   "--tgt-emb", workspace / "tgt.vec",
-                   "--dict", workspace / "train.txt", "--seed", "1",
-                   "--metric", "csls", "--csls-n", "7",
+        assert run("align", "--method", method, *spaces(workspace, method),
+                   "--seed", "1", "--metric", "csls", "--csls-n", "7",
                    "--outdir", tmp_path / method) == 0
     assert seen == {"proc-b": 7, "vecmap": 7}
 
@@ -289,11 +286,13 @@ def test_seed_mandatory_for_stochastic_methods(workspace, tmp_path, capsys):
 
 
 def test_unknown_method_fails_cleanly(workspace, tmp_path, capsys):
-    code = run("align", "--method", "muse", "--src-emb", workspace / "src.vec",
-               "--tgt-emb", workspace / "tgt.vec",
-               "--outdir", tmp_path / "p")
-    assert code == 1
-    assert "unknown method" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("align", "--method", "muse", "--src-emb", workspace / "src.vec",
+            "--tgt-emb", workspace / "tgt.vec", "--outdir", tmp_path / "p")
+    assert exc.value.code == 2
+    assert "argument --method: invalid choice: 'muse'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_align_vecmap_with_seed(workspace, tmp_path):
@@ -364,9 +363,14 @@ def test_config_file_supplies_paths(workspace, tmp_path):
     assert (proj / "w_src.txt").exists()
 
 
-def spaces(workspace):
-    return ["--src-emb", workspace / "src.vec", "--tgt-emb",
-            workspace / "tgt.vec", "--dict", workspace / "train.txt"]
+def spaces(workspace, method="proc"):
+    """The embedding flags, and the training dictionary if `method` reads
+    one."""
+    flags = ["--src-emb", workspace / "src.vec", "--tgt-emb",
+             workspace / "tgt.vec"]
+    if method in cli.SUPERVISED_METHODS:
+        flags += ["--dict", workspace / "train.txt"]
+    return flags
 
 
 def test_config_values_reach_the_aligner(workspace, tmp_path):
@@ -472,8 +476,8 @@ def test_align_defaults_are_the_library_defaults(workspace, tmp_path, method):
         "gwa": lambda: align_gwa(src, tgt),
     }[method]()
     proj = tmp_path / "proj"
-    assert run("align", "--method", method, *spaces(workspace), "--seed", "0",
-               "--outdir", proj) == 0
+    assert run("align", "--method", method, *spaces(workspace, method),
+               "--seed", "0", "--outdir", proj) == 0
     for name, w in (("w_src.txt", pair.w_src), ("w_tgt.txt", pair.w_tgt)):
         save_matrix_text(w, tmp_path / name)
         assert (proj / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -497,7 +501,7 @@ def test_missing_file_reports_error(tmp_path, capsys):
 def test_align_refuses_a_tuning_flag_its_method_does_not_read(
         workspace, tmp_path, capsys, method, flags, named):
     with pytest.raises(SystemExit) as exc:
-        run("align", "--method", method, *spaces(workspace), *flags,
+        run("align", "--method", method, *spaces(workspace, method), *flags,
             "--outdir", tmp_path / "proj")
     assert exc.value.code == 2
     assert f"method {method} does not read {named}\n" in \
@@ -517,3 +521,90 @@ def test_config_tuning_values_a_method_does_not_read_stay_silent(
     for name in ("w_src.txt", "w_tgt.txt"):
         assert (tmp_path / "config" / name).read_bytes() == \
             (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["vecmap", "icp", "gwa"])
+def test_align_refuses_a_dictionary_its_method_does_not_read(
+        workspace, tmp_path, capsys, method):
+    """Not even the path is checked, so a missing file is refused alike."""
+    for path in (workspace / "train.txt", tmp_path / "missing.txt"):
+        with pytest.raises(SystemExit) as exc:
+            run("align", "--method", method, *spaces(workspace, method),
+                "--seed", "1", "--dict", path, "--outdir", tmp_path / "proj")
+        assert exc.value.code == 2
+        assert f"method {method} does not read --dict\n" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "proj").exists()
+
+
+def test_config_dictionary_an_unsupervised_method_does_not_read_stays_silent(
+        workspace, tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[align]\ndict = {workspace / 'train.txt'}\n")
+    assert run("align", "--method", "gwa", *spaces(workspace, "gwa"),
+               "--config", cfg, "--outdir", tmp_path / "config") == 0
+    assert run("align", "--method", "gwa", *spaces(workspace, "gwa"),
+               "--outdir", tmp_path / "plain") == 0
+    for name in ("w_src.txt", "w_tgt.txt"):
+        assert (tmp_path / "config" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def proc_projection(workspace):
+    proj = workspace / "proc-proj"
+    assert run("align", "--method", "proc", *spaces(workspace),
+               "--outdir", proj) == 0
+    return proj
+
+
+def eval_bli(workspace, proj, outdir, *flags):
+    return run("eval-bli", "--proj", proj, "--src-emb", workspace / "src.vec",
+               "--tgt-emb", workspace / "tgt.vec",
+               "--test-dict", workspace / "test.txt", *flags,
+               "--outdir", outdir)
+
+
+@pytest.mark.parametrize("flags", [[], ["--metric", "cosine"]])
+def test_eval_bli_refuses_csls_n_under_cosine(workspace, proc_projection,
+                                              tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        eval_bli(workspace, proc_projection, tmp_path / "bli", *flags,
+                 "--csls-n", "3")
+    assert exc.value.code == 2
+    assert "eval-bli reads --csls-n only under --metric csls\n" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "bli").exists()
+
+
+def test_eval_bli_csls_n_runs_under_a_config_csls_metric(
+        workspace, proc_projection, tmp_path, monkeypatch):
+    """The metric is read from the final parse, so a config may set it."""
+    seen = []
+    real = cli.bli_evaluate
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bli_evaluate", spy)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[eval-bli]\nmetric = csls\n")
+    assert eval_bli(workspace, proc_projection, tmp_path / "config",
+                    "--config", cfg, "--csls-n", "5") == 0
+    assert eval_bli(workspace, proc_projection, tmp_path / "flag",
+                    "--metric", "csls", "--csls-n", "5") == 0
+    assert seen == [{"metric": "csls", "csls_n": 5}] * 2
+    assert (tmp_path / "config" / "report.tsv").read_bytes() == \
+        (tmp_path / "flag" / "report.tsv").read_bytes()
+
+
+def test_config_csls_n_under_cosine_stays_silent(workspace, proc_projection,
+                                                 tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[eval-bli]\ncsls_n = 3\n")
+    assert eval_bli(workspace, proc_projection, tmp_path / "config",
+                    "--config", cfg) == 0
+    assert eval_bli(workspace, proc_projection, tmp_path / "plain") == 0
+    assert (tmp_path / "config" / "report.tsv").read_bytes() == \
+        (tmp_path / "plain" / "report.tsv").read_bytes()

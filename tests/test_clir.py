@@ -7,13 +7,37 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from clembed.clir import (ClirRun, DocumentCollection, TermWeighting,
-                          aggregate_text, clir_run, clir_significance,
-                          idf_weighting, ingest_collection, read_trec_run,
-                          tokenize, write_trec_run)
+                          aggregate_texts, clir_run, clir_significance,
+                          idf_weighting, ingest_collection, tokenize,
+                          write_trec_run)
 from clembed.embeddings import WordVectorSpace
+from clembed.evaluation import paired_ttest
 from clembed.lexicon import build_aligned_matrices
 from clembed.projection import identity_pair
 from clembed.supervised import align_proc
+
+
+def oracle_clir_significance(run_a, run_b):
+    """The earlier paired t-test on relevant-document ranks, with its own
+    identical and constant-shift cases."""
+    key = lambda triple: (triple[0], triple[1])
+    ranks_a = {key(t): t[2] for t in run_a.relevant_ranks}
+    ranks_b = {key(t): t[2] for t in run_b.relevant_ranks}
+    assert ranks_a.keys() == ranks_b.keys()
+    keys = sorted(ranks_a)
+    a = np.array([ranks_a[k] for k in keys], dtype=float)
+    b = np.array([ranks_b[k] for k in keys], dtype=float)
+    diffs = a - b
+    if not diffs.any():
+        return 1.0
+    if np.all(diffs == diffs[0]):
+        return 0.0
+    return float(stats.ttest_rel(a, b).pvalue)
+
+
+def text_vector(tokens, space, weighting):
+    """The aggregate vector of one text."""
+    return aggregate_texts([tokens], space, weighting)[0]
 
 
 def toy_collection():
@@ -83,24 +107,24 @@ class TestWeighting:
 class TestAggregate:
     def test_uniform_mean(self):
         space = toy_space()
-        v = aggregate_text(("apple", "banana"), space)
-        assert np.allclose(v, [0.5, 0.5, 0.0])
+        v = aggregate_texts([("apple", "banana")], space)
+        assert np.allclose(v, [[0.5, 0.5, 0.0]])
 
     def test_idf_weighted_mean(self):
         space = toy_space()
         w = TermWeighting(scheme="idf", idf={"apple": 3.0, "banana": 1.0})
-        v = aggregate_text(("apple", "banana"), space, w)
-        assert np.allclose(v, [0.75, 0.25, 0.0])
+        v = aggregate_texts([("apple", "banana")], space, w)
+        assert np.allclose(v, [[0.75, 0.25, 0.0]])
 
     def test_unseen_token_weight_one(self):
         space = toy_space()
         w = TermWeighting(scheme="idf", idf={"apple": 3.0})
-        v = aggregate_text(("apple", "banana"), space, w)
-        assert np.allclose(v, [0.75, 0.25, 0.0])
+        v = aggregate_texts([("apple", "banana")], space, w)
+        assert np.allclose(v, [[0.75, 0.25, 0.0]])
 
     def test_all_oov_gives_zero_vector(self):
-        v = aggregate_text(("zebra",), toy_space())
-        assert np.allclose(v, 0.0)
+        v = aggregate_texts([("zebra",), ("apple",)], toy_space())
+        assert np.allclose(v, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 class TestClirRun:
@@ -113,10 +137,10 @@ class TestClirRun:
         doc_ids = sorted(coll.docs)
         aps = []
         for qid in sorted(coll.queries):
-            q = aggregate_text(coll.queries[qid], space, weighting)
+            q = text_vector(coll.queries[qid], space, weighting)
             scores = []
             for did in doc_ids:
-                d = aggregate_text(coll.docs[did], space, weighting)
+                d = text_vector(coll.docs[did], space, weighting)
                 denom = np.linalg.norm(q) * np.linalg.norm(d)
                 scores.append(q @ d / denom if denom else 0.0)
             order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], i))
@@ -218,6 +242,31 @@ class TestSignificance:
         # pairing matters: the unpaired test on the same ranks differs
         assert got != pytest.approx(stats.ttest_ind(a, b).pvalue, rel=1e-3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                    min_size=2, max_size=12), st.randoms())
+    def test_is_paired_ttest_on_ranks_sorted_by_query_and_doc(self, ranks,
+                                                             random):
+        keys = [(f"q{i % 3}", f"d{i}") for i in range(len(ranks))]
+        runs = []
+        for side in (0, 1):
+            triples = [(*key, pair[side]) for key, pair in zip(keys, ranks)]
+            random.shuffle(triples)
+            runs.append(ClirRun(rankings={}, relevant_ranks=tuple(triples),
+                                map_score=0.0, scored_queries=3,
+                                skipped_queries=0, empty_queries=()))
+        ordered = [pair for _, pair in sorted(zip(keys, ranks))]
+        got = clir_significance(*runs)
+        assert got == paired_ttest([a for a, _ in ordered],
+                                   [b for _, b in ordered])
+        assert got == oracle_clir_significance(*runs)
+
+    @pytest.mark.parametrize("shared", [0, 1])
+    def test_fewer_than_two_relevant_documents_rejected(self, shared):
+        run = self.run_with_ranks([3] * shared)
+        with pytest.raises(ValueError, match="at least 2 paired scores"):
+            clir_significance(run, run)
+
     def test_constant_shift_p_zero(self):
         a = [1, 4, 2, 9]
         got = clir_significance(self.run_with_ranks(a),
@@ -239,18 +288,12 @@ class TestTrecRoundTrip:
         coll = toy_collection()
         run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
         p = tmp_path / "run.trec"
-        write_trec_run(run, p, tag="testtag")
-        back = read_trec_run(p)
-        for qid, ranked in run.rankings.items():
-            assert tuple(d for d, _, _ in back[qid]) == ranked
-            assert [r for _, r, _ in back[qid]] == list(
-                range(1, len(ranked) + 1))
-
-    def test_rejects_malformed(self, tmp_path):
-        p = tmp_path / "bad.trec"
-        p.write_text("q1 NOTQ0 d1 1 1.0 tag\n")
-        with pytest.raises(ValueError, match="line 1"):
-            read_trec_run(p)
+        write_trec_run(run, p)
+        want = [[qid, "Q0", did, str(rank), f"{1 / rank:.6f}", "clembed"]
+                for qid in sorted(run.rankings)
+                for rank, did in enumerate(run.rankings[qid], start=1)]
+        assert [line.split(" ") for line in
+                p.read_text(encoding="utf-8").splitlines()] == want
 
 
 def test_ingest_round_trip(tmp_path):

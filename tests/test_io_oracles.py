@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clembed import embeddings
+from clembed import clir, embeddings
 from clembed.clir import ClirRun, write_trec_run
 from clembed.embeddings import (EmbeddingParseError, WordVectorSpace,
                                 load_text_embeddings, save_text_embeddings)
@@ -303,14 +303,13 @@ value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 @settings(max_examples=200, deadline=None)
 @given(matrix=st.integers(1, 5).flatmap(lambda d: arrays(
            np.float64, st.tuples(st.integers(1, 7), st.just(d)), elements=value)),
-       precision=st.integers(1, 17), chunk=st.sampled_from((2, 3, 4096)))
-def test_saver_writes_the_oracles_bytes(tmp_path_factory, matrix, precision,
-                                        chunk):
+       chunk=st.sampled_from((2, 3, 4096)))
+def test_saver_writes_the_oracles_bytes(tmp_path_factory, matrix, chunk):
     space = WordVectorSpace(tuple(f"w{i}%s" for i in range(len(matrix))), matrix)
     tmp = tmp_path_factory.mktemp("save")
-    oracle_save_text_embeddings(space, tmp / "old.txt", precision=precision)
+    oracle_save_text_embeddings(space, tmp / "old.txt")
     with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
-        save_text_embeddings(space, tmp / "new.txt", precision=precision)
+        save_text_embeddings(space, tmp / "new.txt")
     assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
 
 
@@ -326,8 +325,12 @@ def trec_run(n_queries, n_docs):
 @pytest.mark.parametrize("depth", (0, 1, 7, 20, 30, 31, 1000))
 @pytest.mark.parametrize("tag", ("clembed", "run-b"))
 def test_trec_writer_writes_the_oracles_bytes(tmp_path, depth, tag):
+    """The writer's depth and tag are module constants (1000 and clembed);
+    patched here, so that rankings of 30 documents are cut too."""
     run = trec_run(12, 30)
     oracle_write_trec_run(run, tmp_path / "old.trec", tag=tag, depth=depth)
-    write_trec_run(run, tmp_path / "new.trec", tag=tag, depth=depth)
+    with mock.patch.object(clir, "_TREC_DEPTH", depth), \
+            mock.patch.object(clir, "_TREC_TAG", tag):
+        write_trec_run(run, tmp_path / "new.trec")
     assert (tmp_path / "new.trec").read_bytes() == \
         (tmp_path / "old.trec").read_bytes()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from clembed.embeddings import WordVectorSpace
 from clembed.lexicon import (LexiconParseError, build_aligned_matrices,
                              frequency_split, load_lexicon, make_lexicon,
-                             mutual_nearest_neighbors, save_lexicon)
+                             save_lexicon)
 
 
 def lex_of(n):
@@ -98,7 +98,6 @@ class TestBuildAlignedMatrices:
         lex = make_lexicon([("a", "x"), ("a", "missing"), ("ghost", "y")])
         out = build_aligned_matrices(lex, src, tgt)
         assert out.kept_pairs.pairs == (("a", "x"),)
-        assert out.skipped == 2
         assert out.coverage == pytest.approx(1 / 3)
 
     def test_all_oov_is_error(self):
@@ -107,18 +106,3 @@ class TestBuildAlignedMatrices:
         with pytest.raises(ValueError):
             build_aligned_matrices(make_lexicon([("q", "q")]), src, tgt)
 
-
-def test_mutual_nearest_neighbors_identity():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((12, 4))
-    ws = tuple(f"w{i}" for i in range(12))
-    lex = mutual_nearest_neighbors(m, m, ws, ws)
-    assert lex.pairs == tuple((w, w) for w in ws)
-
-
-def test_mutual_nearest_neighbors_respects_cap():
-    rng = np.random.default_rng(6)
-    m = rng.standard_normal((12, 4))
-    ws = tuple(f"w{i}" for i in range(12))
-    lex = mutual_nearest_neighbors(m, m, ws, ws, search_cap=5)
-    assert lex.pairs == tuple((w, w) for w in ws[:5])

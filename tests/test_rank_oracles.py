@@ -35,8 +35,8 @@ from hypothesis import strategies as st
 
 from clembed import similarity
 from clembed.clir import (ClirRun, DocumentCollection, TermWeighting,
-                          _descending_order, aggregate_text, aggregate_texts,
-                          clir_run, idf_weighting)
+                          _descending_order, aggregate_texts, clir_run,
+                          idf_weighting)
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import (BliResult, QueryRecord, P_AT_KS,
                                 average_precision_from_ranks, bli_evaluate,
@@ -276,7 +276,8 @@ def test_aggregate_texts_matches_loop_on_exact_rows(case):
     for row, tokens in zip(got, texts):
         want = oracle_aggregate_text(tokens, space, weighting)
         assert np.array_equal(row, want)
-        assert np.array_equal(aggregate_text(tokens, space, weighting), want)
+        assert np.array_equal(aggregate_texts([tokens], space, weighting)[0],
+                              want)
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "idf"])

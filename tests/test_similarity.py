@@ -11,6 +11,7 @@ from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
                                 mutual_argmax_pairs, mutual_pairs, row_blocks,
                                 similarity_sweep, topk_mean, unit_rows)
+from conftest import capped_mutual_pairs
 
 
 def swept(queries, pool, metric="cosine", csls_n=10):
@@ -146,6 +147,18 @@ def test_mutual_argmax_identity_on_self_similarity():
     m = rng.standard_normal((10, 4))
     pairs = mutual_argmax_pairs(similarity_sweep(m, m), 10)
     assert pairs == [(i, i) for i in range(10)]
+
+
+def test_mutual_nearest_neighbors_identity():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((12, 4))
+    assert capped_mutual_pairs(m, m, 20000) == [(i, i) for i in range(12)]
+
+
+def test_mutual_nearest_neighbors_respects_cap():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((12, 4))
+    assert capped_mutual_pairs(m, m, 5) == [(i, i) for i in range(5)]
 
 
 @settings(max_examples=200, deadline=None)

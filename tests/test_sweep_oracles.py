@@ -35,8 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clembed import similarity
-from clembed.lexicon import (build_aligned_matrices, make_lexicon,
-                             mutual_nearest_neighbors)
+from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.linalg import solve_procrustes
 from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
@@ -45,7 +44,7 @@ from clembed.similarity import (cosine_matrix, csls_hubness,
 from clembed.supervised import align_proc, align_proc_b, rcsls_neighbor_sets
 from clembed.unsupervised import (IcpConfig, SelfLearnConfig, align_icp,
                                   self_learn, vecmap_seed)
-from conftest import exact_rows
+from conftest import capped_mutual_pairs, exact_rows
 
 # one row per block, a few rows per block against the fixtures' 500-row
 # pools, and the library's own budget
@@ -130,7 +129,7 @@ def oracle_self_learn(src_space, tgt_space, init_lex, cfg):
     src_cap = src_space.matrix[:ns]
     tgt_cap = tgt_space.matrix[:nt]
     lex = init_lex
-    keep_prob = cfg.keep_prob_init
+    keep_prob = 0.1
     prev_objective = -np.inf
     stable_rounds = 0
     for rounds in range(1, cfg.max_rounds + 1):
@@ -155,7 +154,7 @@ def oracle_self_learn(src_space, tgt_space, init_lex, cfg):
         else:
             stable_rounds = 0
         if objective <= prev_objective:
-            keep_prob = min(1.0, keep_prob * cfg.keep_prob_growth)
+            keep_prob = min(1.0, keep_prob * 2.0)
         prev_objective = objective
         lex = induced
     aligned = build_aligned_matrices(lex, src_space, tgt_space)
@@ -228,14 +227,11 @@ def test_sweep_rejects_unknown_metric():
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
 def test_mutual_nearest_neighbors_match_oracle(noisy_pair, metric, cells):
     queries, pool = projected(noisy_pair)
-    words = noisy_pair.src.words
     with mock.patch.object(similarity, "_CELLS", cells):
-        got = mutual_nearest_neighbors(queries, pool, words, words,
-                                       metric=metric, search_cap=400, csls_n=3)
+        got = capped_mutual_pairs(queries, pool, 400, metric, 3)
     sim = oracle_similarity_matrix(queries[:400], pool[:400], metric, 3)
-    want = make_lexicon((words[i], words[j])
-                        for i, j in oracle_mutual_argmax_pairs(sim))
-    assert got == want
+    assert got == oracle_mutual_argmax_pairs(sim)
+    assert len(got) > 200
 
 
 # --- the aligners on fixtures ----------------------------------------------------
@@ -257,14 +253,16 @@ def test_proc_b_matches_oracle(noisy_pair, metric, cells):
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
 def test_self_learn_matches_oracle(noisy_pair, metric, cells):
     seed_lex = vecmap_seed(noisy_pair.src, noisy_pair.tgt, cap=300)
-    # keep_prob starts low and reaches 1, so rounds with and without the
-    # random dropout both run
+    # keep_prob starts at 0.1 and reaches 1 (after 10 rounds under cosine
+    # and 7 under csls), so rounds with and without the random dropout both
+    # run, and both metrics converge within 16 rounds
     cfg = SelfLearnConfig(vocab_cap=300, metric=metric, csls_n=4,
-                          max_rounds=12, keep_prob_init=0.25, seed=5)
+                          max_rounds=16, seed=5)
     with mock.patch.object(similarity, "_CELLS", cells):
         new = self_learn(noisy_pair.src, noisy_pair.tgt, seed_lex, cfg)
     old = oracle_self_learn(noisy_pair.src, noisy_pair.tgt, seed_lex, cfg)
     assert_same_pair(new, old)
+    assert new.metadata["rounds"] < cfg.max_rounds
 
 
 @pytest.mark.parametrize("cells", CELL_BUDGETS)
@@ -469,16 +467,14 @@ def test_mutual_nearest_neighbors_stays_within_its_blocks(metric):
     rng = np.random.default_rng(0)
     src = rng.standard_normal((2000, 20))
     tgt = src + 0.01 * rng.standard_normal((2000, 20))
-    words = tuple(f"w{i}" for i in range(2000))
     with mock.patch.object(similarity, "_CELLS", 2 ** 16):
         tracemalloc.start()
         try:
-            lex = mutual_nearest_neighbors(src, tgt, words, words,
-                                           metric=metric)
+            pairs = capped_mutual_pairs(src, tgt, 20000, metric)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert len(lex) > 1900
+    assert len(pairs) > 1900
     assert peak < 4 * 2 ** 20
 
 

@@ -63,12 +63,6 @@ class TestSelfLearn:
         with pytest.raises(ValueError):
             self_learn(noisy_pair.src, noisy_pair.tgt, make_lexicon([]))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SelfLearnConfig(keep_prob_init=0.0)
-        with pytest.raises(ValueError):
-            SelfLearnConfig(keep_prob_growth=1.0)
-
 
 class TestPostprocess:
     def test_all_off_returns_input(self, clean_pair):
@@ -133,8 +127,8 @@ class TestIcp:
 
     def test_recovers_rotation_on_spiral(self, spiral_pair):
         src, tgt, test_lex = spiral_pair
-        cfg = IcpConfig(pca_dim=3, top_n_words=300, lambda_cyc=1.0,
-                        restarts=20, max_iters=400, seed=0)
+        cfg = IcpConfig(pca_dim=3, top_n_words=300, restarts=20,
+                        max_iters=400, seed=0)
         pair = align_icp(src, tgt, cfg)
         res = bli_evaluate(pair, src, tgt, test_lex)
         assert res.map_score >= 0.8
@@ -143,8 +137,6 @@ class TestIcp:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IcpConfig(restarts=0)
-        with pytest.raises(ValueError):
-            IcpConfig(lambda_cyc=-1.0)
 
 
 def oracle_solve_linear_map(points, targets, cyc_self, other_map,
@@ -197,8 +189,8 @@ class TestIcpMapSolve:
 
     def test_align_icp_is_the_same_with_either_solve(self, spiral_pair):
         src, tgt, _ = spiral_pair
-        cfg = IcpConfig(pca_dim=3, top_n_words=300, lambda_cyc=1.0,
-                        restarts=4, max_iters=60, seed=0)
+        cfg = IcpConfig(pca_dim=3, top_n_words=300, restarts=4,
+                        max_iters=60, seed=0)
         new = align_icp(src, tgt, cfg)
         with mock.patch.object(unsupervised, "_solve_linear_map",
                                oracle_solve_linear_map):
@@ -221,23 +213,24 @@ class TestGwa:
     def test_plan_marginals(self):
         src = self.make_space(8)
         tgt = self.make_space(8, seed=1)
-        plan = gromov_wasserstein_plan(src.matrix, tgt.matrix)
-        assert np.allclose(plan.gamma.sum(axis=1), 1 / 8, atol=1e-6)
-        assert np.allclose(plan.gamma.sum(axis=0), 1 / 8, atol=1e-6)
-        assert np.all(plan.gamma >= 0)
+        gamma, violation = gromov_wasserstein_plan(src.matrix, tgt.matrix)
+        assert np.allclose(gamma.sum(axis=1), 1 / 8, atol=1e-6)
+        assert np.allclose(gamma.sum(axis=0), 1 / 8, atol=1e-6)
+        assert np.all(gamma >= 0)
+        assert violation < 1e-9
 
     def test_plan_invariant_to_target_rotation(self):
         src = self.make_space(10)
         rng = np.random.default_rng(2)
         rot = random_rotation(6, rng)
-        a = gromov_wasserstein_plan(src.matrix, src.matrix)
-        b = gromov_wasserstein_plan(src.matrix, src.matrix @ rot)
-        assert np.allclose(a.gamma, b.gamma, atol=1e-10)
+        a, _ = gromov_wasserstein_plan(src.matrix, src.matrix)
+        b, _ = gromov_wasserstein_plan(src.matrix, src.matrix @ rot)
+        assert np.allclose(a, b, atol=1e-10)
 
     def test_degenerate_identical_vectors_keep_uniform_plan(self):
         m = np.tile([1.0, 2.0, 0.5], (5, 1))
-        plan = gromov_wasserstein_plan(m, m)
-        assert np.allclose(plan.gamma, np.full((5, 5), 1 / 25), atol=1e-9)
+        gamma, _ = gromov_wasserstein_plan(m, m)
+        assert np.allclose(gamma, np.full((5, 5), 1 / 25), atol=1e-9)
 
     def test_identity_on_identical_spaces(self):
         src = self.make_space(20)
