@@ -27,10 +27,10 @@ qrels = frozenset({("q1", "d1"), ("q1", "d4"), ("q2", "d2")})
 collection = DocumentCollection(docs=docs, queries=queries, qrels=qrels)
 
 space = WordVectorSpace(("apple", "banana", "cherry"), np.eye(3))
-weighting = idf_weighting(collection)
-print("idf weights:", {t: round(w, 3) for t, w in weighting.idf.items()})
+idf = idf_weighting(collection)
+print("idf weights:", {t: round(w, 3) for t, w in idf.items()})
 
-run = clir_run(collection, identity_pair(3), space, space, weighting)
+run = clir_run(collection, identity_pair(3), space, space, idf)
 for qid, ranked in run.rankings.items():
     print(f"{qid}: {' > '.join(ranked)}")
 print(f"MAP = {run.map_score:.4f} over {run.scored_queries} queries")

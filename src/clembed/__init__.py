@@ -5,8 +5,7 @@ Supervised aligners (proc, proc-b, cca, dlv, rcsls), unsupervised aligners
 with significance testing, and unsupervised cross-lingual retrieval.
 """
 
-from .embeddings import (PreprocessChain, WordVectorSpace,
-                         load_text_embeddings, normalize,
+from .embeddings import (WordVectorSpace, load_text_embeddings, normalize,
                          save_text_embeddings)
 from .evaluation import (BliResult, bli_evaluate, bonferroni, paired_ttest,
                          rank_correlation, shuffling_test)
@@ -18,8 +17,7 @@ from .linalg import (pca_project, sinkhorn_scale, solve_cca, solve_procrustes,
 from .projection import ProjectionPair, load_projection, save_projection
 from .supervised import (RcslsConfig, align_cca, align_dlv, align_proc,
                          align_proc_b, align_rcsls)
-from .unsupervised import (IcpConfig, PostprocessOptions, SelfLearnConfig,
-                           align_gwa, align_icp, self_learn,
-                           vecmap_postprocess, vecmap_seed)
+from .unsupervised import (IcpConfig, SelfLearnConfig, align_gwa, align_icp,
+                           self_learn, vecmap_postprocess, vecmap_seed)
 
 __version__ = "0.1.0"

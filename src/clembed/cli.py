@@ -22,8 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import clir as clir_mod
-from .embeddings import (PreprocessChain, load_text_embeddings, normalize,
-                         save_text_embeddings)
+from .embeddings import load_text_embeddings, normalize, save_text_embeddings
 from .evaluation import (bli_evaluate, bli_summary, bonferroni, paired_ttest,
                          read_bli_report, shuffling_test, write_bli_report)
 from .lexicon import (build_aligned_matrices, frequency_split, load_lexicon,
@@ -60,7 +59,7 @@ def _load_space(path: str, max_vocab, tag: str, **kwargs):
 def cmd_preprocess(args) -> int:
     space = _load_space(args.input, args.max_vocab, "input")
     steps = tuple(s for s in args.steps.split(",") if s)
-    out = normalize(space, PreprocessChain(steps=steps))
+    out = normalize(space, steps)
     outdir, name = os.path.split(os.path.abspath(args.output))
     write_staged(outdir, {name: partial(save_text_embeddings, out)})
     print(f"wrote {len(out)} x {out.dim} embeddings to {args.output}")
@@ -97,6 +96,10 @@ LIBRARY_PARAMS = {
     "bli_evaluate": {"metric": "metric", "csls_n": "csls_n"},
     "shuffling_test": {"iterations": "iterations", "seed": "seed"},
 }
+# command -> (flag, value, flags): the command reads `flags` only when
+# `flag` has `value`
+READ_ONLY_UNDER = {"eval-bli": ("metric", "csls", ("csls_n",)),
+                   "compare": ("test", "shuffle", ("iterations", "seed"))}
 
 
 def _given(args, key: str) -> dict:
@@ -208,11 +211,9 @@ def cmd_eval_clir(args) -> int:
         _require_file(args.docs, "document file"),
         _require_file(args.queries, "query file"),
         _require_file(args.qrels, "qrels file"))
-    if args.weighting == "uniform":
-        weighting = clir_mod.TermWeighting(scheme="uniform")
-    else:
-        weighting = clir_mod.idf_weighting(collection)
-    run = clir_mod.clir_run(collection, pair, query_space, doc_space, weighting)
+    idf = (None if args.weighting == "uniform"
+           else clir_mod.idf_weighting(collection))
+    run = clir_mod.clir_run(collection, pair, query_space, doc_space, idf)
     summary = {"map": run.map_score, "scored_queries": run.scored_queries,
                "skipped_queries": run.skipped_queries,
                "empty_queries": list(run.empty_queries)}
@@ -229,6 +230,11 @@ def cmd_table(args) -> int:
     for path in args.summaries:
         with open(_require_file(path, "summary"), encoding="utf-8") as fh:
             summaries.append(json.load(fh))
+        missing = [k for k in ("method", "pair", "map", "successful")
+                   if k not in summaries[-1]]
+        if missing:
+            raise CliError(f"summary {path} has no key "
+                           + ", ".join(map(repr, missing)))
     methods = sorted({s["method"] for s in summaries})
     pairs = sorted({s["pair"] for s in summaries})
     score = {(s["method"], s["pair"]): s for s in summaries}
@@ -380,10 +386,12 @@ def _refuse_unread_flags(parser, given, args) -> None:
     """Exit 2 if a flag given on the command line is one its command does not
     read: for `align`, `--dict` or a tuning flag (one that some method
     reads; `--seed` is recorded by all) that its method does not read, and
-    for `eval-bli`, `--csls-n` unless the metric is csls. `given` is the
-    parse without a config, because a config shared by a grid of methods may
-    set any of these flags; `args` is the final parse, whose metric may come
-    from the config."""
+    for a command in `READ_ONLY_UNDER`, a flag it reads only under a value
+    that another flag does not have: `eval-bli --csls-n` unless the metric
+    is csls, `compare --iterations` or `--seed` unless the test is shuffle.
+    `given` is the parse without a config, because a config shared by a grid
+    of methods may set any of these flags; `args` is the final parse, whose
+    metric or test may come from the config."""
     if given.command == "align":
         read = LIBRARY_PARAMS[given.method].keys() | {"seed"}
         if given.method in SUPERVISED_METHODS:
@@ -391,11 +399,18 @@ def _refuse_unread_flags(parser, given, args) -> None:
         flags = {"dict"}.union(*(LIBRARY_PARAMS[m] for m in METHODS)) - read
         unread = sorted(f for f in flags if getattr(given, f) is not None)
         if unread:
-            names = ", ".join("--" + f.replace("_", "-") for f in unread)
-            parser.error(f"method {given.method} does not read {names}")
-    elif (given.command == "eval-bli" and given.csls_n is not None
-          and args.metric != "csls"):
-        parser.error("eval-bli reads --csls-n only under --metric csls")
+            parser.error(f"method {given.method} does not read "
+                         f"{_flag_names(unread)}")
+    elif given.command in READ_ONLY_UNDER:
+        flag, value, flags = READ_ONLY_UNDER[given.command]
+        unread = [f for f in flags if getattr(given, f) is not None]
+        if unread and getattr(args, flag) != value:
+            parser.error(f"{given.command} reads {_flag_names(unread)} only "
+                         f"under --{flag} {value}")
+
+
+def _flag_names(dests) -> str:
+    return ", ".join("--" + d.replace("_", "-") for d in dests)
 
 
 def main(argv=None) -> int:

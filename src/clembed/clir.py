@@ -46,18 +46,6 @@ class DocumentCollection:
 
 
 @dataclass(frozen=True)
-class TermWeighting:
-    scheme: str = "idf"
-    idf: dict[str, float] | None = None
-
-    def __post_init__(self):
-        if self.scheme not in ("uniform", "idf"):
-            raise ValueError(f"unknown weighting scheme {self.scheme!r}")
-        if self.idf is not None and any(v < 0 for v in self.idf.values()):
-            raise ValueError("idf values must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ClirRun:
     """Ranked document lists per query plus per-relevant-doc ranks and MAP."""
     rankings: dict[str, tuple[str, ...]]
@@ -133,27 +121,27 @@ def ingest_collection(doc_path, query_path, qrel_path) -> DocumentCollection:
                               qrels=_read_qrels(qrel_path))
 
 
-def idf_weighting(collection: DocumentCollection) -> TermWeighting:
-    """idf = ln(N / df) over the ingested documents."""
+def idf_weighting(collection: DocumentCollection) -> dict[str, float]:
+    """The idf table, token -> ln(N / df), over the ingested documents."""
     n_docs = len(collection.docs)
     df = Counter(chain.from_iterable(map(set, collection.docs.values())))
-    idf = {tok: math.log(n_docs / count) for tok, count in df.items()}
-    return TermWeighting(scheme="idf", idf=idf)
+    return {tok: math.log(n_docs / count) for tok, count in df.items()}
 
 
 def aggregate_texts(texts, space: WordVectorSpace,
-                    weighting: TermWeighting = TermWeighting(scheme="uniform")
-                    ) -> np.ndarray:
+                    idf: dict[str, float] | None) -> np.ndarray:
     """(n, d) weighted means of the in-vocabulary token vectors of each of
     the n token sequences in the list `texts`; a zero row where a text has
     none.
 
-    Under idf weighting, tokens absent from the idf table (query-only
-    terms) get weight 1.0. Each token is looked up once in the vocabulary,
-    and each distinct in-vocabulary token once in the idf table. The
-    weights form a sparse n x |V| matrix whose product with `space.matrix`
-    adds each row's token vectors in token order, so a row is bit-equal to
-    a per-token `acc += weight * vector` loop divided by the weight total.
+    `idf` is the table of token weights; None or an empty table weights
+    every token 1.0. Tokens absent from the table (query-only terms) get
+    weight 1.0, and a negative weight is a ValueError. Each token is looked
+    up once in the vocabulary, and each distinct in-vocabulary token once
+    in the idf table. The weights form a sparse n x |V| matrix whose
+    product with `space.matrix` adds each row's token vectors in token
+    order, so a row is bit-equal to a per-token `acc += weight * vector`
+    loop divided by the weight total.
     """
     lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     rows = np.fromiter(
@@ -162,9 +150,11 @@ def aggregate_texts(texts, space: WordVectorSpace,
     text_of = np.repeat(np.arange(len(texts)), lengths)
     known = rows >= 0
     rows, text_of = rows[known], text_of[known]
-    if weighting.scheme == "idf" and weighting.idf:
+    if idf:
+        if any(v < 0 for v in idf.values()):
+            raise ValueError("idf values must be nonnegative")
         vocab_rows, slot = np.unique(rows, return_inverse=True)
-        idf, words = weighting.idf, space.words
+        words = space.words
         weights = np.array([idf.get(words[r], 1.0)
                             for r in vocab_rows.tolist()], dtype=float)[slot]
     else:
@@ -193,8 +183,10 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
 
 def clir_run(collection: DocumentCollection, pair: ProjectionPair,
              query_space: WordVectorSpace, doc_space: WordVectorSpace,
-             weighting: TermWeighting | None = None) -> ClirRun:
-    """Rank all documents for every query by cosine of aggregate vectors.
+             idf: dict[str, float] | None) -> ClirRun:
+    """Rank all documents for every query by cosine of aggregate vectors,
+    each a mean of token vectors weighted by the table `idf` (None:
+    uniform; see `aggregate_texts`).
 
     Ties break by ascending document id. Each distinct document vector is
     scored once and its score copied to its duplicates, so identical
@@ -208,14 +200,12 @@ def clir_run(collection: DocumentCollection, pair: ProjectionPair,
     """
     if not collection.docs or not collection.queries:
         raise ValueError("clir_run: empty collection")
-    if weighting is None:
-        weighting = idf_weighting(collection)
     doc_ids = sorted(collection.docs)
     query_ids = sorted(collection.queries)
     doc_unit = unit_rows(pair.project_tgt(aggregate_texts(
-        [collection.docs[d] for d in doc_ids], doc_space, weighting)))
+        [collection.docs[d] for d in doc_ids], doc_space, idf)))
     query_vecs = pair.project_src(aggregate_texts(
-        [collection.queries[q] for q in query_ids], query_space, weighting))
+        [collection.queries[q] for q in query_ids], query_space, idf))
     empty = np.linalg.norm(query_vecs, axis=1) == 0.0
     # one score per distinct document row (rows compared as bytes), copied
     # to its duplicates, so identical documents tie exactly

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +79,6 @@ class WordVectorSpace:
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
-
-
-@dataclass(frozen=True)
-class PreprocessChain:
-    """Ordered normalization steps drawn from {unit-length, mean-center, zca-whiten}."""
-
-    steps: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for step in self.steps:
-            if step not in VALID_STEPS:
-                raise ValueError(f"unknown preprocessing step {step!r}")
-        if len(self.steps) > MAX_STEPS:
-            raise ValueError(f"chain exceeds {MAX_STEPS} steps")
 
 
 def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
@@ -257,16 +243,20 @@ def _apply_step(matrix: np.ndarray, step: str) -> np.ndarray:
         return unit_rows(matrix)
     if step == "mean-center":
         return matrix - matrix.mean(axis=0)
-    if step == "zca-whiten":
-        from .linalg import zca_whitening_matrix
-        return matrix @ zca_whitening_matrix(matrix - matrix.mean(axis=0))
-    raise ValueError(f"unknown preprocessing step {step!r}")
+    from .linalg import zca_whitening_matrix  # zca-whiten
+    return matrix @ zca_whitening_matrix(matrix - matrix.mean(axis=0))
 
 
-def normalize(space: WordVectorSpace, chain: PreprocessChain) -> WordVectorSpace:
-    """Apply the chain's steps in order, returning a new space."""
+def normalize(space: WordVectorSpace, steps: Sequence[str]) -> WordVectorSpace:
+    """Apply `steps`, a sequence of at most `MAX_STEPS` names from
+    `VALID_STEPS`, in order, returning a new space."""
+    for step in steps:
+        if step not in VALID_STEPS:
+            raise ValueError(f"unknown preprocessing step {step!r}")
+    if len(steps) > MAX_STEPS:
+        raise ValueError(f"chain exceeds {MAX_STEPS} steps")
     matrix = np.array(space.matrix, dtype=float)
-    for step in chain.steps:
+    for step in steps:
         matrix = _apply_step(matrix, step)
         if not np.all(np.isfinite(matrix)):
             raise ValueError(f"non-finite values produced by step {step!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.linalg
 
 _ZCA_EPS = 1e-12  # ridge added to the covariance eigenvalues before whitening
 _CCA_EPS = 1e-8  # ridge of each side's within-space covariance in CCA
@@ -21,12 +22,18 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The largest-magnitude entry of each column of U is made positive (the
     corresponding row of Vt is flipped with it), so repeated runs and
-    different LAPACK drivers produce identical factors.
+    different LAPACK drivers produce identical factors. If LAPACK's gesdd
+    fails to converge, which it can on finite input depending on the BLAS
+    thread count, the SVD is taken once more with the slower gesvd.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("svd: input contains non-finite entries")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False,
+                                    lapack_driver="gesvd")
     for k in range(u.shape[1]):
         i = int(np.argmax(np.abs(u[:, k])))
         if u[i, k] < 0:

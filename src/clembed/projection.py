@@ -91,10 +91,9 @@ def write_json(record: dict, path: str | os.PathLike) -> None:
 def save_projection(pair: ProjectionPair, out_dir: str | os.PathLike,
                     timing: dict | None = None) -> None:
     """Write w_src.txt, w_tgt.txt, then projection.json (with `timing`, if
-    given, but no `final_dictionary`), all of them or none."""
+    given), all of them or none."""
     record = {"method": pair.method, "orthogonal_src": pair.orthogonal_src,
-              "metadata": {k: v for k, v in pair.metadata.items()
-                           if k != "final_dictionary"}}
+              "metadata": pair.metadata}
     if timing is not None:
         record["timing"] = timing
     write_staged(out_dir, {

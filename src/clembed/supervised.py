@@ -213,8 +213,8 @@ def rcsls_gradient(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
 
 
 def align_rcsls(aligned: AlignedMatrices, full_src_matrix: np.ndarray,
-                full_tgt_matrix: np.ndarray, cfg: RcslsConfig = RcslsConfig(),
-                w_init: np.ndarray | None = None) -> ProjectionPair:
+                full_tgt_matrix: np.ndarray, cfg: RcslsConfig = RcslsConfig()
+                ) -> ProjectionPair:
     """Full-batch subgradient descent on the relaxed local-scaling loss.
 
     Neighbor sets are recomputed at the start of every epoch and held fixed
@@ -227,7 +227,7 @@ def align_rcsls(aligned: AlignedMatrices, full_src_matrix: np.ndarray,
     src_pool = unit_rows(full_src_matrix)
     tgt_pool = unit_rows(full_tgt_matrix)
     n = min(cfg.neighborhood, src_pool.shape[0], tgt_pool.shape[0])
-    w = solve_procrustes(x_s, x_t) if w_init is None else np.array(w_init, dtype=float)
+    w = solve_procrustes(x_s, x_t)
     lr = cfg.learning_rate
     neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
     prev = rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors)

@@ -30,6 +30,7 @@ _CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
 _KEEP_PROB_INIT = 0.1
 _KEEP_PROB_GROWTH = 2.0
 _LAMBDA_CYC = 1.0  # ICP's cycle-consistency weight (Hoshen & Wolf 2018)
+_REWEIGHT_POWER = 0.5  # VecMap's re-weighting exponent of the singular values
 
 
 @dataclass(frozen=True)
@@ -52,19 +53,6 @@ class IcpConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-
-
-@dataclass(frozen=True)
-class PostprocessOptions:
-    whiten: bool = False
-    reweight_power: float | None = None
-    dewhiten: bool = False
-    reduce_dim: int | None = None
-
-    @property
-    def any_enabled(self) -> bool:
-        return (self.whiten or self.reweight_power is not None
-                or self.dewhiten or self.reduce_dim is not None)
 
 
 def vecmap_seed(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
@@ -142,8 +130,7 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     return ProjectionPair(
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True,
         method="self-learn",
-        metadata={"dict_size": len(lex), "rounds": rounds,
-                  "final_dictionary": [list(p) for p in lex.pairs]})
+        metadata={"dict_size": len(lex), "rounds": rounds})
 
 
 def _dropout(blocks, best: np.ndarray, keep_prob: float,
@@ -158,52 +145,30 @@ def _dropout(blocks, best: np.ndarray, keep_prob: float,
         yield rows, scores
 
 
-def vecmap_postprocess(pair: ProjectionPair, aligned: AlignedMatrices,
-                       options: PostprocessOptions = PostprocessOptions()
+def vecmap_postprocess(pair: ProjectionPair, aligned: AlignedMatrices
                        ) -> ProjectionPair:
-    """Optional whitening / re-weighting / de-whitening / truncation chain.
+    """VecMap's final step (Artetxe et al. 2018): whitening, re-weighting
+    by s^0.5 on both sides, then de-whitening.
 
-    Rebuilds the projection pair from the final aligned matrices, composing
-    the enabled transforms into new w_src / w_tgt. With every option off
-    the input pair is returned unchanged. Truncation keeps d x d shapes by
-    zeroing trailing shared dimensions, which is cosine-equivalent to
-    dropping them.
+    Rebuilds the projection pair from the final aligned matrices. Each side
+    is ZCA-whitened (W1, W2); the SVD U diag(s) V' of the whitened
+    cross-covariance rotates both sides into a shared frame; coordinate k
+    is scaled by s_k^`_REWEIGHT_POWER` on both sides; and each side is
+    de-whitened in its rotated frame (U' W1^-1 U, V' W2^-1 V). The steps
+    are composed into new w_src / w_tgt.
     """
-    if not options.any_enabled:
-        return pair
     x_s = np.asarray(aligned.x_src, dtype=float)
     x_t = np.asarray(aligned.x_tgt, dtype=float)
-    d = x_s.shape[1]
-    if options.whiten:
-        w1 = zca_whitening_matrix(x_s - x_s.mean(axis=0))
-        w2 = zca_whitening_matrix(x_t - x_t.mean(axis=0))
-    else:
-        w1 = np.eye(d)
-        w2 = np.eye(d)
+    w1 = zca_whitening_matrix(x_s - x_s.mean(axis=0))
+    w2 = zca_whitening_matrix(x_t - x_t.mean(axis=0))
     u, s, vt = svd((x_s @ w1).T @ (x_t @ w2))
     v = vt.T
-    w_src = w1 @ u
-    w_tgt = w2 @ v
-    if options.reweight_power is not None:
-        factor = s ** options.reweight_power
-        w_src = w_src * factor
-        w_tgt = w_tgt * factor
-    if options.dewhiten:
-        w_src = w_src @ (u.T @ np.linalg.inv(w1) @ u)
-        w_tgt = w_tgt @ (v.T @ np.linalg.inv(w2) @ v)
-    if options.reduce_dim is not None:
-        if not 1 <= options.reduce_dim <= d:
-            raise ValueError("reduce_dim out of range")
-        w_src[:, options.reduce_dim:] = 0.0
-        w_tgt[:, options.reduce_dim:] = 0.0
-    return ProjectionPair(
-        w_src=w_src, w_tgt=w_tgt, orthogonal_src=False,
-        method=pair.method + "+post",
-        metadata={**pair.metadata,
-                  "postprocess": {"whiten": options.whiten,
-                                  "reweight_power": options.reweight_power,
-                                  "dewhiten": options.dewhiten,
-                                  "reduce_dim": options.reduce_dim}})
+    factor = s ** _REWEIGHT_POWER
+    w_src = ((w1 @ u) * factor) @ (u.T @ np.linalg.inv(w1) @ u)
+    w_tgt = ((w2 @ v) * factor) @ (v.T @ np.linalg.inv(w2) @ v)
+    return ProjectionPair(w_src=w_src, w_tgt=w_tgt, orthogonal_src=False,
+                          method=pair.method + "+post",
+                          metadata=dict(pair.metadata))
 
 
 def _nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -608,3 +608,75 @@ def test_config_csls_n_under_cosine_stays_silent(workspace, proc_projection,
     assert eval_bli(workspace, proc_projection, tmp_path / "plain") == 0
     assert (tmp_path / "config" / "report.tsv").read_bytes() == \
         (tmp_path / "plain" / "report.tsv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def bli_report(workspace, proc_projection):
+    outdir = workspace / "proc-bli"
+    assert eval_bli(workspace, proc_projection, outdir) == 0
+    return outdir / "report.tsv"
+
+
+def compare(report, *flags):
+    return run("compare", "--run-a", report, "--run-b", report, *flags)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--iterations", "500", "--seed", "3"], "--iterations, --seed"),
+    (["--test", "ttest", "--seed", "3"], "--seed"),
+])
+def test_compare_refuses_shuffle_flags_under_ttest(bli_report, capsys, flags,
+                                                   named):
+    with pytest.raises(SystemExit) as exc:
+        compare(bli_report, *flags)
+    assert exc.value.code == 2
+    assert f"compare reads {named} only under --test shuffle\n" in \
+        capsys.readouterr().err
+
+
+def test_compare_shuffle_flags_run_under_a_config_shuffle_test(
+        bli_report, tmp_path, capsys):
+    """The test is read from the final parse, so a config may set it."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[compare]\ntest = shuffle\n")
+    capsys.readouterr()
+    assert compare(bli_report, "--config", cfg, "--iterations", "200",
+                   "--seed", "3") == 0
+    config_out = capsys.readouterr().out
+    assert compare(bli_report, "--test", "shuffle", "--iterations", "200",
+                   "--seed", "3") == 0
+    assert config_out == capsys.readouterr().out
+    assert config_out.startswith("test=shuffle ")
+
+
+def test_config_shuffle_values_under_ttest_stay_silent(bli_report, tmp_path,
+                                                        capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[compare]\niterations = 200\nseed = 3\n")
+    capsys.readouterr()
+    assert compare(bli_report, "--config", cfg) == 0
+    config_out = capsys.readouterr().out
+    assert compare(bli_report) == 0
+    assert config_out == capsys.readouterr().out
+    assert config_out.startswith("test=ttest ")
+
+
+TABLE_ROW = {"method": "proc", "pair": "en-de", "map": 0.5,
+             "successful": True}
+
+
+@pytest.mark.parametrize("summary, named", [
+    *(({k: v for k, v in TABLE_ROW.items() if k != key}, repr(key))
+      for key in TABLE_ROW),
+    ({"map": 1.0, "scored_queries": 2, "skipped_queries": 0,
+      "empty_queries": []}, "'method', 'pair', 'successful'"),
+], ids=[*TABLE_ROW, "eval-clir"])
+def test_table_names_the_summary_and_the_key_it_lacks(tmp_path, capsys,
+                                                      summary, named):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(TABLE_ROW))
+    bad.write_text(json.dumps(summary))
+    assert run("table", good, bad) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: summary {bad} has no key {named}\n"
+    assert captured.out == ""

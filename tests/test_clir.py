@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from clembed.clir import (ClirRun, DocumentCollection, TermWeighting,
-                          aggregate_texts, clir_run, clir_significance,
-                          idf_weighting, ingest_collection, tokenize,
-                          write_trec_run)
+from clembed.clir import (ClirRun, DocumentCollection, aggregate_texts,
+                          clir_run, clir_significance, idf_weighting,
+                          ingest_collection, tokenize, write_trec_run)
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import paired_ttest
 from clembed.lexicon import build_aligned_matrices
@@ -35,9 +34,9 @@ def oracle_clir_significance(run_a, run_b):
     return float(stats.ttest_rel(a, b).pvalue)
 
 
-def text_vector(tokens, space, weighting):
+def text_vector(tokens, space, idf):
     """The aggregate vector of one text."""
-    return aggregate_texts([tokens], space, weighting)[0]
+    return aggregate_texts([tokens], space, idf)[0]
 
 
 def toy_collection():
@@ -94,53 +93,52 @@ class TestTokenize:
 class TestWeighting:
     def test_idf_is_ln_n_over_df(self):
         coll = toy_collection()
-        w = idf_weighting(coll)
+        idf = idf_weighting(coll)
         # "apple" appears in d1, d4 -> df 2 of 5 docs.
-        assert w.idf["apple"] == pytest.approx(np.log(5 / 2))
-        assert w.idf["banana"] == pytest.approx(np.log(5 / 3))
+        assert idf["apple"] == pytest.approx(np.log(5 / 2))
+        assert idf["banana"] == pytest.approx(np.log(5 / 3))
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            TermWeighting(scheme="bm25")
+    def test_negative_idf_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            aggregate_texts([("apple",)], toy_space(),
+                            {"apple": 1.0, "kiwi": -0.5})
 
 
 class TestAggregate:
     def test_uniform_mean(self):
         space = toy_space()
-        v = aggregate_texts([("apple", "banana")], space)
+        v = aggregate_texts([("apple", "banana")], space, None)
         assert np.allclose(v, [[0.5, 0.5, 0.0]])
 
     def test_idf_weighted_mean(self):
         space = toy_space()
-        w = TermWeighting(scheme="idf", idf={"apple": 3.0, "banana": 1.0})
-        v = aggregate_texts([("apple", "banana")], space, w)
+        v = aggregate_texts([("apple", "banana")], space,
+                            {"apple": 3.0, "banana": 1.0})
         assert np.allclose(v, [[0.75, 0.25, 0.0]])
 
     def test_unseen_token_weight_one(self):
         space = toy_space()
-        w = TermWeighting(scheme="idf", idf={"apple": 3.0})
-        v = aggregate_texts([("apple", "banana")], space, w)
+        v = aggregate_texts([("apple", "banana")], space, {"apple": 3.0})
         assert np.allclose(v, [[0.75, 0.25, 0.0]])
 
     def test_all_oov_gives_zero_vector(self):
-        v = aggregate_texts([("zebra",), ("apple",)], toy_space())
+        v = aggregate_texts([("zebra",), ("apple",)], toy_space(), None)
         assert np.allclose(v, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 class TestClirRun:
-    def hand_map(self, weighting=None):
+    def hand_map(self):
         """Exhaustive cosine scoring done independently of clir_run."""
         coll = toy_collection()
         space = toy_space()
-        if weighting is None:
-            weighting = idf_weighting(coll)
+        idf = idf_weighting(coll)
         doc_ids = sorted(coll.docs)
         aps = []
         for qid in sorted(coll.queries):
-            q = text_vector(coll.queries[qid], space, weighting)
+            q = text_vector(coll.queries[qid], space, idf)
             scores = []
             for did in doc_ids:
-                d = text_vector(coll.docs[did], space, weighting)
+                d = text_vector(coll.docs[did], space, idf)
                 denom = np.linalg.norm(q) * np.linalg.norm(d)
                 scores.append(q @ d / denom if denom else 0.0)
             order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], i))
@@ -156,7 +154,8 @@ class TestClirRun:
 
     def test_map_matches_hand_scoring(self):
         coll = toy_collection()
-        run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(),
+                       idf_weighting(coll))
         assert run.map_score == pytest.approx(self.hand_map(), abs=1e-12)
         assert run.scored_queries == 2
 
@@ -164,8 +163,7 @@ class TestClirRun:
         docs = {"d2": ("apple",), "d1": ("apple",)}
         coll = DocumentCollection(docs=docs, queries={"q": ("apple",)},
                                   qrels=frozenset({("q", "d2")}))
-        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(),
-                       TermWeighting(scheme="uniform"))
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(), None)
         assert run.rankings["q"] == ("d1", "d2")
 
     def test_empty_vocabulary_query_reported(self):
@@ -173,7 +171,8 @@ class TestClirRun:
             docs={"d1": ("apple",), "d2": ("banana",)},
             queries={"q1": ("zzz",), "q2": ("apple",)},
             qrels=frozenset({("q1", "d1"), ("q2", "d1")}))
-        run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(),
+                       idf_weighting(coll))
         assert run.empty_queries == ("q1",)
 
     def test_zero_query_ranks_by_doc_id(self):
@@ -181,7 +180,8 @@ class TestClirRun:
                 for i in range(9)}
         coll = DocumentCollection(docs=docs, queries={"q": ("zzz",)},
                                   qrels=frozenset({("q", "d4")}))
-        run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(),
+                       idf_weighting(coll))
         assert run.rankings["q"] == tuple(sorted(docs))
         assert run.relevant_ranks == (("q", "d4", 5),)
 
@@ -206,7 +206,7 @@ class TestClirRun:
                 docs=docs, queries={q: queries[q] for q in subset},
                 qrels=frozenset((q, "d120") for q in subset))
             runs.append(clir_run(coll, pair, noisy_pair.src, noisy_pair.tgt,
-                                 TermWeighting(scheme="uniform")))
+                                 None))
         for run in runs:
             for ranking in run.rankings.values():
                 assert ranking.index("d120") == ranking.index("d000") + 1
@@ -220,7 +220,8 @@ class TestClirRun:
 class TestSignificance:
     def test_identical_runs_p_one(self):
         coll = toy_collection()
-        run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(),
+                       idf_weighting(coll))
         assert clir_significance(run, run) == 1.0
 
     @staticmethod
@@ -275,7 +276,8 @@ class TestSignificance:
 
     def test_mismatched_runs_rejected(self):
         coll = toy_collection()
-        run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(),
+                       idf_weighting(coll))
         other = ClirRun(rankings={}, relevant_ranks=(("qx", "d9", 1),),
                         map_score=1.0, scored_queries=1, skipped_queries=0,
                         empty_queries=())
@@ -286,7 +288,8 @@ class TestSignificance:
 class TestTrecRoundTrip:
     def test_round_trip(self, tmp_path):
         coll = toy_collection()
-        run = clir_run(coll, identity_pair(3), toy_space(), toy_space())
+        run = clir_run(coll, identity_pair(3), toy_space(), toy_space(),
+                       idf_weighting(coll))
         p = tmp_path / "run.trec"
         write_trec_run(run, p)
         want = [[qid, "Q0", did, str(rank), f"{1 / rank:.6f}", "clembed"]

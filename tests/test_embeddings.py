@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from clembed.embeddings import (EmbeddingParseError, PreprocessChain,
-                                WordVectorSpace, load_text_embeddings,
-                                normalize, save_text_embeddings)
+from clembed.embeddings import (EmbeddingParseError, WordVectorSpace,
+                                load_text_embeddings, normalize,
+                                save_text_embeddings)
 
 
 def write(tmp_path, text, name="vec.txt"):
@@ -97,42 +97,40 @@ class TestLoadSave:
 
 class TestPreprocess:
     def test_unit_length(self, tiny_space):
-        out = normalize(tiny_space, PreprocessChain(("unit-length",)))
+        out = normalize(tiny_space, ("unit-length",))
         assert np.allclose(np.linalg.norm(out.matrix, axis=1), 1.0)
 
     def test_unit_length_counts_only_rows_of_zeros(self):
         space = WordVectorSpace(("a", "b", "c"),
                                 np.array([[0.0, 0.0], [1e-170, 1e-170], [3.0, 4.0]]))
         with pytest.warns(UserWarning, match="1 zero rows left unchanged"):
-            out = normalize(space, PreprocessChain(("unit-length",)))
+            out = normalize(space, ("unit-length",))
         assert np.allclose(np.linalg.norm(out.matrix[1:], axis=1), 1.0)
 
     def test_mean_center(self, tiny_space):
-        out = normalize(tiny_space, PreprocessChain(("mean-center",)))
+        out = normalize(tiny_space, ("mean-center",))
         assert np.allclose(out.matrix.mean(axis=0), 0.0, atol=1e-12)
 
     def test_zca_whiten(self, tiny_space):
-        out = normalize(tiny_space,
-                        PreprocessChain(("mean-center", "zca-whiten")))
+        out = normalize(tiny_space, ("mean-center", "zca-whiten"))
         cov = out.matrix.T @ out.matrix / (len(out.matrix) - 1)
         assert np.allclose(cov, np.eye(tiny_space.dim), atol=1e-6)
 
     def test_chain_applies_in_order(self, tiny_space):
-        chain = PreprocessChain(("unit-length", "mean-center"))
-        out = normalize(tiny_space, chain)
-        step1 = normalize(tiny_space, PreprocessChain(("unit-length",)))
-        step2 = normalize(step1, PreprocessChain(("mean-center",)))
+        out = normalize(tiny_space, ("unit-length", "mean-center"))
+        step1 = normalize(tiny_space, ("unit-length",))
+        step2 = normalize(step1, ("mean-center",))
         assert np.allclose(out.matrix, step2.matrix)
 
-    def test_unknown_step_rejected(self):
-        with pytest.raises(ValueError):
-            PreprocessChain(("l2",))
+    def test_unknown_step_rejected(self, tiny_space):
+        with pytest.raises(ValueError, match="unknown preprocessing step"):
+            normalize(tiny_space, ("l2",))
 
-    def test_too_many_steps_rejected(self):
-        with pytest.raises(ValueError):
-            PreprocessChain(("unit-length", "mean-center", "zca-whiten",
-                             "unit-length"))
+    def test_too_many_steps_rejected(self, tiny_space):
+        with pytest.raises(ValueError, match="exceeds 3 steps"):
+            normalize(tiny_space, ("unit-length", "mean-center", "zca-whiten",
+                                   "unit-length"))
 
     def test_empty_chain_is_identity(self, tiny_space):
-        out = normalize(tiny_space, PreprocessChain(()))
+        out = normalize(tiny_space, ())
         assert np.allclose(out.matrix, tiny_space.matrix)

@@ -26,6 +26,27 @@ def test_svd_sign_convention_is_stable():
         assert col[np.argmax(np.abs(col))] >= 0
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+def test_svd_falls_back_to_gesvd_when_gesdd_does_not_converge(monkeypatch,
+                                                              shape):
+    a = np.random.default_rng(6).standard_normal(shape)
+    want = svd(a)
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(args)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    got = svd(a)
+    assert len(calls) == 1
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.allclose(g, w, atol=1e-12)
+    u = got[0]
+    assert np.all(u[np.argmax(np.abs(u), axis=0), range(u.shape[1])] >= 0)
+
+
 def test_procrustes_recovers_rotation():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 8))

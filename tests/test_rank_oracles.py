@@ -34,9 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clembed import similarity
-from clembed.clir import (ClirRun, DocumentCollection, TermWeighting,
-                          _descending_order, aggregate_texts, clir_run,
-                          idf_weighting)
+from clembed.clir import (ClirRun, DocumentCollection, _descending_order,
+                          aggregate_texts, clir_run, idf_weighting)
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import (BliResult, QueryRecord, P_AT_KS,
                                 average_precision_from_ranks, bli_evaluate,
@@ -92,14 +91,14 @@ def oracle_bli_evaluate(pair, src_space, tgt_space, test_lex,
                      p_at_k=p_at_k, query_count=len(records), oov_skipped=oov)
 
 
-def oracle_aggregate_text(tokens, space, weighting) -> np.ndarray:
+def oracle_aggregate_text(tokens, space, idf) -> np.ndarray:
     acc = np.zeros(space.dim)
     total = 0.0
     for tok in tokens:
         if tok not in space:
             continue
-        if weighting.scheme == "idf":
-            weight = (weighting.idf or {}).get(tok, 1.0)
+        if idf is not None:
+            weight = idf.get(tok, 1.0)
         else:
             weight = 1.0
         acc += weight * space.vector(tok)
@@ -110,10 +109,10 @@ def oracle_aggregate_text(tokens, space, weighting) -> np.ndarray:
 
 
 def oracle_clir_run(collection, pair, query_space, doc_space,
-                    weighting) -> ClirRun:
+                    idf) -> ClirRun:
     doc_ids = sorted(collection.docs)
     doc_vecs = np.vstack([
-        oracle_aggregate_text(collection.docs[d], doc_space, weighting)
+        oracle_aggregate_text(collection.docs[d], doc_space, idf)
         @ pair.w_tgt
         for d in doc_ids])
     norms = np.linalg.norm(doc_vecs, axis=1)
@@ -128,7 +127,7 @@ def oracle_clir_run(collection, pair, query_space, doc_space,
     empty_queries = []
     for qid in sorted(collection.queries):
         qvec = oracle_aggregate_text(collection.queries[qid], query_space,
-                                     weighting) @ pair.w_src
+                                     idf) @ pair.w_src
         qnorm = np.linalg.norm(qvec)
         if qnorm == 0.0:
             empty_queries.append(qid)
@@ -258,26 +257,23 @@ def aggregate_cases(draw):
                             draw(exact_rows(dim, len(VOCAB), len(VOCAB))))
     words = st.sampled_from(VOCAB + ("oov", "kiwi"))
     texts = draw(st.lists(st.lists(words, max_size=8).map(tuple), max_size=6))
-    weighting = draw(st.one_of(
-        st.just(TermWeighting(scheme="uniform")),
-        st.just(TermWeighting(scheme="idf")),
+    idf = draw(st.one_of(
+        st.none(),
         st.dictionaries(st.sampled_from(VOCAB + ("kiwi",)),
-                        st.floats(0.0, 5.0)).map(
-            lambda idf: TermWeighting(scheme="idf", idf=idf))))
-    return texts, space, weighting
+                        st.floats(0.0, 5.0))))
+    return texts, space, idf
 
 
 @settings(max_examples=300, deadline=None)
 @given(aggregate_cases())
 def test_aggregate_texts_matches_loop_on_exact_rows(case):
-    texts, space, weighting = case
-    got = aggregate_texts(texts, space, weighting)
+    texts, space, idf = case
+    got = aggregate_texts(texts, space, idf)
     assert got.shape == (len(texts), space.dim)
     for row, tokens in zip(got, texts):
-        want = oracle_aggregate_text(tokens, space, weighting)
+        want = oracle_aggregate_text(tokens, space, idf)
         assert np.array_equal(row, want)
-        assert np.array_equal(aggregate_texts([tokens], space, weighting)[0],
-                              want)
+        assert np.array_equal(aggregate_texts([tokens], space, idf)[0], want)
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "idf"])
@@ -286,11 +282,11 @@ def test_aggregate_texts_matches_loop_on_generic_vectors(noisy_pair, scheme):
     words = list(noisy_pair.src.words) + ["oov-a", "oov-b"]
     texts = [tuple(rng.choice(words, size=rng.integers(0, 60)))
              for _ in range(80)]
-    idf = {w: float(rng.exponential()) for w in rng.choice(words, size=300)}
-    weighting = TermWeighting(scheme=scheme, idf=idf)
-    got = aggregate_texts(texts, noisy_pair.src, weighting)
+    table = {w: float(rng.exponential()) for w in rng.choice(words, size=300)}
+    idf = table if scheme == "idf" else None
+    got = aggregate_texts(texts, noisy_pair.src, idf)
     for row, tokens in zip(got, texts):
-        want = oracle_aggregate_text(tokens, noisy_pair.src, weighting)
+        want = oracle_aggregate_text(tokens, noisy_pair.src, idf)
         assert np.max(np.abs(row - want)) <= 1e-15 * np.linalg.norm(want)
 
 
@@ -326,20 +322,17 @@ def clir_cases(draw):
                                               st.sampled_from(sorted(docs))),
                                     max_size=8)))
     collection = DocumentCollection(docs=docs, queries=queries, qrels=qrels)
-    if draw(st.booleans()):
-        weighting = idf_weighting(collection)
-    else:
-        weighting = TermWeighting(scheme="uniform")
-    return collection, space, weighting
+    idf = idf_weighting(collection) if draw(st.booleans()) else None
+    return collection, space, idf
 
 
 @settings(max_examples=300, deadline=None)
 @given(clir_cases())
 def test_clir_matches_oracle_on_ties(case):
-    collection, space, weighting = case
+    collection, space, idf = case
     pair = identity_pair(space.dim)
-    new = outcome(clir_run, collection, pair, space, space, weighting)
-    old = outcome(oracle_clir_run, collection, pair, space, space, weighting)
+    new = outcome(clir_run, collection, pair, space, space, idf)
+    old = outcome(oracle_clir_run, collection, pair, space, space, idf)
     assert_same(new, old)
 
 
@@ -355,9 +348,8 @@ def test_clir_matches_oracle_on_fixture(noisy_pair):
     aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
                                      noisy_pair.tgt)
     pair = align_proc(aligned)
-    weighting = idf_weighting(collection)
-    new = clir_run(collection, pair, noisy_pair.src, noisy_pair.tgt, weighting)
-    old = oracle_clir_run(collection, pair, noisy_pair.src, noisy_pair.tgt,
-                          weighting)
+    idf = idf_weighting(collection)
+    new = clir_run(collection, pair, noisy_pair.src, noisy_pair.tgt, idf)
+    old = oracle_clir_run(collection, pair, noisy_pair.src, noisy_pair.tgt, idf)
     assert new.empty_queries == ("q99",)
     assert_same(new, old)

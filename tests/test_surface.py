@@ -22,10 +22,9 @@ SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))
            *sorted((ROOT / "bench").glob("*.py"))]
 
 # name -> why it may stay unreached
-ALLOWED = dict.fromkeys(
-    ("vecmap_postprocess", "PostprocessOptions"),
-    "ROADMAP item 5: VecMap's post-processing stays until it is checked "
-    "against the paper's VecMap setting, then it is run or deleted")
+ALLOWED = {
+    "vecmap_postprocess": "ROADMAP item 4: VecMap's post-processing preset "
+                          "stays until `align --method vecmap` runs it"}
 
 
 def used_names(node) -> Counter:

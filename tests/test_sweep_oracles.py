@@ -162,8 +162,7 @@ def oracle_self_learn(src_space, tgt_space, init_lex, cfg):
     return ProjectionPair(
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True,
         method="self-learn",
-        metadata={"dict_size": len(lex), "rounds": rounds,
-                  "final_dictionary": [list(p) for p in lex.pairs]})
+        metadata={"dict_size": len(lex), "rounds": rounds})
 
 
 def oracle_rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n):
