@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -138,8 +139,8 @@ def cmd_align(args) -> int:
         args.seed = 0
     lex = (load_lexicon(_require_file(args.dict, "training dictionary"))
            if args.method in SUPERVISED_METHODS else None)
-    # proc and cca read only the dictionary's rows, so each load may stop
-    # once it holds every dictionary word of its side
+    # proc and cca read only the dictionary's rows, so each load keeps just
+    # the dictionary words of its side
     src_needed = tgt_needed = None
     if args.method in ("proc", "cca"):
         src_needed = {src for src, _ in lex.pairs}
@@ -203,14 +204,21 @@ def cmd_compare(args) -> int:
 def cmd_eval_clir(args) -> int:
     """Write run.trec (top 1000 documents per query) and summary.json, whose
     MAP is over the full ranking, so a MAP recomputed from run.trec is lower
-    once a relevant document ranks below 1000."""
+    once a relevant document ranks below 1000.
+
+    The collection is read and checked before either embedding load, and
+    each load keeps only the words of its side of the collection, so a
+    malformed value on a line of a word no text uses is not reported."""
     pair = load_projection(_require_file(args.proj, "projection directory"))
-    query_space = _load_space(args.query_emb, args.max_vocab, "query")
-    doc_space = _load_space(args.doc_emb, args.max_vocab, "document")
     collection = clir_mod.ingest_collection(
         _require_file(args.docs, "document file"),
         _require_file(args.queries, "query file"),
         _require_file(args.qrels, "qrels file"))
+    query_space = _load_space(
+        args.query_emb, args.max_vocab, "query",
+        needed=chain.from_iterable(collection.queries.values()))
+    doc_space = _load_space(args.doc_emb, args.max_vocab, "document",
+                            needed=chain.from_iterable(collection.docs.values()))
     idf = (None if args.weighting == "uniform"
            else clir_mod.idf_weighting(collection))
     run = clir_mod.clir_run(collection, pair, query_space, doc_space, idf)

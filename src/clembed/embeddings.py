@@ -90,29 +90,34 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     the most frequent vocabulary. Duplicate tokens after the first
     occurrence are dropped with a warning.
 
-    With `needed`, a set of words the caller will look up, the read also
-    stops after the line that completes that set (an empty set: after the
-    first word), or at `max_vocab` if that comes first. The result is then
-    the full load's prefix up to that line, equal to the load with
-    `max_vocab` set to its word count. If a needed word is not in the file,
-    the whole file is read. As with `max_vocab`, lines after the stop are
-    neither parsed nor checked, and a duplicate after it is not counted.
+    With `needed`, a set of words the caller will look up, the load keeps
+    only the first occurrence of each needed word, in file order, and
+    parses the values of no other line. It stops after the line that
+    completes that set (an empty set: after the first word), or at
+    `max_vocab` distinct words of the file, needed or not, if that comes
+    first. If a needed word is not in the file, the whole file is read. The
+    result is the load without `needed` restricted to the needed words, but
+    an unparseable value on a line that is not kept is not reported. A load
+    that keeps no word is a 0 x d space. As with `max_vocab`, lines after
+    the stop are neither parsed nor checked, and a duplicate after it is
+    not counted.
 
-    Lines are read in chunks of `_CHUNK_LINES`. Python checks each line's
-    structure (value count, duplicates, the stop, after which no line is
-    parsed or checked); the values of a whole chunk then go through
-    one call of numpy's text parser, so they follow numpy's float syntax:
-    `1_0` and non-ASCII digits, which Python's `float` accepts, are
-    unparseable, while numbers padded with the control characters
-    \\x1c-\\x1f are read. Errors name the first bad line, as a line-by-line
-    read would.
+    Lines are read in chunks of `_CHUNK_LINES`. Python checks the structure
+    of every line up to the stop (value count, an empty value part,
+    duplicates); the values of the chunk's lines to keep (without `needed`,
+    of every line, duplicates too) then go through one call of numpy's text
+    parser, so they follow numpy's float syntax: `1_0` and non-ASCII
+    digits, which Python's `float` accepts, are unparseable, while numbers
+    padded with the control characters \\x1c-\\x1f are read. Errors name the
+    first bad line, as a line-by-line read would.
     """
     if max_vocab is not None and max_vocab <= 0:
         raise ValueError("max_vocab must be positive")
     words: list[str] = []
     blocks: list[np.ndarray] = []
     seen: set[str] = set()
-    missing = None if needed is None else set(needed)
+    wanted = None if needed is None else set(needed)
+    missing = None if wanted is None else set(wanted)
     duplicates = 0
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -138,7 +143,7 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
                 break
             values: list[str] = []      # value fields of the lines to parse
             linenos: list[int] = []
-            kept: list[int] = []        # positions in `values` of new words
+            kept: list[int] = []        # positions in `values` of kept words
             error = None
             for lineno, line in chunk:
                 line = line.rstrip("\n")
@@ -160,15 +165,19 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
                     # would skip as a blank line rather than reject
                     error = EmbeddingParseError("unparseable float", line=lineno)
                     break
-                values.append(rest)
-                linenos.append(lineno)
-                if token in seen:
+                new = token not in seen
+                keep = new and (wanted is None or token in wanted)
+                if keep or wanted is None:
+                    values.append(rest)
+                    linenos.append(lineno)
+                if keep:
+                    words.append(token)
+                    kept.append(len(values) - 1)
+                if not new:
                     duplicates += 1
                     continue
                 seen.add(token)
-                words.append(token)
-                kept.append(len(values) - 1)
-                full = max_vocab is not None and len(words) >= max_vocab
+                full = max_vocab is not None and len(seen) >= max_vocab
                 if missing is not None:
                     missing.discard(token)
                     full = full or not missing
@@ -180,13 +189,13 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
                 blocks.append(block if len(kept) == len(values) else block[kept])
             if error is not None:
                 raise error
-    if not words:
+    if dim is None:
         raise EmbeddingParseError("no embeddings found in file")
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
                       "(kept first occurrences)", stacklevel=2)
-    return WordVectorSpace(words=tuple(words), matrix=np.concatenate(blocks),
-                           lang_tag=lang_tag)
+    matrix = np.concatenate(blocks) if blocks else np.empty((0, dim))
+    return WordVectorSpace(words=tuple(words), matrix=matrix, lang_tag=lang_tag)
 
 
 def _parse_values(values: list[str], linenos: list[int]) -> np.ndarray:

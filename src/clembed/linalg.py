@@ -49,16 +49,24 @@ def solve_procrustes(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
     A rank-deficient cross-covariance still yields a valid minimizer; the
     ambiguity is reported as a warning.
     """
+    w, rank_deficient = _procrustes(x_src, x_tgt)
+    if rank_deficient:
+        warnings.warn("solve_procrustes: rank-deficient cross-covariance; "
+                      "solution is not unique", stacklevel=2)
+    return w
+
+
+def _procrustes(x_src: np.ndarray, x_tgt: np.ndarray) -> tuple[np.ndarray, bool]:
+    """`solve_procrustes`'s map and whether its cross-covariance is
+    rank-deficient, without the warning: for intermediate solves, whose
+    map the caller does not return."""
     x_src = np.asarray(x_src, dtype=float)
     x_tgt = np.asarray(x_tgt, dtype=float)
     if x_src.shape != x_tgt.shape:
         raise ValueError("solve_procrustes: shapes differ "
                          f"({x_src.shape} vs {x_tgt.shape})")
     u, s, vt = svd(x_src.T @ x_tgt)
-    if s.size and s[-1] <= 1e-12 * max(s[0], 1.0):
-        warnings.warn("solve_procrustes: rank-deficient cross-covariance; "
-                      "solution is not unique", stacklevel=2)
-    return u @ vt
+    return u @ vt, bool(s.size and s[-1] <= 1e-12 * max(s[0], 1.0))
 
 
 def _inv_sqrt_psd(c: np.ndarray, eps: float) -> np.ndarray:

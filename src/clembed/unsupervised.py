@@ -17,8 +17,8 @@ import scipy.linalg
 from .embeddings import WordVectorSpace
 from .lexicon import (TranslationLexicon, build_aligned_matrices, make_lexicon,
                       AlignedMatrices)
-from .linalg import pca_project, sinkhorn_scale, solve_procrustes, svd, \
-    zca_whitening_matrix
+from .linalg import _procrustes, pca_project, sinkhorn_scale, \
+    solve_procrustes, svd, zca_whitening_matrix
 from .projection import ProjectionPair
 from .similarity import (cosine_matrix, mutual_argmax_pairs, mutual_pairs,
                          similarity_sweep, unit_rows)
@@ -102,7 +102,9 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     rounds = 0
     for rounds in range(1, cfg.max_rounds + 1):
         aligned = build_aligned_matrices(lex, src_space, tgt_space)
-        w = solve_procrustes(aligned.x_src, aligned.x_tgt)
+        # an early round's dictionary may be rank-deficient; only the final
+        # solve, whose map is returned, warns
+        w, _ = _procrustes(aligned.x_src, aligned.x_tgt)
         best = np.empty(len(src_cap))
         sweep = _dropout(similarity_sweep(src_cap @ w, tgt_cap, cfg.metric,
                                           cfg.csls_n), best, keep_prob, rng)
@@ -273,7 +275,7 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     if not mutual:
         mutual = list(enumerate(best["f1"].tolist()))
     idx_s, idx_t = np.array(mutual).T
-    w0 = solve_procrustes(src_top[idx_s], tgt_top[idx_t])
+    w0, _ = _procrustes(src_top[idx_s], tgt_top[idx_t])  # a seed: no warning
     pairs = mutual_argmax_pairs(similarity_sweep(src_top @ w0, tgt_top),
                                 len(tgt_top))
     if pairs:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clembed import cli, projection
+from clembed import cli, embeddings, projection
 from clembed.cli import main
 from clembed.embeddings import WordVectorSpace, load_text_embeddings, \
     save_text_embeddings
@@ -187,6 +187,118 @@ def test_load_stops_once_it_holds_every_word_used(workspace, broken_src,
     assert run(*argv, "--src-emb", broken_src, *tgt,
                "--outdir", tmp_path / "broken") == 0
     assert outputs(tmp_path / "broken") == outputs(tmp_path / "clean")
+
+
+@pytest.fixture(scope="module")
+def collection(workspace, broken_src):
+    """A CLIR collection over the workspace's words w0000-w0119: no text
+    uses w0150, the word of line 152, and every text ends in the
+    out-of-vocabulary "zzz", so each load reads its whole file. The argv of
+    `eval-clir` with the proc projection and both clean files."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i:04d}" for i in range(120)]
+
+    def texts(prefix, n, length):
+        return "".join(f"{prefix}{i}\t{' '.join(rng.choice(words, length))} "
+                       "zzz\n" for i in range(n))
+
+    root = workspace / "collection"
+    root.mkdir()
+    (root / "docs.tsv").write_text(texts("d", 30, 8))
+    (root / "queries.tsv").write_text(texts("q", 6, 3))
+    (root / "qrels.txt").write_text("".join(
+        f"q{i} 0 d{j} 1\n" for i in range(6) for j in (i, i + 10)))
+    return ["eval-clir", "--proj", workspace / "proj",
+            "--query-emb", workspace / "src.vec",
+            "--doc-emb", workspace / "tgt.vec", "--docs", root / "docs.tsv",
+            "--queries", root / "queries.tsv", "--qrels", root / "qrels.txt"]
+
+
+def with_line_of_w0150(argv, flag, line, tmp_path):
+    """`argv` with the file after `flag` copied, line 152 (w0150) replaced."""
+    argv = list(argv)
+    at = argv.index(flag) + 1
+    lines = argv[at].read_text().splitlines(keepends=True)
+    assert lines[151].startswith("w0150 ")
+    lines[151] = line + "\n"
+    argv[at] = tmp_path / f"{flag[2:]}.vec"
+    argv[at].write_text("".join(lines))
+    return argv
+
+
+@pytest.mark.parametrize("flag", ["--query-emb", "--doc-emb"])
+def test_eval_clir_reads_only_the_collections_words(collection, tmp_path,
+                                                    capsys, flag):
+    """A bad value on the line of a word no text uses is not parsed, so the
+    outputs are the clean file's; a wrong value count is still checked."""
+    assert run(*collection, "--outdir", tmp_path / "clean") == 0
+    bad_value = with_line_of_w0150(collection, flag, "w0150 " + "1 " * 9 + "x",
+                                   tmp_path)
+    assert run(*bad_value, "--outdir", tmp_path / "bad-value") == 0
+    assert outputs(tmp_path / "bad-value") == outputs(tmp_path / "clean")
+    capsys.readouterr()
+    bad_count = with_line_of_w0150(collection, flag, "w0150 1 2", tmp_path)
+    assert run(*bad_count, "--outdir", tmp_path / "bad-count") == 1
+    assert "line 152: expected 10 values, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "bad-count").exists()
+
+
+def test_eval_clir_parses_just_the_collections_words(collection, tmp_path,
+                                                     monkeypatch):
+    """Each load parses the rows of its side's distinct in-vocabulary
+    collection words and no other."""
+    parsed = []
+
+    def counting_parse_rows(values):
+        parsed.append(len(values))
+        return parse_rows(values)
+
+    vocab = set(load_text_embeddings(collection[collection.index(
+        "--query-emb") + 1]).words)    # the words of both files
+    parse_rows = embeddings._parse_rows
+    monkeypatch.setattr(embeddings, "_parse_rows", counting_parse_rows)
+    assert run(*collection, "--outdir", tmp_path / "out") == 0
+    used = []
+    for flag in ("--queries", "--docs"):
+        with open(collection[collection.index(flag) + 1]) as fh:
+            used.append(len({tok for line in fh
+                             for tok in line.split("\t")[1].split()} & vocab))
+    assert parsed == used
+
+
+def test_eval_clir_out_of_vocabulary_queries(collection, tmp_path,
+                                             monkeypatch):
+    """A query side with no word in its file loads as an empty space and
+    writes what a whole-file load writes: every query is an empty query."""
+    argv = list(collection)
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("".join(f"q{i}\tzzz yyy\n" for i in range(6)))
+    argv[argv.index("--queries") + 1] = queries
+    assert run(*argv, "--outdir", tmp_path / "filtered") == 0
+
+    def whole_load(path, max_vocab=None, lang_tag="", needed=None):
+        return load_text_embeddings(path, max_vocab, lang_tag)
+
+    monkeypatch.setattr(cli, "load_text_embeddings", whole_load)
+    assert run(*argv, "--outdir", tmp_path / "whole") == 0
+    assert outputs(tmp_path / "filtered") == outputs(tmp_path / "whole")
+    summary = json.loads((tmp_path / "whole" / "summary.json").read_text())
+    assert summary["empty_queries"] == [f"q{i}" for i in range(6)]
+
+
+def test_eval_clir_checks_the_collection_before_the_embeddings(
+        collection, tmp_path, capsys):
+    argv = list(collection)
+    malformed = tmp_path / "bad.vec"
+    malformed.write_text("w0000 1 2\nw0001 1\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q0 0 d0\n")
+    for flag, path in (("--query-emb", malformed), ("--doc-emb", malformed),
+                       ("--qrels", qrels)):
+        argv[argv.index(flag) + 1] = path
+    capsys.readouterr()
+    assert run(*argv, "--outdir", tmp_path / "out") == 1
+    assert "line 1: expected 4 qrel fields" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

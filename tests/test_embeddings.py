@@ -80,6 +80,19 @@ class TestLoadSave:
         with pytest.raises(EmbeddingParseError):
             load_text_embeddings(p)
 
+    @pytest.mark.parametrize("needed", [set(), {"x"}, {"x", "y"}])
+    def test_load_keeping_no_word_is_empty(self, tmp_path, needed):
+        p = write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
+        space = load_text_embeddings(p, needed=needed)
+        assert space.words == () and space.matrix.shape == (0, 3)
+
+    @pytest.mark.parametrize("text", ["2 3\n", "2 3\n\n\n", "\n"])
+    def test_no_embedding_line_rejected_with_needed_words(self, tmp_path,
+                                                          text):
+        p = write(tmp_path, text)
+        with pytest.raises(EmbeddingParseError, match="embedding"):
+            load_text_embeddings(p, needed={"a"})
+
     @pytest.mark.parametrize("word", ["a b", "a\nb", "a\rb"])
     def test_save_rejects_words_the_loader_would_split(self, tmp_path, word):
         p = tmp_path / "out.txt"

@@ -8,7 +8,9 @@ but parses a chunk of lines in one numpy call, and formats a row with one
 `%`-format. The loader must return an equal space (same words, bit-equal
 matrix, same duplicate warning) or raise the same message with the same line
 number; the savers must write the same bytes. Loader files span several
-chunks because the chunk size is patched down to 2 or 3 lines.
+chunks because the chunk size is patched down to 2 or 3 lines. A load with
+`needed` words is compared with the oracle load of a copy of its file, as
+`filtered_oracle_outcome` describes.
 
 One difference is intended and has its own tests: values follow numpy's
 float syntax. Spellings that only Python's `float` reads (`1_0`, non-ASCII
@@ -189,15 +191,58 @@ def distinct_tokens(path):
     return list(dict.fromkeys(line.partition(" ")[0] for line in lines if line))
 
 
+def filtered_oracle_outcome(path, needed, max_vocab=None, lang_tag=""):
+    """What a load of `path` with `needed` should give, by the oracle: the
+    oracle load of a copy of the file in which every line the filter does
+    not keep (a line that is not the first of a needed word) has each
+    value field replaced by "0", cut after the line that completes
+    `needed` (after the first word for an empty set) or at `max_vocab`,
+    then restricted to the needed words. The replacement keeps the field
+    count, and a line whose value part is empty is left to raise."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    copied = []
+    seen = []                   # distinct tokens in file order
+    for i, line in enumerate(lines):
+        body = line.rstrip("\n")
+        if i == 0 and (not body.strip() or len(body.split(" ")) == 2):
+            copied.append(line)                  # a header, or an error
+            continue
+        token, _, rest = body.partition(" ")
+        kept = body and token not in seen and token in needed
+        if body and token not in seen:
+            seen.append(token)
+        if body and rest and not kept:
+            line = " ".join([token] + ["0"] * len(rest.split(" "))) + "\n"
+        copied.append(line)
+    cut = max_vocab
+    if set(needed) <= set(seen):
+        k = max([seen.index(word) + 1 for word in needed], default=1)
+        cut = k if max_vocab is None else min(k, max_vocab)
+    copy = path.with_name(path.name + ".oracle")
+    write_raw(copy, "".join(copied))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            space = oracle_load_text_embeddings(copy, max_vocab=cut,
+                                                lang_tag=lang_tag)
+        except ValueError as exc:
+            return ("raised", type(exc).__name__, str(exc))
+    rows = [i for i, word in enumerate(space.words) if word in needed]
+    matrix = space.matrix[rows]
+    return ("loaded", tuple(space.words[i] for i in rows), matrix.shape,
+            matrix.dtype, matrix.tobytes(), space.lang_tag,
+            [str(w.message).replace(str(copy), str(path)) for w in caught])
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=embedding_files(), chunk=st.sampled_from((2, 3, 4096)),
        max_vocab=st.one_of(st.none(), st.integers(1, 6)), data=st.data())
-def test_needed_words_stop_the_load_like_max_vocab(tmp_path_factory, text,
-                                                   chunk, max_vocab, data):
-    """A load with a needed set is the load cut at k words, k counting the
-    distinct words up to the line that completes the set (1 for an empty
-    set), or at `max_vocab` if that is smaller; with a word absent from the
-    file, it is the load without a needed set."""
+def test_needed_words_filter_the_load(tmp_path_factory, text, chunk, max_vocab,
+                                      data):
+    """A load with a needed set keeps just the needed words, parses no other
+    line's values and stops where the oracle's cut is; with a word absent
+    from the file, it reads the whole file."""
     path = tmp_path_factory.mktemp("needed") / "vec.txt"
     write_raw(path, text)
     tokens = distinct_tokens(path)
@@ -206,15 +251,10 @@ def test_needed_words_stop_the_load_like_max_vocab(tmp_path_factory, text,
     if data.draw(st.booleans()):
         needed |= data.draw(st.sets(st.sampled_from(("absent", "w_2")),
                                     min_size=1))
-    cut = max_vocab
-    if needed <= set(tokens):
-        k = max([tokens.index(word) + 1 for word in needed], default=1)
-        cut = k if max_vocab is None else min(k, max_vocab)
     with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
         assert load_outcome(load_text_embeddings, path, needed=needed,
                             max_vocab=max_vocab, lang_tag="xx") == \
-            load_outcome(load_text_embeddings, path, max_vocab=cut,
-                         lang_tag="xx")
+            filtered_oracle_outcome(path, needed, max_vocab, lang_tag="xx")
 
 
 def numbered_file(n_rows, dim, bad_row, bad_text):
@@ -247,12 +287,25 @@ def test_errors_name_the_line_across_chunks(tmp_path, chunk, bad_text, message,
         # a cut just before the bad line: it is neither parsed nor checked
         loaded = assert_loads_like_oracle(path, text, max_vocab=bad_row)
         assert loaded[0] == "loaded" and len(loaded[1]) == bad_row
-        # so neither is it after the stop for a set of needed words, unless
-        # one of them is absent and the whole file is read
+        # a load with needed words stops after the last of them, before the
+        # bad line, and keeps just them
         needed = {"w0", f"w{bad_row - 1}"}
-        assert load_outcome(load_text_embeddings, path, needed=needed) == loaded
-        assert load_outcome(load_text_embeddings, path,
-                            needed=needed | {"absent"}) == want
+        assert load_outcome(load_text_embeddings, path, needed=needed) == \
+            filtered_oracle_outcome(path, needed)
+        # with one of them absent it reads the whole file: a wrong value
+        # count still raises and names its line, while a bad value on a
+        # line it does not keep (a duplicate of w0, too) loads
+        whole = load_outcome(load_text_embeddings, path,
+                             needed=needed | {"absent"})
+        assert whole == filtered_oracle_outcome(path, needed | {"absent"})
+        if "values" in message:
+            assert whole == want
+        else:
+            assert whole[0] == "loaded" and set(whole[1]) == needed
+        # a bad value on a line it keeps is still reported
+        if not bad_text.startswith("w0"):
+            assert load_outcome(load_text_embeddings, path,
+                                needed=needed | {"bad"}) == want
 
 
 def test_unparseable_line_before_a_count_error_is_reported_first(tmp_path):

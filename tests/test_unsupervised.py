@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,57 @@ class TestSelfLearn:
     def test_empty_init_rejected(self, noisy_pair):
         with pytest.raises(ValueError):
             self_learn(noisy_pair.src, noisy_pair.tgt, make_lexicon([]))
+
+
+def rank_warnings(align, *args):
+    """The map `align(*args)` returns and its rank-deficiency warnings,
+    recorded despite pyproject's filter."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pair = align(*args)
+    return pair, [w for w in caught if "rank-deficient" in str(w.message)]
+
+
+def flattened(space):
+    """`space` with its last coordinate zeroed: every cross-covariance of
+    two such spaces is rank-deficient."""
+    matrix = space.matrix.copy()
+    matrix[:, -1] = 0.0
+    return WordVectorSpace(space.words, matrix)
+
+
+class TestRankDeficiencyWarning:
+    """Only the solve whose map is returned warns that it is not unique."""
+
+    def test_self_learn_silent_when_only_early_rounds_are_deficient(
+            self, noisy_pair):
+        seed_lex = make_lexicon((w, w) for w in noisy_pair.src.words[:5])
+        pair, caught = rank_warnings(self_learn, noisy_pair.src, noisy_pair.tgt,
+                                     seed_lex, SelfLearnConfig(vocab_cap=500))
+        assert caught == [] and pair.metadata["dict_size"] > noisy_pair.src.dim
+
+    def test_self_learn_warns_once_for_a_deficient_final_solve(self, noisy_pair):
+        seed_lex = make_lexicon((w, w) for w in noisy_pair.src.words[:100])
+        _, caught = rank_warnings(
+            self_learn, flattened(noisy_pair.src), flattened(noisy_pair.tgt),
+            seed_lex, SelfLearnConfig(vocab_cap=500, max_rounds=5))
+        assert len(caught) == 1
+
+    def test_icp_seed_solve_is_silent(self, spiral_pair):
+        src, tgt, _ = spiral_pair
+        cfg = IcpConfig(pca_dim=5, top_n_words=300, restarts=1)
+        pair, caught = rank_warnings(align_icp, src, tgt, cfg)
+        # the seed dictionary has fewer pairs than dimensions, the final one
+        # more
+        assert pair.metadata["assignment_pairs"] < src.dim
+        assert caught == [] and pair.metadata["dict_size"] > src.dim
+
+    def test_icp_warns_once_for_a_deficient_final_solve(self, spiral_pair):
+        src, tgt, _ = spiral_pair
+        cfg = IcpConfig(pca_dim=5, top_n_words=300, restarts=1)
+        _, caught = rank_warnings(align_icp, flattened(src), flattened(tgt),
+                                  cfg)
+        assert len(caught) == 1
 
 
 class TestPostprocess:
