@@ -23,8 +23,8 @@ rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
 y = x @ rotation + 0.05 * rng.standard_normal((n, d))
 
 words = tuple(f"w{i:04d}" for i in range(n))
-src = WordVectorSpace(words, x, lang_tag="src")
-tgt = WordVectorSpace(words, y, lang_tag="tgt")
+src = WordVectorSpace(words, x)
+tgt = WordVectorSpace(words, y)
 
 # The first 400 words act as the (frequency-ordered) training dictionary,
 # the last 100 as the held-out test dictionary.
@@ -43,7 +43,7 @@ print(f"  held-out MAP = {score(proc):.3f}, "
       f"||W - R||_F = {np.linalg.norm(proc.w_src - rotation):.2e}")
 
 print("Bootstrapped Procrustes from only 10 seed pairs:")
-seed = make_lexicon(train.pairs[:10])
+seed = train[:10]
 seed_aligned = build_aligned_matrices(seed, src, tgt)
 plain_small = align_proc(seed_aligned)
 boot = align_proc_b(src, tgt, seed, iters=2)
@@ -55,8 +55,7 @@ print("CCA (projects both spaces into the shared correlated basis):")
 print(f"  held-out MAP = {score(align_cca(aligned)):.3f}")
 
 print("Latent-variable EM refinement from a 50-pair seed:")
-dlv = align_dlv(src, tgt, make_lexicon(train.pairs[:50]), em_iters=2,
-                match_cap=300)
+dlv = align_dlv(src, tgt, train[:50], em_iters=2, match_cap=300)
 print(f"  held-out MAP = {score(dlv):.3f}")
 
 print("RCSLS (relaxed retrieval criterion, non-orthogonal map):")

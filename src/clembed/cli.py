@@ -54,7 +54,7 @@ def _require_file(path: str, what: str) -> str:
 
 def _load_space(path: str, max_vocab, tag: str, **kwargs):
     return load_text_embeddings(_require_file(path, f"{tag} embeddings"),
-                                max_vocab=max_vocab, lang_tag=tag, **kwargs)
+                                max_vocab=max_vocab, **kwargs)
 
 
 def cmd_preprocess(args) -> int:
@@ -143,8 +143,8 @@ def cmd_align(args) -> int:
     # the dictionary words of its side
     src_needed = tgt_needed = None
     if args.method in ("proc", "cca"):
-        src_needed = {src for src, _ in lex.pairs}
-        tgt_needed = {tgt for _, tgt in lex.pairs}
+        src_needed = {src for src, _ in lex}
+        tgt_needed = {tgt for _, tgt in lex}
     src_space = _load_space(args.src_emb, args.max_vocab, "source",
                             needed=src_needed)
     tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target",
@@ -165,7 +165,7 @@ def cmd_eval_bli(args) -> int:
     # cosine (the default) scores only the test words' source rows; CSLS
     # hubness needs the whole projected source vocabulary. Every target is
     # ranked, so the target load is always whole.
-    src_needed = ({src for src, _ in test_lex.pairs}
+    src_needed = ({src for src, _ in test_lex}
                   if args.metric != "csls" else None)
     src_space = _load_space(args.src_emb, args.max_vocab, "source",
                             needed=src_needed)
@@ -174,7 +174,7 @@ def cmd_eval_bli(args) -> int:
                           **_given(args, "bli_evaluate"))
     summary = bli_summary(result)
     summary["method"] = args.method_label or pair.method
-    summary["pair"] = args.pair_label or f"{src_space.lang_tag}-{tgt_space.lang_tag}"
+    summary["pair"] = args.pair_label or "source-target"
     write_staged(args.outdir, {
         "report.tsv": partial(write_bli_report, result),
         "summary.json": partial(write_json, summary)})

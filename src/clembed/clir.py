@@ -87,6 +87,9 @@ def _read_id_text(path) -> dict[str, tuple[str, ...]]:
             if "\t" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected id<TAB>text")
             ident, text = line.split("\t", 1)
+            if ident.split() != [ident]:  # run.trec's columns split on whitespace
+                raise ValueError(f"{path}: line {lineno}: id {ident!r} is empty "
+                                 "or holds whitespace")
             if ident in out:
                 raise ValueError(f"{path}: line {lineno}: duplicate id {ident!r}")
             out[ident] = tokenize(text)

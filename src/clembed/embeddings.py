@@ -45,7 +45,6 @@ class WordVectorSpace:
 
     words: tuple[str, ...]
     matrix: np.ndarray
-    lang_tag: str = ""
 
     def __post_init__(self):
         if len(self.words) != self.matrix.shape[0]:
@@ -82,7 +81,6 @@ class WordVectorSpace:
 
 
 def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
-                         lang_tag: str = "",
                          needed: Iterable[str] | None = None) -> WordVectorSpace:
     """Read a word2vec-style text file, keeping the first `max_vocab` entries.
 
@@ -195,7 +193,7 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
         warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
                       "(kept first occurrences)", stacklevel=2)
     matrix = np.concatenate(blocks) if blocks else np.empty((0, dim))
-    return WordVectorSpace(words=tuple(words), matrix=matrix, lang_tag=lang_tag)
+    return WordVectorSpace(words=tuple(words), matrix=matrix)
 
 
 def _parse_values(values: list[str], linenos: list[int]) -> np.ndarray:
@@ -269,5 +267,4 @@ def normalize(space: WordVectorSpace, steps: Sequence[str]) -> WordVectorSpace:
         matrix = _apply_step(matrix, step)
         if not np.all(np.isfinite(matrix)):
             raise ValueError(f"non-finite values produced by step {step!r}")
-    return WordVectorSpace(words=space.words, matrix=matrix,
-                           lang_tag=space.lang_tag)
+    return WordVectorSpace(words=space.words, matrix=matrix)

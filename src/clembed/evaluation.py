@@ -75,7 +75,7 @@ def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
     if metric not in ("cosine", "csls"):
         raise ValueError(f"unknown metric {metric!r}")
     grouped: dict[str, list[str]] = {}
-    for src, tgt in test_lex.pairs:
+    for src, tgt in test_lex:
         grouped.setdefault(src, []).append(tgt)
     queries = []
     oov = 0

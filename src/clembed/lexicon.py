@@ -2,7 +2,9 @@
 
 Dictionary files are two-column UTF-8 text, TAB-separated (single spaces
 accepted), one (source, target) pair per line, ordered by descending source
-frequency as produced by standard pipelines.
+frequency as produced by standard pipelines. In memory a dictionary is a
+`TranslationLexicon`: a plain tuple of (source, target) string pairs, in
+file order, without exact duplicates.
 """
 
 from __future__ import annotations
@@ -23,29 +25,13 @@ class LexiconParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class TranslationLexicon:
-    """Ordered (source word, target word) pairs; may be many-to-many."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def union(self, other: "TranslationLexicon") -> "TranslationLexicon":
-        return make_lexicon(list(self.pairs) + list(other.pairs))
+# (source word, target word) pairs in order; may be many-to-many
+TranslationLexicon = tuple[tuple[str, str], ...]
 
 
 def make_lexicon(pairs) -> TranslationLexicon:
     """Build a lexicon, dropping exact duplicate pairs (first kept)."""
-    seen: set[tuple[str, str]] = set()
-    out = []
-    for pair in pairs:
-        pair = (str(pair[0]), str(pair[1]))
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
-    return TranslationLexicon(pairs=tuple(out))
+    return tuple(dict.fromkeys((str(s), str(t)) for s, t in pairs))
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,7 @@ def load_lexicon(path: str | os.PathLike) -> TranslationLexicon:
 
 def save_lexicon(lex: TranslationLexicon, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for src, tgt in lex.pairs:
+        for src, tgt in lex:
             fh.write(f"{src}\t{tgt}\n")
 
 
@@ -101,9 +87,7 @@ def frequency_split(lex: TranslationLexicon, train_sizes: list[int],
     if largest + test_size > len(lex):
         raise ValueError(
             f"need {largest + test_size} pairs, lexicon has {len(lex)}")
-    trains = [TranslationLexicon(pairs=lex.pairs[:size]) for size in train_sizes]
-    test = TranslationLexicon(pairs=lex.pairs[largest:largest + test_size])
-    return trains, test
+    return [lex[:size] for size in train_sizes], lex[largest:largest + test_size]
 
 
 def build_aligned_matrices(lex: TranslationLexicon, src_space: WordVectorSpace,
@@ -112,7 +96,7 @@ def build_aligned_matrices(lex: TranslationLexicon, src_space: WordVectorSpace,
     kept = []
     src_rows = []
     tgt_rows = []
-    for src, tgt in lex.pairs:
+    for src, tgt in lex:
         if src in src_space and tgt in tgt_space:
             kept.append((src, tgt))
             src_rows.append(src_space.vector(src))
@@ -120,6 +104,5 @@ def build_aligned_matrices(lex: TranslationLexicon, src_space: WordVectorSpace,
     if not kept:
         raise ValueError("no lexicon pair found in both vocabularies; "
                          "alignment impossible")
-    coverage = len(kept) / len(lex.pairs) if lex.pairs else 0.0
     return AlignedMatrices(x_src=np.vstack(src_rows), x_tgt=np.vstack(tgt_rows),
-                           kept_pairs=make_lexicon(kept), coverage=coverage)
+                           kept_pairs=tuple(kept), coverage=len(kept) / len(lex))

@@ -193,7 +193,9 @@ def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
     sweep's (rows, scores) blocks, in row order, of `n_pool` columns.
 
     Ties resolve to the lowest index (np.argmax convention), which for
-    frequency-ordered vocabularies prefers the more frequent word.
+    frequency-ordered vocabularies prefers the more frequent word. Over
+    finite scores with a row and a column the result is never empty: the
+    first maximum in row-major order is its row's and its column's argmax.
     """
     fwd = []
     col_best = np.full(n_pool, -np.inf)

@@ -84,7 +84,7 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
                                for i, j in mutual_pairs(fwd, bwd))
         if len(induced) == 0:
             empty_augmentation = True
-        lex = lex.union(induced)
+        lex = make_lexicon(lex + induced)
     residual = float(np.linalg.norm(aligned.x_src @ w_src - aligned.x_tgt))
     return ProjectionPair(
         w_src=w_src, w_tgt=np.eye(w_src.shape[0]), orthogonal_src=True,
@@ -115,7 +115,9 @@ def _sparsified_assignment(sim: np.ndarray) -> list[tuple[int, int]]:
     """Max-weight one-to-one matching keeping only top candidate edges.
 
     Non-candidate edges get a large negative weight so the exact solver
-    stays feasible; matches that land on padded edges are discarded.
+    stays feasible; matches that land on padded edges are discarded. For
+    weights in [-1, 1] at least one match is left: an assignment using one
+    candidate edge outweighs any that uses padded edges only.
     """
     n, m = sim.shape
     k = min(_DLV_CANDIDATES, m)
@@ -146,14 +148,10 @@ def align_dlv(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     seed_src = unit_rows(aligned.x_src)
     seed_tgt = unit_rows(aligned.x_tgt)
     w = solve_procrustes(seed_src, seed_tgt)
-    fallbacks = 0
     match_sizes = []
     for _ in range(em_iters):
         sim = (src_unit @ w) @ tgt_unit.T
         matches = _sparsified_assignment(sim)
-        if not matches:
-            matches = mutual_pairs(sim.argmax(axis=1), sim.argmax(axis=0))
-            fallbacks += 1
         match_sizes.append(len(matches))
         idx_s, idx_t = np.array(matches).T
         x_s = np.vstack([seed_src, src_unit[idx_s]])
@@ -162,8 +160,7 @@ def align_dlv(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     return ProjectionPair(
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True, method="dlv",
         metadata={"dict_size": len(aligned.kept_pairs),
-                  "em_iters": em_iters, "match_sizes": match_sizes,
-                  "assignment_fallbacks": fallbacks})
+                  "em_iters": em_iters, "match_sizes": match_sizes})
 
 
 def rcsls_neighbor_sets(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,

@@ -111,12 +111,7 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         induced = make_lexicon((src_space.words[i], tgt_space.words[j])
                                for i, j in mutual_argmax_pairs(sweep, len(tgt_cap)))
         objective = float(np.mean(best))
-        if len(induced) == 0:
-            if rounds == 1:
-                raise ValueError("self_learn: empty dictionary at round 0")
-            induced = lex
-        unchanged = induced.pairs == lex.pairs
-        if keep_prob >= 1.0 and unchanged:
+        if keep_prob >= 1.0 and induced == lex:
             stable_rounds += 1
             if stable_rounds >= _CONVERGENCE_WINDOW:
                 lex = induced
@@ -276,10 +271,8 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         mutual = list(enumerate(best["f1"].tolist()))
     idx_s, idx_t = np.array(mutual).T
     w0, _ = _procrustes(src_top[idx_s], tgt_top[idx_t])  # a seed: no warning
-    pairs = mutual_argmax_pairs(similarity_sweep(src_top @ w0, tgt_top),
-                                len(tgt_top))
-    if pairs:
-        idx_s, idx_t = np.array(pairs).T
+    idx_s, idx_t = np.array(mutual_argmax_pairs(
+        similarity_sweep(src_top @ w0, tgt_top), len(tgt_top))).T
     w = solve_procrustes(src_top[idx_s], tgt_top[idx_t])
     return ProjectionPair(
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True, method="icp",

@@ -70,7 +70,7 @@ def test_criterion_2_noise_ladder():
 
 
 def test_criterion_3_bootstrap_advantage(noisy_pair):
-    seed = make_lexicon(noisy_pair.train_lex.pairs[:10])
+    seed = make_lexicon(noisy_pair.train_lex[:10])
     aligned = build_aligned_matrices(seed, noisy_pair.src, noisy_pair.tgt)
     base = held_out_map(align_proc(aligned), noisy_pair)
     boot_pair = align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=2)
@@ -178,7 +178,7 @@ def test_criterion_8_vecmap_pipeline(noisy_pair):
     tgt = WordVectorSpace(tuple(f"t{i:04d}" for i in range(80)), base[perm])
     seed_lex = vecmap_seed(src, tgt)
     inverse = np.argsort(perm)
-    assert seed_lex.pairs == tuple(
+    assert seed_lex == tuple(
         (src.words[i], tgt.words[int(inverse[i])]) for i in range(80))
 
     heur = vecmap_seed(noisy_pair.src, noisy_pair.tgt, cap=500)

@@ -25,7 +25,7 @@ def workspace(tmp_path_factory):
     pair = RotatedPair(sigma=0.05, n=200, d=10, train=150, seed=21)
     save_text_embeddings(pair.src, root / "src.vec")
     save_text_embeddings(pair.tgt, root / "tgt.vec")
-    full = make_lexicon(list(pair.train_lex.pairs) + list(pair.test_lex.pairs))
+    full = make_lexicon(pair.train_lex + pair.test_lex)
     save_lexicon(full, root / "dict.txt")
     save_lexicon(pair.train_lex, root / "train.txt")
     save_lexicon(pair.test_lex, root / "test.txt")
@@ -276,8 +276,8 @@ def test_eval_clir_out_of_vocabulary_queries(collection, tmp_path,
     argv[argv.index("--queries") + 1] = queries
     assert run(*argv, "--outdir", tmp_path / "filtered") == 0
 
-    def whole_load(path, max_vocab=None, lang_tag="", needed=None):
-        return load_text_embeddings(path, max_vocab, lang_tag)
+    def whole_load(path, max_vocab=None, needed=None):
+        return load_text_embeddings(path, max_vocab)
 
     monkeypatch.setattr(cli, "load_text_embeddings", whole_load)
     assert run(*argv, "--outdir", tmp_path / "whole") == 0
@@ -329,7 +329,7 @@ def test_preprocess_unsavable_word_leaves_no_file(workspace, tmp_path,
                                                   monkeypatch, capsys):
     # the loader splits words at spaces and line breaks, so such a word can
     # only come from elsewhere; stand in for that with a patched loader
-    def load_space_with_a_space(path, max_vocab=None, lang_tag=""):
+    def load_space_with_a_space(path, max_vocab=None):
         return WordVectorSpace(("a b", "c"), np.eye(2))
 
     monkeypatch.setattr(cli, "load_text_embeddings", load_space_with_a_space)
@@ -438,6 +438,23 @@ def test_eval_clir(workspace, tmp_path):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["map"] == 1.0
     assert (outdir / "run.trec").exists()
+
+
+@pytest.mark.parametrize("side", ["docs", "queries"])
+def test_eval_clir_refuses_an_id_with_whitespace(collection, tmp_path, capsys,
+                                                side):
+    """An id that would shift run.trec's columns, on a line appended to a
+    file the command otherwise accepts, is exit 1 naming its line."""
+    argv = list(collection)
+    at = argv.index(f"--{side}") + 1
+    text = argv[at].read_text() + f"{side[0]} x\tw0001 w0002\n"
+    argv[at] = tmp_path / f"{side}.tsv"
+    argv[at].write_text(text)
+    assert run(*argv, "--outdir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[at]}: line {len(text.splitlines())}: id '{side[0]} x' is "
+        "empty or holds whitespace\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_table(workspace, tmp_path, capsys):
@@ -720,6 +737,18 @@ def test_config_csls_n_under_cosine_stays_silent(workspace, proc_projection,
     assert eval_bli(workspace, proc_projection, tmp_path / "plain") == 0
     assert (tmp_path / "config" / "report.tsv").read_bytes() == \
         (tmp_path / "plain" / "report.tsv").read_bytes()
+
+
+def test_eval_bli_default_labels(workspace, proc_projection, tmp_path):
+    """Without labels, summary.json names the projection's method and the
+    pair "source-target"; given labels replace both."""
+    assert eval_bli(workspace, proc_projection, tmp_path / "plain") == 0
+    assert eval_bli(workspace, proc_projection, tmp_path / "labelled",
+                    "--method-label", "m", "--pair-label", "en-de") == 0
+    labels = [(s["method"], s["pair"]) for s in
+              (json.loads((tmp_path / d / "summary.json").read_text())
+               for d in ("plain", "labelled"))]
+    assert labels == [("proc", "source-target"), ("m", "en-de")]
 
 
 @pytest.fixture(scope="module")

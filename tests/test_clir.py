@@ -317,3 +317,21 @@ def test_ingest_duplicate_doc_id(tmp_path):
     with pytest.raises(ValueError, match="duplicate"):
         ingest_collection(tmp_path / "docs.tsv", tmp_path / "queries.tsv",
                           tmp_path / "qrels.txt")
+
+
+@pytest.mark.parametrize("ident", ["", "d 1", " d1", "d\x0b1", "d\u00a01"])
+@pytest.mark.parametrize("side", ["docs", "queries"])
+def test_ingest_rejects_an_id_run_trec_cannot_hold(tmp_path, side, ident):
+    """run.trec's columns are split on whitespace, so an empty id or one
+    holding whitespace would shift them; such an id is refused naming its
+    file and line."""
+    for name in ("docs", "queries"):
+        second = ident if name == side else f"{name[0]}1"
+        (tmp_path / f"{name}.tsv").write_text(
+            f"{name[0]}0\ta b\n{second}\tc d\n", encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text("")
+    with pytest.raises(ValueError) as exc:
+        ingest_collection(tmp_path / "docs.tsv", tmp_path / "queries.tsv",
+                          tmp_path / "qrels.txt")
+    assert str(exc.value) == (f"{tmp_path / side}.tsv: line 2: id "
+                              f"{ident!r} is empty or holds whitespace")

@@ -69,7 +69,7 @@ class TestBliEvaluate:
         assert res.oov_skipped == 2
 
     def test_csls_metric_runs(self, noisy_pair):
-        lex = make_lexicon(noisy_pair.test_lex.pairs[:20])
+        lex = make_lexicon(noisy_pair.test_lex[:20])
         from clembed.lexicon import build_aligned_matrices
         from clembed.supervised import align_proc
         aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,

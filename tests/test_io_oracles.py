@@ -33,7 +33,7 @@ from clembed.embeddings import (EmbeddingParseError, WordVectorSpace,
                                 load_text_embeddings, save_text_embeddings)
 
 
-def oracle_load_text_embeddings(path, max_vocab=None, lang_tag=""):
+def oracle_load_text_embeddings(path, max_vocab=None):
     if max_vocab is not None and max_vocab <= 0:
         raise ValueError("max_vocab must be positive")
     words = []
@@ -85,8 +85,7 @@ def oracle_load_text_embeddings(path, max_vocab=None, lang_tag=""):
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
                       "(kept first occurrences)", stacklevel=2)
-    return WordVectorSpace(words=tuple(words), matrix=np.vstack(rows),
-                           lang_tag=lang_tag)
+    return WordVectorSpace(words=tuple(words), matrix=np.vstack(rows))
 
 
 def oracle_save_text_embeddings(space, path, precision=6):
@@ -115,8 +114,7 @@ def load_outcome(load, path, **kwargs):
         except ValueError as exc:
             return ("raised", type(exc).__name__, str(exc))
     return ("loaded", space.words, space.matrix.shape, space.matrix.dtype,
-            space.matrix.tobytes(), space.lang_tag,
-            [str(w.message) for w in caught])
+            space.matrix.tobytes(), [str(w.message) for w in caught])
 
 
 def write_raw(path, text):
@@ -176,8 +174,7 @@ def embedding_files(draw):
 def test_loader_matches_oracle(tmp_path_factory, text, chunk, max_vocab):
     path = tmp_path_factory.mktemp("load") / "vec.txt"
     with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
-        assert_loads_like_oracle(path, text, max_vocab=max_vocab,
-                                 lang_tag="xx")
+        assert_loads_like_oracle(path, text, max_vocab=max_vocab)
 
 
 def distinct_tokens(path):
@@ -191,7 +188,7 @@ def distinct_tokens(path):
     return list(dict.fromkeys(line.partition(" ")[0] for line in lines if line))
 
 
-def filtered_oracle_outcome(path, needed, max_vocab=None, lang_tag=""):
+def filtered_oracle_outcome(path, needed, max_vocab=None):
     """What a load of `path` with `needed` should give, by the oracle: the
     oracle load of a copy of the file in which every line the filter does
     not keep (a line that is not the first of a needed word) has each
@@ -224,14 +221,13 @@ def filtered_oracle_outcome(path, needed, max_vocab=None, lang_tag=""):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            space = oracle_load_text_embeddings(copy, max_vocab=cut,
-                                                lang_tag=lang_tag)
+            space = oracle_load_text_embeddings(copy, max_vocab=cut)
         except ValueError as exc:
             return ("raised", type(exc).__name__, str(exc))
     rows = [i for i, word in enumerate(space.words) if word in needed]
     matrix = space.matrix[rows]
     return ("loaded", tuple(space.words[i] for i in rows), matrix.shape,
-            matrix.dtype, matrix.tobytes(), space.lang_tag,
+            matrix.dtype, matrix.tobytes(),
             [str(w.message).replace(str(copy), str(path)) for w in caught])
 
 
@@ -253,8 +249,8 @@ def test_needed_words_filter_the_load(tmp_path_factory, text, chunk, max_vocab,
                                     min_size=1))
     with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
         assert load_outcome(load_text_embeddings, path, needed=needed,
-                            max_vocab=max_vocab, lang_tag="xx") == \
-            filtered_oracle_outcome(path, needed, max_vocab, lang_tag="xx")
+                            max_vocab=max_vocab) == \
+            filtered_oracle_outcome(path, needed, max_vocab)
 
 
 def numbered_file(n_rows, dim, bad_row, bad_text):

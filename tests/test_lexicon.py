@@ -15,32 +15,56 @@ def lex_of(n):
 
 def test_make_lexicon_dedupes_keeping_first():
     lex = make_lexicon([("a", "x"), ("a", "x"), ("a", "y"), ("b", "x")])
-    assert lex.pairs == (("a", "x"), ("a", "y"), ("b", "x"))
+    assert lex == (("a", "x"), ("a", "y"), ("b", "x"))
 
 
 def test_union_preserves_order():
     a = make_lexicon([("a", "x")])
     b = make_lexicon([("b", "y"), ("a", "x")])
-    assert a.union(b).pairs == (("a", "x"), ("b", "y"))
+    assert make_lexicon(a + b) == (("a", "x"), ("b", "y"))
+
+
+def oracle_make_lexicon(pairs):
+    """The pair-by-pair loop `make_lexicon` replaced."""
+    seen = set()
+    out = []
+    for pair in pairs:
+        pair = (str(pair[0]), str(pair[1]))
+        if pair not in seen:
+            seen.add(pair)
+            out.append(pair)
+    return tuple(out)
+
+
+# a few values, so duplicates are common; 1 and "1" coerce to the same word
+ITEMS = st.sampled_from(("a", "b", "1", "ü", "", 1, 2.5, None, True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ITEMS, ITEMS), max_size=30))
+def test_make_lexicon_matches_the_loop(pairs):
+    lex = make_lexicon(iter(pairs))
+    assert lex == oracle_make_lexicon(pairs)
+    assert all(type(s) is str and type(t) is str for s, t in lex)
 
 
 def test_round_trip(tmp_path):
     lex = lex_of(5)
     p = tmp_path / "dict.txt"
     save_lexicon(lex, p)
-    assert load_lexicon(p).pairs == lex.pairs
+    assert load_lexicon(p) == lex
 
 
 def test_load_space_separated(tmp_path):
     p = tmp_path / "dict.txt"
     p.write_text("cat Katze\ndog Hund\n")
-    assert load_lexicon(p).pairs == (("cat", "Katze"), ("dog", "Hund"))
+    assert load_lexicon(p) == (("cat", "Katze"), ("dog", "Hund"))
 
 
 def test_load_prefers_tab(tmp_path):
     p = tmp_path / "dict.txt"
     p.write_text("new york\tNew York\n")
-    assert load_lexicon(p).pairs == (("new york", "New York"),)
+    assert load_lexicon(p) == (("new york", "New York"),)
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -54,9 +78,9 @@ class TestFrequencySplit:
     def test_nested_prefixes_and_disjoint_test(self):
         lex = lex_of(100)
         trains, test = frequency_split(lex, train_sizes=[10, 40], test_size=30)
-        assert trains[0].pairs == lex.pairs[:10]
-        assert trains[1].pairs == lex.pairs[:40]
-        assert test.pairs == lex.pairs[40:70]
+        assert trains[0] == lex[:10]
+        assert trains[1] == lex[:40]
+        assert test == lex[40:70]
 
     def test_capacity_error(self):
         with pytest.raises(ValueError):
@@ -72,9 +96,8 @@ class TestFrequencySplit:
         by_size = dict(zip(sizes, trains))
         ordered = sorted(sizes)
         for small, big in zip(ordered, ordered[1:]):
-            small_pairs = by_size[small].pairs
-            assert by_size[big].pairs[:len(small_pairs)] == small_pairs
-        assert not set(by_size[max(sizes)].pairs) & set(test.pairs)
+            assert by_size[big][:small] == by_size[small]
+        assert not set(by_size[max(sizes)]) & set(test)
 
 
 class TestBuildAlignedMatrices:
@@ -97,7 +120,7 @@ class TestBuildAlignedMatrices:
         tgt = self.space(["x", "y"], 1)
         lex = make_lexicon([("a", "x"), ("a", "missing"), ("ghost", "y")])
         out = build_aligned_matrices(lex, src, tgt)
-        assert out.kept_pairs.pairs == (("a", "x"),)
+        assert out.kept_pairs == (("a", "x"),)
         assert out.coverage == pytest.approx(1 / 3)
 
     def test_all_oov_is_error(self):

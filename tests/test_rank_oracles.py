@@ -52,7 +52,7 @@ CELL_BUDGETS = (1, 40, 2 ** 24)
 def oracle_bli_evaluate(pair, src_space, tgt_space, test_lex,
                         metric="cosine", csls_n=10) -> BliResult:
     grouped = OrderedDict()
-    for src, tgt in test_lex.pairs:
+    for src, tgt in test_lex:
         grouped.setdefault(src, []).append(tgt)
     tgt_proj = pair.project_tgt(tgt_space.matrix)
     tgt_unit = unit_rows(tgt_proj)
@@ -196,7 +196,7 @@ def test_bli_matches_oracle_on_fixture(noisy_pair, metric, cells):
                                      noisy_pair.tgt)
     pair = align_proc(aligned)
     # multi-gold and out-of-vocabulary queries on top of the test split
-    test = make_lexicon(list(noisy_pair.test_lex.pairs)
+    test = make_lexicon(list(noisy_pair.test_lex)
                         + [("w0400", "w0001"), ("w0400", "w0450"),
                            ("w0010", "zzz"), ("zzz", "w0402")])
     with mock.patch.object(similarity, "_CELLS", cells):

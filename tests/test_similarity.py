@@ -149,6 +149,26 @@ def test_mutual_argmax_identity_on_self_similarity():
     assert pairs == [(i, i) for i in range(10)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+              elements=st.integers(-2, 2), fill=st.nothing()), st.data())
+def test_mutual_argmax_pairs_hold_the_first_global_maximum(scores, data):
+    """The first maximum in row-major order is its row's lowest-index
+    argmax and its column's lowest-index argmax, so a finite score matrix
+    always has a mutual pair, in any blocking and with entries zeroed (as
+    self_learn's dropout does)."""
+    scores = scores.astype(float)
+    scores[data.draw(arrays(np.bool_, scores.shape))] = 0.0
+    blocks, start = [], 0
+    while start < len(scores):
+        step = data.draw(st.integers(1, 4))
+        blocks.append((slice(start, start + step), scores[start:start + step]))
+        start += step
+    first = np.unravel_index(np.argmax(scores), scores.shape)
+    assert tuple(map(int, first)) in mutual_argmax_pairs(blocks,
+                                                         scores.shape[1])
+
+
 def test_mutual_nearest_neighbors_identity():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((12, 4))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clembed.evaluation import bli_evaluate
 from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.similarity import unit_rows
-from clembed.supervised import (RcslsConfig, align_cca, align_dlv, align_proc,
-                                align_proc_b, align_rcsls, rcsls_gradient,
+from clembed.supervised import (RcslsConfig, _sparsified_assignment, align_cca,
+                                align_dlv, align_proc, align_proc_b,
+                                align_rcsls, rcsls_gradient,
                                 rcsls_neighbor_sets, rcsls_objective)
 
 
@@ -32,7 +36,7 @@ class TestProc:
 
 class TestProcB:
     def seed_lexicon(self, rotated, n=10):
-        return make_lexicon(rotated.train_lex.pairs[:n])
+        return make_lexicon(rotated.train_lex[:n])
 
     def test_single_iteration_matches_plain_solve(self, noisy_pair):
         seed = self.seed_lexicon(noisy_pair)
@@ -75,7 +79,7 @@ class TestCca:
 
 class TestDlv:
     def test_em_does_not_hurt_a_clean_seed(self, clean_pair):
-        seed = make_lexicon(clean_pair.train_lex.pairs[:50])
+        seed = make_lexicon(clean_pair.train_lex[:50])
         aligned = build_aligned_matrices(seed, clean_pair.src, clean_pair.tgt)
         base_map = held_out_map(align_proc(aligned), clean_pair)
         pair = align_dlv(clean_pair.src, clean_pair.tgt, seed, em_iters=2,
@@ -84,10 +88,23 @@ class TestDlv:
         assert held_out_map(pair, clean_pair) >= base_map
 
     def test_match_metadata_present(self, clean_pair):
-        seed = make_lexicon(clean_pair.train_lex.pairs[:50])
+        seed = make_lexicon(clean_pair.train_lex[:50])
         pair = align_dlv(clean_pair.src, clean_pair.tgt, seed, em_iters=1,
                          match_cap=200)
         assert pair.metadata["match_sizes"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                  elements=st.one_of(st.sampled_from((-1.0, 0.0, 1.0)),
+                                     st.floats(-1, 1)), fill=st.nothing()))
+    def test_assignment_always_matches(self, sim):
+        """An assignment using one candidate edge (cosine >= -1) outweighs
+        any that uses only padded edges, so dlv's E-step never comes back
+        empty; the matches are one-to-one."""
+        matches = _sparsified_assignment(sim)
+        assert matches
+        rows, cols = zip(*matches)
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
 
 
 class TestRcsls:

@@ -1,12 +1,14 @@
-"""Every public function and class of clembed is reached from somewhere else.
+"""Every public function, class and method of clembed is reached from
+somewhere else.
 
 A module-level `def` or `class` of `src/clembed/<module>.py` whose name does
-not start with "_" must be referenced outside its own definition: elsewhere
-in `src/clembed/`, or from `demos/` or `bench/`. A reference is a `Name` or
-an `Attribute` node (a call, a read, a base class, an annotation); an import,
-a `__init__` export or a word in a docstring is not one. Tests do not count,
-so a name that only tests reach fails here: it is surface that no command,
-demo or benchmark runs. Matching is by name, so a same-named variable
+not start with "_", and a method or property of such a class whose name
+does not start with "_" (so no dunder), must be referenced outside its own
+definition: elsewhere in `src/clembed/`, or from `demos/` or `bench/`. A
+reference is a `Name` or an `Attribute` node (a call, a read, a base class,
+an annotation); an import, a `__init__` export or a word in a docstring is
+not one. Tests do not count, so a name that only tests reach fails here: it
+is surface that no command, demo or benchmark runs. Matching is by name, so a same-named variable
 elsewhere also counts as a reference.
 """
 
@@ -45,9 +47,24 @@ def public_definitions(module: str):
             and not node.name.startswith("_")]
 
 
+def public_surface(module: str) -> list[tuple[str, ast.AST]]:
+    """(label, node) for each public definition of `module`, and for each
+    public method or property of its public classes as "Class.member"."""
+    out = []
+    for node in public_definitions(module):
+        out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{member.name}", member)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("_")]
+    return out
+
+
 def unreached(module: str) -> list[str]:
-    """Public names of `module` with no use outside their own definition."""
-    return [node.name for node in public_definitions(module)
+    """Labels of `module`'s public surface with no use outside their own
+    definition."""
+    return [label for label, node in public_surface(module)
             if USES[node.name] - used_names(node)[node.name] == 0]
 
 
@@ -60,6 +77,6 @@ def test_every_public_name_is_reached(module):
 
 def test_allowed_names_are_defined():
     """A deleted name leaves the list."""
-    defined = {node.name for p in PACKAGE.glob("*.py")
-               for node in public_definitions(p.stem)}
+    defined = {label for p in PACKAGE.glob("*.py")
+               for label, _ in public_surface(p.stem)}
     assert set(ALLOWED) <= defined

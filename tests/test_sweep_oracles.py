@@ -112,7 +112,7 @@ def oracle_align_proc_b(src_space, tgt_space, seed_lex, iters=2,
                                for i, j in mutual_pairs(fwd, bwd))
         if len(induced) == 0:
             empty_augmentation = True
-        lex = lex.union(induced)
+        lex = make_lexicon(lex + induced)
     residual = float(np.linalg.norm(aligned.x_src @ w_src - aligned.x_tgt))
     return ProjectionPair(
         w_src=w_src, w_tgt=np.eye(w_src.shape[0]), orthogonal_src=True,
@@ -145,7 +145,7 @@ def oracle_self_learn(src_space, tgt_space, init_lex, cfg):
         induced = make_lexicon(pairs)
         if len(induced) == 0:
             induced = lex
-        unchanged = induced.pairs == lex.pairs
+        unchanged = induced == lex
         if keep_prob >= 1.0 and unchanged:
             stable_rounds += 1
             if stable_rounds >= 3:
@@ -238,7 +238,7 @@ def test_mutual_nearest_neighbors_match_oracle(noisy_pair, metric, cells):
 @pytest.mark.parametrize("cells", CELL_BUDGETS)
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
 def test_proc_b_matches_oracle(noisy_pair, metric, cells):
-    seed = make_lexicon(noisy_pair.train_lex.pairs[:10])
+    seed = make_lexicon(noisy_pair.train_lex[:10])
     with mock.patch.object(similarity, "_CELLS", cells):
         new = align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=3,
                            search_cap=450, metric=metric, csls_n=4)
