@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import os
 import sys
 import time
@@ -28,8 +27,8 @@ from .evaluation import (bli_evaluate, bli_summary, bonferroni, paired_ttest,
                          read_bli_report, shuffling_test, write_bli_report)
 from .lexicon import (build_aligned_matrices, frequency_split, load_lexicon,
                       save_lexicon)
-from .projection import (load_projection, save_projection, write_json,
-                         write_staged)
+from .projection import (load_projection, read_json, save_projection,
+                         write_json, write_staged)
 from .supervised import (RcslsConfig, align_cca, align_dlv, align_proc,
                          align_proc_b, align_rcsls)
 from .unsupervised import (IcpConfig, SelfLearnConfig, align_gwa, align_icp,
@@ -40,15 +39,11 @@ SUPERVISED_METHODS = ("proc", "proc-b", "cca", "dlv", "rcsls")
 STOCHASTIC_METHODS = ("vecmap", "icp")
 
 
-class CliError(Exception):
-    pass
-
-
 def _require_file(path: str, what: str) -> str:
     if path is None:
-        raise CliError(f"missing required {what}")
+        raise ValueError(f"missing required {what}")
     if not os.path.exists(path):
-        raise CliError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     return path
 
 
@@ -134,7 +129,7 @@ def _run_aligner(args, src_space, tgt_space, lex):
 
 def cmd_align(args) -> int:
     if args.method in STOCHASTIC_METHODS and args.seed is None:
-        raise CliError(f"--seed is mandatory for method {args.method}")
+        raise ValueError(f"--seed is mandatory for method {args.method}")
     if args.seed is None:
         args.seed = 0
     lex = (load_lexicon(_require_file(args.dict, "training dictionary"))
@@ -189,7 +184,7 @@ def cmd_compare(args) -> int:
     recs_a = read_bli_report(_require_file(args.run_a, "run A report"))
     recs_b = read_bli_report(_require_file(args.run_b, "run B report"))
     if [r.source for r in recs_a] != [r.source for r in recs_b]:
-        raise CliError("per-query reports cover different query sets")
+        raise ValueError("per-query reports cover different query sets")
     a = [r.average_precision for r in recs_a]
     b = [r.average_precision for r in recs_b]
     p = (shuffling_test(a, b, **_given(args, "shuffling_test"))
@@ -234,15 +229,9 @@ def cmd_eval_clir(args) -> int:
 
 
 def cmd_table(args) -> int:
-    summaries = []
-    for path in args.summaries:
-        with open(_require_file(path, "summary"), encoding="utf-8") as fh:
-            summaries.append(json.load(fh))
-        missing = [k for k in ("method", "pair", "map", "successful")
-                   if k not in summaries[-1]]
-        if missing:
-            raise CliError(f"summary {path} has no key "
-                           + ", ".join(map(repr, missing)))
+    summaries = [read_json(_require_file(path, "summary"),
+                           ("method", "pair", "map", "successful"))
+                 for path in args.summaries]
     methods = sorted({s["method"] for s in summaries})
     pairs = sorted({s["pair"] for s in summaries})
     score = {(s["method"], s["pair"]): s for s in summaries}
@@ -254,11 +243,8 @@ def cmd_table(args) -> int:
     for m in methods:
         rows = [score[(m, p)] for p in pairs if (m, p) in score]
         all_map = float(np.mean([r["map"] for r in rows]))
-        if filtered_pairs:
-            filt = float(np.mean([score[(m, p)]["map"] for p in filtered_pairs]))
-            filt_s = f"{filt:.3f}"
-        else:
-            filt_s = "-"
+        filt = [score[(m, p)]["map"] for p in filtered_pairs]
+        filt_s = f"{np.mean(filt):.3f}" if filt else "-"
         succ = sum(1 for r in rows if r["successful"])
         print(f"{m:<12} {all_map:>8.3f} {filt_s:>10} {f'{succ}/{len(rows)}':>10}")
     return 0
@@ -286,7 +272,7 @@ def _set_config_defaults(parser, commands: dict, path: str) -> None:
     # [DEFAULT] is read as a plain section, apart from the ones it fills
     config = configparser.ConfigParser(default_section="", interpolation=None)
     if not config.read(path, encoding="utf-8"):
-        raise CliError(f"config not found: {path}")
+        raise ValueError(f"config not found: {path}")
     sections = {name: dict(config[name]) for name in config.sections()}
     flags = {name: {a.dest: a for a in p._actions if a.option_strings
                     and not a.required and a.dest != "config"}
@@ -429,7 +415,7 @@ def main(argv=None) -> int:
             args = build_parser(given.config).parse_args(argv)
         _refuse_unread_flags(parser, given, args)
         return args.func(args)
-    except (CliError, ValueError, OSError, RuntimeError, FloatingPointError,
+    except (ValueError, OSError, RuntimeError, FloatingPointError,
             configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

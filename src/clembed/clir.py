@@ -119,9 +119,12 @@ def _read_qrels(path) -> frozenset[tuple[str, str]]:
 
 
 def ingest_collection(doc_path, query_path, qrel_path) -> DocumentCollection:
-    return DocumentCollection(docs=_read_id_text(doc_path),
-                              queries=_read_id_text(query_path),
-                              qrels=_read_qrels(qrel_path))
+    docs, queries = _read_id_text(doc_path), _read_id_text(query_path)
+    qrels = _read_qrels(qrel_path)
+    try:
+        return DocumentCollection(docs=docs, queries=queries, qrels=qrels)
+    except ValueError as exc:  # a qrel names an unknown query or doc id
+        raise ValueError(f"{qrel_path}: {exc}") from None
 
 
 def idf_weighting(collection: DocumentCollection) -> dict[str, float]:

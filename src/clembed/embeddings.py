@@ -4,7 +4,7 @@ File format is the word2vec-style text format: an optional header line
 "<count> <dim>", then one line per word ("token v1 v2 ... vd", single
 spaces, UTF-8, LF). Both headered and headerless files are accepted on
 read; the header is always written on save. Values are read with numpy's
-float syntax.
+float syntax. A malformed file is a ValueError `<path>: [line N: ]<problem>`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import os
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +25,6 @@ MAX_STEPS = 3
 # Lines per chunk of a text load or save: one numpy parse, or one write, each.
 _CHUNK_LINES = 4096
 _DIGITS = 6  # significant digits of each value a save writes
-
-
-class EmbeddingParseError(ValueError):
-    """Malformed embedding file; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -64,17 +55,9 @@ class WordVectorSpace:
     def __len__(self) -> int:
         return len(self.words)
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        # cached lazily on first access; object.__setattr__ because frozen
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {w: i for i, w in enumerate(self.words)}
-            object.__setattr__(self, "_index", cached)
-        return cached
-
-    def vector(self, word: str) -> np.ndarray:
-        return self.matrix[self.index[word]]
+        return {w: i for i, w in enumerate(self.words)}
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
@@ -107,7 +90,7 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     parser, so they follow numpy's float syntax: `1_0` and non-ASCII
     digits, which Python's `float` accepts, are unparseable, while numbers
     padded with the control characters \\x1c-\\x1f are read. Errors name the
-    first bad line, as a line-by-line read would.
+    file and its first bad line, as a line-by-line read would.
     """
     if max_vocab is not None and max_vocab <= 0:
         raise ValueError("max_vocab must be positive")
@@ -121,7 +104,7 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first.strip():
-            raise EmbeddingParseError("empty embedding file")
+            raise ValueError(f"{path}: empty embedding file")
         start_line = 1
         parts = first.rstrip("\n").split(" ")
         if len(parts) == 2:
@@ -129,7 +112,7 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
             try:
                 int(parts[0]), int(parts[1])
             except ValueError:
-                raise EmbeddingParseError("malformed header line", line=1)
+                raise ValueError(f"{path}: line 1: malformed header line")
         else:
             fh.seek(0)
             start_line = 0
@@ -151,17 +134,17 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
                 count = rest.count(" ") + 1 if sep else 0
                 if dim is None:
                     if not count:
-                        error = EmbeddingParseError("no vector values", line=lineno)
+                        error = ValueError(f"{path}: line {lineno}: no vector values")
                         break
                     dim = count
                 elif count != dim:
-                    error = EmbeddingParseError(
-                        f"expected {dim} values, got {count}", line=lineno)
+                    error = ValueError(f"{path}: line {lineno}: expected "
+                                       f"{dim} values, got {count}")
                     break
                 if not rest:
                     # "token " has one empty value, which numpy's parser
                     # would skip as a blank line rather than reject
-                    error = EmbeddingParseError("unparseable float", line=lineno)
+                    error = ValueError(f"{path}: line {lineno}: unparseable float")
                     break
                 new = token not in seen
                 keep = new and (wanted is None or token in wanted)
@@ -183,12 +166,12 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
                     break
             if values:
                 # an unparseable line before a structural error is reported first
-                block = _parse_values(values, linenos)
+                block = _parse_values(values, linenos, path)
                 blocks.append(block if len(kept) == len(values) else block[kept])
             if error is not None:
                 raise error
     if dim is None:
-        raise EmbeddingParseError("no embeddings found in file")
+        raise ValueError(f"{path}: no embeddings found in file")
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
                       "(kept first occurrences)", stacklevel=2)
@@ -196,9 +179,10 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     return WordVectorSpace(words=tuple(words), matrix=matrix)
 
 
-def _parse_values(values: list[str], linenos: list[int]) -> np.ndarray:
+def _parse_values(values: list[str], linenos: list[int],
+                  path: str | os.PathLike) -> np.ndarray:
     """Parse lines of space-separated floats in one numpy call; on failure,
-    parse them one at a time to name the first bad line."""
+    parse them one at a time to name the first bad line of `path`."""
     try:
         return _parse_rows(values)
     except ValueError:
@@ -206,7 +190,7 @@ def _parse_values(values: list[str], linenos: list[int]) -> np.ndarray:
             try:
                 _parse_rows([text])
             except ValueError:
-                raise EmbeddingParseError("unparseable float", line=lineno) from None
+                raise ValueError(f"{path}: line {lineno}: unparseable float") from None
         raise
 
 

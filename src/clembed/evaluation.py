@@ -16,7 +16,7 @@ from scipy import stats
 from .embeddings import WordVectorSpace
 from .lexicon import TranslationLexicon
 from .projection import ProjectionPair
-from .similarity import csls_hubness, similarity_sweep
+from .similarity import csls_hubness, row_blocks, similarity_sweep
 
 SUCCESS_MAP_THRESHOLD = 0.05
 P_AT_KS = (1, 5, 10)
@@ -145,7 +145,9 @@ def shuffling_test(labels_a, labels_b, iterations: int = 10000,
 
     Per-item outcomes are randomly swapped between the two systems; the
     p-value is the add-one-smoothed share of assignments whose absolute
-    mean difference reaches the observed one.
+    mean difference reaches the observed one. The swaps are drawn in row
+    blocks (`row_blocks`), the same numbers as one iterations x n draw, so
+    memory does not grow with `iterations`.
     """
     a = np.asarray(labels_a, dtype=float)
     b = np.asarray(labels_b, dtype=float)
@@ -156,10 +158,11 @@ def shuffling_test(labels_a, labels_b, iterations: int = 10000,
     observed = abs(float(np.mean(a) - np.mean(b)))
     rng = np.random.default_rng(seed)
     diff = a - b
-    swaps = rng.random((iterations, a.size)) < 0.5
-    signs = np.where(swaps, -1.0, 1.0)
-    null = np.abs((signs * diff).mean(axis=1))
-    count = int(np.sum(null >= observed - 1e-15))
+    count = 0
+    for rows in row_blocks(iterations, a.size):
+        swaps = rng.random((len(range(iterations)[rows]), a.size)) < 0.5
+        null = np.abs((np.where(swaps, -1.0, 1.0) * diff).mean(axis=1))
+        count += int(np.sum(null >= observed - 1e-15))
     return (count + 1) / (iterations + 1)
 
 
@@ -197,9 +200,11 @@ def read_bli_report(path) -> list[QueryRecord]:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 fields")
-            records.append(QueryRecord(
-                source=fields[0], golds=tuple(fields[1].split("|")),
-                best_rank=int(fields[2]), average_precision=float(fields[3])))
+            try:
+                records.append(QueryRecord(fields[0], tuple(fields[1].split("|")),
+                                           int(fields[2]), float(fields[3])))
+            except ValueError as exc:  # a rank or AP that does not parse
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 

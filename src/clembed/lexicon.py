@@ -4,7 +4,8 @@ Dictionary files are two-column UTF-8 text, TAB-separated (single spaces
 accepted), one (source, target) pair per line, ordered by descending source
 frequency as produced by standard pipelines. In memory a dictionary is a
 `TranslationLexicon`: a plain tuple of (source, target) string pairs, in
-file order, without exact duplicates.
+file order, without exact duplicates. A malformed line is a ValueError
+`<path>: line N: <problem>`.
 """
 
 from __future__ import annotations
@@ -15,14 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import WordVectorSpace
-
-
-class LexiconParseError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 # (source word, target word) pairs in order; may be many-to-many
@@ -46,8 +39,6 @@ class AlignedMatrices:
     def __post_init__(self):
         if self.x_src.shape != self.x_tgt.shape:
             raise ValueError("aligned matrices must have equal shapes")
-        if self.x_src.shape[0] != len(self.kept_pairs):
-            raise ValueError("row count does not match kept pairs")
 
 
 def load_lexicon(path: str | os.PathLike) -> TranslationLexicon:
@@ -61,8 +52,8 @@ def load_lexicon(path: str | os.PathLike) -> TranslationLexicon:
             fields = line.split("\t") if "\t" in line else line.split(" ")
             fields = [f for f in fields if f]
             if len(fields) != 2:
-                raise LexiconParseError(
-                    f"expected 2 fields, got {len(fields)}", line=lineno)
+                raise ValueError(f"{path}: line {lineno}: expected 2 fields, "
+                                 f"got {len(fields)}")
             pairs.append((fields[0], fields[1]))
     return make_lexicon(pairs)
 
@@ -93,16 +84,13 @@ def frequency_split(lex: TranslationLexicon, train_sizes: list[int],
 def build_aligned_matrices(lex: TranslationLexicon, src_space: WordVectorSpace,
                            tgt_space: WordVectorSpace) -> AlignedMatrices:
     """Look up vectors for each pair, skipping out-of-vocabulary pairs."""
-    kept = []
-    src_rows = []
-    tgt_rows = []
-    for src, tgt in lex:
-        if src in src_space and tgt in tgt_space:
-            kept.append((src, tgt))
-            src_rows.append(src_space.vector(src))
-            tgt_rows.append(tgt_space.vector(tgt))
+    src_index, tgt_index = src_space.index, tgt_space.index
+    kept = tuple((src, tgt) for src, tgt in lex
+                 if src in src_index and tgt in tgt_index)
     if not kept:
         raise ValueError("no lexicon pair found in both vocabularies; "
                          "alignment impossible")
-    return AlignedMatrices(x_src=np.vstack(src_rows), x_tgt=np.vstack(tgt_rows),
-                           kept_pairs=tuple(kept), coverage=len(kept) / len(lex))
+    return AlignedMatrices(
+        x_src=src_space.matrix[[src_index[src] for src, _ in kept]],
+        x_tgt=tgt_space.matrix[[tgt_index[tgt] for _, tgt in kept]],
+        kept_pairs=kept, coverage=len(kept) / len(lex))

@@ -2,7 +2,9 @@
 
 Source vectors are compared against target vectors after applying
 x_src @ w_src and x_tgt @ w_tgt respectively. Direct source-to-target
-methods leave w_tgt as the identity.
+methods leave w_tgt as the identity. Loading a malformed saved pair is a
+ValueError that starts with the path of the file at fault (`line N: ` next
+where one line is), or of its directory if `ProjectionPair` refuses it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,25 @@ def save_matrix_text(matrix: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def load_matrix_text(path: str | os.PathLike) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path))
+    """Read a text matrix; an error names the file and its first bad line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    try:
+        return np.loadtxt(lines, ndmin=2)
+    except ValueError as exc:
+        width = None  # the first row's value count
+        for n, line in enumerate(lines, start=1):
+            if not line.split("#", 1)[0].split():
+                continue  # blank or comment only: loadtxt skips it
+            try:
+                count = np.loadtxt([line], ndmin=2).shape[1]
+            except ValueError:
+                raise ValueError(f"{path}: line {n}: unparseable float") from None
+            width = width or count
+            if count != width:
+                raise ValueError(f"{path}: line {n}: expected {width} values, "
+                                 f"got {count}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_staged(outdir: str | os.PathLike, writers: dict) -> None:
@@ -102,13 +122,27 @@ def save_projection(pair: ProjectionPair, out_dir: str | os.PathLike,
         "projection.json": partial(write_json, record)})
 
 
+def read_json(path: str | os.PathLike, keys=()) -> dict:
+    """The JSON object in `path`, which must hold each of `keys`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    missing = [k for k in keys if not isinstance(record, dict)
+               or k not in record]
+    if missing:
+        raise ValueError(f"{path}: no key " + ", ".join(map(repr, missing)))
+    return record
+
+
 def load_projection(out_dir: str | os.PathLike) -> ProjectionPair:
-    with open(os.path.join(out_dir, "projection.json"), encoding="utf-8") as fh:
-        record = json.load(fh)
-    return ProjectionPair(
-        w_src=load_matrix_text(os.path.join(out_dir, "w_src.txt")),
-        w_tgt=load_matrix_text(os.path.join(out_dir, "w_tgt.txt")),
-        orthogonal_src=record["orthogonal_src"],
-        method=record["method"],
-        metadata=record.get("metadata", {}),
-    )
+    record = read_json(os.path.join(out_dir, "projection.json"),
+                       ("orthogonal_src", "method"))
+    w_src, w_tgt = (load_matrix_text(os.path.join(out_dir, name))
+                    for name in ("w_src.txt", "w_tgt.txt"))
+    try:
+        return ProjectionPair(w_src, w_tgt, record["orthogonal_src"],
+                              record["method"], record.get("metadata", {}))
+    except ValueError as exc:
+        raise ValueError(f"{out_dir}: {exc}") from None

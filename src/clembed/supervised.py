@@ -54,10 +54,11 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
                  csls_n: int = 10) -> ProjectionPair:
     """Bootstrapped orthogonal solve.
 
-    Each iteration learns both directional maps, then (except on the last
-    iteration) augments the dictionary with the mutual nearest neighbours
-    found between the two directionally projected spaces. The default of
-    two iterations is one augmentation round; iters=1 is the plain solve.
+    Each iteration but the last learns both directional maps, then augments
+    the dictionary with the mutual nearest neighbours found between the two
+    directionally projected spaces; the last learns the returned source map
+    only. The default of two iterations is one augmentation round; iters=1
+    is the plain solve.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -73,17 +74,16 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         aligned = build_aligned_matrices(lex, src_space, tgt_space)
         dict_sizes.append(len(aligned.kept_pairs))
         w_src = solve_procrustes(aligned.x_src, aligned.x_tgt)
-        w_tgt = solve_procrustes(aligned.x_tgt, aligned.x_src)
         if it == iters - 1:
             break
+        w_tgt = solve_procrustes(aligned.x_tgt, aligned.x_src)
         fwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
             src_cap @ w_src, tgt_cap, metric, csls_n)])
         bwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
             tgt_cap @ w_tgt, src_cap, metric, csls_n)])
         induced = make_lexicon((src_space.words[i], tgt_space.words[j])
                                for i, j in mutual_pairs(fwd, bwd))
-        if len(induced) == 0:
-            empty_augmentation = True
+        empty_augmentation = empty_augmentation or not induced
         lex = make_lexicon(lex + induced)
     residual = float(np.linalg.norm(aligned.x_src @ w_src - aligned.x_tgt))
     return ProjectionPair(

@@ -51,8 +51,8 @@ class IcpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be >= 1")
 
 
 def vecmap_seed(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
@@ -259,9 +259,8 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         q, _ = np.linalg.qr(rng.standard_normal((p_dim, p_dim)))
         w1, w2, f1, f2, history = icp_restart(
             p1, p2, q, _LAMBDA_CYC, cfg.max_iters)
-        if not history or not np.isfinite(history[-1]):
-            continue
-        if best is None or history[-1] < best["loss"]:
+        if np.isfinite(history[-1]) and (best is None
+                                         or history[-1] < best["loss"]):
             best = {"loss": history[-1], "restart": idx, "f1": f1, "f2": f2,
                     "history": history}
     if best is None:

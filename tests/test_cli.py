@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -819,5 +820,101 @@ def test_table_names_the_summary_and_the_key_it_lacks(tmp_path, capsys,
     bad.write_text(json.dumps(summary))
     assert run("table", good, bad) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: summary {bad} has no key {named}\n"
+    assert captured.err == f"error: {bad}: no key {named}\n"
     assert captured.out == ""
+
+
+def fails_naming(capsys, message, *argv):
+    """`argv` exits 1 with the one stderr line `error: <message>`."""
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def with_line(src, dst, lineno, text):
+    """`dst`, a copy of the file `src` whose line `lineno` is `text`."""
+    lines = src.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = text + "\n"
+    dst.write_text("".join(lines))
+    return dst
+
+
+def test_a_malformed_embedding_file_is_named(workspace, tmp_path, capsys):
+    line = (workspace / "tgt.vec").read_text().splitlines()[2]
+    bad = with_line(workspace / "tgt.vec", tmp_path / "tgt.vec", 3,
+                    line.rsplit(" ", 1)[0] + " x")
+    fails_naming(capsys, f"{bad}: line 3: unparseable float",
+                 "align", "--method", "proc", "--src-emb", workspace / "src.vec",
+                 "--tgt-emb", bad, "--dict", workspace / "train.txt",
+                 "--outdir", tmp_path / "out")
+
+
+def test_a_malformed_dictionary_is_named(workspace, tmp_path, capsys):
+    bad = with_line(workspace / "train.txt", tmp_path / "train.txt", 2, "w0001")
+    fails_naming(capsys, f"{bad}: line 2: expected 2 fields, got 1",
+                 "align", "--method", "proc", *spaces(workspace)[:4],
+                 "--dict", bad, "--outdir", tmp_path / "out")
+
+
+@pytest.mark.parametrize("name, line, message", [
+    ("projection.json", '{"method": "proc", "metadata": {}}',
+     "no key 'orthogonal_src'"),
+    ("projection.json", "not json", "line 1: Expecting value"),
+    ("projection.json", "[]", "no key 'orthogonal_src', 'method'"),
+    ("w_src.txt", "1 x", "line 2: unparseable float"),
+    ("w_tgt.txt", "1 2", "line 2: expected 10 values, got 2"),
+])
+def test_a_malformed_projection_file_is_named(workspace, proc_projection,
+                                              tmp_path, capsys, name, line,
+                                              message):
+    """A projection.json of `line`, or a matrix whose line 2 is `line`."""
+    proj = shutil.copytree(proc_projection, tmp_path / "proj")
+    if name.endswith(".json"):
+        (proj / name).write_text(line + "\n")
+    else:
+        with_line(proc_projection / name, proj / name, 2, line)
+    fails_naming(capsys, f"{proj / name}: {message}",
+                 "eval-bli", "--proj", proj, *spaces(workspace)[:4],
+                 "--test-dict", workspace / "test.txt", "--outdir",
+                 tmp_path / "out")
+
+
+def test_a_projection_that_fails_its_checks_names_its_directory(
+        workspace, proc_projection, tmp_path, capsys):
+    proj = shutil.copytree(proc_projection, tmp_path / "proj")
+    rows = (proj / "w_src.txt").read_text().splitlines(True)
+    (proj / "w_src.txt").write_text("".join(rows[:-1]))
+    fails_naming(capsys, f"{proj}: w_src must be square",
+                 "eval-bli", "--proj", proj, *spaces(workspace)[:4],
+                 "--test-dict", workspace / "test.txt", "--outdir",
+                 tmp_path / "out")
+
+
+@pytest.mark.parametrize("field, message", [
+    (2, "invalid literal for int() with base 10: 'x'"),
+    (3, "could not convert string to float: 'x'"),
+])
+def test_a_malformed_bli_report_is_named(bli_report, tmp_path, capsys, field,
+                                         message):
+    fields = bli_report.read_text().splitlines()[1].split("\t")
+    fields[field] = "x"
+    bad = with_line(bli_report, tmp_path / "report.tsv", 2, "\t".join(fields))
+    fails_naming(capsys, f"{bad}: line 2: {message}",
+                 "compare", "--run-a", bli_report, "--run-b", bad)
+
+
+def test_a_qrel_with_an_unknown_id_is_named(collection, tmp_path, capsys):
+    argv = list(collection)
+    at = argv.index("--qrels") + 1
+    argv[at] = tmp_path / "qrels.txt"
+    argv[at].write_text("q0 0 ghost 1\n")
+    fails_naming(capsys, f"{argv[at]}: qrel references unknown doc id 'ghost'",
+                 *argv, "--outdir", tmp_path / "out")
+
+
+def test_a_summary_that_is_not_json_is_named(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(TABLE_ROW))
+    bad.write_text(json.dumps(TABLE_ROW)[:-1])
+    fails_naming(capsys, f"{bad}: line 1: Expecting ',' delimiter",
+                 "table", good, bad)

@@ -18,6 +18,7 @@ digits) are "unparseable float", and numbers padded with the control
 characters \\x1c-\\x1f are read. The generated files use neither.
 """
 
+import re
 import warnings
 from unittest import mock
 
@@ -29,8 +30,8 @@ from hypothesis.extra.numpy import arrays
 
 from clembed import clir, embeddings
 from clembed.clir import ClirRun, write_trec_run
-from clembed.embeddings import (EmbeddingParseError, WordVectorSpace,
-                                load_text_embeddings, save_text_embeddings)
+from clembed.embeddings import (WordVectorSpace, load_text_embeddings,
+                                save_text_embeddings)
 
 
 def oracle_load_text_embeddings(path, max_vocab=None):
@@ -44,14 +45,14 @@ def oracle_load_text_embeddings(path, max_vocab=None):
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first.strip():
-            raise EmbeddingParseError("empty embedding file")
+            raise ValueError(f"{path}: empty embedding file")
         start_line = 1
         parts = first.rstrip("\n").split(" ")
         if len(parts) == 2:
             try:
                 int(parts[0]), int(parts[1])
             except ValueError:
-                raise EmbeddingParseError("malformed header line", line=1)
+                raise ValueError(f"{path}: line 1: malformed header line")
         else:
             fh.seek(0)
             start_line = 0
@@ -63,15 +64,15 @@ def oracle_load_text_embeddings(path, max_vocab=None):
             token, values = fields[0], fields[1:]
             if dim is None:
                 if not values:
-                    raise EmbeddingParseError("no vector values", line=lineno)
+                    raise ValueError(f"{path}: line {lineno}: no vector values")
                 dim = len(values)
             elif len(values) != dim:
-                raise EmbeddingParseError(
-                    f"expected {dim} values, got {len(values)}", line=lineno)
+                raise ValueError(f"{path}: line {lineno}: expected {dim} "
+                                 f"values, got {len(values)}")
             try:
                 vec = np.array(values, dtype=float)
             except ValueError:
-                raise EmbeddingParseError("unparseable float", line=lineno)
+                raise ValueError(f"{path}: line {lineno}: unparseable float")
             if token in seen:
                 duplicates += 1
                 continue
@@ -81,7 +82,7 @@ def oracle_load_text_embeddings(path, max_vocab=None):
             if max_vocab is not None and len(words) >= max_vocab:
                 break
     if not words:
-        raise EmbeddingParseError("no embeddings found in file")
+        raise ValueError(f"{path}: no embeddings found in file")
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
                       "(kept first occurrences)", stacklevel=2)
@@ -223,7 +224,8 @@ def filtered_oracle_outcome(path, needed, max_vocab=None):
         try:
             space = oracle_load_text_embeddings(copy, max_vocab=cut)
         except ValueError as exc:
-            return ("raised", type(exc).__name__, str(exc))
+            return ("raised", type(exc).__name__,
+                    str(exc).replace(str(copy), str(path)))
     rows = [i for i, word in enumerate(space.words) if word in needed]
     matrix = space.matrix[rows]
     return ("loaded", tuple(space.words[i] for i in rows), matrix.shape,
@@ -278,8 +280,8 @@ def test_errors_name_the_line_across_chunks(tmp_path, chunk, bad_text, message,
     text = numbered_file(8, 3, bad_row, bad_text)
     with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
         want = assert_loads_like_oracle(path, text)
-        assert want == ("raised", "EmbeddingParseError",
-                        f"line {bad_row + 2}: {message}")
+        assert want == ("raised", "ValueError",
+                        f"{path}: line {bad_row + 2}: {message}")
         # a cut just before the bad line: it is neither parsed nor checked
         loaded = assert_loads_like_oracle(path, text, max_vocab=bad_row)
         assert loaded[0] == "loaded" and len(loaded[1]) == bad_row
@@ -307,7 +309,7 @@ def test_errors_name_the_line_across_chunks(tmp_path, chunk, bad_text, message,
 def test_unparseable_line_before_a_count_error_is_reported_first(tmp_path):
     path = tmp_path / "vec.txt"
     want = assert_loads_like_oracle(path, "a 1 2\nb 1 x\nc 1 2 3\n")
-    assert want == ("raised", "EmbeddingParseError", "line 2: unparseable float")
+    assert want == ("raised", "ValueError", f"{path}: line 2: unparseable float")
 
 
 @pytest.mark.parametrize("text, line", [("2 1\na 1\nb \n", 3),
@@ -316,9 +318,10 @@ def test_unparseable_line_before_a_count_error_is_reported_first(tmp_path):
 def test_one_empty_value_is_unparseable(tmp_path, text, line):
     """numpy's parser skips an empty value field as a blank line; the loader
     must still reject it, as the line-at-a-time loader did."""
-    want = assert_loads_like_oracle(tmp_path / "vec.txt", text)
-    assert want == ("raised", "EmbeddingParseError",
-                    f"line {line}: unparseable float")
+    path = tmp_path / "vec.txt"
+    want = assert_loads_like_oracle(path, text)
+    assert want == ("raised", "ValueError",
+                    f"{path}: line {line}: unparseable float")
 
 
 @pytest.mark.parametrize("spelling", ["1_0", "١", "１", "1e1_0"])
@@ -328,7 +331,8 @@ def test_python_only_float_spellings_are_unparseable(tmp_path, spelling):
     path = tmp_path / "vec.txt"
     write_raw(path, f"a 1 2\nb 3 {spelling}\n")
     assert oracle_load_text_embeddings(path).matrix[1, 1] == float(spelling)
-    with pytest.raises(EmbeddingParseError, match="line 2: unparseable float"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: line 2: unparseable float")):
         load_text_embeddings(path)
 
 
@@ -339,7 +343,8 @@ def test_numbers_padded_with_separator_controls_are_read(tmp_path, padded):
     path = tmp_path / "vec.txt"
     write_raw(path, f"a 1 2\nb 3 {padded}\n")
     assert load_text_embeddings(path).matrix[1].tolist() == [3.0, 1.0]
-    with pytest.raises(EmbeddingParseError, match="line 2: unparseable float"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: line 2: unparseable float")):
         oracle_load_text_embeddings(path)
 
 

@@ -1,12 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clembed.embeddings import WordVectorSpace
-from clembed.lexicon import (LexiconParseError, build_aligned_matrices,
-                             frequency_split, load_lexicon, make_lexicon,
-                             save_lexicon)
+from clembed.lexicon import (build_aligned_matrices, frequency_split,
+                             load_lexicon, make_lexicon, save_lexicon)
 
 
 def lex_of(n):
@@ -70,7 +71,7 @@ def test_load_prefers_tab(tmp_path):
 def test_parse_error_reports_line(tmp_path):
     p = tmp_path / "dict.txt"
     p.write_text("cat Katze\nlonesome\n")
-    with pytest.raises(LexiconParseError, match="line 2"):
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 2")):
         load_lexicon(p)
 
 
@@ -111,8 +112,8 @@ class TestBuildAlignedMatrices:
         tgt = self.space(["x", "y", "z"], 1)
         lex = make_lexicon([("b", "z"), ("a", "x")])
         out = build_aligned_matrices(lex, src, tgt)
-        assert np.allclose(out.x_src[0], src.vector("b"))
-        assert np.allclose(out.x_tgt[0], tgt.vector("z"))
+        assert np.allclose(out.x_src[0], src.matrix[src.index["b"]])
+        assert np.allclose(out.x_tgt[0], tgt.matrix[tgt.index["z"]])
         assert out.coverage == 1.0
 
     def test_oov_pairs_skipped_and_counted(self):

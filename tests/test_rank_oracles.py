@@ -67,7 +67,7 @@ def oracle_bli_evaluate(pair, src_space, tgt_space, test_lex,
         if src_word not in src_space or not gold_idx:
             oov += 1
             continue
-        query = src_space.vector(src_word) @ pair.w_src
+        query = src_space.matrix[src_space.index[src_word]] @ pair.w_src
         q = query / (np.linalg.norm(query) or 1.0)
         if metric == "cosine":
             scores = tgt_unit @ q
@@ -101,7 +101,7 @@ def oracle_aggregate_text(tokens, space, idf) -> np.ndarray:
             weight = idf.get(tok, 1.0)
         else:
             weight = 1.0
-        acc += weight * space.vector(tok)
+        acc += weight * space.matrix[space.index[tok]]
         total += weight
     if total > 0:
         acc /= total

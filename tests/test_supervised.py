@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clembed import supervised
 from clembed.evaluation import bli_evaluate
 from clembed.lexicon import build_aligned_matrices, make_lexicon
+from clembed.linalg import solve_procrustes
 from clembed.similarity import unit_rows
 from clembed.supervised import (RcslsConfig, _sparsified_assignment, align_cca,
                                 align_dlv, align_proc, align_proc_b,
@@ -52,6 +56,18 @@ class TestProcB:
         boot = align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=2)
         assert boot.metadata["dict_sizes"][-1] > len(seed)
         assert held_out_map(boot, noisy_pair) >= base_map
+
+    @pytest.mark.parametrize("iters", [1, 2, 3])
+    def test_solves_the_target_map_only_for_a_next_round(self, noisy_pair,
+                                                          iters):
+        """Every iteration solves the source map; the target map, which only
+        the next augmentation reads, is solved by every iteration but the
+        last."""
+        seed = self.seed_lexicon(noisy_pair)
+        with mock.patch.object(supervised, "solve_procrustes",
+                               wraps=solve_procrustes) as solve:
+            align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=iters)
+        assert solve.call_count == 2 * iters - 1
 
 
 class TestCca:

@@ -35,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clembed import similarity
+from clembed.evaluation import shuffling_test
 from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.linalg import solve_procrustes
 from clembed.projection import ProjectionPair
@@ -491,4 +492,43 @@ def test_csls_hubness_stays_within_its_blocks():
             tracemalloc.stop()
     assert np.allclose(got, oracle_csls_hubness(vectors, pool, 10),
                        rtol=0, atol=1e-15)
+    assert peak < 4 * 2 ** 20
+
+
+def oracle_shuffling_test(labels_a, labels_b, iterations, seed):
+    """The one iterations x n draw of sign flips that `shuffling_test` now
+    takes in row blocks."""
+    a = np.asarray(labels_a, dtype=float)
+    b = np.asarray(labels_b, dtype=float)
+    observed = abs(float(np.mean(a) - np.mean(b)))
+    swaps = np.random.default_rng(seed).random((iterations, a.size)) < 0.5
+    null = np.abs((np.where(swaps, -1.0, 1.0) * (a - b)).mean(axis=1))
+    return (int(np.sum(null >= observed - 1e-15)) + 1) / (iterations + 1)
+
+
+@pytest.mark.parametrize("cells", [7, 1000, 2 ** 24])
+def test_shuffling_test_matches_its_one_shot_draw(cells):
+    """One row per block, 20 rows per block and a single block."""
+    rng = np.random.default_rng(4)
+    a = rng.random(50)
+    b = a + 0.05 * rng.standard_normal(50)
+    with mock.patch.object(similarity, "_CELLS", cells):
+        for seed in range(3):
+            assert shuffling_test(a, b, iterations=1001, seed=seed) == \
+                oracle_shuffling_test(a, b, 1001, seed)
+
+
+def test_shuffling_test_stays_within_its_blocks():
+    """20000 x 200 float64 is 32 MB; blocks of 2**16 cells are 0.5 MB."""
+    rng = np.random.default_rng(2)
+    a = rng.random(200)
+    b = a + 0.01 * rng.standard_normal(200)
+    with mock.patch.object(similarity, "_CELLS", 2 ** 16):
+        tracemalloc.start()
+        try:
+            got = shuffling_test(a, b, iterations=20000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == oracle_shuffling_test(a, b, 20000, 3)
     assert peak < 4 * 2 ** 20

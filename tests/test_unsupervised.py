@@ -180,6 +180,10 @@ class TestIcp:
         with pytest.raises(ValueError):
             IcpConfig(restarts=0)
 
+    def test_max_iters_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            IcpConfig(max_iters=0)
+
 
 def oracle_solve_linear_map(points, targets, cyc_self, other_map,
                             cyc_other_points, cyc_other_targets, lam):
