@@ -22,7 +22,8 @@ from itertools import chain
 import numpy as np
 
 from . import clir as clir_mod
-from .embeddings import load_text_embeddings, normalize, save_text_embeddings
+from .embeddings import (load_text_embeddings, normalize, open_text,
+                         save_text_embeddings)
 from .evaluation import (bli_evaluate, bli_summary, bonferroni, paired_ttest,
                          read_bli_report, shuffling_test, write_bli_report)
 from .lexicon import (build_aligned_matrices, frequency_split, load_lexicon,
@@ -271,8 +272,11 @@ def _set_config_defaults(parser, commands: dict, path: str) -> None:
     argparse parses a string default by the flag's type; given flags win."""
     # [DEFAULT] is read as a plain section, apart from the ones it fills
     config = configparser.ConfigParser(default_section="", interpolation=None)
-    if not config.read(path, encoding="utf-8"):
-        raise ValueError(f"config not found: {path}")
+    try:
+        with open_text(path) as fh:
+            config.read_file(fh)
+    except OSError:
+        raise ValueError(f"config not found: {path}") from None
     sections = {name: dict(config[name]) for name in config.sections()}
     flags = {name: {a.dest: a for a in p._actions if a.option_strings
                     and not a.required and a.dest != "config"}

@@ -22,7 +22,7 @@ from itertools import chain, repeat
 import numpy as np
 from scipy import sparse
 
-from .embeddings import WordVectorSpace
+from .embeddings import WordVectorSpace, open_text
 from .evaluation import average_precision_from_ranks, paired_ttest
 from .projection import ProjectionPair
 from .similarity import unit_rows
@@ -38,7 +38,7 @@ class DocumentCollection:
     qrels: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        for qid, did in self.qrels:
+        for qid, did in sorted(self.qrels):
             if qid not in self.queries:
                 raise ValueError(f"qrel references unknown query id {qid!r}")
             if did not in self.docs:
@@ -79,7 +79,7 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 def _read_id_text(path) -> dict[str, tuple[str, ...]]:
     out: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -96,9 +96,11 @@ def _read_id_text(path) -> dict[str, tuple[str, ...]]:
     return out
 
 
-def _read_qrels(path) -> frozenset[tuple[str, str]]:
+def _read_qrels(path, queries, docs) -> frozenset[tuple[str, str]]:
+    """The relevant (query id, doc id) pairs of a TREC qrels file, each id
+    checked, in file order, against `queries` and `docs`."""
     pairs = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -113,18 +115,21 @@ def _read_qrels(path) -> frozenset[tuple[str, str]]:
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: relevance not an integer")
-            if relevance > 0:
-                pairs.add((qid, did))
+            if relevance <= 0:
+                continue
+            for kind, ident, known in (("query", qid, queries),
+                                       ("doc", did, docs)):
+                if ident not in known:
+                    raise ValueError(f"{path}: line {lineno}: qrel references "
+                                     f"unknown {kind} id {ident!r}")
+            pairs.add((qid, did))
     return frozenset(pairs)
 
 
 def ingest_collection(doc_path, query_path, qrel_path) -> DocumentCollection:
     docs, queries = _read_id_text(doc_path), _read_id_text(query_path)
-    qrels = _read_qrels(qrel_path)
-    try:
-        return DocumentCollection(docs=docs, queries=queries, qrels=qrels)
-    except ValueError as exc:  # a qrel names an unknown query or doc id
-        raise ValueError(f"{qrel_path}: {exc}") from None
+    return DocumentCollection(docs=docs, queries=queries,
+                              qrels=_read_qrels(qrel_path, queries, docs))
 
 
 def idf_weighting(collection: DocumentCollection) -> dict[str, float]:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import warnings
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +27,27 @@ MAX_STEPS = 3
 # Lines per chunk of a text load or save: one numpy parse, or one write, each.
 _CHUNK_LINES = 4096
 _DIGITS = 6  # significant digits of each value a save writes
+# What errors="surrogateescape" decodes a byte that is not UTF-8 to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+@contextmanager
+def open_text(path: str | os.PathLike):
+    """Open `path` to read as UTF-8 text. A byte that is not UTF-8 is a
+    ValueError `<path>: line N: byte 0x.. is not UTF-8` naming the first
+    line that holds one, wherever the read that met it stopped: the
+    decoder reads ahead of the line a reader is on."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if found := _ESCAPED_BYTE.search(line):
+                    byte = ord(found.group()) - 0xDC00
+                    raise ValueError(f"{path}: line {lineno}: byte "
+                                     f"{byte:#04x} is not UTF-8") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -101,7 +124,7 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     missing = None if wanted is None else set(wanted)
     duplicates = 0
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = fh.readline()
         if not first.strip():
             raise ValueError(f"{path}: empty embedding file")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .embeddings import WordVectorSpace
+from .embeddings import WordVectorSpace, open_text
 from .lexicon import TranslationLexicon
 from .projection import ProjectionPair
 from .similarity import csls_hubness, row_blocks, similarity_sweep
@@ -192,7 +192,7 @@ def write_bli_report(result: BliResult, path) -> None:
 
 def read_bli_report(path) -> list[QueryRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

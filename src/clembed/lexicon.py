@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import WordVectorSpace
+from .embeddings import WordVectorSpace, open_text
 
 
 # (source word, target word) pairs in order; may be many-to-many
@@ -44,7 +44,7 @@ class AlignedMatrices:
 def load_lexicon(path: str | os.PathLike) -> TranslationLexicon:
     """Read a two-column dictionary file; duplicates dropped, order kept."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

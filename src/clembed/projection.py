@@ -17,6 +17,8 @@ from functools import partial
 
 import numpy as np
 
+from .embeddings import open_text
+
 ORTHOGONALITY_TOL = 1e-6
 
 
@@ -71,7 +73,7 @@ def save_matrix_text(matrix: np.ndarray, path: str | os.PathLike) -> None:
 
 def load_matrix_text(path: str | os.PathLike) -> np.ndarray:
     """Read a text matrix; an error names the file and its first bad line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     try:
         return np.loadtxt(lines, ndmin=2)
@@ -124,7 +126,7 @@ def save_projection(pair: ProjectionPair, out_dir: str | os.PathLike,
 
 def read_json(path: str | os.PathLike, keys=()) -> dict:
     """The JSON object in `path`, which must hold each of `keys`."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             record = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -196,6 +196,13 @@ def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
     frequency-ordered vocabularies prefers the more frequent word. Over
     finite scores with a row and a column the result is never empty: the
     first maximum in row-major order is its row's and its column's argmax.
+
+    A block's column argmax is its first row equal to the column maximum,
+    read off a boolean mask one group of columns at a time, each group of
+    at most _CELLS / 8 cells or one column. np.argmax over axis 0 copies
+    its input transposed, so what it copies is one group's mask, not the
+    float64 block: one more O(rows x n_pool) pass over the scores per
+    block, and two masks of a group allocated at a time.
     """
     fwd = []
     col_best = np.full(n_pool, -np.inf)
@@ -203,9 +210,12 @@ def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
     for rows, scores in blocks:
         fwd.append(scores.argmax(axis=1))
         top = scores.max(axis=0)
+        first = np.empty(n_pool, dtype=np.intp)
+        for cols in row_blocks(n_pool, 8 * len(scores)):
+            first[cols] = (scores[:, cols] == top[cols]).argmax(axis=0)
         better = top > col_best          # strict: a lower row keeps a tie
         col_best[better] = top[better]
-        col_arg[better] = scores.argmax(axis=0)[better] + rows.start
+        col_arg[better] = first[better] + rows.start
     return mutual_pairs(np.concatenate(fwd), col_arg)
 
 

@@ -182,31 +182,50 @@ def rcsls_neighbor_sets(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
     return tuple(sets)
 
 
+def _neighbor_means(pool: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Row k: the mean of pool[neighbors[k]], summed one neighbour column at
+    a time, in the order (and so to the bit) of np.mean(pool[neighbors],
+    axis=1), without its (k, n, d) gather."""
+    acc = pool[neighbors[:, 0]]
+    for j in range(1, neighbors.shape[1]):
+        acc += pool[neighbors[:, j]]
+    acc /= neighbors.shape[1]
+    return acc
+
+
 def rcsls_objective(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
                     src_pool: np.ndarray, tgt_pool: np.ndarray,
                     neighbors: tuple[np.ndarray, np.ndarray]) -> float:
-    """Loss value with the neighbor sets held fixed (dot = cosine on unit rows)."""
+    """Loss value with the neighbor sets held fixed (dot = cosine on unit rows).
+
+    The mean cosine of a pair to its n frozen neighbours is a dot product
+    with their mean row: proj . mean(tgt_pool[nt]) and
+    x_t . (mean(src_pool[ns]) @ w). That is O(k n d) for the means and
+    O(k d^2) for one k x d product through w, where scoring every neighbour
+    row would project k n rows, O(k n d^2).
+    """
     nt, ns = neighbors
     proj = x_s @ w
     fit = -2.0 * np.sum(proj * x_t, axis=1)
-    hub_t = np.mean(np.einsum("kd,knd->kn", proj, tgt_pool[nt]), axis=1)
-    hub_s = np.mean(np.einsum("kd,knd->kn", x_t, src_pool[ns] @ w), axis=1)
+    hub_t = np.sum(proj * _neighbor_means(tgt_pool, nt), axis=1)
+    hub_s = np.sum(x_t * (_neighbor_means(src_pool, ns) @ w), axis=1)
     return float(np.mean(fit + hub_t + hub_s))
 
 
 def rcsls_gradient(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
                    src_pool: np.ndarray, tgt_pool: np.ndarray,
                    neighbors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Exact gradient of `rcsls_objective` for the same frozen neighbor sets."""
+    """Exact gradient of `rcsls_objective` for the same frozen neighbor sets.
+
+    With M_t and M_s the k x d neighbour means of `rcsls_objective`, it is
+    (-2 x_s' x_t + x_s' M_t + M_s' x_t) / k: three d x k by k x d products,
+    O(k d^2), with no scatter of k n rows into the source pool.
+    """
     nt, ns = neighbors
-    k, n = nt.shape
     grad = -2.0 * x_s.T @ x_t
-    grad += x_s.T @ np.mean(tgt_pool[nt], axis=1)
-    acc = np.zeros_like(src_pool)
-    np.add.at(acc, ns.ravel(),
-              np.repeat(x_t / n, n, axis=0))
-    grad += src_pool.T @ acc
-    return grad / k
+    grad += x_s.T @ _neighbor_means(tgt_pool, nt)
+    grad += _neighbor_means(src_pool, ns).T @ x_t
+    return grad / len(nt)
 
 
 def align_rcsls(aligned: AlignedMatrices, full_src_matrix: np.ndarray,

@@ -134,11 +134,11 @@ def _dropout(blocks, best: np.ndarray, keep_prob: float,
              rng: np.random.Generator):
     """Record each row's best score in `best`, then zero each score with
     probability 1 - keep_prob (drawn block by block in row order, the same
-    numbers as one draw over the whole matrix)."""
+    numbers as one draw over the whole matrix), in place in the block."""
     for rows, scores in blocks:
         best[rows] = scores.max(axis=1)
         if keep_prob < 1.0:
-            scores = np.where(rng.random(scores.shape) < keep_prob, scores, 0.0)
+            scores[rng.random(scores.shape) >= keep_prob] = 0.0
         yield rows, scores
 
 
@@ -169,9 +169,12 @@ def vecmap_postprocess(pair: ProjectionPair, aligned: AlignedMatrices
 
 
 def _nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin_j ||a_i - b_j|| for every row of a."""
-    sq = np.sum(b * b, axis=1)
-    return np.argmin(sq[None, :] - 2.0 * (a @ b.T), axis=1)
+    """argmin_j ||a_i - b_j|| for every row of a, from |b_j|^2 - 2 a_i . b_j
+    built in place in the one product's array."""
+    dist = a @ b.T
+    dist *= -2.0
+    dist += np.sum(b * b, axis=1)
+    return np.argmin(dist, axis=1)
 
 
 def _solve_linear_map(points: np.ndarray, targets: np.ndarray,
@@ -295,21 +298,26 @@ def gromov_wasserstein_plan(src_vectors: np.ndarray, tgt_vectors: np.ndarray,
     max-abs 1, exponentiates, and re-balances the marginals by diagonal
     scaling. gamma = diag(a) K diag(b) with K > 0 and finite positive
     scalings, so no entry is negative.
+
+    The costs C1 = S S' and C2 = T T' of the n x d and m x d unit rows have
+    rank at most d, so the pseudo-cost's cross term C1 gamma C2' is taken
+    as S ((S' gamma) T) T': O(n m d) per outer iteration where the two
+    n x n by n x m products cost O(n^2 m + n m^2). The n x n and m x m
+    cost matrices are built once, for the constant term, and let go.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     su = unit_rows(np.asarray(src_vectors, dtype=float))
     tu = unit_rows(np.asarray(tgt_vectors, dtype=float))
     n, m = su.shape[0], tu.shape[0]
-    c1 = su @ su.T
-    c2 = tu @ tu.T
     p = np.full(n, 1.0 / n)
     q = np.full(m, 1.0 / m)
-    c12 = ((c1 ** 2) @ p)[:, None] + ((c2 ** 2).T @ q)[None, :]
+    c12 = ((((su @ su.T) ** 2) @ p)[:, None]
+           + (((tu @ tu.T) ** 2).T @ q)[None, :])
     gamma = np.outer(p, q)
     violation = 0.0
     for _ in range(outer_iters):
-        pseudo = c12 - 2.0 * (c1 @ gamma @ c2.T)
+        pseudo = c12 - 2.0 * (su @ ((su.T @ gamma) @ tu) @ tu.T)
         scale = np.max(np.abs(pseudo))
         if scale > 0:
             pseudo = pseudo / scale

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -908,8 +911,143 @@ def test_a_qrel_with_an_unknown_id_is_named(collection, tmp_path, capsys):
     at = argv.index("--qrels") + 1
     argv[at] = tmp_path / "qrels.txt"
     argv[at].write_text("q0 0 ghost 1\n")
-    fails_naming(capsys, f"{argv[at]}: qrel references unknown doc id 'ghost'",
+    fails_naming(capsys,
+                 f"{argv[at]}: line 1: qrel references unknown doc id 'ghost'",
                  *argv, "--outdir", tmp_path / "out")
+
+
+def stderr_under_hash_seed(seed, script, *args):
+    """The stderr of `python -c script *args` under PYTHONHASHSEED=seed."""
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1
+    return proc.stderr
+
+
+def test_unknown_qrel_ids_are_named_in_file_order(collection, tmp_path):
+    """The first unknown id of the file, under any hash seed: in frozenset
+    order, which of the four is named depends on PYTHONHASHSEED."""
+    argv = list(collection)
+    at = argv.index("--qrels") + 1
+    argv[at] = tmp_path / "qrels.txt"
+    argv[at].write_text("q0 0 d0 1\nq0 0 dy 0\nq0 0 dy 1\nq0 0 dx 1\n"
+                        "q1 0 dw 1\nq1 0 dz 1\n")
+    script = ("import sys; from clembed.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    for seed in ("1", "2"):
+        assert stderr_under_hash_seed(
+            seed, script, *argv, "--outdir", tmp_path / "out") == (
+            f"error: {argv[at]}: line 3: qrel references unknown doc id 'dy'\n")
+
+
+def test_a_collection_names_its_least_unknown_qrel(tmp_path):
+    """A collection built in code, which has no file order, names the least
+    unknown (query id, doc id) pair under any hash seed."""
+    script = ("import sys; from clembed.clir import DocumentCollection\n"
+              "try:\n"
+              "    DocumentCollection(docs={'d0': ()}, queries={'q0': ()},\n"
+              "        qrels=frozenset(('q0', d) for d in 'dy dx dw dz'.split()))\n"
+              "except ValueError as exc:\n"
+              "    sys.exit(str(exc))")
+    for seed in ("1", "2"):
+        assert stderr_under_hash_seed(seed, script) == \
+            "qrel references unknown doc id 'dw'\n"
+
+
+def latin1(path, lineno, text):
+    """The file `path` with its line `lineno` replaced by `text` in Latin-1,
+    whose "\xe9" is not UTF-8; every other line stays UTF-8."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = text.encode("latin-1") + b"\n"
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def copy_of(src, dst):
+    shutil.copyfile(src, dst)
+    return dst
+
+
+@pytest.fixture()
+def eval_clir_argv(collection, tmp_path):
+    """`eval-clir` on copies of the collection's files, by flag."""
+    argv = list(collection)
+    for flag in ("--docs", "--queries", "--qrels"):
+        at = argv.index(flag) + 1
+        argv[at] = copy_of(argv[at], tmp_path / argv[at].name)
+    return argv + ["--outdir", tmp_path / "out"]
+
+
+def test_a_non_utf8_embedding_file_is_named(workspace, tmp_path, capsys):
+    bad = latin1(copy_of(workspace / "tgt.vec", tmp_path / "tgt.vec"), 5,
+                 "caf\xe9 " + " ".join(["0.5"] * 10))
+    fails_naming(capsys, f"{bad}: line 5: byte 0xe9 is not UTF-8",
+                 "align", "--method", "proc", "--src-emb", workspace / "src.vec",
+                 "--tgt-emb", bad, "--dict", workspace / "train.txt",
+                 "--outdir", tmp_path / "out")
+
+
+def test_a_non_utf8_dictionary_is_named(workspace, tmp_path, capsys):
+    bad = latin1(copy_of(workspace / "train.txt", tmp_path / "train.txt"), 2,
+                 "caf\xe9\tcafe")
+    fails_naming(capsys, f"{bad}: line 2: byte 0xe9 is not UTF-8",
+                 "align", "--method", "proc", *spaces(workspace)[:4],
+                 "--dict", bad, "--outdir", tmp_path / "out")
+
+
+@pytest.mark.parametrize("flag, line", [
+    ("--docs", "d1\tcaf\xe9 w0001"),
+    ("--queries", "q1\tcaf\xe9 w0001"),
+    ("--qrels", "q1 0 d\xe9 1"),
+])
+def test_a_non_utf8_collection_file_is_named(eval_clir_argv, capsys, flag,
+                                             line):
+    bad = latin1(eval_clir_argv[eval_clir_argv.index(flag) + 1], 2, line)
+    fails_naming(capsys, f"{bad}: line 2: byte 0xe9 is not UTF-8",
+                 *eval_clir_argv)
+
+
+@pytest.mark.parametrize("name, lineno, line", [
+    ("w_src.txt", 2, "1 \xe9"),
+    ("projection.json", 1, '{"method": "caf\xe9"}'),
+])
+def test_a_non_utf8_projection_file_is_named(workspace, proc_projection,
+                                             tmp_path, capsys, name, lineno,
+                                             line):
+    proj = shutil.copytree(proc_projection, tmp_path / "proj")
+    latin1(proj / name, lineno, line)
+    fails_naming(capsys, f"{proj / name}: line {lineno}: byte 0xe9 is not UTF-8",
+                 "eval-bli", "--proj", proj, *spaces(workspace)[:4],
+                 "--test-dict", workspace / "test.txt", "--outdir",
+                 tmp_path / "out")
+
+
+def test_a_non_utf8_bli_report_is_named(bli_report, tmp_path, capsys):
+    bad = latin1(copy_of(bli_report, tmp_path / "report.tsv"), 3,
+                 "caf\xe9\tcafe\t1\t1.0")
+    fails_naming(capsys, f"{bad}: line 3: byte 0xe9 is not UTF-8",
+                 "compare", "--run-a", bli_report, "--run-b", bad)
+
+
+def test_a_non_utf8_summary_is_named(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(TABLE_ROW))
+    bad.write_bytes(json.dumps({**TABLE_ROW, "method": "caf\xe9"},
+                               ensure_ascii=False).encode("latin-1"))
+    fails_naming(capsys, f"{bad}: line 1: byte 0xe9 is not UTF-8",
+                 "table", good, bad)
+
+
+def test_a_non_utf8_config_is_named(workspace, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_bytes(b"[eval-bli]\npair_label = caf\xe9\n")
+    fails_naming(capsys, f"{config}: line 2: byte 0xe9 is not UTF-8",
+                 "align", "--config", config, "--method", "proc",
+                 *spaces(workspace), "--outdir", tmp_path / "out")
 
 
 def test_a_summary_that_is_not_json_is_named(tmp_path, capsys):

@@ -4,9 +4,10 @@ V = 200k words per side, d = 300. One test aligns with a 5k-pair training
 dictionary and runs a CSLS `bli_evaluate` over the full target vocabulary
 and `align_proc_b` with CSLS at search cap 20000. Another runs two epochs
 of `align_rcsls` over both full vocabularies on the same dictionary, then a
-cosine `bli_evaluate`. The last runs an idf-weighted `clir_run` of 200
-queries over 50k documents of 100 tokens each, with 5 relevant documents
-per query. Each process's peak resident
+cosine `bli_evaluate`. Another runs `align_gwa` at its default cap (2000
+words per side) and 30 outer iterations. The last runs an idf-weighted
+`clir_run` of 200 queries over 50k documents of 100 tokens each, with 5
+relevant documents per query. Each process's peak resident
 set must stay under 6 GiB, so that the paper's configuration runs on a
 7 GB machine.
 
@@ -77,6 +78,23 @@ RCSLS_SCRIPT = BLI_SPACES + textwrap.dedent("""
     print(json.dumps({
         "map": cosine.map_score, "queries": cosine.query_count,
         "rcsls_s": rcsls_s, "epochs": pair.metadata["epochs"],
+        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+""")
+
+# Gromov-Wasserstein transport between the 2000 most frequent words of each
+# side, at align_gwa's defaults: 30 outer iterations of up to 1000 Sinkhorn
+# steps each, to a marginal tolerance of 1e-9.
+GWA_SCRIPT = BLI_SPACES + textwrap.dedent("""
+    from clembed.unsupervised import align_gwa
+
+    start = time.perf_counter()
+    pair = align_gwa(src, tgt)
+    print(json.dumps({
+        "gwa_s": time.perf_counter() - start,
+        "dict_size": pair.metadata["dict_size"],
+        "outer_iters": pair.metadata["outer_iters"],
+        "marginal_violation": pair.metadata["marginal_violation"],
+        "distinct_targets": pair.metadata["distinct_targets"],
         "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """)
 
@@ -161,6 +179,15 @@ def test_paper_shape_rcsls_runs_within_the_memory_budget():
     assert report["epochs"] == 2
     assert report["queries"] == 1000
     assert report["map"] > 0.9
+    assert report["maxrss_kib"] < RSS_BUDGET_KIB
+
+
+@pytest.mark.slow
+def test_paper_shape_gwa_runs_within_the_memory_budget():
+    report = run_script(GWA_SCRIPT)
+    assert report["dict_size"] == 2000
+    assert report["outer_iters"] == 30
+    assert report["marginal_violation"] < 1e-6
     assert report["maxrss_kib"] < RSS_BUDGET_KIB
 
 

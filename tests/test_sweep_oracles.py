@@ -24,6 +24,17 @@ and rescores in float64 (`similarity.csls_hubness`), and selects top-n
 columns through strided group maxima (`similarity.topk_mean`): on generic
 inputs the means may differ from the oracles only in the last bits of a
 float64 sum, and on exact inputs not at all.
+
+The aligner loops reduce through thin factors where the oracles build the
+wide intermediates: `oracle_rcsls_objective` scores every frozen neighbour
+row through w and `oracle_rcsls_gradient` scatters k n rows into the source
+pool, where the library takes k neighbour means; `oracle_gw_plan` forms
+C1 gamma C2' from the two cost matrices, where the library goes through
+their rank-d factors; `oracle_nearest_rows` and `oracle_dropout` build new
+arrays that the library fills in place. RCSLS values differ in the last
+bits on generic inputs and not at all where every sum is exact (exact rows,
+a signed-permutation w, n a power of two); plans are close with equal row
+argmaxes; nearest rows and dropped-out blocks are equal.
 """
 
 import tracemalloc
@@ -34,17 +45,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clembed import similarity
+from clembed import similarity, supervised
 from clembed.evaluation import shuffling_test
 from clembed.lexicon import build_aligned_matrices, make_lexicon
-from clembed.linalg import solve_procrustes
+from clembed.linalg import sinkhorn_scale, solve_procrustes
 from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
                                 mutual_argmax_pairs, mutual_pairs, row_blocks,
                                 similarity_sweep, topk_mean, unit_rows)
-from clembed.supervised import align_proc, align_proc_b, rcsls_neighbor_sets
-from clembed.unsupervised import (IcpConfig, SelfLearnConfig, align_icp,
-                                  self_learn, vecmap_seed)
+from clembed.supervised import (RcslsConfig, align_proc, align_proc_b,
+                                align_rcsls, rcsls_gradient,
+                                rcsls_neighbor_sets, rcsls_objective)
+from clembed.unsupervised import (IcpConfig, SelfLearnConfig, _dropout,
+                                  _nearest_rows, align_icp,
+                                  gromov_wasserstein_plan, self_learn,
+                                  vecmap_seed)
 from conftest import capped_mutual_pairs, exact_rows
 
 # one row per block, a few rows per block against the fixtures' 500-row
@@ -173,6 +188,64 @@ def oracle_rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n):
     sim_s = x_t @ (src_pool @ w).T
     ns = np.argpartition(sim_s, sim_s.shape[1] - n, axis=1)[:, -n:]
     return nt, ns
+
+
+def oracle_rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors):
+    nt, ns = neighbors
+    proj = x_s @ w
+    fit = -2.0 * np.sum(proj * x_t, axis=1)
+    hub_t = np.mean(np.einsum("kd,knd->kn", proj, tgt_pool[nt]), axis=1)
+    hub_s = np.mean(np.einsum("kd,knd->kn", x_t, src_pool[ns] @ w), axis=1)
+    return float(np.mean(fit + hub_t + hub_s))
+
+
+def oracle_rcsls_gradient(w, x_s, x_t, src_pool, tgt_pool, neighbors):
+    nt, ns = neighbors
+    k, n = nt.shape
+    grad = -2.0 * x_s.T @ x_t
+    grad += x_s.T @ np.mean(tgt_pool[nt], axis=1)
+    acc = np.zeros_like(src_pool)
+    np.add.at(acc, ns.ravel(), np.repeat(x_t / n, n, axis=0))
+    grad += src_pool.T @ acc
+    return grad / k
+
+
+def oracle_gw_plan(src_vectors, tgt_vectors, lam=5e-2, outer_iters=30,
+                   sinkhorn_max_iter=1000, sinkhorn_tol=1e-9):
+    su = unit_rows(np.asarray(src_vectors, dtype=float))
+    tu = unit_rows(np.asarray(tgt_vectors, dtype=float))
+    n, m = su.shape[0], tu.shape[0]
+    c1 = su @ su.T
+    c2 = tu @ tu.T
+    p = np.full(n, 1.0 / n)
+    q = np.full(m, 1.0 / m)
+    c12 = ((c1 ** 2) @ p)[:, None] + ((c2 ** 2).T @ q)[None, :]
+    gamma = np.outer(p, q)
+    violation = 0.0
+    for _ in range(outer_iters):
+        pseudo = c12 - 2.0 * (c1 @ gamma @ c2.T)
+        scale = np.max(np.abs(pseudo))
+        if scale > 0:
+            pseudo = pseudo / scale
+        kernel = np.exp(-pseudo / lam)
+        a, b, violation = sinkhorn_scale(kernel, p, q,
+                                         max_iter=sinkhorn_max_iter,
+                                         tol=sinkhorn_tol)
+        gamma = (a[:, None] * kernel) * b[None, :]
+    return gamma, violation
+
+
+def oracle_nearest_rows(a, b):
+    sq = np.sum(b * b, axis=1)
+    return np.argmin(sq[None, :] - 2.0 * (a @ b.T), axis=1)
+
+
+def oracle_dropout(blocks, best, keep_prob, rng):
+    for rows, scores in blocks:
+        best[rows] = scores.max(axis=1)
+        if keep_prob < 1.0:
+            scores = np.where(rng.random(scores.shape) < keep_prob, scores, 0.0)
+        yield rows, scores
 
 
 def swept(queries, pool, metric="cosine", csls_n=10):
@@ -358,6 +431,142 @@ def test_rcsls_neighbor_sets_match_oracle_on_ties(case, cells):
         assert np.array_equal(a, b)
 
 
+# --- the aligner loops' thin reductions -------------------------------------------
+
+@st.composite
+def exact_rcsls_cases(draw):
+    """`rcsls_cases` with n a power of two, so that every mean is exact."""
+    w, x_s, x_t, src_pool, tgt_pool, n = draw(rcsls_cases())
+    return w, x_s, x_t, src_pool, tgt_pool, 1 << (n.bit_length() - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_rcsls_cases())
+def test_rcsls_matches_oracle_on_exact_rows(case):
+    w, x_s, x_t, src_pool, tgt_pool, n = case
+    args = (w, x_s, x_t, src_pool, tgt_pool,
+            rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n))
+    assert rcsls_objective(*args) == oracle_rcsls_objective(*args)
+    assert np.array_equal(rcsls_gradient(*args), oracle_rcsls_gradient(*args))
+
+
+@st.composite
+def generic_rcsls_cases(draw):
+    """Unit rows, a perturbed rotation w and any neighbourhood size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim, k = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    pools = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    x_s, x_t = (unit_rows(rng.standard_normal((k, dim))) for _ in range(2))
+    src_pool, tgt_pool = (unit_rows(rng.standard_normal((size, dim)))
+                          for size in pools)
+    w = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    w += 0.1 * rng.standard_normal((dim, dim))
+    n = draw(st.integers(1, min(pools)))
+    return w, x_s, x_t, src_pool, tgt_pool, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(generic_rcsls_cases())
+def test_rcsls_matches_oracle(case):
+    """Objective and gradient are sums of cosines and of unit-row products,
+    so their scale is 1: they agree to 1e-12 on that scale."""
+    w, x_s, x_t, src_pool, tgt_pool, n = case
+    args = (w, x_s, x_t, src_pool, tgt_pool,
+            rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n))
+    assert np.isclose(rcsls_objective(*args), oracle_rcsls_objective(*args),
+                      rtol=1e-12, atol=1e-12)
+    assert np.allclose(rcsls_gradient(*args), oracle_rcsls_gradient(*args),
+                       rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 50))
+def test_neighbor_means_equal_numpy_means(seed, n, k):
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((60, 7))
+    neighbors = rng.integers(0, len(pool), (k, n))
+    assert np.array_equal(supervised._neighbor_means(pool, neighbors),
+                          np.mean(pool[neighbors], axis=1))
+
+
+def test_align_rcsls_matches_oracle(noisy_pair):
+    aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
+                                     noisy_pair.tgt)
+    cfg = RcslsConfig(neighborhood=7, epochs=4)
+    new = align_rcsls(aligned, noisy_pair.src.matrix, noisy_pair.tgt.matrix,
+                      cfg)
+    with mock.patch.object(supervised, "rcsls_objective",
+                           oracle_rcsls_objective), \
+            mock.patch.object(supervised, "rcsls_gradient",
+                              oracle_rcsls_gradient):
+        old = align_rcsls(aligned, noisy_pair.src.matrix,
+                          noisy_pair.tgt.matrix, cfg)
+    assert np.allclose(new.w_src, old.w_src, rtol=0, atol=1e-12)
+    assert np.isclose(new.metadata.pop("final_objective"),
+                      old.metadata.pop("final_objective"), rtol=1e-12)
+    assert new.metadata == old.metadata
+
+
+def assert_close_plans(new, old):
+    (gamma, violation), (want, want_violation) = new, old
+    assert np.allclose(gamma, want, rtol=1e-9, atol=0)
+    assert np.array_equal(gamma.argmax(axis=1), want.argmax(axis=1))
+    assert np.isclose(violation, want_violation, rtol=1e-6, atol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(2, 8))
+def test_gw_plan_matches_oracle(seed, n, dim):
+    """A cloud with a decaying spectrum against its rotated, shuffled and
+    slightly perturbed copy. Clouds that leave the plan near uniform (two
+    points, isotropic or symmetric ones) are not drawn: there the iteration
+    moves off a nearly symmetric plan, and rounding, not the data, chooses
+    the direction, in either code."""
+    rng = np.random.default_rng(seed)
+    src = rng.standard_normal((n, dim)) * 0.7 ** np.arange(dim)
+    tgt = (src @ np.linalg.qr(rng.standard_normal((dim, dim)))[0])
+    tgt = tgt[rng.permutation(n)] + 1e-3 * rng.standard_normal((n, dim))
+    assert_close_plans(gromov_wasserstein_plan(src, tgt, outer_iters=10),
+                       oracle_gw_plan(src, tgt, outer_iters=10))
+
+
+def test_gw_plan_matches_oracle_on_a_fixture(noisy_pair):
+    """The 300 most frequent words, at the default settings."""
+    src, tgt = noisy_pair.src.matrix[:300], noisy_pair.tgt.matrix[:300]
+    assert_close_plans(gromov_wasserstein_plan(src, tgt),
+                       oracle_gw_plan(src, tgt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 8), st.integers(1, 4))
+def test_nearest_rows_match_oracle(seed, n, m, dim, copies):
+    """b repeats its rows, so equal distances must go to the same row."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, dim))
+    b = np.tile(rng.standard_normal((m, dim)), (copies, 1))
+    b = b[rng.permutation(len(b))]
+    assert np.array_equal(_nearest_rows(a, b), oracle_nearest_rows(a, b))
+
+
+@pytest.mark.parametrize("keep_prob", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("cells", CELL_BUDGETS)
+def test_dropout_matches_oracle(noisy_pair, cells, keep_prob):
+    queries, pool = projected(noisy_pair)
+    with mock.patch.object(similarity, "_CELLS", cells):
+        best, want_best = np.empty(len(queries)), np.empty(len(queries))
+        got = list(_dropout(similarity_sweep(queries, pool, "csls", 5),
+                            best, keep_prob, np.random.default_rng(3)))
+        want = list(oracle_dropout(similarity_sweep(queries, pool, "csls", 5),
+                                   want_best, keep_prob,
+                                   np.random.default_rng(3)))
+    assert np.array_equal(best, want_best)
+    assert len(got) == len(want)
+    for (rows, scores), (want_rows, want_scores) in zip(got, want):
+        assert rows == want_rows
+        assert np.array_equal(scores, want_scores)
+
+
 # --- hubness and top-n means -----------------------------------------------------
 
 def count_fallback_rows():
@@ -476,6 +685,27 @@ def test_mutual_nearest_neighbors_stays_within_its_blocks(metric):
             tracemalloc.stop()
     assert len(pairs) > 1900
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("queries", [1024, 4096])
+def test_mutual_argmax_pairs_adds_under_a_quarter_of_a_block(queries):
+    """Blocks of 1024 x 1024 float64 (8 MB) under a 2**20-cell budget: the
+    column argmax may not copy a block, as np.argmax over axis 0 would."""
+    rng = np.random.default_rng(3)
+    pool = rng.standard_normal((1024, 20))
+    near = pool[rng.integers(0, len(pool), queries)]
+    near += 0.01 * rng.standard_normal(near.shape)
+    with mock.patch.object(similarity, "_CELLS", 2 ** 20):
+        blocks = list(similarity_sweep(near, pool))
+        tracemalloc.start()
+        try:
+            pairs = mutual_argmax_pairs(iter(blocks), len(pool))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(blocks) == queries // 1024
+    assert pairs == oracle_mutual_argmax_pairs(np.vstack([s for _, s in blocks]))
+    assert peak <= blocks[0][1].nbytes / 4
 
 
 def test_csls_hubness_stays_within_its_blocks():
