@@ -43,11 +43,19 @@ def open_text(path: str | os.PathLike):
     except UnicodeDecodeError:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if found := _ESCAPED_BYTE.search(line):
-                    byte = ord(found.group()) - 0xDC00
-                    raise ValueError(f"{path}: line {lineno}: byte "
-                                     f"{byte:#04x} is not UTF-8") from None
+                if error := _utf8_error(line, path, lineno):
+                    raise error from None
         raise
+
+
+def _utf8_error(line: str, path: str | os.PathLike,
+                lineno: int) -> ValueError | None:
+    """`open_text`'s error if `line`, read with errors="surrogateescape",
+    held a byte that is not UTF-8, else None."""
+    if line.isascii() or not (found := _ESCAPED_BYTE.search(line)):
+        return None
+    byte = ord(found.group()) - 0xDC00
+    return ValueError(f"{path}: line {lineno}: byte {byte:#04x} is not UTF-8")
 
 
 @dataclass(frozen=True)
@@ -106,9 +114,9 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     the stop are neither parsed nor checked, and a duplicate after it is
     not counted.
 
-    Lines are read in chunks of `_CHUNK_LINES`. Python checks the structure
-    of every line up to the stop (value count, an empty value part,
-    duplicates); the values of the chunk's lines to keep (without `needed`,
+    Lines are read in chunks of `_CHUNK_LINES`. Python checks every line up
+    to the stop (bytes that are not UTF-8, the value count, an empty value
+    part, duplicates); the values of the chunk's lines to keep (without `needed`,
     of every line, duplicates too) then go through one call of numpy's text
     parser, so they follow numpy's float syntax: `1_0` and non-ASCII
     digits, which Python's `float` accepts, are unparseable, while numbers
@@ -124,8 +132,11 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     missing = None if wanted is None else set(wanted)
     duplicates = 0
     dim: int | None = None
-    with open_text(path) as fh:
+    # the decoder reads ahead of the stop, so it only marks bad bytes
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
+        if error := _utf8_error(first, path, 1):
+            raise error
         if not first.strip():
             raise ValueError(f"{path}: empty embedding file")
         start_line = 1
@@ -150,6 +161,8 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
             kept: list[int] = []        # positions in `values` of kept words
             error = None
             for lineno, line in chunk:
+                if error := _utf8_error(line, path, lineno):
+                    break
                 line = line.rstrip("\n")
                 if not line:
                     continue

@@ -4,24 +4,34 @@ All functions operate on row-vector matrices (one embedding per row) and
 return float64 results with no approximate nearest-neighbor shortcuts.
 `similarity_sweep` scores queries against a pool in row blocks
 (`row_blocks`); hubness, argmaxes and gold ranks are reductions over those
-blocks, never a full matrix. `csls_hubness` alone uses float32, and only to
-choose candidates: it screens each block in float32, rescores the chosen
-columns in float64 and recomputes in full in float64 any row whose choice
-a proven error bound cannot certify (see its docstring), so its values are
-the float64 top-n means.
+blocks, never a full matrix. One certified top-n kernel, `_top_neighbors`,
+finds each row's n nearest pool rows for CSLS hubness (`csls_hubness`) and
+for RCSLS's neighbourhoods (`supervised.rcsls_neighbor_sets`). It alone
+uses float32, and only to choose candidates: it screens each block in
+float32, rescores the chosen columns in float64 and recomputes in full in
+float64 any row whose choice a proven error bound cannot certify (see
+`csls_hubness`), so its columns and means are the float64 ones. Its row
+blocks run on one thread per core (`_map_blocks`); the threads run numpy
+and private helpers only, never a public function of the package.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-# Cells (rows x pool rows) in one block of a row-blocked similarity sweep;
-# bounds each block at about 8 * _CELLS bytes whatever the pool size.
+# Cells (rows x pool rows) of a row-blocked similarity sweep held at once:
+# about 8 * _CELLS bytes whatever the pool size. `row_blocks` gives each
+# block the whole budget; `_map_blocks` splits it among the blocks in
+# flight on its threads.
 _CELLS = 2 ** 24
 # Columns per strided group in the top-n selection of `_top_columns`.
 _GROUP = 16
-# Columns the float32 hubness screen keeps beyond the n it needs, so that
-# a near tie at the n-th place seldom sends a row to the float64 fallback.
+# Columns the float32 screen keeps beyond the n it needs, so that a near
+# tie at the n-th place seldom sends a row to the float64 fallback.
 _SPARE = 6
 
 
@@ -29,6 +39,54 @@ def row_blocks(n_rows: int, pool_rows: int) -> list[slice]:
     """Slices of range(n_rows) in blocks that fit the budget against `pool_rows`."""
     step = max(1, _CELLS // max(1, pool_rows))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _workers() -> int:
+    """Threads `_map_blocks` runs on: one per core this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+def _map_blocks(fn, n_rows: int, pool_rows: int) -> None:
+    """Call fn(rows, screen) over row blocks of range(n_rows), on one thread
+    per core (`_workers`), or in this thread when that is one.
+
+    `screen` is a float32 (rows, pool_rows) scratch block for fn to fill.
+    The blocks are of near-equal size, at least one per thread and each of
+    at most _CELLS / threads cells (or one row), so that the blocks in
+    flight together stay within `_CELLS`. Their scratch is allocated here,
+    in the calling thread, one block per thread, and handed out through a
+    queue: memory a worker thread allocates stays in its own malloc arena
+    after it is freed. The threads take blocks as they finish the last, and
+    none outlives the call; an exception in fn is raised here, and the
+    blocks not yet started are dropped. fn must be safe to run on any
+    thread: numpy and private helpers only, writing disjoint rows.
+    """
+    workers = _workers()
+    budget = max(1, _CELLS // workers // max(1, pool_rows))
+    n_blocks = -(-n_rows // budget)
+    n_blocks += -n_blocks % workers
+    step = max(1, -(-n_rows // max(1, n_blocks)))
+    blocks = [slice(start, min(start + step, n_rows))
+              for start in range(0, n_rows, step)]
+    workers = min(workers, len(blocks))
+    scratch = queue.SimpleQueue()
+    for _ in range(workers):
+        scratch.put(np.empty((step, pool_rows), dtype=np.float32))
+
+    def run(rows: slice) -> None:
+        screen = scratch.get()
+        try:
+            fn(rows, screen[:rows.stop - rows.start])
+        finally:
+            scratch.put(screen)
+
+    if workers <= 1:
+        for rows in blocks:
+            run(rows)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        for _ in executor.map(run, blocks):
+            pass
 
 
 # A norm below this is the root of a subnormal sum of squares: underflow
@@ -94,71 +152,119 @@ def _top_columns(scores: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(cols, kept, axis=1), np.maximum(left_out, dropped)
 
 
-def _descending_mean(values: np.ndarray, k: int) -> np.ndarray:
-    """Mean of each row's k largest values, summed in descending order, so
-    that it does not depend on the order the values come in."""
-    return (-np.sort(-values, axis=1)[:, :k]).mean(axis=1)
+def _descending(cols: np.ndarray, scores: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k of each row's `cols` with the largest `scores` (their scores,
+    one per column), in descending order of score, and the mean of those k
+    scores summed in that order, so that it does not depend on the order
+    the columns come in."""
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    top = np.take_along_axis(scores, order, axis=1)
+    return np.take_along_axis(cols, order, axis=1), top.mean(axis=1)
+
+
+def _top(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_descending` of each row's k largest entries of `scores`."""
+    cols, _ = _top_columns(scores, k)
+    return _descending(cols, np.take_along_axis(scores, cols, axis=1), k)
 
 
 def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
     """Mean of each row's k largest entries; k is clamped to the row length."""
-    k = min(k, scores.shape[1])
-    cols, _ = _top_columns(scores, k)
-    return _descending_mean(np.take_along_axis(scores, cols, axis=1), k)
+    return _top(scores, min(k, scores.shape[1]))[1]
 
 
 def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.ndarray:
     """Per-row mean cosine of each vector to its n nearest neighbors in `pool`.
 
     This is the local-scaling term r(.) of CSLS. n_neighbors must be
-    positive and is clamped to the pool size.
+    positive and is clamped to the pool size. Both sides are made unit rows
+    in float64 and go through `_top_neighbors`, whose float32 screen is
+    certified as follows.
 
-    Every cosine that enters a mean is computed in float64; float32 only
-    chooses which ones. Both sides are made unit rows in float64 and cast to
-    float32 once, and each row block is scored by one float32 product. Per
-    row, `_top_columns` keeps the n + _SPARE best-screened columns and
-    bounds every score left out. The kept columns are rescored in float64
-    and the n largest of those averaged.
+    Every score that enters a mean is computed in float64; float32 only
+    chooses which ones. Queries q and pool rows p are cast to float32 once,
+    and each row block is scored by one float32 product. Per row,
+    `_top_columns` keeps the n + _SPARE best-screened columns and bounds
+    every score left out. The kept columns are rescored in float64 and the
+    n largest of those taken.
 
-    The band: rounding unit rows u, v to float32 moves u.v by at most
-    (2 + 2**-24) * 2**-24, and a float32 dot product of length d errs by at
-    most about d * 2**-24 (any summation order); the float64 cosine differs
-    from the exact one by about d * 2**-53. So a screened cosine is within
-    delta = (d + 4) * 2**-24 of the float64 one for d far below 2**24. The
-    row's n-th kept screened score s_n then bounds its float64 n-th largest
-    cosine from below by s_n - delta, and a column screened below
-    s_n - 2 * delta cannot reach it. A row whose largest left-out score is
-    not that far below s_n (near ties, e.g. duplicated pool rows) is scored
-    again in full in float64 (`_exact_hubness`), so the result is always
-    the float64 top-n mean.
+    The band: with u = 2**-24, rounding q and p to float32 moves q.p by at
+    most (2 + u) * u * |q| |p|, and a float32 dot product of length d errs
+    by at most about d * u times the product of its operands' norms (any
+    summation order); the float64 dot product differs from the exact one by
+    about d * 2**-53 * |q| |p|. Underflow below float32's normal range adds
+    at most d * 2**-149 * (|q| + |p| + 1) in all. So for d far below 2**24
+    the screened score of q_i against any pool row is within
+
+        delta_i = (d + 4) * u * |q_i| * P + d * 2**-149 * (|q_i| + P + 1),
+
+    P = max_j |p_j|, of the float64 one; for unit rows, as here, the first
+    term is (d + 4) * u. The row's n-th kept screened score s_n then bounds
+    its float64 n-th largest score from below by s_n - delta_i, and a column
+    screened below s_n - 2 * delta_i cannot reach it. A row whose largest
+    left-out score is not that far below s_n (near ties, e.g. duplicated
+    pool rows) is scored again in full in float64 (`_exact_top`), so the
+    result is always the float64 top-n mean. The same bound certifies
+    RCSLS's neighbourhoods, whose queries and pool rows, projections through
+    a map, are not unit rows: there the band grows with |q_i| and P.
     """
     if n_neighbors < 1:
         raise ValueError(f"CSLS needs at least 1 neighbour, got {n_neighbors}")
-    vu, pu = unit_rows(vectors), unit_rows(pool)
-    k = min(n_neighbors, len(pu))
-    band = 2.0 * (vu.shape[1] + 4) * 2.0 ** -24
-    v32, p32 = vu.astype(np.float32), pu.astype(np.float32)
-    out = np.empty(len(vu))
-    for rows in row_blocks(len(vu), len(pu)):
-        screen = v32[rows] @ p32.T
-        cols, left_out = _top_columns(screen, k + _SPARE)
-        kept = np.take_along_axis(screen, cols, axis=1)
-        del screen
-        kth = np.partition(kept, cols.shape[1] - k, axis=1)[:, cols.shape[1] - k]
-        unsure = np.flatnonzero(~(left_out < kth.astype(float) - band))
-        exact = np.stack([np.einsum("bd,bd->b", vu[rows], pu[c])
-                          for c in cols.T], axis=1)
-        out[rows] = _descending_mean(exact, k)
-        if unsure.size:
-            unsure += rows.start
-            out[unsure] = _exact_hubness(vu[unsure], pu, k)
-    return out
+    return _top_neighbors(unit_rows(vectors), unit_rows(pool), n_neighbors)[1]
 
 
-def _exact_hubness(unit_vectors: np.ndarray, unit_pool: np.ndarray,
-                   k: int) -> np.ndarray:
-    """`csls_hubness` of unit rows computed in full in float64."""
-    return topk_mean(unit_vectors @ unit_pool.T, k)
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, without a temporary of the matrix's size."""
+    return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+
+
+def _top_neighbors(queries: np.ndarray, pool: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each query row's n largest dot products with the rows of `pool`
+    (n clamped to the pool size): the n columns, in descending order of
+    score, and the mean of their scores, all as float64 would give them.
+
+    The float32 screen, the float64 rescoring and the float64 fallback of
+    rows the band cannot certify are those of `csls_hubness`, whose
+    docstring holds the proof. Screened blocks run on `_map_blocks`'
+    threads; the fallback runs after them, in this thread, in `row_blocks`
+    of the uncertified rows, so its blocks do not depend on the thread
+    count.
+    """
+    k = min(n, len(pool))
+    d = queries.shape[1]
+    q32, p32 = queries.astype(np.float32), pool.astype(np.float32)
+    q_norms, p_max = _norms(queries), _norms(pool).max(initial=0.0)
+    band = 2.0 * ((d + 4) * 2.0 ** -24 * q_norms * p_max
+                  + d * 2.0 ** -149 * (q_norms + p_max + 1.0))
+    cols = np.empty((len(queries), k), dtype=np.intp)
+    means = np.empty(len(queries))
+    unsure = np.empty(len(queries), dtype=bool)
+
+    def screen_block(rows: slice, screen: np.ndarray) -> None:
+        np.matmul(q32[rows], p32.T, out=screen)
+        kept_cols, left_out = _top_columns(screen, k + _SPARE)
+        kept = np.take_along_axis(screen, kept_cols, axis=1)
+        m = kept.shape[1]
+        kth = np.partition(kept, m - k, axis=1)[:, m - k]
+        unsure[rows] = ~(left_out < kth.astype(float) - band[rows])
+        exact = np.stack([np.einsum("bd,bd->b", queries[rows], pool[c])
+                          for c in kept_cols.T], axis=1)
+        cols[rows], means[rows] = _descending(kept_cols, exact, k)
+
+    _map_blocks(screen_block, len(queries), len(pool))
+    redo = np.flatnonzero(unsure)
+    for rows in row_blocks(len(redo), len(pool)):
+        cols[redo[rows]], means[redo[rows]] = _exact_top(
+            queries[redo[rows]], pool, k)
+    return cols, means
+
+
+def _exact_top(queries: np.ndarray, pool: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_top_neighbors`' result for these rows, scored in full in float64."""
+    return _top(queries @ pool.T, k)
 
 
 def similarity_sweep(queries: np.ndarray, pool: np.ndarray,

@@ -18,7 +18,8 @@ from .lexicon import (AlignedMatrices, TranslationLexicon,
                       build_aligned_matrices, make_lexicon)
 from .linalg import solve_cca, solve_procrustes
 from .projection import ProjectionPair
-from .similarity import mutual_pairs, row_blocks, similarity_sweep, unit_rows
+from .similarity import (_top_columns, _top_neighbors, mutual_pairs,
+                         similarity_sweep, unit_rows)
 
 _DLV_PAD = -1e6  # weight for non-candidate edges in the sparsified assignment
 _DLV_CANDIDATES = 10  # highest-cosine edges kept per node in dlv's assignment
@@ -111,22 +112,28 @@ def align_cca(aligned: AlignedMatrices, keep_dims: int | str = "all") -> Project
                   "correlations": [float(c) for c in corr]})
 
 
+def _candidate_mask(sim: np.ndarray) -> np.ndarray:
+    """True at each row's and each column's `_DLV_CANDIDATES` largest
+    entries (every entry of a shorter row or column); of entries tied at
+    the last place either may be kept. Columns are selected as the rows of
+    a contiguous transpose, through `_top_columns` both ways."""
+    mask = np.zeros_like(sim, dtype=bool)
+    np.put_along_axis(mask, _top_columns(sim, _DLV_CANDIDATES)[0], True, axis=1)
+    np.put_along_axis(mask.T, _top_columns(np.ascontiguousarray(sim.T),
+                                           _DLV_CANDIDATES)[0], True, axis=1)
+    return mask
+
+
 def _sparsified_assignment(sim: np.ndarray) -> list[tuple[int, int]]:
-    """Max-weight one-to-one matching keeping only top candidate edges.
+    """Max-weight one-to-one matching keeping only top candidate edges
+    (`_candidate_mask`).
 
     Non-candidate edges get a large negative weight so the exact solver
     stays feasible; matches that land on padded edges are discarded. For
     weights in [-1, 1] at least one match is left: an assignment using one
     candidate edge outweighs any that uses padded edges only.
     """
-    n, m = sim.shape
-    k = min(_DLV_CANDIDATES, m)
-    mask = np.zeros_like(sim, dtype=bool)
-    rows_top = np.argpartition(sim, m - k, axis=1)[:, m - k:]
-    np.put_along_axis(mask, rows_top, True, axis=1)
-    kc = min(_DLV_CANDIDATES, n)
-    cols_top = np.argpartition(sim, n - kc, axis=0)[n - kc:, :]
-    np.put_along_axis(mask, cols_top, True, axis=0)
+    mask = _candidate_mask(sim)
     weights = np.where(mask, sim, _DLV_PAD)
     rows, cols = linear_sum_assignment(weights, maximize=True)
     return [(int(i), int(j)) for i, j in zip(rows, cols) if mask[i, j]]
@@ -170,16 +177,13 @@ def rcsls_neighbor_sets(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
 
     Row k of the first array holds the n target-pool rows nearest to the
     projected source x_s[k] @ w; row k of the second holds the n source-pool
-    rows whose projections are nearest to the paired target x_t[k].
+    rows whose projections are nearest to the paired target x_t[k]. Each
+    row is in descending order of similarity; among rows tied at the n-th
+    place either may be kept. Both come from the certified float32 screen
+    of CSLS hubness (`similarity._top_neighbors`).
     """
-    sets = []
-    for queries, pool in ((x_s @ w, tgt_pool), (x_t, src_pool @ w)):
-        top = np.empty((queries.shape[0], n), dtype=np.intp)
-        for rows in row_blocks(queries.shape[0], pool.shape[0]):
-            sim = queries[rows] @ pool.T
-            top[rows] = np.argpartition(sim, sim.shape[1] - n, axis=1)[:, -n:]
-        sets.append(top)
-    return tuple(sets)
+    return (_top_neighbors(x_s @ w, tgt_pool, n)[0],
+            _top_neighbors(x_t, src_pool @ w, n)[0])
 
 
 def _neighbor_means(pool: np.ndarray, neighbors: np.ndarray) -> np.ndarray:

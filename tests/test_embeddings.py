@@ -93,6 +93,35 @@ class TestLoadSave:
                            match=re.escape(f"{p}: ") + ".*embedding"):
             load_text_embeddings(p, needed={"a"})
 
+    @staticmethod
+    def latin1_last_line(tmp_path):
+        """3001 UTF-8 lines, then line 3002 `caf\xe9 5 6` in Latin-1."""
+        p = tmp_path / "vec.txt"
+        lines = "".join(f"w{i} {i} {i + 1}\n" for i in range(3001))
+        p.write_bytes(lines.encode() + "caf\xe9 5 6\n".encode("latin-1"))
+        return p
+
+    @pytest.mark.parametrize("kwargs", [{"needed": {"w0"}}, {"max_vocab": 1}])
+    def test_a_bad_byte_after_the_stop_is_not_read(self, tmp_path, kwargs):
+        """The decoder reads ahead of the line a load stops at, here by
+        3000 lines; the byte it meets there is not the load's."""
+        space = load_text_embeddings(self.latin1_last_line(tmp_path), **kwargs)
+        assert space.words == ("w0",)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"needed": {"w0", "absent"}},
+                                        {"max_vocab": 3002}])
+    def test_a_bad_byte_up_to_the_stop_is_named(self, tmp_path, kwargs):
+        p = self.latin1_last_line(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: line 3002: byte 0xe9 is not UTF-8")):
+            load_text_embeddings(p, **kwargs)
+
+    def test_the_first_bad_line_is_named_before_a_bad_byte(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_bytes(b"a 1 0\nb zero 1\nc 0 1\ncaf\xe9 5 6\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 2: unparseable")):
+            load_text_embeddings(p)
+
     @pytest.mark.parametrize("word", ["a b", "a\nb", "a\rb"])
     def test_save_rejects_words_the_loader_would_split(self, tmp_path, word):
         p = tmp_path / "out.txt"

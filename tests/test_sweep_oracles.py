@@ -25,6 +25,16 @@ columns through strided group maxima (`similarity.topk_mean`): on generic
 inputs the means may differ from the oracles only in the last bits of a
 float64 sum, and on exact inputs not at all.
 
+`oracle_rcsls_neighbor_sets`, the float64 product and full-width partition
+that RCSLS's neighbourhoods used, and `oracle_candidate_mask`, dlv's two
+full-width partitions, now go through the certified float32 screen of
+hubness (`similarity._top_neighbors`) and through `similarity._top_columns`.
+Of entries tied at the n-th place either code may keep either, so sets are
+compared where no two entries tie there, and the float64 scores kept as
+multisets everywhere. The screen's row blocks run on one thread per core
+(`similarity._map_blocks`); hubness is bit-equal at any thread count, no
+thread outlives a call and no public function runs on a worker thread.
+
 The aligner loops reduce through thin factors where the oracles build the
 wide intermediates: `oracle_rcsls_objective` scores every frozen neighbour
 row through w and `oracle_rcsls_gradient` scatters k n rows into the source
@@ -37,6 +47,13 @@ a signed-permutation w, n a power of two); plans are close with equal row
 argmaxes; nearest rows and dropped-out blocks are equal.
 """
 
+import contextlib
+import functools
+import importlib
+import inspect
+import pkgutil
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -45,8 +62,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clembed
 from clembed import similarity, supervised
-from clembed.evaluation import shuffling_test
+from clembed.evaluation import bli_evaluate, shuffling_test
 from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.linalg import sinkhorn_scale, solve_procrustes
 from clembed.projection import ProjectionPair
@@ -188,6 +206,35 @@ def oracle_rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n):
     sim_s = x_t @ (src_pool @ w).T
     ns = np.argpartition(sim_s, sim_s.shape[1] - n, axis=1)[:, -n:]
     return nt, ns
+
+
+def assert_same_neighbor_sets(got, w, x_s, x_t, src_pool, tgt_pool, n):
+    """`got` against `oracle_rcsls_neighbor_sets`, on each side: the
+    neighbours' float64 scores are equal as multisets, and the neighbours
+    equal as sets wherever no two pool rows tie at the n-th place (of tied
+    rows either kernel may keep either)."""
+    want = oracle_rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
+    dense = ((x_s @ w) @ tgt_pool.T, x_t @ (src_pool @ w).T)
+    for cols, want_cols, scores in zip(got, want, dense):
+        assert cols.shape == want_cols.shape
+        mine = np.sort(np.take_along_axis(scores, cols, axis=1), axis=1)
+        assert np.array_equal(
+            mine, np.sort(np.take_along_axis(scores, want_cols, axis=1), axis=1))
+        ranked = -np.sort(-scores, axis=1)
+        untied = (ranked[:, n - 1] > ranked[:, n] if n < scores.shape[1]
+                  else np.ones(len(scores), dtype=bool))
+        assert np.array_equal(np.sort(cols[untied], axis=1),
+                              np.sort(want_cols[untied], axis=1))
+
+
+def oracle_candidate_mask(sim, k=10):
+    n, m = sim.shape
+    mask = np.zeros_like(sim, dtype=bool)
+    rows_top = np.argpartition(sim, m - min(k, m), axis=1)[:, m - min(k, m):]
+    np.put_along_axis(mask, rows_top, True, axis=1)
+    cols_top = np.argpartition(sim, n - min(k, n), axis=0)[n - min(k, n):, :]
+    np.put_along_axis(mask, cols_top, True, axis=0)
+    return mask
 
 
 def oracle_rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors):
@@ -348,9 +395,7 @@ def test_rcsls_neighbor_sets_match_oracle(noisy_pair, cells):
     w = solve_procrustes(x_s, x_t)
     with mock.patch.object(similarity, "_CELLS", cells):
         got = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, 7)
-    want = oracle_rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, 7)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    assert_same_neighbor_sets(got, w, x_s, x_t, src_pool, tgt_pool, 7)
 
 
 @pytest.mark.parametrize("cells", CELL_BUDGETS[:2])
@@ -426,9 +471,13 @@ def rcsls_cases(draw):
 def test_rcsls_neighbor_sets_match_oracle_on_ties(case, cells):
     with mock.patch.object(similarity, "_CELLS", cells):
         got = rcsls_neighbor_sets(*case)
-    want = oracle_rcsls_neighbor_sets(*case)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    assert_same_neighbor_sets(got, *case)
+    # exact scores: each row is in descending order of its float64 score
+    w, x_s, x_t, src_pool, tgt_pool, n = case
+    for cols, scores in zip(got, ((x_s @ w) @ tgt_pool.T,
+                                  x_t @ (src_pool @ w).T)):
+        kept = np.take_along_axis(scores, cols, axis=1)
+        assert np.array_equal(kept, -np.sort(-kept, axis=1))
 
 
 # --- the aligner loops' thin reductions -------------------------------------------
@@ -570,14 +619,15 @@ def test_dropout_matches_oracle(noisy_pair, cells, keep_prob):
 # --- hubness and top-n means -----------------------------------------------------
 
 def count_fallback_rows():
-    """Patch the float64 fallback of `csls_hubness` to count the rows it gets."""
+    """Patch the float64 fallback of the top-n kernel (`csls_hubness`,
+    `rcsls_neighbor_sets`) to count the rows it gets."""
     rows = []
-    exact = similarity._exact_hubness
+    exact = similarity._exact_top
 
     def counted(vectors, pool, k):
         rows.append(len(vectors))
         return exact(vectors, pool, k)
-    return rows, mock.patch.object(similarity, "_exact_hubness", counted)
+    return rows, mock.patch.object(similarity, "_exact_top", counted)
 
 
 # pools of one row and of fewer rows than n; pools too narrow for groups of
@@ -666,6 +716,197 @@ def test_csls_hubness_falls_back_inside_the_band():
     assert sum(fallback) == 50
     assert np.allclose(got, oracle_csls_hubness(vectors, pool, 3),
                        rtol=0, atol=1e-15)
+
+
+@st.composite
+def scaled_rcsls_cases(draw):
+    """`generic_rcsls_cases` with w scaled by 10**-3 to 10**3, so that the
+    projected rows are far from unit length on either side."""
+    w, x_s, x_t, src_pool, tgt_pool, n = draw(generic_rcsls_cases())
+    return (w * 10.0 ** draw(st.integers(-3, 3)), x_s, x_t, src_pool,
+            tgt_pool, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_rcsls_cases(), st.sampled_from(CELL_BUDGETS),
+       st.sampled_from([1, 2]))
+def test_rcsls_neighbor_sets_match_oracle_on_scaled_rows(case, cells, workers):
+    with mock.patch.object(similarity, "_CELLS", cells), \
+            mock.patch.object(similarity, "_workers", lambda: workers):
+        got = rcsls_neighbor_sets(*case)
+    assert_same_neighbor_sets(got, *case)
+
+
+def test_rcsls_neighbor_sets_fall_back_inside_a_scaled_band():
+    """Pool rows of norm 1000 on one side and projected queries of norm 1000
+    on the other (w = 1000 I), with forty pool rows within about 1e-6 of
+    one another in direction: their float64 scores differ by about 1e-3,
+    the float32 screen errs by up to d * 2**-24 * 1000 = 1.8e-3 there, and
+    the unit-row band 2 * (d + 4) * 2**-24 = 4.1e-6 would certify its
+    noise (it gets most rows' sets wrong). The band that grows with the
+    norms sends every row to the fallback."""
+    rng = np.random.default_rng(12)
+    centre = rng.standard_normal(30)
+    pool = unit_rows(np.vstack([rng.standard_normal((600, 30)),
+                                centre + 1e-6 * rng.standard_normal((40, 30))]))
+    queries = unit_rows(centre + 0.1 * rng.standard_normal((50, 30)))
+    case = (1000.0 * np.eye(30), queries, queries, pool, pool, 3)
+    fallback, patch = count_fallback_rows()
+    with patch:
+        got = rcsls_neighbor_sets(*case)
+    assert sum(fallback) == 100
+    assert_same_neighbor_sets(got, *case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40))
+def test_candidate_mask_matches_oracle(seed, n, m):
+    """Distinct entries: no two tie at the tenth place of a row or column."""
+    sim = np.random.default_rng(seed).permutation(n * m).reshape(n, m) / (n * m)
+    assert np.array_equal(supervised._candidate_mask(sim),
+                          oracle_candidate_mask(sim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.integers(1, 3))
+def test_candidate_mask_keeps_the_top_of_each_row_and_column_on_ties(
+        seed, n, m, values):
+    """Few distinct values: the masked entries of each row and column hold
+    its ten largest values as a multiset, whichever tied entries they are."""
+    sim = np.random.default_rng(seed).integers(-values, values + 1, (n, m)) / 4
+    mask = supervised._candidate_mask(sim)
+    for scores, kept in ((sim, mask), (sim.T, mask.T)):
+        k = min(10, scores.shape[1])
+        top = -np.sort(-scores, axis=1)[:, :k]
+        for row, keep, want in zip(scores, kept, top):
+            assert np.sum(row[keep] >= want[-1]) >= k
+
+
+# --- the row-block threads ---------------------------------------------------------
+
+def duplicated_pool(seed):
+    """120 vectors and a pool of 333 rows drawn from 40: each vector's
+    nearest rows come in tied copies, so rows go to the float64 fallback."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((40, 30))
+    return rng.standard_normal((120, 30)), base[rng.integers(0, 40, 333)]
+
+
+def threads(workers):
+    return mock.patch.object(similarity, "_workers", lambda: workers)
+
+
+@pytest.mark.parametrize("cells", CELL_BUDGETS)
+def test_csls_hubness_is_independent_of_the_thread_count(cells):
+    vectors, pool = duplicated_pool(5)
+    results = []
+    for workers in (1, 2, 3):
+        fallback, patch = count_fallback_rows()
+        with mock.patch.object(similarity, "_CELLS", cells), \
+                threads(workers), patch:
+            results.append(csls_hubness(vectors, pool, 10))
+        assert 0 < sum(fallback) < len(vectors)
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
+    assert np.allclose(results[0], oracle_csls_hubness(vectors, pool, 10),
+                       rtol=0, atol=1e-15)
+
+
+def test_csls_hubness_under_thread_stress():
+    """Eight threads, more than the cores, switching every 10 us: a scratch
+    block handed to two threads at once, or a row written by two blocks,
+    would change the result."""
+    vectors, pool = duplicated_pool(7)
+    with mock.patch.object(similarity, "_CELLS", 3000), threads(1):
+        want = csls_hubness(vectors, pool, 10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(similarity, "_CELLS", 3000), threads(8):
+            for _ in range(5):
+                assert np.array_equal(csls_hubness(vectors, pool, 10), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("cells", [1, 5000, 2 ** 24])
+def test_map_blocks_covers_every_row_once_within_the_budget(workers, cells):
+    rows_seen, idents = [], set()
+
+    def fn(rows, screen):
+        assert screen.shape == (rows.stop - rows.start, 70)
+        assert screen.dtype == np.float32
+        assert screen.size <= max(70, cells // workers)
+        rows_seen.extend(range(rows.start, rows.stop))
+        idents.add(threading.get_ident())
+
+    before = threading.active_count()
+    with mock.patch.object(similarity, "_CELLS", cells), threads(workers):
+        similarity._map_blocks(fn, 1000, 70)
+    assert sorted(rows_seen) == list(range(1000))
+    assert threading.active_count() == before
+    if workers == 1:
+        assert idents == {threading.get_ident()}
+
+
+def test_a_worker_exception_reaches_the_caller():
+    def fn(rows, screen):
+        if rows.start >= 500:
+            raise RuntimeError(f"block at row {rows.start}")
+
+    before = threading.active_count()
+    with mock.patch.object(similarity, "_CELLS", 5000), threads(2):
+        with pytest.raises(RuntimeError, match="block at row"):
+            similarity._map_blocks(fn, 1000, 70)
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_call():
+    vectors, pool = duplicated_pool(6)
+    before = threading.active_count()
+    with mock.patch.object(similarity, "_CELLS", 3000), threads(3):
+        csls_hubness(vectors, pool, 10)
+    assert threading.active_count() == before
+
+
+def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
+    """Every public function of every clembed module is wrapped, under each
+    name that refers to it, as a span tracer wraps them, and records the
+    thread it runs on. A tracer that keeps one span stack per process is
+    only correct if that is always the calling thread."""
+    modules = [clembed] + [importlib.import_module(f"clembed.{info.name}")
+                           for info in pkgutil.iter_modules(clembed.__path__)]
+    seen = set()
+
+    def recording(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    publics = {fn: recording(fn) for module in modules[1:]
+               for name, fn in vars(module).items()
+               if not name.startswith("_") and inspect.isfunction(fn)
+               and fn.__module__ == module.__name__}
+    aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
+                                     noisy_pair.tgt)
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in publics:
+                    stack.enter_context(
+                        mock.patch.object(module, name, publics[value]))
+        stack.enter_context(mock.patch.object(similarity, "_CELLS", 3000))
+        stack.enter_context(threads(2))
+        pair = supervised.align_rcsls(aligned, noisy_pair.src.matrix,
+                                      noisy_pair.tgt.matrix,
+                                      RcslsConfig(neighborhood=5, epochs=2))
+        bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, noisy_pair.test_lex,
+                     metric="csls")
+    assert seen == {threading.get_ident()}
 
 
 # --- memory ------------------------------------------------------------------------
