@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .embeddings import WordVectorSpace, open_text
 from .lexicon import TranslationLexicon
@@ -128,6 +127,7 @@ def paired_ttest(scores_a, scores_b) -> float:
     if spread <= 1e-12 * max(abs(float(np.mean(diffs))), 1e-300):
         # (near-)constant nonzero difference: the t statistic diverges
         return 0.0
+    from scipy import stats  # local: it would be most of clembed's import time
     return float(stats.ttest_rel(a, b).pvalue)
 
 
@@ -174,6 +174,7 @@ def rank_correlation(xs, ys, kind: str = "pearson") -> float:
         raise ValueError("rank_correlation: need equal-length inputs, >= 3")
     if np.std(x) == 0.0 or np.std(y) == 0.0:
         raise ValueError("rank_correlation: zero variance input")
+    from scipy import stats
     if kind == "pearson":
         return float(stats.pearsonr(x, y).statistic)
     if kind == "spearman":

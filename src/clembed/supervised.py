@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from .embeddings import WordVectorSpace
 from .lexicon import (AlignedMatrices, TranslationLexicon,
                       build_aligned_matrices, make_lexicon)
-from .linalg import solve_cca, solve_procrustes
+from .linalg import _procrustes, solve_cca, solve_procrustes
 from .projection import ProjectionPair
 from .similarity import (_top_columns, _top_neighbors, mutual_pairs,
                          similarity_sweep, unit_rows)
@@ -74,10 +74,13 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     for it in range(iters):
         aligned = build_aligned_matrices(lex, src_space, tgt_space)
         dict_sizes.append(len(aligned.kept_pairs))
-        w_src = solve_procrustes(aligned.x_src, aligned.x_tgt)
         if it == iters - 1:
+            w_src = solve_procrustes(aligned.x_src, aligned.x_tgt)
             break
-        w_tgt = solve_procrustes(aligned.x_tgt, aligned.x_src)
+        # maps that only the next augmentation reads; only the returned
+        # map's solve warns of a rank-deficient dictionary
+        w_src, _ = _procrustes(aligned.x_src, aligned.x_tgt)
+        w_tgt, _ = _procrustes(aligned.x_tgt, aligned.x_src)
         fwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
             src_cap @ w_src, tgt_cap, metric, csls_n)])
         bwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
@@ -197,33 +200,19 @@ def _neighbor_means(pool: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     return acc
 
 
-def rcsls_objective(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
-                    src_pool: np.ndarray, tgt_pool: np.ndarray,
-                    neighbors: tuple[np.ndarray, np.ndarray]) -> float:
-    """Loss value with the neighbor sets held fixed (dot = cosine on unit rows).
-
-    The mean cosine of a pair to its n frozen neighbours is a dot product
-    with their mean row: proj . mean(tgt_pool[nt]) and
-    x_t . (mean(src_pool[ns]) @ w). That is O(k n d) for the means and
-    O(k d^2) for one k x d product through w, where scoring every neighbour
-    row would project k n rows, O(k n d^2).
-    """
-    nt, ns = neighbors
-    proj = x_s @ w
-    fit = -2.0 * np.sum(proj * x_t, axis=1)
-    hub_t = np.sum(proj * _neighbor_means(tgt_pool, nt), axis=1)
-    hub_s = np.sum(x_t * (_neighbor_means(src_pool, ns) @ w), axis=1)
-    return float(np.mean(fit + hub_t + hub_s))
-
-
-def rcsls_gradient(w: np.ndarray, x_s: np.ndarray, x_t: np.ndarray,
-                   src_pool: np.ndarray, tgt_pool: np.ndarray,
+def rcsls_gradient(x_s: np.ndarray, x_t: np.ndarray, src_pool: np.ndarray,
+                   tgt_pool: np.ndarray,
                    neighbors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Exact gradient of `rcsls_objective` for the same frozen neighbor sets.
+    """The relaxed local-scaling loss's gradient G for frozen neighbor sets,
+    which is also the loss: loss(w) = sum(w * G).
 
-    With M_t and M_s the k x d neighbour means of `rcsls_objective`, it is
-    (-2 x_s' x_t + x_s' M_t + M_s' x_t) / k: three d x k by k x d products,
-    O(k d^2), with no scatter of k n rows into the source pool.
+    On unit rows the loss is the mean over pairs k of
+    -2 cos(x_s[k] w, x_t[k]) + mean cos(x_s[k] w, tgt_pool[nt[k]])
+    + mean cos(x_t[k], src_pool[ns[k]] w). A pair's mean cosine to its
+    frozen neighbours is a dot product with their mean row, so with M_t and
+    M_s the k x d neighbour means the loss is linear in w, and
+    G = (-2 x_s' x_t + x_s' M_t + M_s' x_t) / k: O(k n d) for the means and
+    three d x k by k x d products, O(k d^2).
     """
     nt, ns = neighbors
     grad = -2.0 * x_s.T @ x_t
@@ -238,9 +227,10 @@ def align_rcsls(aligned: AlignedMatrices, full_src_matrix: np.ndarray,
     """Full-batch subgradient descent on the relaxed local-scaling loss.
 
     Neighbor sets are recomputed at the start of every epoch and held fixed
-    within it. The learning rate halves whenever an epoch worsens the loss;
-    ten consecutive worsenings abort with an error. All inputs are
-    unit-normalized here so dot products are cosines.
+    within it; one `rcsls_gradient` G per set gives both the epoch's loss,
+    sum(w * G), and its step. The learning rate halves whenever an epoch
+    worsens the loss; ten consecutive worsenings abort with an error. All
+    inputs are unit-normalized here so dot products are cosines.
     """
     x_s = unit_rows(aligned.x_src)
     x_t = unit_rows(aligned.x_tgt)
@@ -250,14 +240,15 @@ def align_rcsls(aligned: AlignedMatrices, full_src_matrix: np.ndarray,
     w = solve_procrustes(x_s, x_t)
     lr = cfg.learning_rate
     neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
-    prev = rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors)
+    grad = rcsls_gradient(x_s, x_t, src_pool, tgt_pool, neighbors)
+    prev = float(np.sum(w * grad))
     best_w, best_obj = w.copy(), prev
     bad_epochs = 0
     for _ in range(cfg.epochs):
-        grad = rcsls_gradient(w, x_s, x_t, src_pool, tgt_pool, neighbors)
         w = w - lr * grad
         neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
-        obj = rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors)
+        grad = rcsls_gradient(x_s, x_t, src_pool, tgt_pool, neighbors)
+        obj = float(np.sum(w * grad))
         if obj > prev:
             lr *= 0.5
             bad_epochs += 1

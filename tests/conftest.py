@@ -113,6 +113,18 @@ def exact_rows(dim, min_size, max_size, diagonal=True):
                     max_size=max_size).map(np.array)
 
 
+def oracle_rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors):
+    """RCSLS's relaxed local-scaling loss for frozen neighbour sets on unit
+    rows, scoring every neighbour row through w: independent of the
+    library, which reads the loss off its gradient."""
+    nt, ns = neighbors
+    proj = x_s @ w
+    fit = -2.0 * np.sum(proj * x_t, axis=1)
+    hub_t = np.mean(np.einsum("kd,knd->kn", proj, tgt_pool[nt]), axis=1)
+    hub_s = np.mean(np.einsum("kd,knd->kn", x_t, src_pool[ns] @ w), axis=1)
+    return float(np.mean(fit + hub_t + hub_s))
+
+
 def capped_mutual_pairs(queries, pool, cap, metric="cosine", csls_n=10):
     """Mutual nearest neighbours among the first `cap` rows of each side, by
     the blocked sweep and argmax that `self_learn` and `align_icp` run."""

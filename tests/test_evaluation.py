@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clembed
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import (average_precision_from_ranks, bli_evaluate,
                                 bli_summary, bonferroni, paired_ttest,
@@ -158,3 +163,16 @@ def test_report_round_trip(tmp_path, noisy_pair):
 def test_ap_in_unit_interval(ranks):
     ap = average_precision_from_ranks(ranks)
     assert 0.0 < ap <= 1.0
+
+
+def test_importing_clembed_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of the package's import time, and only the
+    paired t-test and the correlations read it."""
+    path = [os.path.dirname(os.path.dirname(clembed.__file__)),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = "import sys, clembed, clembed.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

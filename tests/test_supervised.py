@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from clembed.similarity import unit_rows
 from clembed.supervised import (RcslsConfig, _sparsified_assignment, align_cca,
                                 align_dlv, align_proc, align_proc_b,
                                 align_rcsls, rcsls_gradient,
-                                rcsls_neighbor_sets, rcsls_objective)
+                                rcsls_neighbor_sets)
+from conftest import oracle_rcsls_objective
 
 
 def held_out_map(pair, rotated):
@@ -62,12 +64,26 @@ class TestProcB:
                                                           iters):
         """Every iteration solves the source map; the target map, which only
         the next augmentation reads, is solved by every iteration but the
-        last."""
+        last. Only the returned map goes through the warning solve."""
         seed = self.seed_lexicon(noisy_pair)
         with mock.patch.object(supervised, "solve_procrustes",
-                               wraps=solve_procrustes) as solve:
+                               wraps=solve_procrustes) as solve, \
+                mock.patch.object(supervised, "_procrustes",
+                                  wraps=supervised._procrustes) as quiet:
             align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=iters)
-        assert solve.call_count == 2 * iters - 1
+        assert solve.call_count == 1
+        assert quiet.call_count == 2 * (iters - 1)
+
+    def test_warns_only_about_the_returned_map(self, noisy_pair):
+        """A 10-pair seed in 20 dimensions is rank-deficient; the maps
+        solved from it only seed the augmentation, and the returned map's
+        dictionary has full rank."""
+        seed = self.seed_lexicon(noisy_pair)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pair = align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=2)
+        assert pair.metadata["dict_sizes"][-1] > noisy_pair.src.dim
+        assert [str(w.message) for w in caught] == []
 
 
 class TestCca:
@@ -136,7 +152,7 @@ class TestRcsls:
 
     def test_gradient_matches_central_differences(self):
         w, x_s, x_t, sp, tp, nb = self.gradient_setup()
-        analytic = rcsls_gradient(w, x_s, x_t, sp, tp, nb)
+        analytic = rcsls_gradient(x_s, x_t, sp, tp, nb)
         h = 1e-6
         numeric = np.zeros_like(w)
         for i in range(w.shape[0]):
@@ -144,11 +160,25 @@ class TestRcsls:
                 wp, wm = w.copy(), w.copy()
                 wp[i, j] += h
                 wm[i, j] -= h
-                numeric[i, j] = (rcsls_objective(wp, x_s, x_t, sp, tp, nb)
-                                 - rcsls_objective(wm, x_s, x_t, sp, tp, nb)
-                                 ) / (2 * h)
+                numeric[i, j] = (
+                    oracle_rcsls_objective(wp, x_s, x_t, sp, tp, nb)
+                    - oracle_rcsls_objective(wm, x_s, x_t, sp, tp, nb)
+                ) / (2 * h)
         scale = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_takes_one_pair_of_neighbour_means_per_neighbourhood(
+            self, noisy_pair, epochs):
+        """epochs + 1 neighbourhoods (the start's and one per epoch), each
+        reduced to its two means once, for both the loss and the step."""
+        aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
+                                         noisy_pair.tgt)
+        with mock.patch.object(supervised, "_neighbor_means",
+                               wraps=supervised._neighbor_means) as means:
+            align_rcsls(aligned, noisy_pair.src.matrix, noisy_pair.tgt.matrix,
+                        RcslsConfig(epochs=epochs))
+        assert means.call_count == 2 * (epochs + 1)
 
     def test_descent_keeps_procrustes_quality(self, clean_pair):
         aligned = build_aligned_matrices(clean_pair.train_lex, clean_pair.src,

@@ -13,6 +13,7 @@ elsewhere also counts as a reference.
 """
 
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +26,7 @@ SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))
 
 # name -> why it may stay unreached
 ALLOWED = {
-    "vecmap_postprocess": "ROADMAP item 4: VecMap's post-processing preset "
+    "vecmap_postprocess": "ROADMAP item 7: VecMap's post-processing preset "
                           "stays until `align --method vecmap` runs it"}
 
 
@@ -80,3 +81,43 @@ def test_allowed_names_are_defined():
     defined = {label for p in PACKAGE.glob("*.py")
                for label, _ in public_surface(p.stem)}
     assert set(ALLOWED) <= defined
+
+
+# benchmark per-layer metric -> why it may name no function of clembed
+DEAD_METRICS = {
+    name: "ROADMAP item 1: the benchmark change renames this metric"
+    for name in ("similarity.csls_scores", "similarity.similarity_matrix",
+                 "clir.aggregate_text")}
+
+
+def per_layer_functions() -> list[str]:
+    """`<module>.<function>` of each `BENCHMARK.json` per-layer metric named
+    `<module>.<function>.<counter>` (module totals such as `cli.self_s`
+    have two parts and name no function)."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return sorted({m["name"].rsplit(".", 1)[0] for m in bench["per_layer"]
+                   if m["name"].count(".") == 2})
+
+
+def is_public_function(qualified: str) -> bool:
+    module, function = qualified.split(".")
+    if not (PACKAGE / f"{module}.py").exists():
+        return False
+    return any(isinstance(node, ast.FunctionDef) and node.name == function
+               for node in public_definitions(module))
+
+
+def test_per_layer_metrics_name_public_functions():
+    """The tracer times public functions by name: a metric naming a
+    function that is gone reads 0 and shows nothing."""
+    dead = [name for name in per_layer_functions()
+            if not is_public_function(name) and name not in DEAD_METRICS]
+    assert not dead, f"BENCHMARK.json times {dead}, which clembed does not define"
+
+
+def test_dead_metrics_are_listed_and_dead():
+    """An allowed dead metric leaves the list once the benchmark drops it
+    or the function exists again."""
+    listed = set(per_layer_functions())
+    assert set(DEAD_METRICS) <= listed
+    assert not [name for name in DEAD_METRICS if is_public_function(name)]

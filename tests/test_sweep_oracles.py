@@ -36,15 +36,19 @@ multisets everywhere. The screen's row blocks run on one thread per core
 thread outlives a call and no public function runs on a worker thread.
 
 The aligner loops reduce through thin factors where the oracles build the
-wide intermediates: `oracle_rcsls_objective` scores every frozen neighbour
-row through w and `oracle_rcsls_gradient` scatters k n rows into the source
-pool, where the library takes k neighbour means; `oracle_gw_plan` forms
+wide intermediates: `conftest.oracle_rcsls_objective` scores every frozen
+neighbour row through w and `oracle_rcsls_gradient` scatters k n rows into
+the source pool, where the library takes k neighbour means and reads the
+loss off the gradient G as sum(w * G) (the loss is linear in w for frozen
+sets); `oracle_align_rcsls` is the descent loop that computed the loss and
+the gradient of each neighbourhood apart. `oracle_gw_plan` forms
 C1 gamma C2' from the two cost matrices, where the library goes through
 their rank-d factors; `oracle_nearest_rows` and `oracle_dropout` build new
-arrays that the library fills in place. RCSLS values differ in the last
+arrays that the library fills in place. RCSLS gradients differ in the last
 bits on generic inputs and not at all where every sum is exact (exact rows,
-a signed-permutation w, n a power of two); plans are close with equal row
-argmaxes; nearest rows and dropped-out blocks are equal.
+a signed-permutation w, n a power of two), and the loss, summed in another
+order, agrees to 1e-12; plans are close with equal row argmaxes; nearest
+rows and dropped-out blocks are equal.
 """
 
 import contextlib
@@ -73,12 +77,13 @@ from clembed.similarity import (cosine_matrix, csls_hubness,
                                 similarity_sweep, topk_mean, unit_rows)
 from clembed.supervised import (RcslsConfig, align_proc, align_proc_b,
                                 align_rcsls, rcsls_gradient,
-                                rcsls_neighbor_sets, rcsls_objective)
+                                rcsls_neighbor_sets)
 from clembed.unsupervised import (IcpConfig, SelfLearnConfig, _dropout,
                                   _nearest_rows, align_icp,
                                   gromov_wasserstein_plan, self_learn,
                                   vecmap_seed)
-from conftest import capped_mutual_pairs, exact_rows
+from conftest import (RotatedPair, capped_mutual_pairs, exact_rows,
+                      oracle_rcsls_objective)
 
 # one row per block, a few rows per block against the fixtures' 500-row
 # pools, and the library's own budget
@@ -237,15 +242,6 @@ def oracle_candidate_mask(sim, k=10):
     return mask
 
 
-def oracle_rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors):
-    nt, ns = neighbors
-    proj = x_s @ w
-    fit = -2.0 * np.sum(proj * x_t, axis=1)
-    hub_t = np.mean(np.einsum("kd,knd->kn", proj, tgt_pool[nt]), axis=1)
-    hub_s = np.mean(np.einsum("kd,knd->kn", x_t, src_pool[ns] @ w), axis=1)
-    return float(np.mean(fit + hub_t + hub_s))
-
-
 def oracle_rcsls_gradient(w, x_s, x_t, src_pool, tgt_pool, neighbors):
     nt, ns = neighbors
     k, n = nt.shape
@@ -255,6 +251,43 @@ def oracle_rcsls_gradient(w, x_s, x_t, src_pool, tgt_pool, neighbors):
     np.add.at(acc, ns.ravel(), np.repeat(x_t / n, n, axis=0))
     grad += src_pool.T @ acc
     return grad / k
+
+
+def oracle_align_rcsls(aligned, full_src_matrix, full_tgt_matrix, cfg):
+    """`align_rcsls` as it was, with the loss and the gradient of each
+    neighbourhood computed apart, by the oracles above. Returns the pair and
+    the loss of each epoch, the starting loss first."""
+    x_s, x_t = unit_rows(aligned.x_src), unit_rows(aligned.x_tgt)
+    src_pool, tgt_pool = unit_rows(full_src_matrix), unit_rows(full_tgt_matrix)
+    n = min(cfg.neighborhood, len(src_pool), len(tgt_pool))
+    w = solve_procrustes(x_s, x_t)
+    lr = cfg.learning_rate
+    neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
+    prev = oracle_rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors)
+    objectives = [prev]
+    best_w, best_obj = w.copy(), prev
+    bad_epochs = 0
+    for _ in range(cfg.epochs):
+        w = w - lr * oracle_rcsls_gradient(w, x_s, x_t, src_pool, tgt_pool,
+                                           neighbors)
+        neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
+        obj = oracle_rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors)
+        objectives.append(obj)
+        if obj > prev:
+            lr *= 0.5
+            bad_epochs += 1
+            if bad_epochs >= 10:
+                raise RuntimeError("rcsls diverged for 10 consecutive epochs")
+        else:
+            bad_epochs = 0
+        if obj < best_obj:
+            best_w, best_obj = w.copy(), obj
+        prev = obj
+    return ProjectionPair(
+        w_src=best_w, w_tgt=np.eye(best_w.shape[0]), orthogonal_src=False,
+        method="rcsls",
+        metadata={"dict_size": len(aligned.kept_pairs), "epochs": cfg.epochs,
+                  "neighborhood": n, "final_objective": best_obj}), objectives
 
 
 def oracle_gw_plan(src_vectors, tgt_vectors, lam=5e-2, outer_iters=30,
@@ -492,11 +525,15 @@ def exact_rcsls_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(exact_rcsls_cases())
 def test_rcsls_matches_oracle_on_exact_rows(case):
+    """The gradient is equal; the loss read off it, sum(w * G), sums in
+    another order than the oracle's mean over pairs."""
     w, x_s, x_t, src_pool, tgt_pool, n = case
-    args = (w, x_s, x_t, src_pool, tgt_pool,
-            rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n))
-    assert rcsls_objective(*args) == oracle_rcsls_objective(*args)
-    assert np.array_equal(rcsls_gradient(*args), oracle_rcsls_gradient(*args))
+    neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
+    grad = rcsls_gradient(x_s, x_t, src_pool, tgt_pool, neighbors)
+    args = (w, x_s, x_t, src_pool, tgt_pool, neighbors)
+    assert np.array_equal(grad, oracle_rcsls_gradient(*args))
+    assert np.isclose(np.sum(w * grad), oracle_rcsls_objective(*args),
+                      rtol=1e-12, atol=1e-12)
 
 
 @st.composite
@@ -517,14 +554,15 @@ def generic_rcsls_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(generic_rcsls_cases())
 def test_rcsls_matches_oracle(case):
-    """Objective and gradient are sums of cosines and of unit-row products,
-    so their scale is 1: they agree to 1e-12 on that scale."""
+    """Loss and gradient are sums of cosines and of unit-row products, so
+    their scale is 1: they agree to 1e-12 on that scale."""
     w, x_s, x_t, src_pool, tgt_pool, n = case
-    args = (w, x_s, x_t, src_pool, tgt_pool,
-            rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n))
-    assert np.isclose(rcsls_objective(*args), oracle_rcsls_objective(*args),
+    neighbors = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, n)
+    grad = rcsls_gradient(x_s, x_t, src_pool, tgt_pool, neighbors)
+    args = (w, x_s, x_t, src_pool, tgt_pool, neighbors)
+    assert np.isclose(np.sum(w * grad), oracle_rcsls_objective(*args),
                       rtol=1e-12, atol=1e-12)
-    assert np.allclose(rcsls_gradient(*args), oracle_rcsls_gradient(*args),
+    assert np.allclose(grad, oracle_rcsls_gradient(*args),
                        rtol=1e-12, atol=1e-12)
 
 
@@ -538,22 +576,33 @@ def test_neighbor_means_equal_numpy_means(seed, n, k):
                           np.mean(pool[neighbors], axis=1))
 
 
-def test_align_rcsls_matches_oracle(noisy_pair):
-    aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
-                                     noisy_pair.tgt)
-    cfg = RcslsConfig(neighborhood=7, epochs=4)
-    new = align_rcsls(aligned, noisy_pair.src.matrix, noisy_pair.tgt.matrix,
-                      cfg)
-    with mock.patch.object(supervised, "rcsls_objective",
-                           oracle_rcsls_objective), \
-            mock.patch.object(supervised, "rcsls_gradient",
-                              oracle_rcsls_gradient):
-        old = align_rcsls(aligned, noisy_pair.src.matrix,
-                          noisy_pair.tgt.matrix, cfg)
+def assert_same_rcsls(aligned, src_matrix, tgt_matrix, cfg):
+    new = align_rcsls(aligned, src_matrix, tgt_matrix, cfg)
+    old, objectives = oracle_align_rcsls(aligned, src_matrix, tgt_matrix, cfg)
     assert np.allclose(new.w_src, old.w_src, rtol=0, atol=1e-12)
     assert np.isclose(new.metadata.pop("final_objective"),
                       old.metadata.pop("final_objective"), rtol=1e-12)
     assert new.metadata == old.metadata
+    return objectives
+
+
+def test_align_rcsls_matches_oracle(noisy_pair):
+    aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
+                                     noisy_pair.tgt)
+    assert_same_rcsls(aligned, noisy_pair.src.matrix, noisy_pair.tgt.matrix,
+                      RcslsConfig(neighborhood=7, epochs=4))
+
+
+def test_align_rcsls_matches_oracle_when_the_rate_halves():
+    """A large step on a noisy pair: an epoch worsens the loss, the rate
+    halves, and the map returned is not the last epoch's."""
+    pair = RotatedPair(sigma=1.0)
+    aligned = build_aligned_matrices(pair.train_lex, pair.src, pair.tgt)
+    objectives = assert_same_rcsls(
+        aligned, pair.src.matrix, pair.tgt.matrix,
+        RcslsConfig(neighborhood=1, learning_rate=10.0, epochs=8))
+    assert any(b > a for a, b in zip(objectives, objectives[1:]))
+    assert min(objectives) < objectives[-1]
 
 
 def assert_close_plans(new, old):
