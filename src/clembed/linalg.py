@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 _ZCA_EPS = 1e-12  # ridge added to the covariance eigenvalues before whitening
 _CCA_EPS = 1e-8  # ridge of each side's within-space covariance in CCA
@@ -32,6 +31,7 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
+        import scipy.linalg  # local: it would add to clembed's import time
         u, s, vt = scipy.linalg.svd(a, full_matrices=False,
                                     lapack_driver="gesvd")
     for k in range(u.shape[1]):

@@ -10,9 +10,12 @@ for RCSLS's neighbourhoods (`supervised.rcsls_neighbor_sets`). It alone
 uses float32, and only to choose candidates: it screens each block in
 float32, rescores the chosen columns in float64 and recomputes in full in
 float64 any row whose choice a proven error bound cannot certify (see
-`csls_hubness`), so its columns and means are the float64 ones. Its row
-blocks run on one thread per core (`_map_blocks`); the threads run numpy
-and private helpers only, never a public function of the package.
+`csls_hubness`), so its columns and means are the float64 ones. Beside its
+inputs it holds one float32 copy of the pool, the row norms of both sides,
+and per thread one float32 screen block and three blocks of the block's
+rows: no float64 copy of either side, and no float32 copy of the queries.
+Its row blocks run on one thread per core (`_map_blocks`); the threads run
+numpy and private helpers only, never a public function of the package.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ import numpy as np
 # block the whole budget; `_map_blocks` splits it among the blocks in
 # flight on its threads.
 _CELLS = 2 ** 24
+# Rows a `_map_blocks` screen block holds at least, up to pools of
+# 2 * _CELLS / _MIN_ROWS rows (262k). Each block's float32 product reads the
+# whole pool, so shorter blocks leave it bound by memory: against a
+# 200k x 300 pool, on one thread, blocks of 41 rows took 1.6 times as long
+# as blocks of 128.
+_MIN_ROWS = 128
 # Columns per strided group in the top-n selection of `_top_columns`.
 _GROUP = 16
 # Columns the float32 screen keeps beyond the n it needs, so that a near
@@ -46,39 +55,49 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _map_blocks(fn, n_rows: int, pool_rows: int) -> None:
-    """Call fn(rows, screen) over row blocks of range(n_rows), on one thread
-    per core (`_workers`), or in this thread when that is one.
+def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
+    """Call fn(rows, screen, *blocks) over row blocks of range(n_rows), on
+    one thread per core (`_workers`), or in this thread when that is one.
 
-    `screen` is a float32 (rows, pool_rows) scratch block for fn to fill.
-    The blocks are of near-equal size, at least one per thread and each of
-    at most _CELLS / threads cells (or one row), so that the blocks in
-    flight together stay within `_CELLS`. Their scratch is allocated here,
-    in the calling thread, one block per thread, and handed out through a
-    queue: memory a worker thread allocates stays in its own malloc arena
-    after it is freed. The threads take blocks as they finish the last, and
-    none outlives the call; an exception in fn is raised here, and the
-    blocks not yet started are dropped. fn must be safe to run on any
-    thread: numpy and private helpers only, writing disjoint rows.
+    `screen` is a float32 (rows, pool_rows) scratch block for fn to fill,
+    and `blocks` holds one (rows, width) scratch block of that dtype for
+    each (width, dtype) in `widths`. The blocks are of near-equal size, at
+    least one per thread and each of at most _CELLS / threads cells (or one
+    row), so that the screens in flight together stay within `_CELLS`
+    float32 cells. Where a pool is so wide that this leaves blocks shorter
+    than `_MIN_ROWS`, they are made as tall as `_MIN_ROWS` allows (save the
+    last) while every thread still has a block and each screen stays
+    within 2 * _CELLS cells: the 8 * _CELLS bytes of one float64 sweep
+    block (`row_blocks`). All scratch is allocated here, in the calling
+    thread, one set per thread, and handed out through a queue: memory a
+    worker thread allocates stays in its own malloc arena after it is
+    freed. The threads take blocks as they finish the last, and none
+    outlives the call; an exception in fn is raised here, and the blocks
+    not yet started are dropped. fn must be safe to run on any thread:
+    numpy and private helpers only, writing disjoint rows.
     """
     workers = _workers()
     budget = max(1, _CELLS // workers // max(1, pool_rows))
     n_blocks = -(-n_rows // budget)
     n_blocks += -n_blocks % workers
-    step = max(1, -(-n_rows // max(1, n_blocks)))
+    step = max(1, -(-n_rows // max(1, n_blocks)),
+               min(_MIN_ROWS, n_rows // workers,
+                   2 * _CELLS // max(1, pool_rows)))
     blocks = [slice(start, min(start + step, n_rows))
               for start in range(0, n_rows, step)]
     workers = min(workers, len(blocks))
     scratch = queue.SimpleQueue()
     for _ in range(workers):
-        scratch.put(np.empty((step, pool_rows), dtype=np.float32))
+        scratch.put([np.empty((step, pool_rows), dtype=np.float32)]
+                    + [np.empty((step, width), dtype=dtype)
+                       for width, dtype in widths])
 
     def run(rows: slice) -> None:
-        screen = scratch.get()
+        arrays = scratch.get()
         try:
-            fn(rows, screen[:rows.stop - rows.start])
+            fn(rows, *(a[:rows.stop - rows.start] for a in arrays))
         finally:
-            scratch.put(screen)
+            scratch.put(arrays)
 
     if workers <= 1:
         for rows in blocks:
@@ -178,9 +197,15 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     """Per-row mean cosine of each vector to its n nearest neighbors in `pool`.
 
     This is the local-scaling term r(.) of CSLS. n_neighbors must be
-    positive and is clamped to the pool size. Both sides are made unit rows
-    in float64 and go through `_top_neighbors`, whose float32 screen is
-    certified as follows.
+    positive and is clamped to the pool size. Both sides go through
+    `_top_neighbors` as the unit rows `unit_rows` makes of them, but no
+    float64 copy of either side is made: the pool is held as float32 unit
+    rows beside the row norms of both sides, each row block's own unit rows
+    are made in scratch, and a kept pool row's unit row is divided out of
+    the pool when it is rescored. Beside its inputs, the working set is
+    that float32 pool, one float32 screen block per thread (`_map_blocks`)
+    and three (rows, d) blocks per thread. The float32 screen is certified
+    as follows.
 
     Every score that enters a mean is computed in float64; float32 only
     chooses which ones. Queries q and pool rows p are cast to float32 once,
@@ -211,7 +236,7 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     """
     if n_neighbors < 1:
         raise ValueError(f"CSLS needs at least 1 neighbour, got {n_neighbors}")
-    return _top_neighbors(unit_rows(vectors), unit_rows(pool), n_neighbors)[1]
+    return _top_neighbors(vectors, pool, n_neighbors, unit=True)[1]
 
 
 def _norms(matrix: np.ndarray) -> np.ndarray:
@@ -219,45 +244,99 @@ def _norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
 
 
-def _top_neighbors(queries: np.ndarray, pool: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_divisors(matrix: np.ndarray) -> np.ndarray | None:
+    """What `unit_rows` divides each row of `matrix` by: its norm, or 1 for
+    a row of zeros. None when a nonzero row's norm is below `_TINY_NORM`,
+    which `unit_rows` rescales first. The norms are taken as `unit_rows`
+    takes them, but in row blocks of _CELLS / 8 cells: np.linalg.norm
+    squares its whole input into a temporary."""
+    divisors = np.empty(len(matrix))
+    for rows in row_blocks(len(matrix), 8 * matrix.shape[1]):
+        block = matrix[rows]
+        norms = np.linalg.norm(block, axis=1)
+        small = norms < _TINY_NORM
+        if block[small].any():
+            return None
+        divisors[rows] = np.where(small, 1.0, norms)
+    return divisors
+
+
+def _gather(out: np.ndarray, matrix: np.ndarray, index: np.ndarray,
+            divisors: np.ndarray | None) -> np.ndarray:
+    """Fill `out` with matrix[index], each row divided by its divisor when
+    there are divisors, and return it: for `_unit_divisors`, bit for bit
+    unit_rows(matrix)[index], and with no temporary of out's size."""
+    np.take(matrix, index, axis=0, out=out, mode="clip")
+    if divisors is not None:
+        np.divide(out, divisors[index, None], out=out)
+    return out
+
+
+def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
+                   unit: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Each query row's n largest dot products with the rows of `pool`
     (n clamped to the pool size): the n columns, in descending order of
     score, and the mean of their scores, all as float64 would give them.
+    With `unit`, of unit_rows(queries) with unit_rows(pool), bit for bit.
 
     The float32 screen, the float64 rescoring and the float64 fallback of
     rows the band cannot certify are those of `csls_hubness`, whose
     docstring holds the proof. Screened blocks run on `_map_blocks`'
-    threads; the fallback runs after them, in this thread, in `row_blocks`
+    threads, each on its own rows gathered (and made unit rows) into
+    scratch; the fallback runs after them, in this thread, in `row_blocks`
     of the uncertified rows, so its blocks do not depend on the thread
-    count.
+    count. Only when a row reaches the fallback, or a nonzero pool row is
+    below `_TINY_NORM`, is a float64 copy of the pool made.
     """
+    queries = np.asarray(queries, dtype=float)
+    pool = np.asarray(pool, dtype=float)
     k = min(n, len(pool))
     d = queries.shape[1]
-    q32, p32 = queries.astype(np.float32), pool.astype(np.float32)
-    q_norms, p_max = _norms(queries), _norms(pool).max(initial=0.0)
-    band = 2.0 * ((d + 4) * 2.0 ** -24 * q_norms * p_max
-                  + d * 2.0 ** -149 * (q_norms + p_max + 1.0))
+    q_div = p_div = None
+    if unit:
+        q_div, p_div = _unit_divisors(queries), _unit_divisors(pool)
+        if q_div is None:
+            queries = unit_rows(queries)
+        if p_div is None:
+            pool = unit_rows(pool)
+    p32 = np.empty(pool.shape, dtype=np.float32)
+    p_max = 0.0
+    for rows in row_blocks(len(pool), 8 * d):
+        block = pool[rows] if p_div is None else pool[rows] / p_div[rows, None]
+        p32[rows] = block
+        p_max = max(p_max, _norms(block).max(initial=0.0))
     cols = np.empty((len(queries), k), dtype=np.intp)
     means = np.empty(len(queries))
     unsure = np.empty(len(queries), dtype=bool)
 
-    def screen_block(rows: slice, screen: np.ndarray) -> None:
-        np.matmul(q32[rows], p32.T, out=screen)
+    def screen_block(rows: slice, screen: np.ndarray, q64: np.ndarray,
+                     q32: np.ndarray, picked: np.ndarray) -> None:
+        _gather(q64, queries, np.arange(rows.start, rows.stop), q_div)
+        q32[...] = q64
+        np.matmul(q32, p32.T, out=screen)
         kept_cols, left_out = _top_columns(screen, k + _SPARE)
         kept = np.take_along_axis(screen, kept_cols, axis=1)
         m = kept.shape[1]
         kth = np.partition(kept, m - k, axis=1)[:, m - k]
-        unsure[rows] = ~(left_out < kth.astype(float) - band[rows])
-        exact = np.stack([np.einsum("bd,bd->b", queries[rows], pool[c])
-                          for c in kept_cols.T], axis=1)
+        q_norms = _norms(q64)
+        band = 2.0 * ((d + 4) * 2.0 ** -24 * q_norms * p_max
+                      + d * 2.0 ** -149 * (q_norms + p_max + 1.0))
+        unsure[rows] = ~(left_out < kth.astype(float) - band)
+        exact = np.empty(kept_cols.shape)
+        for j, c in enumerate(kept_cols.T):
+            exact[:, j] = np.einsum("bd,bd->b", q64,
+                                    _gather(picked, pool, c, p_div))
         cols[rows], means[rows] = _descending(kept_cols, exact, k)
 
-    _map_blocks(screen_block, len(queries), len(pool))
+    _map_blocks(screen_block, len(queries), len(pool),
+                (d, np.float64), (d, np.float32), (d, np.float64))
     redo = np.flatnonzero(unsure)
+    if redo.size and p_div is not None:
+        pool = pool / p_div[:, None]
     for rows in row_blocks(len(redo), len(pool)):
-        cols[redo[rows]], means[redo[rows]] = _exact_top(
-            queries[redo[rows]], pool, k)
+        at = redo[rows]
+        cols[at], means[at] = _exact_top(
+            _gather(np.empty((len(at), d)), queries, at, q_div), pool, k)
     return cols, means
 
 

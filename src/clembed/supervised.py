@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .embeddings import WordVectorSpace
 from .lexicon import (AlignedMatrices, TranslationLexicon,
@@ -136,6 +135,8 @@ def _sparsified_assignment(sim: np.ndarray) -> list[tuple[int, int]]:
     weights in [-1, 1] at least one match is left: an assignment using one
     candidate edge outweighs any that uses padded edges only.
     """
+    # local: it would add to clembed's import time
+    from scipy.optimize import linear_sum_assignment
     mask = _candidate_mask(sim)
     weights = np.where(mask, sim, _DLV_PAD)
     rows, cols = linear_sum_assignment(weights, maximize=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .embeddings import WordVectorSpace
 from .lexicon import (TranslationLexicon, build_aligned_matrices, make_lexicon,
@@ -198,6 +197,7 @@ def _solve_linear_map(points: np.ndarray, targets: np.ndarray,
     lhs_p = points.T @ points + lam * (cyc_other_points.T @ cyc_other_points)
     rhs = (points.T @ targets + cyc_gram @ other_map.T
            + lam * (cyc_other_points.T @ cyc_other_targets))
+    import scipy.linalg  # local: it would add to clembed's import time
     ell, v = scipy.linalg.eigh(cyc_gram, lhs_p)
     mu, u = np.linalg.eigh(other_map @ other_map.T)
     return v @ ((v.T @ rhs @ u) / (1.0 + np.outer(ell, mu))) @ u.T

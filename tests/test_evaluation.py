@@ -165,14 +165,29 @@ def test_ap_in_unit_interval(ranks):
     assert 0.0 < ap <= 1.0
 
 
-def test_importing_clembed_leaves_scipy_stats_unloaded():
-    """scipy.stats is most of the package's import time, and only the
-    paired t-test and the correlations read it."""
+def loaded_by_import(*modules):
+    """Whether each module is loaded once a fresh interpreter has imported
+    clembed and its CLI."""
     path = [os.path.dirname(os.path.dirname(clembed.__file__)),
             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    script = "import sys, clembed, clembed.cli; print('scipy.stats' in sys.modules)"
+    script = ("import sys, clembed, clembed.cli; "
+              f"print(*(m in sys.modules for m in {modules!r}))")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return [word == "True" for word in proc.stdout.split()]
+
+
+def test_importing_clembed_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of the package's import time, and only the
+    paired t-test and the correlations read it."""
+    assert loaded_by_import("scipy.stats") == [False]
+
+
+def test_importing_clembed_leaves_scipy_linalg_and_optimize_unloaded():
+    """Only the gesvd fallback of `linalg.svd`, ICP's map solve and dlv's
+    assignment read them; scipy.sparse, which every CLIR command reads,
+    stays loaded with the package."""
+    assert loaded_by_import("scipy.linalg", "scipy.optimize",
+                            "scipy.sparse") == [False, False, True]

@@ -23,7 +23,12 @@ the full-width partition it used. The library screens hubness in float32
 and rescores in float64 (`similarity.csls_hubness`), and selects top-n
 columns through strided group maxima (`similarity.topk_mean`): on generic
 inputs the means may differ from the oracles only in the last bits of a
-float64 sum, and on exact inputs not at all.
+float64 sum, and on exact inputs not at all. `oracle_top_neighbors` is the
+certified kernel itself as it was when it took float64 unit rows of both
+sides and cast each side to float32 whole; the library holds one float32
+copy of the pool and makes each block's unit rows in scratch, and its
+columns and means must equal the oracle's bit for bit, on exact and on
+generic rows, at every cell budget and thread count.
 
 `oracle_rcsls_neighbor_sets`, the float64 product and full-width partition
 that RCSLS's neighbourhoods used, and `oracle_candidate_mask`, dlv's two
@@ -105,6 +110,40 @@ def oracle_csls_hubness(vectors, pool, n_neighbors):
     vu, pu = unit_rows(vectors), unit_rows(pool)
     return np.concatenate([oracle_topk_mean(vu[rows] @ pu.T, n_neighbors)
                            for rows in row_blocks(len(vu), len(pu))])
+
+
+def oracle_top_neighbors(queries, pool, n):
+    """The top-n kernel as it was when it took float64 rows of both sides
+    (unit rows for hubness) and made a float32 copy of each."""
+    k = min(n, len(pool))
+    d = queries.shape[1]
+    q32, p32 = queries.astype(np.float32), pool.astype(np.float32)
+    q_norms, p_max = similarity._norms(queries), \
+        similarity._norms(pool).max(initial=0.0)
+    band = 2.0 * ((d + 4) * 2.0 ** -24 * q_norms * p_max
+                  + d * 2.0 ** -149 * (q_norms + p_max + 1.0))
+    cols = np.empty((len(queries), k), dtype=np.intp)
+    means = np.empty(len(queries))
+    unsure = np.empty(len(queries), dtype=bool)
+
+    def screen_block(rows, screen):
+        np.matmul(q32[rows], p32.T, out=screen)
+        kept_cols, left_out = similarity._top_columns(
+            screen, k + similarity._SPARE)
+        kept = np.take_along_axis(screen, kept_cols, axis=1)
+        m = kept.shape[1]
+        kth = np.partition(kept, m - k, axis=1)[:, m - k]
+        unsure[rows] = ~(left_out < kth.astype(float) - band[rows])
+        exact = np.stack([np.einsum("bd,bd->b", queries[rows], pool[c])
+                          for c in kept_cols.T], axis=1)
+        cols[rows], means[rows] = similarity._descending(kept_cols, exact, k)
+
+    similarity._map_blocks(screen_block, len(queries), len(pool))
+    redo = np.flatnonzero(unsure)
+    for rows in row_blocks(len(redo), len(pool)):
+        cols[redo[rows]], means[redo[rows]] = similarity._exact_top(
+            queries[redo[rows]], pool, k)
+    return cols, means
 
 
 def oracle_csls_matrix(src, tgt, n_neighbors):
@@ -765,6 +804,8 @@ def test_csls_hubness_falls_back_inside_the_band():
     assert sum(fallback) == 50
     assert np.allclose(got, oracle_csls_hubness(vectors, pool, 3),
                        rtol=0, atol=1e-15)
+    got, want = top_neighbors_against_oracle(vectors, pool, 3, True)
+    assert_same_top(got, want)
 
 
 @st.composite
@@ -805,6 +846,78 @@ def test_rcsls_neighbor_sets_fall_back_inside_a_scaled_band():
         got = rcsls_neighbor_sets(*case)
     assert sum(fallback) == 100
     assert_same_neighbor_sets(got, *case)
+
+
+def assert_same_top(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def top_neighbors_against_oracle(queries, pool, n, unit):
+    """`_top_neighbors` on the rows as they are, and the oracle on the unit
+    rows they stand for under `unit` (hubness), or on the same rows."""
+    got = similarity._top_neighbors(queries, pool, n, unit)
+    if unit:
+        queries, pool = unit_rows(queries), unit_rows(pool)
+    return got, oracle_top_neighbors(queries, pool, n)
+
+
+@st.composite
+def top_neighbor_cases(draw):
+    """Hubness on exact rows, zero rows and duplicated pool rows among them,
+    or RCSLS's target-side neighbourhoods of scaled projected rows."""
+    if draw(st.booleans()):
+        vectors, pool, n = draw(hubness_cases())
+        return vectors, pool, n, True
+    w, x_s, _, _, tgt_pool, n = draw(scaled_rcsls_cases())
+    return x_s @ w, tgt_pool, n, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(top_neighbor_cases(), st.sampled_from(CELL_BUDGETS), st.integers(1, 3))
+def test_top_neighbors_match_oracle_bit_for_bit(case, cells, workers):
+    with mock.patch.object(similarity, "_CELLS", cells), threads(workers):
+        assert_same_top(*top_neighbors_against_oracle(*case))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("cells", CELL_BUDGETS)
+def test_top_neighbors_match_oracle_at_every_budget(cells, workers):
+    """Generic rows, the duplicated pool whose ties reach the fallback, and
+    rows of norm about 1000 taken as they are (RCSLS)."""
+    rng = np.random.default_rng(cells + workers)
+    vectors, duplicated = duplicated_pool(9)
+    cases = [(vectors, duplicated, 10, True),
+             (vectors, rng.standard_normal((500, 30)), 5, True),
+             (1000.0 * vectors, 1000.0 * duplicated, 4, False)]
+    fallback, patch = count_fallback_rows()
+    with patch, mock.patch.object(similarity, "_CELLS", cells), \
+            threads(workers):
+        for case in cases:
+            assert_same_top(*top_neighbors_against_oracle(*case))
+    assert sum(fallback) > 0
+
+
+@pytest.mark.parametrize("tiny", ["pool", "vectors", "both"])
+def test_top_neighbors_match_oracle_with_rows_below_the_tiny_norm(tiny):
+    """Nonzero rows whose squares are subnormal (1e-160) or underflow to 0
+    (1e-170), which `unit_rows` rescales before it divides them, beside
+    rows of zeros: the side that holds them is made unit rows in float64."""
+    rng = np.random.default_rng(14)
+    vectors = rng.standard_normal((80, 20))
+    pool = rng.standard_normal((300, 20))
+    vectors[2] = pool[7] = 0.0
+    for side in (["pool", "vectors"] if tiny == "both" else [tiny]):
+        rows = vectors if side == "vectors" else pool
+        rows[3] *= 1e-160
+        rows[11] *= 1e-170
+    for cells, workers in ((3000, 2), (2 ** 24, 1)):
+        with mock.patch.object(similarity, "_CELLS", cells), threads(workers):
+            assert_same_top(*top_neighbors_against_oracle(vectors, pool, 10,
+                                                          True))
+            got = csls_hubness(vectors, pool, 10)
+        assert np.array_equal(got, oracle_top_neighbors(
+            unit_rows(vectors), unit_rows(pool), 10)[1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -882,19 +995,32 @@ def test_csls_hubness_under_thread_stress():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("cells", [1, 5000, 2 ** 24])
 def test_map_blocks_covers_every_row_once_within_the_budget(workers, cells):
-    rows_seen, idents = [], set()
+    """Blocks of at most cells / workers cells, but where that is fewer
+    than `_MIN_ROWS` rows, as tall as `_MIN_ROWS`, one block per thread and
+    2 * cells allow, save the last; and a scratch block of each requested
+    width and dtype beside the screen."""
+    rows_seen, heights, idents = [], [], set()
 
-    def fn(rows, screen):
-        assert screen.shape == (rows.stop - rows.start, 70)
+    def fn(rows, screen, wide, narrow):
+        height = rows.stop - rows.start
+        assert screen.shape == (height, 70)
         assert screen.dtype == np.float32
-        assert screen.size <= max(70, cells // workers)
+        assert wide.shape == (height, 5) and wide.dtype == np.float64
+        assert narrow.shape == (height, 2) and narrow.dtype == np.int8
+        assert screen.size <= max(70, cells // workers,
+                                  min(similarity._MIN_ROWS * 70, 2 * cells))
         rows_seen.extend(range(rows.start, rows.stop))
+        heights.append(height)
         idents.add(threading.get_ident())
 
     before = threading.active_count()
     with mock.patch.object(similarity, "_CELLS", cells), threads(workers):
-        similarity._map_blocks(fn, 1000, 70)
+        similarity._map_blocks(fn, 1000, 70, (5, np.float64), (2, np.int8))
     assert sorted(rows_seen) == list(range(1000))
+    assert len(heights) >= workers
+    assert sorted(heights)[1:] == [max(heights)] * (len(heights) - 1)
+    assert max(heights) >= min(similarity._MIN_ROWS, 1000 // workers,
+                               2 * cells // 70)
     assert threading.active_count() == before
     if workers == 1:
         assert idents == {threading.get_ident()}
@@ -1013,6 +1139,25 @@ def test_csls_hubness_stays_within_its_blocks():
     assert np.allclose(got, oracle_csls_hubness(vectors, pool, 10),
                        rtol=0, atol=1e-15)
     assert peak < 4 * 2 ** 20
+
+
+def test_csls_hubness_holds_one_float32_copy_of_its_pool():
+    """4096 x 64 rows on one thread: a float64 copy of either side is 2 MiB,
+    the float32 pool 1 MiB, and a screen block of 2 * 2**16 cells
+    0.5 MiB."""
+    rng = np.random.default_rng(6)
+    vectors = rng.standard_normal((4096, 64))
+    pool = rng.standard_normal((4096, 64))
+    with mock.patch.object(similarity, "_CELLS", 2 ** 16), threads(1):
+        tracemalloc.start()
+        try:
+            got = csls_hubness(vectors, pool, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.allclose(got, oracle_csls_hubness(vectors, pool, 10),
+                       rtol=0, atol=1e-15)
+    assert peak < 2.5 * 2 ** 20
 
 
 def oracle_shuffling_test(labels_a, labels_b, iterations, seed):
