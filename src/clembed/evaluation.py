@@ -95,11 +95,15 @@ def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
             pair.project_src(src_space.matrix[src_rows]), tgt_proj, metric,
             csls_n, cand_hub):
         block = queries[rows]
-        counts = [len(gold_idx) for _, gold_idx in block]
-        ranks = gold_ranks(np.repeat(scores, counts, axis=0),
-                           np.concatenate([gold_idx for _, gold_idx in block]))
-        for (src_word, gold_idx), end in zip(block, np.cumsum(counts)):
-            query_ranks = ranks[end - len(gold_idx):end].tolist()
+        # each row's first gold is ranked on the block itself; a row with
+        # further golds is gathered once for each of them
+        first = gold_ranks(scores, [gold_idx[0] for _, gold_idx in block])
+        again = [i for i, (_, gold_idx) in enumerate(block)
+                 for _ in gold_idx[1:]]
+        further = iter(gold_ranks(scores[again], [
+            g for _, gold_idx in block for g in gold_idx[1:]]).tolist())
+        for (src_word, gold_idx), rank in zip(block, first.tolist()):
+            query_ranks = [rank] + [next(further) for _ in gold_idx[1:]]
             records.append(QueryRecord(
                 source=src_word,
                 golds=tuple(tgt_space.words[g] for g in gold_idx),

@@ -2,20 +2,23 @@
 
 All functions operate on row-vector matrices (one embedding per row) and
 return float64 results with no approximate nearest-neighbor shortcuts.
-`similarity_sweep` scores queries against a pool in row blocks
-(`row_blocks`); hubness, argmaxes and gold ranks are reductions over those
-blocks, never a full matrix. One certified top-n kernel, `_top_neighbors`,
-finds each row's n nearest pool rows for CSLS hubness (`csls_hubness`) and
-for RCSLS's neighbourhoods (`supervised.rcsls_neighbor_sets`). It alone
-uses float32, and only to choose candidates: it screens each block in
-float32, rescores the chosen columns in float64 and recomputes in full in
-float64 any row whose choice a proven error bound cannot certify (see
-`csls_hubness`), so its columns and means are the float64 ones. Beside its
-inputs it holds one float32 copy of the pool, the row norms of both sides,
-and per thread one float32 screen block and three blocks of the block's
-rows: no float64 copy of either side, and no float32 copy of the queries.
-Its row blocks run on one thread per core (`_map_blocks`); the threads run
-numpy and private helpers only, never a public function of the package.
+`similarity_sweep` scores queries against a pool in float64 row blocks
+(`row_blocks`) of _CELLS / 4 cells (32 MiB) against pools of up to 32k
+rows, each written into the one buffer the sweep allocates, so a consumer
+may keep a block only until it asks for the next; hubness, argmaxes and
+gold ranks are reductions over those blocks, never a full matrix. One
+certified top-n kernel, `_top_neighbors`, finds each row's n nearest pool
+rows for CSLS hubness (`csls_hubness`) and for RCSLS's neighbourhoods
+(`supervised.rcsls_neighbor_sets`). It alone uses float32, and only to
+choose candidates: it screens each block in float32, rescores the chosen
+columns in float64 and recomputes in full in float64 any row whose choice a
+proven error bound cannot certify (see `csls_hubness`), so its columns and
+means are the float64 ones. Beside its inputs it holds one float32 copy of
+the pool, the row norms of both sides, and per thread one float32 screen
+block and three blocks of the block's rows: no float64 copy of either side,
+and no float32 copy of the queries. Its row blocks run on one thread per
+core (`_map_blocks`); the threads run numpy and private helpers only, never
+a public function of the package.
 """
 
 from __future__ import annotations
@@ -26,17 +29,24 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Cells (rows x pool rows) of a row-blocked similarity sweep held at once:
-# about 8 * _CELLS bytes whatever the pool size. `row_blocks` gives each
-# block the whole budget; `_map_blocks` splits it among the blocks in
-# flight on its threads.
+# Cells (rows x pool rows) of the working blocks: the top-n kernel's
+# float32 screens in flight on `_map_blocks`' threads hold _CELLS cells
+# together (64 MiB), and a float64 block of `row_blocks` holds _CELLS / 4
+# (32 MiB), each save against pools too wide for `_MIN_ROWS` rows.
 _CELLS = 2 ** 24
 # Rows a `_map_blocks` screen block holds at least, up to pools of
-# 2 * _CELLS / _MIN_ROWS rows (262k). Each block's float32 product reads the
-# whole pool, so shorter blocks leave it bound by memory: against a
-# 200k x 300 pool, on one thread, blocks of 41 rows took 1.6 times as long
-# as blocks of 128.
+# 2 * _CELLS / _MIN_ROWS rows (262k), and a `row_blocks` block up to pools
+# of _CELLS / _MIN_ROWS rows (131k). Each block's product reads the whole
+# pool, so shorter blocks leave it bound by memory: against a 200k x 300
+# pool, on one thread, float32 screens of 41 rows took 1.6 times as long
+# as screens of 128.
 _MIN_ROWS = 128
+# Rows of a screen block that `_top_neighbors` selects from at a time. The
+# selection's temporaries (index arrays, partitions) are numpy's own, made
+# in the worker thread, whose malloc arena keeps what they took: a whole
+# block's kept 42 MiB across a 5000-word proc-b and CSLS evaluation, parts
+# of 256 rows keep about 1 MiB. Parts of 64 rows took 25% longer.
+_PART_ROWS = 256
 # Columns per strided group in the top-n selection of `_top_columns`.
 _GROUP = 16
 # Columns the float32 screen keeps beyond the n it needs, so that a near
@@ -45,8 +55,15 @@ _SPARE = 6
 
 
 def row_blocks(n_rows: int, pool_rows: int) -> list[slice]:
-    """Slices of range(n_rows) in blocks that fit the budget against `pool_rows`."""
-    step = max(1, _CELLS // max(1, pool_rows))
+    """Slices of range(n_rows) in blocks of _CELLS / 4 cells against
+    `pool_rows` (or one row). Against a pool wider than _CELLS / 4 /
+    `_MIN_ROWS` rows (32k), where that leaves fewer than `_MIN_ROWS` rows,
+    a block takes as many as _CELLS cells allow, up to `_MIN_ROWS`: each
+    block's product packs the whole pool again, and against a 200k-row
+    pool blocks of 20 rows took 1.7 times as long as blocks of 83."""
+    pool_rows = max(1, pool_rows)
+    step = max(1, _CELLS // 4 // pool_rows,
+               min(_MIN_ROWS, _CELLS // pool_rows))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
@@ -67,14 +84,13 @@ def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
     float32 cells. Where a pool is so wide that this leaves blocks shorter
     than `_MIN_ROWS`, they are made as tall as `_MIN_ROWS` allows (save the
     last) while every thread still has a block and each screen stays
-    within 2 * _CELLS cells: the 8 * _CELLS bytes of one float64 sweep
-    block (`row_blocks`). All scratch is allocated here, in the calling
-    thread, one set per thread, and handed out through a queue: memory a
-    worker thread allocates stays in its own malloc arena after it is
-    freed. The threads take blocks as they finish the last, and none
-    outlives the call; an exception in fn is raised here, and the blocks
-    not yet started are dropped. fn must be safe to run on any thread:
-    numpy and private helpers only, writing disjoint rows.
+    within 2 * _CELLS cells (128 MiB). All scratch is allocated here, in
+    the calling thread, one set per thread, and handed out through a
+    queue: memory a worker thread allocates stays in its own malloc arena
+    after it is freed. The threads take blocks as they finish the last,
+    and none outlives the call; an exception in fn is raised here, and the
+    blocks not yet started are dropped. fn must be safe to run on any
+    thread: numpy and private helpers only, writing disjoint rows.
     """
     workers = _workers()
     budget = max(1, _CELLS // workers // max(1, pool_rows))
@@ -120,7 +136,8 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     largest magnitude, so that their squares do not underflow; rows of zeros
     are left unchanged.
     """
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    matrix = np.asarray(matrix)
+    norms = _row_norms(matrix)[:, None]
     small = norms < _TINY_NORM
     out = matrix / np.where(small, 1.0, norms)
     if small.any():
@@ -244,21 +261,24 @@ def _norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(matrix, axis=1), bit for bit, taken in row blocks of
+    _CELLS / 32 cells: np.linalg.norm squares its whole input into a
+    temporary, 46 MiB for a 20k x 300 matrix."""
+    norms = [np.linalg.norm(matrix[rows], axis=1)
+             for rows in row_blocks(len(matrix), 8 * matrix.shape[1])]
+    return np.concatenate(norms) if norms else np.linalg.norm(matrix, axis=1)
+
+
 def _unit_divisors(matrix: np.ndarray) -> np.ndarray | None:
     """What `unit_rows` divides each row of `matrix` by: its norm, or 1 for
     a row of zeros. None when a nonzero row's norm is below `_TINY_NORM`,
-    which `unit_rows` rescales first. The norms are taken as `unit_rows`
-    takes them, but in row blocks of _CELLS / 8 cells: np.linalg.norm
-    squares its whole input into a temporary."""
-    divisors = np.empty(len(matrix))
-    for rows in row_blocks(len(matrix), 8 * matrix.shape[1]):
-        block = matrix[rows]
-        norms = np.linalg.norm(block, axis=1)
-        small = norms < _TINY_NORM
-        if block[small].any():
-            return None
-        divisors[rows] = np.where(small, 1.0, norms)
-    return divisors
+    which `unit_rows` rescales first."""
+    norms = _row_norms(matrix)
+    small = norms < _TINY_NORM
+    if matrix[small].any():
+        return None
+    return np.where(small, 1.0, norms)
 
 
 def _gather(out: np.ndarray, matrix: np.ndarray, index: np.ndarray,
@@ -314,6 +334,13 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
         _gather(q64, queries, np.arange(rows.start, rows.stop), q_div)
         q32[...] = q64
         np.matmul(q32, p32.T, out=screen)
+        for start in range(0, len(screen), _PART_ROWS):
+            part = slice(start, start + _PART_ROWS)
+            select(rows.start + start, screen[part], q64[part], picked[part])
+
+    def select(first: int, screen: np.ndarray, q64: np.ndarray,
+               picked: np.ndarray) -> None:
+        rows = slice(first, first + len(screen))
         kept_cols, left_out = _top_columns(screen, k + _SPARE)
         kept = np.take_along_axis(screen, kept_cols, axis=1)
         m = kept.shape[1]
@@ -350,7 +377,13 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
                      metric: str = "cosine", csls_n: int = 10,
                      r_pool: np.ndarray | None = None):
     """Yield (rows, scores of queries[rows] against every pool row) over row
-    blocks; metric is one of {cosine, csls}.
+    blocks (`row_blocks`); metric is one of {cosine, csls}.
+
+    Every block is written into one buffer, allocated once for the first
+    (the tallest) block: a yielded block is valid only until the next one
+    is requested, so a consumer that keeps a block past that must copy it.
+    It may change the block in place. Beside the unit rows of both sides,
+    the sweep holds that one block.
 
     CSLS is 2*cos - r_q[rows, None] - r_p[None, :]: r_q, each query's mean
     cosine to its csls_n nearest pool rows, comes from the block itself;
@@ -363,8 +396,13 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
         r_pool = csls_hubness(pool, queries, csls_n)
     qu = unit_rows(queries)
     pu = unit_rows(pool)
-    for rows in row_blocks(qu.shape[0], pu.shape[0]):
-        scores = qu[rows] @ pu.T
+    buffer = None
+    for rows in row_blocks(len(qu), len(pu)):
+        block = qu[rows]
+        if buffer is None:
+            buffer = np.empty((len(block), len(pu)),
+                              dtype=np.result_type(qu, pu))
+        scores = np.matmul(block, pu.T, out=buffer[:len(block)])
         if metric == "csls":
             r_rows = topk_mean(scores, csls_n)
             scores *= 2.0
@@ -384,7 +422,7 @@ def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
 
     A block's column argmax is its first row equal to the column maximum,
     read off a boolean mask one group of columns at a time, each group of
-    at most _CELLS / 8 cells or one column. np.argmax over axis 0 copies
+    at most _CELLS / 32 cells or one column. np.argmax over axis 0 copies
     its input transposed, so what it copies is one group's mask, not the
     float64 block: one more O(rows x n_pool) pass over the scores per
     block, and two masks of a group allocated at a time.

@@ -18,7 +18,7 @@ from .lexicon import (AlignedMatrices, TranslationLexicon,
 from .linalg import _procrustes, solve_cca, solve_procrustes
 from .projection import ProjectionPair
 from .similarity import (_top_columns, _top_neighbors, mutual_pairs,
-                         similarity_sweep, unit_rows)
+                         row_blocks, similarity_sweep, unit_rows)
 
 _DLV_PAD = -1e6  # weight for non-candidate edges in the sparsified assignment
 _DLV_CANDIDATES = 10  # highest-cosine edges kept per node in dlv's assignment
@@ -117,30 +117,37 @@ def align_cca(aligned: AlignedMatrices, keep_dims: int | str = "all") -> Project
 def _candidate_mask(sim: np.ndarray) -> np.ndarray:
     """True at each row's and each column's `_DLV_CANDIDATES` largest
     entries (every entry of a shorter row or column); of entries tied at
-    the last place either may be kept. Columns are selected as the rows of
-    a contiguous transpose, through `_top_columns` both ways."""
+    the last place either may be kept. Rows and columns are selected by
+    `_top_columns` in `row_blocks` of about _CELLS / 32 cells; a block of
+    columns as the rows of its contiguous transpose."""
     mask = np.zeros_like(sim, dtype=bool)
-    np.put_along_axis(mask, _top_columns(sim, _DLV_CANDIDATES)[0], True, axis=1)
-    np.put_along_axis(mask.T, _top_columns(np.ascontiguousarray(sim.T),
-                                           _DLV_CANDIDATES)[0], True, axis=1)
+    for scores, kept in ((sim, mask), (sim.T, mask.T)):
+        for rows in row_blocks(len(scores), 8 * scores.shape[1]):
+            block = np.ascontiguousarray(scores[rows])
+            np.put_along_axis(kept[rows], _top_columns(
+                block, _DLV_CANDIDATES)[0], True, axis=1)
     return mask
 
 
 def _sparsified_assignment(sim: np.ndarray) -> list[tuple[int, int]]:
     """Max-weight one-to-one matching keeping only top candidate edges
-    (`_candidate_mask`).
+    (`_candidate_mask`); `sim` is overwritten.
 
     Non-candidate edges get a large negative weight so the exact solver
     stays feasible; matches that land on padded edges are discarded. For
     weights in [-1, 1] at least one match is left: an assignment using one
-    candidate edge outweighs any that uses padded edges only.
+    candidate edge outweighs any that uses padded edges only. The weights
+    are written into `sim` negated, and the solver minimises them there: it
+    would copy a matrix it is asked to maximise.
     """
     # local: it would add to clembed's import time
     from scipy.optimize import linear_sum_assignment
-    mask = _candidate_mask(sim)
-    weights = np.where(mask, sim, _DLV_PAD)
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    return [(int(i), int(j)) for i, j in zip(rows, cols) if mask[i, j]]
+    padded = _candidate_mask(sim)
+    np.logical_not(padded, out=padded)
+    costs = np.negative(sim, out=sim)
+    np.copyto(costs, -_DLV_PAD, where=padded)
+    rows, cols = linear_sum_assignment(costs)
+    return [(int(i), int(j)) for i, j in zip(rows, cols) if not padded[i, j]]
 
 
 def align_dlv(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
@@ -151,7 +158,9 @@ def align_dlv(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     E-step: exact max-weight one-to-one assignment over the `match_cap` most
     frequent words, keeping `_DLV_CANDIDATES` highest-cosine edges per node.
     M-step: orthogonal solve on matched pairs united with the seed.
-    Embeddings are unit-normalized internally (edge weight = cosine).
+    Embeddings are unit-normalized internally (edge weight = cosine). The
+    E-steps share one match_cap x match_cap float64 matrix, which holds the
+    cosines and then the assignment's weights.
     """
     src_unit = unit_rows(src_space.matrix[:match_cap])
     tgt_unit = unit_rows(tgt_space.matrix[:match_cap])
@@ -160,9 +169,10 @@ def align_dlv(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     seed_tgt = unit_rows(aligned.x_tgt)
     w = solve_procrustes(seed_src, seed_tgt)
     match_sizes = []
+    sim = np.empty((len(src_unit), len(tgt_unit)))
     for _ in range(em_iters):
-        sim = (src_unit @ w) @ tgt_unit.T
-        matches = _sparsified_assignment(sim)
+        matches = _sparsified_assignment(
+            np.matmul(src_unit @ w, tgt_unit.T, out=sim))
         match_sizes.append(len(matches))
         idx_s, idx_t = np.array(matches).T
         x_s = np.vstack([seed_src, src_unit[idx_s]])

@@ -19,8 +19,8 @@ from .lexicon import (TranslationLexicon, build_aligned_matrices, make_lexicon,
 from .linalg import _procrustes, pca_project, sinkhorn_scale, \
     solve_procrustes, svd, zca_whitening_matrix
 from .projection import ProjectionPair
-from .similarity import (cosine_matrix, mutual_argmax_pairs, mutual_pairs,
-                         similarity_sweep, unit_rows)
+from .similarity import (_unit_divisors, mutual_argmax_pairs, mutual_pairs,
+                         row_blocks, similarity_sweep, unit_rows)
 
 _CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
 # stochastic dictionary induction (Artetxe et al. 2018): the share of
@@ -64,16 +64,40 @@ def vecmap_seed(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     word is then paired with the target word whose sorted similarity
     profile is nearest. Orthogonal transforms of either space leave the
     output unchanged.
+
+    Profiles are cut to the shorter side's length and compared by cosine.
+    They are made in row blocks (`row_blocks`): the target's are held
+    whole, as unit rows, and each block of source profiles is matched
+    against them as it is made, so that beside one cap x cap profile matrix
+    the working set is a few blocks.
     """
     src_unit = unit_rows(src_space.matrix[:cap])
     tgt_unit = unit_rows(tgt_space.matrix[:cap])
-    src_profiles = np.sort(src_unit @ src_unit.T, axis=1)[:, ::-1]
-    tgt_profiles = np.sort(tgt_unit @ tgt_unit.T, axis=1)[:, ::-1]
-    width = min(src_profiles.shape[1], tgt_profiles.shape[1])
-    sim = cosine_matrix(src_profiles[:, :width], tgt_profiles[:, :width])
-    best = np.argmax(sim, axis=1)
+    width = min(len(src_unit), len(tgt_unit))
+    tgt_profiles = np.empty((len(tgt_unit), width))
+    for rows in row_blocks(len(tgt_unit), len(tgt_unit)):
+        _unit_profiles(tgt_unit[rows] @ tgt_unit.T, tgt_profiles[rows])
+    best = np.empty(len(src_unit), dtype=np.intp)
+    for rows in row_blocks(len(src_unit), len(src_unit)):
+        profiles = src_unit[rows] @ src_unit.T
+        profiles = _unit_profiles(profiles, np.empty((len(profiles), width)))
+        best[rows] = np.argmax(profiles @ tgt_profiles.T, axis=1)
     return make_lexicon((src_space.words[i], tgt_space.words[int(j)])
                         for i, j in enumerate(best))
+
+
+def _unit_profiles(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the unit rows (`unit_rows`, bit for bit) of each row
+    of `scores` in descending order, cut to out's width, and return it.
+    `scores` is sorted in place."""
+    scores.sort(axis=1)
+    out[...] = scores[:, ::-1][:, :out.shape[1]]
+    divisors = _unit_divisors(out)
+    if divisors is None:
+        out[...] = unit_rows(out)
+    else:
+        out /= divisors[:, None]
+    return out
 
 
 def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
@@ -133,11 +157,16 @@ def _dropout(blocks, best: np.ndarray, keep_prob: float,
              rng: np.random.Generator):
     """Record each row's best score in `best`, then zero each score with
     probability 1 - keep_prob (drawn block by block in row order, the same
-    numbers as one draw over the whole matrix), in place in the block."""
+    numbers as one draw over the whole matrix), in place in the block. The
+    draws go into one buffer of the first (the tallest) block's shape."""
+    draws = None
     for rows, scores in blocks:
         best[rows] = scores.max(axis=1)
         if keep_prob < 1.0:
-            scores[rng.random(scores.shape) >= keep_prob] = 0.0
+            if draws is None:
+                draws = np.empty(scores.shape)
+            drawn = rng.random(out=draws[:len(scores)])
+            np.copyto(scores, 0.0, where=drawn >= keep_prob)
         yield rows, scores
 
 

@@ -5,7 +5,9 @@ dictionary and runs a CSLS `bli_evaluate` over the full target vocabulary
 and `align_proc_b` with CSLS at search cap 20000. Another runs two epochs
 of `align_rcsls` over both full vocabularies on the same dictionary, then a
 cosine `bli_evaluate`. Another runs `align_gwa` at its default cap (2000
-words per side) and 30 outer iterations. The last runs an idf-weighted
+words per side) and 30 outer iterations. Another takes VecMap's seed
+dictionary at its default cap (4000 words) and one CSLS self-learning round
+over the 20000 most frequent words. The last runs an idf-weighted
 `clir_run` of 200 queries over 50k documents of 100 tokens each, with 5
 relevant documents per query. Each process's peak resident
 set must stay under 6 GiB, so that the paper's configuration runs on a
@@ -95,6 +97,26 @@ GWA_SCRIPT = BLI_SPACES + textwrap.dedent("""
         "outer_iters": pair.metadata["outer_iters"],
         "marginal_violation": pair.metadata["marginal_violation"],
         "distinct_targets": pair.metadata["distinct_targets"],
+        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+""")
+
+# VecMap's configuration: the seed dictionary from the sorted similarity
+# profiles of the 4000 most frequent words per side, then one round of
+# stochastic self-learning over the 20000 most frequent, under CSLS.
+VECMAP_SCRIPT = BLI_SPACES + textwrap.dedent("""
+    from clembed.unsupervised import SelfLearnConfig, self_learn, vecmap_seed
+
+    start = time.perf_counter()
+    seed_lex = vecmap_seed(src, tgt, cap=4000)
+    seed_s = time.perf_counter() - start
+    start = time.perf_counter()
+    pair = self_learn(src, tgt, seed_lex, SelfLearnConfig(
+        vocab_cap=20000, metric="csls", max_rounds=1))
+    print(json.dumps({
+        "seed_pairs": len(seed_lex), "seed_s": seed_s,
+        "self_learn_s": time.perf_counter() - start,
+        "rounds": pair.metadata["rounds"],
+        "dict_size": pair.metadata["dict_size"],
         "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """)
 
@@ -188,6 +210,15 @@ def test_paper_shape_gwa_runs_within_the_memory_budget():
     assert report["dict_size"] == 2000
     assert report["outer_iters"] == 30
     assert report["marginal_violation"] < 1e-6
+    assert report["maxrss_kib"] < RSS_BUDGET_KIB
+
+
+@pytest.mark.slow
+def test_paper_shape_vecmap_runs_within_the_memory_budget():
+    report = run_script(VECMAP_SCRIPT)
+    assert report["seed_pairs"] == 4000
+    assert report["rounds"] == 1
+    assert report["dict_size"] > 0
     assert report["maxrss_kib"] < RSS_BUDGET_KIB
 
 

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clembed import similarity
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import average_precision_from_ranks, bli_evaluate
 from clembed.lexicon import make_lexicon
@@ -60,6 +63,34 @@ def test_unit_rows_scales_rows_whose_squares_underflow():
     assert np.allclose(np.linalg.norm(u[[0, 1, 3]], axis=1), 1.0, rtol=0,
                        atol=1e-15)
     assert np.array_equal(u[2], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("cells", [1, 2 ** 12, 2 ** 24])
+def test_unit_rows_equals_the_whole_matrix_quotient(cells):
+    """Norms taken in row blocks (one row, 4 rows of 300 and one block)
+    give the bits of the whole matrix's np.linalg.norm; rows of zeros and
+    rows whose squares underflow go through as before."""
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((301, 300)) * rng.uniform(1e-3, 1e3, (301, 1))
+    m[[7, 150]] = 0.0
+    m[200] = 1e-170
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    want = m / np.where(norms < similarity._TINY_NORM, 1.0, norms)
+    want[200] = 1 / np.sqrt(300)
+    with mock.patch.object(similarity, "_CELLS", cells):
+        got = unit_rows(m)
+    assert np.array_equal(got, want)
+
+
+def test_unit_rows_squares_one_block_at_a_time():
+    """20000 x 50 rows: np.linalg.norm, which squares its whole input into
+    a temporary, sees blocks of at most 2**19 cells (4 MB), not the 8 MB
+    matrix."""
+    m = np.random.default_rng(6).standard_normal((20000, 50))
+    with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+        got = unit_rows(m)
+    assert max(call.args[0].size for call in norm.call_args_list) <= 2 ** 19
+    assert np.array_equal(got, m / np.linalg.norm(m, axis=1, keepdims=True))
 
 
 def test_cosine_matrix_matches_loop():
@@ -199,10 +230,15 @@ def test_csls_hubness_rejects_nonpositive_neighbours():
 
 
 def test_row_blocks_size_rows_by_the_cell_budget():
-    # rows per block = max(1, 2**24 // pool rows)
-    assert row_blocks(5, 2 ** 23) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    # rows per block = max(1, 2**22 // pool rows, min(128, 2**24 // pool
+    # rows)): float64 blocks of 32 MiB, or up to 128 rows within 128 MiB
+    assert row_blocks(300, 2 ** 14) == [slice(0, 256), slice(256, 512)]
+    assert row_blocks(300, 2 ** 16) == [slice(0, 128), slice(128, 256),
+                                        slice(256, 384)]
+    assert row_blocks(20, 2 ** 21) == [slice(0, 8), slice(8, 16),
+                                       slice(16, 24)]
     assert row_blocks(2, 2 ** 30) == [slice(0, 1), slice(1, 2)]
-    assert row_blocks(5, 1) == [slice(0, 2 ** 24)]
+    assert row_blocks(5, 1) == [slice(0, 2 ** 22)]
     assert row_blocks(0, 100) == []
 
 

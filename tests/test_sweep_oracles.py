@@ -73,6 +73,7 @@ from hypothesis import strategies as st
 
 import clembed
 from clembed import similarity, supervised
+from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import bli_evaluate, shuffling_test
 from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.linalg import sinkhorn_scale, solve_procrustes
@@ -80,8 +81,8 @@ from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
                                 mutual_argmax_pairs, mutual_pairs, row_blocks,
                                 similarity_sweep, topk_mean, unit_rows)
-from clembed.supervised import (RcslsConfig, align_proc, align_proc_b,
-                                align_rcsls, rcsls_gradient,
+from clembed.supervised import (RcslsConfig, align_dlv, align_proc,
+                                align_proc_b, align_rcsls, rcsls_gradient,
                                 rcsls_neighbor_sets)
 from clembed.unsupervised import (IcpConfig, SelfLearnConfig, _dropout,
                                   _nearest_rows, align_icp,
@@ -281,6 +282,45 @@ def oracle_candidate_mask(sim, k=10):
     return mask
 
 
+def oracle_align_dlv(src_space, tgt_space, seed_lex, em_iters=3,
+                     match_cap=2500):
+    """dlv's map and match sizes as they were computed: a new cosine matrix
+    each E-step, the weights a copy of it (np.where), and the solver asked
+    to maximise them."""
+    from scipy.optimize import linear_sum_assignment
+    src_unit = unit_rows(src_space.matrix[:match_cap])
+    tgt_unit = unit_rows(tgt_space.matrix[:match_cap])
+    aligned = build_aligned_matrices(seed_lex, src_space, tgt_space)
+    seed_src, seed_tgt = unit_rows(aligned.x_src), unit_rows(aligned.x_tgt)
+    w = solve_procrustes(seed_src, seed_tgt)
+    sizes = []
+    for _ in range(em_iters):
+        sim = (src_unit @ w) @ tgt_unit.T
+        mask = oracle_candidate_mask(sim)
+        rows, cols = linear_sum_assignment(np.where(mask, sim, -1e6),
+                                           maximize=True)
+        matches = [(i, j) for i, j in zip(rows, cols) if mask[i, j]]
+        sizes.append(len(matches))
+        idx_s, idx_t = np.array(matches).T
+        w = solve_procrustes(np.vstack([seed_src, src_unit[idx_s]]),
+                             np.vstack([seed_tgt, tgt_unit[idx_t]]))
+    return w, sizes
+
+
+def oracle_vecmap_seed(src_space, tgt_space, cap=4000):
+    """VecMap's seed as it was computed: both cap x cap profile matrices
+    sorted into copies, then their cosine matrix whole."""
+    src_unit = unit_rows(src_space.matrix[:cap])
+    tgt_unit = unit_rows(tgt_space.matrix[:cap])
+    src_profiles = np.sort(src_unit @ src_unit.T, axis=1)[:, ::-1]
+    tgt_profiles = np.sort(tgt_unit @ tgt_unit.T, axis=1)[:, ::-1]
+    width = min(src_profiles.shape[1], tgt_profiles.shape[1])
+    best = np.argmax(cosine_matrix(src_profiles[:, :width],
+                                   tgt_profiles[:, :width]), axis=1)
+    return make_lexicon((src_space.words[i], tgt_space.words[int(j)])
+                        for i, j in enumerate(best))
+
+
 def oracle_rcsls_gradient(w, x_s, x_t, src_pool, tgt_pool, neighbors):
     nt, ns = neighbors
     k, n = nt.shape
@@ -367,9 +407,15 @@ def oracle_dropout(blocks, best, keep_prob, rng):
         yield rows, scores
 
 
+def kept(blocks):
+    """A sweep's (rows, scores) blocks, each copied as it comes: a block is
+    valid only until the next one is asked for."""
+    return [(rows, scores.copy()) for rows, scores in blocks]
+
+
 def swept(queries, pool, metric="cosine", csls_n=10):
     """The sweep's blocks stacked back into one matrix, with their rows."""
-    blocks = list(similarity_sweep(queries, pool, metric, csls_n))
+    blocks = kept(similarity_sweep(queries, pool, metric, csls_n))
     rows = [r for r, _ in blocks]
     assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
     return np.vstack([s for _, s in blocks])
@@ -468,6 +514,32 @@ def test_rcsls_neighbor_sets_match_oracle(noisy_pair, cells):
     with mock.patch.object(similarity, "_CELLS", cells):
         got = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, 7)
     assert_same_neighbor_sets(got, w, x_s, x_t, src_pool, tgt_pool, 7)
+
+
+@pytest.mark.parametrize("cells", CELL_BUDGETS)
+def test_align_dlv_matches_oracle(noisy_pair, cells):
+    seed = make_lexicon(noisy_pair.train_lex[:30])
+    with mock.patch.object(similarity, "_CELLS", cells):
+        pair = align_dlv(noisy_pair.src, noisy_pair.tgt, seed, em_iters=2,
+                         match_cap=400)
+    w, sizes = oracle_align_dlv(noisy_pair.src, noisy_pair.tgt, seed,
+                                em_iters=2, match_cap=400)
+    assert np.array_equal(pair.w_src, w)
+    assert pair.metadata["match_sizes"] == sizes
+    assert min(sizes) > 300
+
+
+@pytest.mark.parametrize("cells", CELL_BUDGETS)
+@pytest.mark.parametrize("tgt_words", [500, 350])
+def test_vecmap_seed_matches_oracle(noisy_pair, cells, tgt_words):
+    """Both sides capped at 400 words, or a target side of 350 words, whose
+    profiles are 350 long: the source's are cut to that."""
+    tgt = WordVectorSpace(noisy_pair.tgt.words[:tgt_words],
+                          noisy_pair.tgt.matrix[:tgt_words])
+    with mock.patch.object(similarity, "_CELLS", cells):
+        got = vecmap_seed(noisy_pair.src, tgt, cap=400)
+    assert got == oracle_vecmap_seed(noisy_pair.src, tgt, cap=400)
+    assert len(got) == 400
 
 
 @pytest.mark.parametrize("cells", CELL_BUDGETS[:2])
@@ -692,9 +764,9 @@ def test_dropout_matches_oracle(noisy_pair, cells, keep_prob):
     queries, pool = projected(noisy_pair)
     with mock.patch.object(similarity, "_CELLS", cells):
         best, want_best = np.empty(len(queries)), np.empty(len(queries))
-        got = list(_dropout(similarity_sweep(queries, pool, "csls", 5),
+        got = kept(_dropout(similarity_sweep(queries, pool, "csls", 5),
                             best, keep_prob, np.random.default_rng(3)))
-        want = list(oracle_dropout(similarity_sweep(queries, pool, "csls", 5),
+        want = kept(oracle_dropout(similarity_sweep(queries, pool, "csls", 5),
                                    want_best, keep_prob,
                                    np.random.default_rng(3)))
     assert np.array_equal(best, want_best)
@@ -895,6 +967,22 @@ def test_top_neighbors_match_oracle_at_every_budget(cells, workers):
             threads(workers):
         for case in cases:
             assert_same_top(*top_neighbors_against_oracle(*case))
+    assert sum(fallback) > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_top_neighbors_select_in_parts_of_a_block(workers):
+    """Parts of 7 rows: the 120 rows' screen blocks (120 or 60 rows) hold
+    several parts and a shorter last one, and some rows of each reach the
+    fallback."""
+    vectors, duplicated = duplicated_pool(15)
+    fallback, patch = count_fallback_rows()
+    with patch, mock.patch.object(similarity, "_PART_ROWS", 7), \
+            threads(workers):
+        assert_same_top(*top_neighbors_against_oracle(vectors, duplicated,
+                                                      10, True))
+        assert_same_top(*top_neighbors_against_oracle(
+            1000.0 * vectors, 1000.0 * duplicated, 4, False))
     assert sum(fallback) > 0
 
 
@@ -1105,14 +1193,14 @@ def test_mutual_nearest_neighbors_stays_within_its_blocks(metric):
 
 @pytest.mark.parametrize("queries", [1024, 4096])
 def test_mutual_argmax_pairs_adds_under_a_quarter_of_a_block(queries):
-    """Blocks of 1024 x 1024 float64 (8 MB) under a 2**20-cell budget: the
+    """Blocks of 1024 x 1024 float64 (8 MB) under a 2**22-cell budget: the
     column argmax may not copy a block, as np.argmax over axis 0 would."""
     rng = np.random.default_rng(3)
     pool = rng.standard_normal((1024, 20))
     near = pool[rng.integers(0, len(pool), queries)]
     near += 0.01 * rng.standard_normal(near.shape)
-    with mock.patch.object(similarity, "_CELLS", 2 ** 20):
-        blocks = list(similarity_sweep(near, pool))
+    with mock.patch.object(similarity, "_CELLS", 2 ** 22):
+        blocks = kept(similarity_sweep(near, pool))
         tracemalloc.start()
         try:
             pairs = mutual_argmax_pairs(iter(blocks), len(pool))
@@ -1122,6 +1210,96 @@ def test_mutual_argmax_pairs_adds_under_a_quarter_of_a_block(queries):
     assert len(blocks) == queries // 1024
     assert pairs == oracle_mutual_argmax_pairs(np.vstack([s for _, s in blocks]))
     assert peak <= blocks[0][1].nbytes / 4
+
+
+def traced(fn, *args, **kwargs):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metric", ["cosine", "csls"])
+def test_sweep_blocks_share_one_buffer(metric):
+    """130 queries in blocks of 40 rows: each block, the short last one
+    too, is written into the first one's memory."""
+    rng = np.random.default_rng(8)
+    queries = rng.standard_normal((130, 6))
+    pool = rng.standard_normal((50, 6))
+    with mock.patch.object(similarity, "row_blocks", lambda n, _: [
+            slice(i, i + 40) for i in range(0, n, 40)]):
+        blocks = similarity_sweep(queries, pool, metric, 3)
+        _, first = next(blocks)
+        got = [first.copy()]
+        for _, scores in blocks:
+            assert np.shares_memory(scores, first)
+            got.append(scores.copy())
+    assert [len(scores) for scores in got] == [40, 40, 40, 10]
+    assert np.allclose(np.vstack(got),
+                       oracle_similarity_matrix(queries, pool, metric, 3),
+                       rtol=0, atol=1e-12)
+
+
+class RecordingRng:
+    """A Generator that records the `out` of each call to `random`."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.outs = []
+
+    def random(self, *args, out=None, **kwargs):
+        self.outs.append(out)
+        return self.rng.random(*args, out=out, **kwargs)
+
+
+def test_dropout_draws_one_matrix_into_one_block_buffer():
+    """650 x 500 scores in blocks of 100 rows (400 KB) and a last of 50:
+    the draws are those of one 650 x 500 draw, each block's made into the
+    same buffer, and nothing near the 2.6 MB matrix is allocated."""
+    rng = np.random.default_rng(9)
+    scores = rng.standard_normal((650, 500))
+    blocks = [(rows, scores[rows].copy())
+              for rows in (slice(i, i + 100) for i in range(0, 650, 100))]
+    best = np.empty(650)
+    recorder = RecordingRng(3)
+    _, peak = traced(lambda: [b for b in _dropout(iter(blocks), best, 0.3,
+                                                  recorder)])
+    draws = np.random.default_rng(3).random(scores.shape)
+    assert np.array_equal(np.vstack([b for _, b in blocks]),
+                          np.where(draws < 0.3, scores, 0.0))
+    assert np.array_equal(best, scores.max(axis=1))
+    assert len(recorder.outs) == 7
+    assert all(out is not None and np.shares_memory(out, recorder.outs[0])
+               for out in recorder.outs)
+    assert peak < 1.5 * blocks[0][1].nbytes
+
+
+def test_align_dlv_holds_one_similarity_matrix():
+    """match_cap 1000: the 1000 x 1000 float64 cosines are 8 MB. Beside
+    them dlv holds a candidate mask of a byte a cell (1 MB), blocks of 8
+    rows and a few 1000 x 20 arrays (0.16 MB each)."""
+    import scipy.optimize  # noqa: F401  (imported before the tracing)
+    pair_fixture = RotatedPair(sigma=0.05, n=1000)
+    seed = make_lexicon(pair_fixture.train_lex[:30])
+    with mock.patch.object(similarity, "_CELLS", 2 ** 16):
+        pair, peak = traced(align_dlv, pair_fixture.src, pair_fixture.tgt,
+                            seed, em_iters=2, match_cap=1000)
+    n = 1000
+    assert min(pair.metadata["match_sizes"]) > 900
+    assert peak < 1.4 * 8 * n * n
+
+
+def test_vecmap_seed_holds_under_two_profile_matrices(noisy_pair):
+    """cap 500: one 500 x 500 float64 profile matrix is 2 MB; blocks of
+    32 rows are 0.125 MB."""
+    with mock.patch.object(similarity, "_CELLS", 2 ** 14):
+        got, peak = traced(vecmap_seed, noisy_pair.src, noisy_pair.tgt,
+                           cap=500)
+    assert got == oracle_vecmap_seed(noisy_pair.src, noisy_pair.tgt, cap=500)
+    assert peak < 2 * 8 * 500 * 500
 
 
 def test_csls_hubness_stays_within_its_blocks():
@@ -1184,7 +1362,7 @@ def test_shuffling_test_matches_its_one_shot_draw(cells):
 
 
 def test_shuffling_test_stays_within_its_blocks():
-    """20000 x 200 float64 is 32 MB; blocks of 2**16 cells are 0.5 MB."""
+    """20000 x 200 float64 is 32 MB; blocks of 128 rows are 200 KB."""
     rng = np.random.default_rng(2)
     a = rng.random(200)
     b = a + 0.01 * rng.standard_normal(200)
