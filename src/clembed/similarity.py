@@ -4,9 +4,10 @@ All functions operate on row-vector matrices (one embedding per row) and
 return float64 results with no approximate nearest-neighbor shortcuts.
 `similarity_sweep` scores queries against a pool in float64 row blocks
 (`row_blocks`) of _CELLS / 4 cells (32 MiB) against pools of up to 32k
-rows, each written into the one buffer the sweep allocates, so a consumer
-may keep a block only until it asks for the next; hubness, argmaxes and
-gold ranks are reductions over those blocks, never a full matrix. One
+rows (of up to `_MIN_ROWS` rows within _CELLS cells against wider ones),
+each written into the one buffer the sweep allocates, so a consumer may
+keep a block only until it asks for the next; hubness, argmaxes and gold
+ranks are reductions over those blocks, never a full matrix. One
 certified top-n kernel, `_top_neighbors`, finds each row's n nearest pool
 rows for CSLS hubness (`csls_hubness`) and for RCSLS's neighbourhoods
 (`supervised.rcsls_neighbor_sets`). It alone uses float32, and only to
@@ -35,18 +36,19 @@ import numpy as np
 # (32 MiB), each save against pools too wide for `_MIN_ROWS` rows.
 _CELLS = 2 ** 24
 # Rows a `_map_blocks` screen block holds at least, up to pools of
-# 2 * _CELLS / _MIN_ROWS rows (262k), and a `row_blocks` block up to pools
-# of _CELLS / _MIN_ROWS rows (131k). Each block's product reads the whole
-# pool, so shorter blocks leave it bound by memory: against a 200k x 300
-# pool, on one thread, float32 screens of 41 rows took 1.6 times as long
-# as screens of 128.
+# 2 * _CELLS / _MIN_ROWS rows (262k), and a float64 product's block
+# (`row_blocks` given `min_rows`) up to pools of _CELLS / _MIN_ROWS rows
+# (131k). Each block's product reads the whole pool, so shorter blocks
+# leave it bound by memory: against a 200k x 300 pool, on one thread,
+# float32 screens of 41 rows took 1.6 times as long as screens of 128.
 _MIN_ROWS = 128
-# Rows of a screen block that `_top_neighbors` selects from at a time. The
-# selection's temporaries (index arrays, partitions) are numpy's own, made
-# in the worker thread, whose malloc arena keeps what they took: a whole
-# block's kept 42 MiB across a 5000-word proc-b and CSLS evaluation, parts
-# of 256 rows keep about 1 MiB. Parts of 64 rows took 25% longer.
-_PART_ROWS = 256
+# Rows a `_map_blocks` screen block holds at most. The top-n selection's
+# temporaries (index arrays, partitions) are numpy's own, made in the
+# worker thread, whose malloc arena keeps what they took: across a
+# 5000-word proc-b and CSLS evaluation, two threads peaked 36 MiB above
+# one with blocks of 1250 rows, 12 MiB with blocks of 512. Blocks of 256
+# (7 MiB) made hubness against a 20k-row pool 5% slower.
+_MAX_ROWS = 512
 # Columns per strided group in the top-n selection of `_top_columns`.
 _GROUP = 16
 # Columns the float32 screen keeps beyond the n it needs, so that a near
@@ -54,16 +56,16 @@ _GROUP = 16
 _SPARE = 6
 
 
-def row_blocks(n_rows: int, pool_rows: int) -> list[slice]:
+def row_blocks(n_rows: int, pool_rows: int,
+               min_rows: int = 1) -> list[slice]:
     """Slices of range(n_rows) in blocks of _CELLS / 4 cells against
-    `pool_rows` (or one row). Against a pool wider than _CELLS / 4 /
-    `_MIN_ROWS` rows (32k), where that leaves fewer than `_MIN_ROWS` rows,
-    a block takes as many as _CELLS cells allow, up to `_MIN_ROWS`: each
-    block's product packs the whole pool again, and against a 200k-row
-    pool blocks of 20 rows took 1.7 times as long as blocks of 83."""
+    `pool_rows` (or one row). Where that leaves fewer than `min_rows` rows,
+    a block takes as many as _CELLS cells allow, up to `min_rows`: a float64
+    product's block packs the whole pool again, and against a 200k-row pool
+    blocks of 20 rows took 1.7 times as long as blocks of 83."""
     pool_rows = max(1, pool_rows)
     step = max(1, _CELLS // 4 // pool_rows,
-               min(_MIN_ROWS, _CELLS // pool_rows))
+               min(min_rows, _CELLS // pool_rows))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
@@ -80,25 +82,27 @@ def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
     and `blocks` holds one (rows, width) scratch block of that dtype for
     each (width, dtype) in `widths`. The blocks are of near-equal size, at
     least one per thread and each of at most _CELLS / threads cells (or one
-    row), so that the screens in flight together stay within `_CELLS`
-    float32 cells. Where a pool is so wide that this leaves blocks shorter
-    than `_MIN_ROWS`, they are made as tall as `_MIN_ROWS` allows (save the
-    last) while every thread still has a block and each screen stays
-    within 2 * _CELLS cells (128 MiB). All scratch is allocated here, in
-    the calling thread, one set per thread, and handed out through a
-    queue: memory a worker thread allocates stays in its own malloc arena
-    after it is freed. The threads take blocks as they finish the last,
-    and none outlives the call; an exception in fn is raised here, and the
-    blocks not yet started are dropped. fn must be safe to run on any
-    thread: numpy and private helpers only, writing disjoint rows.
+    row) and at most `_MAX_ROWS` rows (save the last), so that the screens
+    in flight together stay within `_CELLS` float32 cells. Where a pool is
+    so wide that this leaves blocks shorter than `_MIN_ROWS`, they are made
+    as tall as `_MIN_ROWS` allows (save the last) while every thread still
+    has a block and each screen stays within 2 * _CELLS cells (128 MiB).
+    All scratch is allocated here, in the calling thread, one set per
+    thread, and handed out through a queue: memory a worker thread
+    allocates stays in its own malloc arena after it is freed, which is
+    also why `_MAX_ROWS` bounds fn's own temporaries. The threads take
+    blocks as they finish the last, and none outlives the call; an
+    exception in fn is raised here, and the blocks not yet started are
+    dropped. fn must be safe to run on any thread: numpy and private
+    helpers only, writing disjoint rows.
     """
     workers = _workers()
     budget = max(1, _CELLS // workers // max(1, pool_rows))
     n_blocks = -(-n_rows // budget)
     n_blocks += -n_blocks % workers
-    step = max(1, -(-n_rows // max(1, n_blocks)),
-               min(_MIN_ROWS, n_rows // workers,
-                   2 * _CELLS // max(1, pool_rows)))
+    step = min(_MAX_ROWS, max(1, -(-n_rows // max(1, n_blocks)),
+                              min(_MIN_ROWS, n_rows // workers,
+                                  2 * _CELLS // max(1, pool_rows))))
     blocks = [slice(start, min(start + step, n_rows))
               for start in range(0, n_rows, step)]
     workers = min(workers, len(blocks))
@@ -334,13 +338,6 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
         _gather(q64, queries, np.arange(rows.start, rows.stop), q_div)
         q32[...] = q64
         np.matmul(q32, p32.T, out=screen)
-        for start in range(0, len(screen), _PART_ROWS):
-            part = slice(start, start + _PART_ROWS)
-            select(rows.start + start, screen[part], q64[part], picked[part])
-
-    def select(first: int, screen: np.ndarray, q64: np.ndarray,
-               picked: np.ndarray) -> None:
-        rows = slice(first, first + len(screen))
         kept_cols, left_out = _top_columns(screen, k + _SPARE)
         kept = np.take_along_axis(screen, kept_cols, axis=1)
         m = kept.shape[1]
@@ -360,7 +357,7 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
     redo = np.flatnonzero(unsure)
     if redo.size and p_div is not None:
         pool = pool / p_div[:, None]
-    for rows in row_blocks(len(redo), len(pool)):
+    for rows in row_blocks(len(redo), len(pool), _MIN_ROWS):
         at = redo[rows]
         cols[at], means[at] = _exact_top(
             _gather(np.empty((len(at), d)), queries, at, q_div), pool, k)
@@ -377,7 +374,8 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
                      metric: str = "cosine", csls_n: int = 10,
                      r_pool: np.ndarray | None = None):
     """Yield (rows, scores of queries[rows] against every pool row) over row
-    blocks (`row_blocks`); metric is one of {cosine, csls}.
+    blocks (`row_blocks`, at least `_MIN_ROWS` rows tall where _CELLS cells
+    allow); metric is one of {cosine, csls}.
 
     Every block is written into one buffer, allocated once for the first
     (the tallest) block: a yielded block is valid only until the next one
@@ -397,7 +395,7 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
     qu = unit_rows(queries)
     pu = unit_rows(pool)
     buffer = None
-    for rows in row_blocks(len(qu), len(pu)):
+    for rows in row_blocks(len(qu), len(pu), _MIN_ROWS):
         block = qu[rows]
         if buffer is None:
             buffer = np.empty((len(block), len(pu)),

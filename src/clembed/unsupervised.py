@@ -92,11 +92,9 @@ def _unit_profiles(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
     `scores` is sorted in place."""
     scores.sort(axis=1)
     out[...] = scores[:, ::-1][:, :out.shape[1]]
-    divisors = _unit_divisors(out)
-    if divisors is None:
-        out[...] = unit_rows(out)
-    else:
-        out /= divisors[:, None]
+    # never None: a profile starts with its unit row's self-cosine (about
+    # 1), or is a row of zeros
+    out /= _unit_divisors(out)[:, None]
     return out
 
 

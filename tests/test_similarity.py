@@ -230,14 +230,19 @@ def test_csls_hubness_rejects_nonpositive_neighbours():
 
 
 def test_row_blocks_size_rows_by_the_cell_budget():
-    # rows per block = max(1, 2**22 // pool rows, min(128, 2**24 // pool
-    # rows)): float64 blocks of 32 MiB, or up to 128 rows within 128 MiB
+    # rows per block = max(1, 2**22 // pool rows, min(min_rows, 2**24 //
+    # pool rows)): float64 blocks of 32 MiB, or up to min_rows rows within
+    # 128 MiB
     assert row_blocks(300, 2 ** 14) == [slice(0, 256), slice(256, 512)]
-    assert row_blocks(300, 2 ** 16) == [slice(0, 128), slice(128, 256),
-                                        slice(256, 384)]
-    assert row_blocks(20, 2 ** 21) == [slice(0, 8), slice(8, 16),
-                                       slice(16, 24)]
+    assert row_blocks(300, 2 ** 14, 128) == row_blocks(300, 2 ** 14)
+    assert row_blocks(150, 2 ** 16) == [slice(0, 64), slice(64, 128),
+                                        slice(128, 192)]
+    assert row_blocks(300, 2 ** 16, 128) == [slice(0, 128), slice(128, 256),
+                                             slice(256, 384)]
+    assert row_blocks(20, 2 ** 21, 128) == [slice(0, 8), slice(8, 16),
+                                            slice(16, 24)]
     assert row_blocks(2, 2 ** 30) == [slice(0, 1), slice(1, 2)]
+    assert row_blocks(2, 2 ** 30, 128) == [slice(0, 1), slice(1, 2)]
     assert row_blocks(5, 1) == [slice(0, 2 ** 22)]
     assert row_blocks(0, 100) == []
 

@@ -971,13 +971,12 @@ def test_top_neighbors_match_oracle_at_every_budget(cells, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_top_neighbors_select_in_parts_of_a_block(workers):
-    """Parts of 7 rows: the 120 rows' screen blocks (120 or 60 rows) hold
-    several parts and a shorter last one, and some rows of each reach the
-    fallback."""
+def test_top_neighbors_match_oracle_in_blocks_of_at_most_max_rows(workers):
+    """Screen blocks of at most 7 rows: the 120 rows make 17 blocks and a
+    shorter last one, and some rows reach the fallback."""
     vectors, duplicated = duplicated_pool(15)
     fallback, patch = count_fallback_rows()
-    with patch, mock.patch.object(similarity, "_PART_ROWS", 7), \
+    with patch, mock.patch.object(similarity, "_MAX_ROWS", 7), \
             threads(workers):
         assert_same_top(*top_neighbors_against_oracle(vectors, duplicated,
                                                       10, True))
@@ -1011,10 +1010,14 @@ def test_top_neighbors_match_oracle_with_rows_below_the_tiny_norm(tiny):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40))
 def test_candidate_mask_matches_oracle(seed, n, m):
-    """Distinct entries: no two tie at the tenth place of a row or column."""
+    """Distinct entries: no two tie at the tenth place of a row or column.
+    At each cell budget, so that rows and columns are selected in one block
+    or in several, down to one row or column a block."""
     sim = np.random.default_rng(seed).permutation(n * m).reshape(n, m) / (n * m)
-    assert np.array_equal(supervised._candidate_mask(sim),
-                          oracle_candidate_mask(sim))
+    want = oracle_candidate_mask(sim)
+    for cells in CELL_BUDGETS:
+        with mock.patch.object(similarity, "_CELLS", cells):
+            assert np.array_equal(supervised._candidate_mask(sim), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1023,14 +1026,17 @@ def test_candidate_mask_matches_oracle(seed, n, m):
 def test_candidate_mask_keeps_the_top_of_each_row_and_column_on_ties(
         seed, n, m, values):
     """Few distinct values: the masked entries of each row and column hold
-    its ten largest values as a multiset, whichever tied entries they are."""
+    its ten largest values as a multiset, whichever tied entries they are,
+    at each cell budget."""
     sim = np.random.default_rng(seed).integers(-values, values + 1, (n, m)) / 4
-    mask = supervised._candidate_mask(sim)
-    for scores, kept in ((sim, mask), (sim.T, mask.T)):
-        k = min(10, scores.shape[1])
-        top = -np.sort(-scores, axis=1)[:, :k]
-        for row, keep, want in zip(scores, kept, top):
-            assert np.sum(row[keep] >= want[-1]) >= k
+    for cells in CELL_BUDGETS:
+        with mock.patch.object(similarity, "_CELLS", cells):
+            mask = supervised._candidate_mask(sim)
+        for scores, kept in ((sim, mask), (sim.T, mask.T)):
+            k = min(10, scores.shape[1])
+            top = -np.sort(-scores, axis=1)[:, :k]
+            for row, keep, want in zip(scores, kept, top):
+                assert np.sum(row[keep] >= want[-1]) >= k
 
 
 # --- the row-block threads ---------------------------------------------------------
@@ -1085,8 +1091,8 @@ def test_csls_hubness_under_thread_stress():
 def test_map_blocks_covers_every_row_once_within_the_budget(workers, cells):
     """Blocks of at most cells / workers cells, but where that is fewer
     than `_MIN_ROWS` rows, as tall as `_MIN_ROWS`, one block per thread and
-    2 * cells allow, save the last; and a scratch block of each requested
-    width and dtype beside the screen."""
+    2 * cells allow, save the last; never more than `_MAX_ROWS` rows; and a
+    scratch block of each requested width and dtype beside the screen."""
     rows_seen, heights, idents = [], [], set()
 
     def fn(rows, screen, wide, narrow):
@@ -1109,6 +1115,7 @@ def test_map_blocks_covers_every_row_once_within_the_budget(workers, cells):
     assert sorted(heights)[1:] == [max(heights)] * (len(heights) - 1)
     assert max(heights) >= min(similarity._MIN_ROWS, 1000 // workers,
                                2 * cells // 70)
+    assert max(heights) <= similarity._MAX_ROWS
     assert threading.active_count() == before
     if workers == 1:
         assert idents == {threading.get_ident()}
@@ -1229,7 +1236,7 @@ def test_sweep_blocks_share_one_buffer(metric):
     rng = np.random.default_rng(8)
     queries = rng.standard_normal((130, 6))
     pool = rng.standard_normal((50, 6))
-    with mock.patch.object(similarity, "row_blocks", lambda n, _: [
+    with mock.patch.object(similarity, "row_blocks", lambda n, *_: [
             slice(i, i + 40) for i in range(0, n, 40)]):
         blocks = similarity_sweep(queries, pool, metric, 3)
         _, first = next(blocks)
@@ -1241,6 +1248,19 @@ def test_sweep_blocks_share_one_buffer(metric):
     assert np.allclose(np.vstack(got),
                        oracle_similarity_matrix(queries, pool, metric, 3),
                        rtol=0, atol=1e-12)
+
+
+def test_sweep_blocks_keep_min_rows_within_the_cell_budget():
+    """_CELLS of 4000 against 50 pool rows: _CELLS / 4 cells would give 20
+    rows, but a sweep's block keeps as many rows as _CELLS allow (80) up to
+    `_MIN_ROWS`, where a plain `row_blocks` budget does not."""
+    rng = np.random.default_rng(9)
+    queries = rng.standard_normal((200, 6))
+    pool = rng.standard_normal((50, 6))
+    with mock.patch.object(similarity, "_CELLS", 4000):
+        heights = [len(scores) for _, scores in similarity_sweep(queries, pool)]
+        assert row_blocks(200, 50)[0] == slice(0, 20)
+    assert heights == [80, 80, 40]
 
 
 class RecordingRng:
@@ -1362,7 +1382,7 @@ def test_shuffling_test_matches_its_one_shot_draw(cells):
 
 
 def test_shuffling_test_stays_within_its_blocks():
-    """20000 x 200 float64 is 32 MB; blocks of 128 rows are 200 KB."""
+    """20000 x 200 float64 is 32 MB; blocks of 81 rows are 130 KB."""
     rng = np.random.default_rng(2)
     a = rng.random(200)
     b = a + 0.01 * rng.standard_normal(200)
