@@ -18,6 +18,6 @@ from .projection import ProjectionPair, load_projection, save_projection
 from .supervised import (RcslsConfig, align_cca, align_dlv, align_proc,
                          align_proc_b, align_rcsls)
 from .unsupervised import (IcpConfig, SelfLearnConfig, align_gwa, align_icp,
-                           self_learn, vecmap_postprocess, vecmap_seed)
+                           self_learn, vecmap_seed)
 
 __version__ = "0.1.0"

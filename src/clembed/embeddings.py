@@ -5,16 +5,25 @@ File format is the word2vec-style text format: an optional header line
 spaces, UTF-8, LF). Both headered and headerless files are accepted on
 read; the header is always written on save. Values are read with numpy's
 float syntax. A malformed file is a ValueError `<path>: [line N: ]<problem>`.
+
+A load that parses a whole file and accepts it keeps a binary companion
+beside it, `<path>.clembed.npz`: the size and SHA-256 of the bytes parsed,
+and every non-empty line's token and values. Later loads of the same bytes
+are served from it without parsing (see `load_text_embeddings`). It is a
+cache that the text parser alone fills, so it is safe to delete.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import os
 import re
+import tempfile
 import warnings
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +38,9 @@ _CHUNK_LINES = 4096
 _DIGITS = 6  # significant digits of each value a save writes
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# A whole-file load's binary companion is `<path>` + _COMPANION_SUFFIX
+_COMPANION_SUFFIX = ".clembed.npz"
+_COMPANION_VERSION = 1
 
 
 @contextmanager
@@ -122,18 +134,81 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
     digits, which Python's `float` accepts, are unparseable, while numbers
     padded with the control characters \\x1c-\\x1f are read. Errors name the
     file and its first bad line, as a line-by-line read would.
+
+    A load without `needed` that reads the file to its end (`max_vocab`
+    absent or not reached) and returns a space writes the file's binary
+    companion, `<path>.clembed.npz`: the size and SHA-256 of the bytes it
+    read, and the token and values of every non-empty line. Any later load
+    of the file, whatever its `max_vocab` or `needed`, whose bytes still
+    have that size and digest, is served from the companion without
+    parsing, by the same keep, stop and duplicate rule, so it returns what
+    the text would give. A companion that is missing, unreadable, corrupt
+    or stale is ignored, and the text load that follows rewrites it. A
+    companion that cannot be written is not written.
     """
     if max_vocab is not None and max_vocab <= 0:
         raise ValueError("max_vocab must be positive")
-    words: list[str] = []
+    select = _Selection(max_vocab, needed)
+    stored = _read_companion(path)
+    if stored is None:
+        tokens, rows, kept, digest = _parse_text(path, select)
+    else:
+        tokens, rows = stored
+        kept, digest = [], None
+        for i, token in enumerate(tokens):
+            if select.take(token):
+                kept.append(i)
+            if select.full:
+                break
+    if select.duplicates:
+        warnings.warn(f"{path}: dropped {select.duplicates} duplicate tokens "
+                      "(kept first occurrences)", stacklevel=2)
+    space = WordVectorSpace(words=tuple([tokens[i] for i in kept]),
+                            matrix=rows if len(kept) == len(rows) else rows[kept])
+    if digest is not None:
+        _write_companion(path, digest, tokens, rows)
+    return space
+
+
+class _Selection:
+    """The keep, stop and duplicate rule of a load with `max_vocab` and
+    `needed`, fed the token of each non-empty line in file order."""
+
+    def __init__(self, max_vocab: int | None, needed: Iterable[str] | None):
+        self.max_vocab = max_vocab
+        self.wanted = None if needed is None else set(needed)
+        self.missing = None if self.wanted is None else set(self.wanted)
+        self.seen: set[str] = set()
+        self.duplicates = 0
+        self.full = False       # the load stops after the line just taken
+
+    def take(self, token: str) -> bool:
+        """Whether the load keeps this line's word."""
+        if token in self.seen:
+            self.duplicates += 1
+            return False
+        self.seen.add(token)
+        self.full = self.max_vocab is not None and len(self.seen) >= self.max_vocab
+        if self.missing is not None:
+            self.missing.discard(token)
+            self.full = self.full or not self.missing
+        return self.wanted is None or token in self.wanted
+
+
+def _parse_text(path: str | os.PathLike, select: _Selection):
+    """Parse `path` up to `select`'s stop: the token and values of each line
+    parsed (without `needed`, of every non-empty line), the positions of the
+    kept ones among them, and, when the whole file was parsed, the
+    (size, SHA-256) of its bytes, else None."""
+    tokens: list[str] = []
     blocks: list[np.ndarray] = []
-    seen: set[str] = set()
-    wanted = None if needed is None else set(needed)
-    missing = None if wanted is None else set(wanted)
-    duplicates = 0
+    kept: list[int] = []
     dim: int | None = None
+    # only a load without `needed` can write a companion, so only it hashes
+    raw = _DigestingFile(path) if select.wanted is None else io.FileIO(path)
     # the decoder reads ahead of the stop, so it only marks bad bytes
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                          errors="surrogateescape") as fh:
         first = fh.readline()
         if error := _utf8_error(first, path, 1):
             raise error
@@ -151,14 +226,12 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
             fh.seek(0)
             start_line = 0
         numbered = enumerate(fh, start=start_line + 1)
-        full = False
-        while not full:
+        while not select.full:
             chunk = list(itertools.islice(numbered, _CHUNK_LINES))
             if not chunk:
                 break
             values: list[str] = []      # value fields of the lines to parse
             linenos: list[int] = []
-            kept: list[int] = []        # positions in `values` of kept words
             error = None
             for lineno, line in chunk:
                 if error := _utf8_error(line, path, lineno):
@@ -182,37 +255,113 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
                     # would skip as a blank line rather than reject
                     error = ValueError(f"{path}: line {lineno}: unparseable float")
                     break
-                new = token not in seen
-                keep = new and (wanted is None or token in wanted)
-                if keep or wanted is None:
+                keep = select.take(token)
+                if keep or select.wanted is None:
+                    if keep:
+                        kept.append(len(tokens))
+                    tokens.append(token)
                     values.append(rest)
                     linenos.append(lineno)
-                if keep:
-                    words.append(token)
-                    kept.append(len(values) - 1)
-                if not new:
-                    duplicates += 1
-                    continue
-                seen.add(token)
-                full = max_vocab is not None and len(seen) >= max_vocab
-                if missing is not None:
-                    missing.discard(token)
-                    full = full or not missing
-                if full:
+                if select.full:
                     break
             if values:
                 # an unparseable line before a structural error is reported first
-                block = _parse_values(values, linenos, path)
-                blocks.append(block if len(kept) == len(values) else block[kept])
+                blocks.append(_parse_values(values, linenos, path))
             if error is not None:
                 raise error
     if dim is None:
         raise ValueError(f"{path}: no embeddings found in file")
-    if duplicates:
-        warnings.warn(f"{path}: dropped {duplicates} duplicate tokens "
-                      "(kept first occurrences)", stacklevel=2)
-    matrix = np.concatenate(blocks) if blocks else np.empty((0, dim))
-    return WordVectorSpace(words=tuple(words), matrix=matrix)
+    rows = np.concatenate(blocks) if blocks else np.empty((0, dim))
+    whole = select.wanted is None and not select.full and raw.digest is not None
+    return tokens, rows, kept, ((raw.size, raw.digest.digest()) if whole else None)
+
+
+class _DigestingFile(io.FileIO):
+    """A file opened to read that keeps the size and SHA-256 of the bytes
+    read from it since it was last at offset 0 (`digest` None once a seek
+    skips or repeats bytes)."""
+
+    def __init__(self, path: str | os.PathLike):
+        super().__init__(path, "rb")
+        self.size = 0
+        self.digest = hashlib.sha256()
+
+    def readinto(self, buffer) -> int | None:
+        n = super().readinto(buffer)
+        if n and self.digest is not None:
+            self.digest.update(memoryview(buffer)[:n])
+            self.size += n
+        return n
+
+    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
+        position = super().seek(offset, whence)
+        if position == 0:
+            self.size, self.digest = 0, hashlib.sha256()
+        elif position != self.size:
+            self.digest = None
+        return position
+
+
+def _companion_path(path: str | os.PathLike) -> str:
+    return os.fspath(path) + _COMPANION_SUFFIX
+
+
+def _read_companion(path: str | os.PathLike):
+    """(tokens, rows) from `path`'s companion if it holds the parse of the
+    file's current bytes, else None."""
+    try:
+        with open(_companion_path(path), "rb") as fh, \
+                np.load(fh, allow_pickle=False) as stored:
+            if (int(stored["version"]) != _COMPANION_VERSION
+                    or int(stored["size"]) != os.stat(path).st_size
+                    or stored["sha256"].tobytes() != _file_sha256(path)):
+                return None
+            tokens = stored["tokens"].tobytes().decode("utf-8").split("\n")
+            rows = stored["matrix"]
+    except Exception:
+        # a damaged zip or array fails in many ways (BadZipFile, KeyError,
+        # EOFError, NotImplementedError, RuntimeError, ...); each one means
+        # the text is parsed instead
+        return None
+    if rows.dtype != np.float64 or rows.ndim != 2 or len(rows) != len(tokens):
+        return None
+    return tokens, rows
+
+
+def _file_sha256(path: str | os.PathLike) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.digest()
+
+
+def _write_companion(path: str | os.PathLike, digest: tuple[int, bytes],
+                     tokens: list[str], rows: np.ndarray) -> None:
+    """Write `path`'s companion through a temporary file in its directory;
+    on an OSError, write none and leave no temporary file. A token holds no
+    line break, so the tokens are stored joined by one."""
+    target = _companion_path(path)
+    directory, name = os.path.split(target)
+    try:
+        fd, temporary = tempfile.mkstemp(prefix=name + ".", suffix=".tmp",
+                                         dir=directory or os.curdir)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # as readable as the text file, not only by its writer
+            os.fchmod(fh.fileno(), os.stat(path).st_mode & 0o666)
+            size, sha256 = digest
+            np.savez(fh, version=np.int64(_COMPANION_VERSION), size=np.int64(size),
+                     sha256=np.frombuffer(sha256, dtype=np.uint8),
+                     tokens=np.frombuffer("\n".join(tokens).encode("utf-8"),
+                                          dtype=np.uint8),
+                     matrix=rows)
+        os.replace(temporary, target)
+    except OSError:
+        with suppress(OSError):
+            os.remove(temporary)
 
 
 def _parse_values(values: list[str], linenos: list[int],

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import WordVectorSpace
-from .lexicon import (TranslationLexicon, build_aligned_matrices, make_lexicon,
-                      AlignedMatrices)
-from .linalg import _procrustes, pca_project, sinkhorn_scale, \
-    solve_procrustes, svd, zca_whitening_matrix
+from .lexicon import TranslationLexicon, build_aligned_matrices, make_lexicon
+from .linalg import _procrustes, pca_project, sinkhorn_scale, solve_procrustes
 from .projection import ProjectionPair
 from .similarity import (_unit_divisors, mutual_argmax_pairs, mutual_pairs,
                          row_blocks, similarity_sweep, unit_rows)
@@ -29,7 +27,6 @@ _CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
 _KEEP_PROB_INIT = 0.1
 _KEEP_PROB_GROWTH = 2.0
 _LAMBDA_CYC = 1.0  # ICP's cycle-consistency weight (Hoshen & Wolf 2018)
-_REWEIGHT_POWER = 0.5  # VecMap's re-weighting exponent of the singular values
 
 
 @dataclass(frozen=True)
@@ -166,32 +163,6 @@ def _dropout(blocks, best: np.ndarray, keep_prob: float,
             drawn = rng.random(out=draws[:len(scores)])
             np.copyto(scores, 0.0, where=drawn >= keep_prob)
         yield rows, scores
-
-
-def vecmap_postprocess(pair: ProjectionPair, aligned: AlignedMatrices
-                       ) -> ProjectionPair:
-    """VecMap's final step (Artetxe et al. 2018): whitening, re-weighting
-    by s^0.5 on both sides, then de-whitening.
-
-    Rebuilds the projection pair from the final aligned matrices. Each side
-    is ZCA-whitened (W1, W2); the SVD U diag(s) V' of the whitened
-    cross-covariance rotates both sides into a shared frame; coordinate k
-    is scaled by s_k^`_REWEIGHT_POWER` on both sides; and each side is
-    de-whitened in its rotated frame (U' W1^-1 U, V' W2^-1 V). The steps
-    are composed into new w_src / w_tgt.
-    """
-    x_s = np.asarray(aligned.x_src, dtype=float)
-    x_t = np.asarray(aligned.x_tgt, dtype=float)
-    w1 = zca_whitening_matrix(x_s - x_s.mean(axis=0))
-    w2 = zca_whitening_matrix(x_t - x_t.mean(axis=0))
-    u, s, vt = svd((x_s @ w1).T @ (x_t @ w2))
-    v = vt.T
-    factor = s ** _REWEIGHT_POWER
-    w_src = ((w1 @ u) * factor) @ (u.T @ np.linalg.inv(w1) @ u)
-    w_tgt = ((w2 @ v) * factor) @ (v.T @ np.linalg.inv(w2) @ v)
-    return ProjectionPair(w_src=w_src, w_tgt=w_tgt, orthogonal_src=False,
-                          method=pair.method + "+post",
-                          metadata=dict(pair.metadata))
 
 
 def _nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -250,24 +250,38 @@ def test_eval_clir_reads_only_the_collections_words(collection, tmp_path,
 def test_eval_clir_parses_just_the_collections_words(collection, tmp_path,
                                                      monkeypatch):
     """Each load parses the rows of its side's distinct in-vocabulary
-    collection words and no other."""
+    collection words and no other. The loads read copies of the embedding
+    files, which have no companion yet; once a whole load of each has
+    written one, the same command parses no row and writes the same files."""
+    argv = list(collection)
+    copies = [tmp_path / "query.vec", tmp_path / "doc.vec"]
+    for flag, copy in zip(("--query-emb", "--doc-emb"), copies):
+        at = argv.index(flag) + 1
+        shutil.copy(argv[at], copy)
+        argv[at] = copy
     parsed = []
 
     def counting_parse_rows(values):
         parsed.append(len(values))
         return parse_rows(values)
 
-    vocab = set(load_text_embeddings(collection[collection.index(
-        "--query-emb") + 1]).words)    # the words of both files
+    vocab = set(load_text_embeddings(shutil.copy(
+        copies[0], tmp_path / "vocab.vec")).words)    # the words of both files
     parse_rows = embeddings._parse_rows
     monkeypatch.setattr(embeddings, "_parse_rows", counting_parse_rows)
-    assert run(*collection, "--outdir", tmp_path / "out") == 0
+    assert run(*argv, "--outdir", tmp_path / "parsed") == 0
     used = []
     for flag in ("--queries", "--docs"):
         with open(collection[collection.index(flag) + 1]) as fh:
             used.append(len({tok for line in fh
                              for tok in line.split("\t")[1].split()} & vocab))
     assert parsed == used
+    for path in copies:
+        load_text_embeddings(path)
+    parsed.clear()
+    assert run(*argv, "--outdir", tmp_path / "served") == 0
+    assert parsed == []
+    assert outputs(tmp_path / "served") == outputs(tmp_path / "parsed")
 
 
 def test_eval_clir_out_of_vocabulary_queries(collection, tmp_path,

@@ -16,10 +16,17 @@ One difference is intended and has its own tests: values follow numpy's
 float syntax. Spellings that only Python's `float` reads (`1_0`, non-ASCII
 digits) are "unparseable float", and numbers padded with the control
 characters \\x1c-\\x1f are read. The generated files use neither.
+
+A whole-file load writes a binary companion next to its file, and later
+loads of the same bytes are served from it: they must give the oracle's
+outcome too, without parsing a value.
 """
 
+import io
+import os
 import re
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -134,35 +141,37 @@ def assert_loads_like_oracle(path, text, **kwargs):
 FLOAT_FORMATS = (repr, "{:.3g}".format, "{:.17e}".format, "{:.25f}".format)
 BAD_FIELDS = ("zero", "", "1e", "--1", "0x10", "1.2.3", "1,5", "+", ".",
               "nan", "inf", "-Infinity")
-WORDS = ("a", "b", "c", "ü", "w_1", "")
+WORDS = ("a", "b", "c", "ü", "w_1", "", "w\x00")  # a trailing NUL, too
 
 good_field = st.builds(lambda fmt, v: fmt(v), st.sampled_from(FLOAT_FORMATS),
                        st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
-def embedding_files(draw):
+def embedding_files(draw, clean=False):
     """Text of a word2vec file: an optional header, blank and space-only
     lines, duplicates, wrong value counts, bad and empty fields, LF or CRLF
-    endings, and lines that may end in spaces."""
-    dim = draw(st.integers(1, 4))
+    endings, and lines that may end in spaces. With `clean`, a file that a
+    whole load accepts unless a value overflows: a valid header or none,
+    rows of at least two values, duplicates, empty lines, LF or CRLF."""
+    dim = draw(st.integers(2 if clean else 1, 4))
     lines = []
     if draw(st.booleans()):
-        lines.append(draw(st.sampled_from(
-            [f"{draw(st.integers(0, 9))} {dim}", "3 x", "3 2 1"])))
-    kinds = ("row",) * 8 + ("blank", "blank", "count", "bad")
+        lines.append(f"{draw(st.integers(0, 9))} {dim}" if clean else draw(
+            st.sampled_from([f"{draw(st.integers(0, 9))} {dim}", "3 x", "3 2 1"])))
+    kinds = ("row",) * 8 + ("blank", "blank") + (() if clean else ("count", "bad"))
     for _ in range(draw(st.integers(0, 9))):
         kind = draw(st.sampled_from(kinds))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(("", " ", "  "))))
+            lines.append("" if clean else draw(st.sampled_from(("", " ", "  "))))
             continue
         count = draw(st.integers(0, dim + 1)) if kind == "count" else dim
         fields = [draw(good_field) for _ in range(count)]
         if kind == "bad":
             fields[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(BAD_FIELDS))
         lines.append(" ".join([draw(st.sampled_from(WORDS))] + fields))
-    ends = [draw(st.sampled_from(("\n", "\r\n", " \n", " \r\n")))
-            for _ in lines]
+    endings = ("\n", "\r\n") if clean else ("\n", "\r\n", " \n", " \r\n")
+    ends = [draw(st.sampled_from(endings)) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, ends))
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")              # no newline at the end
@@ -365,6 +374,189 @@ def test_saver_writes_the_oracles_bytes(tmp_path_factory, matrix, chunk):
     with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
         save_text_embeddings(space, tmp / "new.txt")
     assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
+
+
+def companion(path):
+    return path.with_name(path.name + ".clembed.npz")
+
+
+@contextmanager
+def counting_parses():
+    """The row counts of each numpy parse made inside the block."""
+    counts = []
+    parse_rows = embeddings._parse_rows
+
+    def counting_parse_rows(values):
+        counts.append(len(values))
+        return parse_rows(values)
+
+    with mock.patch.object(embeddings, "_parse_rows", counting_parse_rows):
+        yield counts
+
+
+def oracle_outcome(path, needed=None, max_vocab=None):
+    if needed is None:
+        return load_outcome(oracle_load_text_embeddings, path,
+                            max_vocab=max_vocab)
+    return filtered_oracle_outcome(path, needed, max_vocab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(embedding_files(), embedding_files(clean=True)),
+       chunk=st.sampled_from((2, 3, 4096)),
+       max_vocab=st.one_of(st.none(), st.integers(1, 6)), data=st.data())
+def test_loads_after_a_whole_load_are_served_from_its_companion(
+        tmp_path_factory, text, chunk, max_vocab, data):
+    """A whole load that returns a space writes a companion, and one that
+    raises writes none. Every later load, with any `max_vocab` or `needed`,
+    gives the oracle's outcome, warnings included; with a companion it
+    parses no value."""
+    path = tmp_path_factory.mktemp("served") / "vec.txt"
+    needed = None
+    with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+        whole = assert_loads_like_oracle(path, text)
+        assert companion(path).exists() == (whole[0] == "loaded")
+        if data.draw(st.booleans()):
+            tokens = distinct_tokens(path)
+            needed = data.draw(st.sets(st.sampled_from(tokens)) if tokens
+                               else st.just(set()))
+            if data.draw(st.booleans()):
+                needed.add("absent")
+        with counting_parses() as counts:
+            got = load_outcome(load_text_embeddings, path, needed=needed,
+                               max_vocab=max_vocab)
+    assert got == oracle_outcome(path, needed, max_vocab)
+    if whole[0] == "loaded":
+        assert counts == []
+
+
+def clean_file(n_rows=8, dim=3):
+    """A headered file every load accepts, with w1 repeated on line 5."""
+    lines = [" ".join([f"w{i}"] + [f"{i}.{j}5" for j in range(dim)])
+             for i in range(n_rows)]
+    lines.insert(3, "w1 " + " ".join(["9"] * dim))
+    return f"{len(lines)} {dim}\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    (dict(needed={"w0", "w2"}), clean_file()),
+    (dict(needed={"absent"}), clean_file()),        # reads the whole file
+    (dict(max_vocab=3), clean_file()),              # stops early
+    (dict(max_vocab=8), clean_file()),              # stops at the last line
+    (dict(), clean_file() + "bad 1 2\n"),           # raises
+    (dict(max_vocab=20), "a 1 2\nb 1 x\n"),         # raises
+    (dict(), "a 1 2\nb 1e999 2\n"),                 # a non-finite matrix
+])
+def test_no_companion_after_a_partial_or_failed_load(tmp_path, kwargs, text):
+    path = tmp_path / "vec.txt"
+    write_raw(path, text)
+    assert load_outcome(load_text_embeddings, path, **kwargs) == \
+        oracle_outcome(path, **kwargs)
+    assert [p.name for p in tmp_path.iterdir()
+            if not p.name.endswith(".oracle")] == ["vec.txt"]
+
+
+def test_a_load_short_of_max_vocab_writes_the_companion(tmp_path):
+    """It is written as readable as its file."""
+    path = tmp_path / "vec.txt"
+    write_raw(path, clean_file())
+    path.chmod(0o640)
+    assert_loads_like_oracle(path, clean_file(), max_vocab=9)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["vec.txt", "vec.txt.clembed.npz"]
+    assert companion(path).stat().st_mode & 0o777 == 0o640
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path) == oracle_outcome(path)
+    assert counts == []
+
+
+def test_a_relative_paths_companion_is_written_beside_it(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_raw(tmp_path / "vec.txt", clean_file())
+    want = load_outcome(oracle_load_text_embeddings, "vec.txt")
+    assert load_outcome(load_text_embeddings, "vec.txt") == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["vec.txt", "vec.txt.clembed.npz"]
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, "vec.txt") == want
+    assert counts == []
+
+
+def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_again(tmp_path):
+    """The companion is checked against the file's bytes, not against its
+    size and modification time."""
+    path = tmp_path / "vec.txt"
+    first = assert_loads_like_oracle(path, clean_file())
+    before = os.stat(path)
+    write_raw(path, clean_file().replace("w2 2.05", "w2 7.05"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == \
+        (before.st_size, before.st_mtime_ns)
+    with counting_parses() as counts:
+        got = load_outcome(load_text_embeddings, path)
+    assert got == oracle_outcome(path) and got != first
+    assert counts != []
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path) == got
+    assert counts == []                         # from the rewritten companion
+
+
+def with_member(name, change):
+    """A spoiler that rewrites a companion with its member `name` changed."""
+    def spoil(data):
+        with np.load(io.BytesIO(data)) as stored:
+            members = dict(stored)
+        members[name] = change(members[name])
+        out = io.BytesIO()
+        np.savez(out, **members)
+        return out.getvalue()
+    return spoil
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda data: data[:len(data) // 2], lambda data: b"garbage", lambda data: b"",
+    lambda data: data.replace(b"w1", b"w9"),
+    with_member("version", lambda v: v + 1),
+    with_member("size", lambda v: v + 1),
+    with_member("sha256", lambda d: d[::-1]),
+    with_member("matrix", lambda m: m[:-1]),
+    with_member("matrix", lambda m: m.astype(np.float32))])
+def test_a_spoiled_companion_is_ignored_and_replaced(tmp_path, spoil):
+    path = tmp_path / "vec.txt"
+    want = assert_loads_like_oracle(path, clean_file())
+    good = companion(path).read_bytes()
+    companion(path).write_bytes(spoil(good))
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path) == want
+    assert counts != [] and companion(path).read_bytes() == good
+
+
+def test_a_companion_with_a_byte_changed_never_changes_a_load(tmp_path):
+    """A companion is checked by its zip CRCs, its shapes and the text's
+    digest; whatever one changed byte breaks, the load is the text's."""
+    path = tmp_path / "vec.txt"
+    want = assert_loads_like_oracle(path, clean_file())
+    good = companion(path).read_bytes()
+    for at in np.random.default_rng(0).choice(len(good), 300, replace=False):
+        spoiled = bytearray(good)
+        spoiled[at] ^= 0x5A
+        companion(path).write_bytes(bytes(spoiled))
+        assert load_outcome(load_text_embeddings, path) == want
+
+
+@pytest.mark.parametrize("failing", ["tempfile.mkstemp", "os.fchmod",
+                                     "numpy.savez", "os.replace"])
+def test_a_companion_that_cannot_be_written_changes_nothing(tmp_path, failing):
+    path = tmp_path / "vec.txt"
+    write_raw(path, clean_file())
+    want = oracle_outcome(path)
+    with mock.patch(failing, side_effect=OSError("disk full")):
+        assert load_outcome(load_text_embeddings, path) == want
+    assert [p.name for p in tmp_path.iterdir()
+            if not p.name.endswith(".oracle")] == ["vec.txt"]
+    assert load_outcome(load_text_embeddings, path) == want
 
 
 def trec_run(n_queries, n_docs):

@@ -25,9 +25,7 @@ SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))
            *sorted((ROOT / "bench").glob("*.py"))]
 
 # name -> why it may stay unreached
-ALLOWED = {
-    "vecmap_postprocess": "ROADMAP item 7: VecMap's post-processing preset "
-                          "stays until `align --method vecmap` runs it"}
+ALLOWED: dict[str, str] = {}
 
 
 def used_names(node) -> Counter:

@@ -7,13 +7,11 @@ import pytest
 from clembed import unsupervised
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import bli_evaluate
-from clembed.lexicon import build_aligned_matrices, make_lexicon
-from clembed.linalg import pca_project, svd, zca_whitening_matrix
-from clembed.supervised import align_proc
+from clembed.lexicon import make_lexicon
+from clembed.linalg import pca_project
 from clembed.unsupervised import (IcpConfig, SelfLearnConfig, align_gwa,
                                   align_icp, gromov_wasserstein_plan, icp_loss,
-                                  icp_restart, self_learn, vecmap_postprocess,
-                                  vecmap_seed)
+                                  icp_restart, self_learn, vecmap_seed)
 from conftest import random_rotation, words_for
 
 
@@ -113,40 +111,6 @@ class TestRankDeficiencyWarning:
         _, caught = rank_warnings(align_icp, flattened(src), flattened(tgt),
                                   cfg)
         assert len(caught) == 1
-
-
-class TestPostprocess:
-    def test_preset_equals_its_steps_applied_one_at_a_time(self, noisy_pair):
-        """The composed maps equal whitening, the SVD rotation, re-weighting
-        by s^0.5 and de-whitening, each applied to the aligned matrices in
-        turn."""
-        aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
-                                         noisy_pair.tgt)
-        pair = align_proc(aligned)
-        post = vecmap_postprocess(pair, aligned)
-        w1, w2 = (zca_whitening_matrix(x - x.mean(axis=0))
-                  for x in (aligned.x_src, aligned.x_tgt))
-        xs, xt = aligned.x_src @ w1, aligned.x_tgt @ w2  # whiten
-        u, s, vt = svd(xs.T @ xt)
-        xs, xt = xs @ u, xt @ vt.T  # rotate into the shared frame
-        xs, xt = xs * np.sqrt(s), xt * np.sqrt(s)  # re-weight
-        xs = xs @ u.T @ np.linalg.inv(w1) @ u  # de-whiten
-        xt = xt @ vt @ np.linalg.inv(w2) @ vt.T
-        assert np.allclose(aligned.x_src @ post.w_src, xs, rtol=1e-9, atol=1e-12)
-        assert np.allclose(aligned.x_tgt @ post.w_tgt, xt, rtol=1e-9, atol=1e-12)
-        assert (post.method, post.orthogonal_src, post.metadata) == \
-            ("proc+post", False, pair.metadata)
-
-    def test_full_chain_stays_near_base_quality(self, noisy_pair):
-        aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
-                                         noisy_pair.tgt)
-        pair = align_proc(aligned)
-        post = vecmap_postprocess(pair, aligned)
-        base = bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt,
-                            noisy_pair.test_lex).map_score
-        alt = bli_evaluate(post, noisy_pair.src, noisy_pair.tgt,
-                           noisy_pair.test_lex).map_score
-        assert abs(alt - base) <= 0.05
 
 
 class TestIcp:
