@@ -6,11 +6,14 @@ spaces, UTF-8, LF). Both headered and headerless files are accepted on
 read; the header is always written on save. Values are read with numpy's
 float syntax. A malformed file is a ValueError `<path>: [line N: ]<problem>`.
 
-A load that parses a whole file and accepts it keeps a binary companion
-beside it, `<path>.clembed.npz`: the size and SHA-256 of the bytes parsed,
-and every non-empty line's token and values. Later loads of the same bytes
-are served from it without parsing (see `load_text_embeddings`). It is a
-cache that the text parser alone fills, so it is safe to delete.
+A save, and a load that parses a whole file and accepts it, keep a binary
+companion beside the file, `<path>.clembed.npz`: every non-empty line's
+token, and for each chunk of `_CHUNK_LINES` lines its rows and the size
+and SHA-256 of the file's bytes through it. A later load is served from it
+without parsing when the bytes it would read are unchanged (see
+`load_text_embeddings`). A save stores the values the loader's own parser
+reads from the text it writes, so a companion always holds what a parse
+gives; it is a cache, safe to delete.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import re
 import tempfile
 import warnings
+import zipfile
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -38,9 +42,15 @@ _CHUNK_LINES = 4096
 _DIGITS = 6  # significant digits of each value a save writes
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-# A whole-file load's binary companion is `<path>` + _COMPANION_SUFFIX
+# A file's binary companion is `<path>` + _COMPANION_SUFFIX
 _COMPANION_SUFFIX = ".clembed.npz"
-_COMPANION_VERSION = 1
+_COMPANION_VERSION = 2
+# Bytes per read of stored rows: zipfile copies and checks each piece while
+# it is still in cache
+_READ_BYTES = 1 << 18
+# the time stamp of every companion member, so that its bytes depend on its
+# contents alone
+_MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 @contextmanager
@@ -137,36 +147,46 @@ def load_text_embeddings(path: str | os.PathLike, max_vocab: int | None = None,
 
     A load without `needed` that reads the file to its end (`max_vocab`
     absent or not reached) and returns a space writes the file's binary
-    companion, `<path>.clembed.npz`: the size and SHA-256 of the bytes it
-    read, and the token and values of every non-empty line. Any later load
-    of the file, whatever its `max_vocab` or `needed`, whose bytes still
-    have that size and digest, is served from the companion without
-    parsing, by the same keep, stop and duplicate rule, so it returns what
-    the text would give. A companion that is missing, unreadable, corrupt
-    or stale is ignored, and the text load that follows rewrites it. A
-    companion that cannot be written is not written.
+    companion, `<path>.clembed.npz`, as `save_text_embeddings` does: the
+    token of every non-empty line, and per chunk its rows and the size and
+    SHA-256 of the bytes read through it. A later load, whatever its
+    `max_vocab` or `needed`, first finds its stop among the stored tokens
+    by the same keep, stop and duplicate rule. If the file's first bytes,
+    through those stored for the chunk that holds the stop, still have that
+    digest (for a load that reads to the end of the file: if the whole file
+    still has the last chunk's size and digest), the load is served from
+    the companion without parsing, and reads only the rows of chunks that
+    hold a kept word. Bytes after that prefix are never read, by the text
+    parse either, so the load returns what the text would give. A companion
+    that is missing, unreadable, corrupt or stale is ignored, and the next
+    whole text load rewrites it. A companion that cannot be written is not
+    written.
     """
     if max_vocab is not None and max_vocab <= 0:
         raise ValueError("max_vocab must be positive")
-    select = _Selection(max_vocab, needed)
-    stored = _read_companion(path)
-    if stored is None:
-        tokens, rows, kept, digest = _parse_text(path, select)
+    # `needed` may be an iterator, read once for both the companion and the text
+    wanted = None if needed is None else set(needed)
+    select = _Selection(max_vocab, wanted)
+    served = _read_companion(path, select)
+    chunks = None
+    if served is None:
+        select = _Selection(max_vocab, wanted)
+        tokens, rows, kept, chunks = _parse_text(path, select)
+        words = tuple([tokens[i] for i in kept])
+        matrix = rows if len(kept) == len(rows) else rows[kept]
     else:
-        tokens, rows = stored
-        kept, digest = [], None
-        for i, token in enumerate(tokens):
-            if select.take(token):
-                kept.append(i)
-            if select.full:
-                break
+        words, matrix = served
     if select.duplicates:
         warnings.warn(f"{path}: dropped {select.duplicates} duplicate tokens "
                       "(kept first occurrences)", stacklevel=2)
-    space = WordVectorSpace(words=tuple([tokens[i] for i in kept]),
-                            matrix=rows if len(kept) == len(rows) else rows[kept])
-    if digest is not None:
-        _write_companion(path, digest, tokens, rows)
+    space = WordVectorSpace(words=words, matrix=matrix)
+    if chunks is not None:
+        with _CompanionWriter(path) as companion:
+            start = 0
+            for end, size, sha256 in chunks:
+                companion.add(rows[start:end], size, sha256)
+                start = end
+            companion.commit(tokens)
     return space
 
 
@@ -198,11 +218,14 @@ class _Selection:
 def _parse_text(path: str | os.PathLike, select: _Selection):
     """Parse `path` up to `select`'s stop: the token and values of each line
     parsed (without `needed`, of every non-empty line), the positions of the
-    kept ones among them, and, when the whole file was parsed, the
-    (size, SHA-256) of its bytes, else None."""
+    kept ones among them, and, when the whole file was parsed, one
+    (rows, size, SHA-256) per chunk: the rows parsed and the bytes read
+    through it, and the digest of those bytes; else None. The last line
+    of the last chunk ends the file, so all its bytes had been read."""
     tokens: list[str] = []
     blocks: list[np.ndarray] = []
     kept: list[int] = []
+    chunks: list[tuple[int, int, bytes]] = []
     dim: int | None = None
     # only a load without `needed` can write a companion, so only it hashes
     raw = _DigestingFile(path) if select.wanted is None else io.FileIO(path)
@@ -269,11 +292,15 @@ def _parse_text(path: str | os.PathLike, select: _Selection):
                 blocks.append(_parse_values(values, linenos, path))
             if error is not None:
                 raise error
+            if select.wanted is None and raw.digest is not None:
+                # the chunk's lines were read, so these bytes (and any read
+                # ahead of them) fix them
+                chunks.append((len(tokens), raw.size, raw.digest.copy().digest()))
     if dim is None:
         raise ValueError(f"{path}: no embeddings found in file")
     rows = np.concatenate(blocks) if blocks else np.empty((0, dim))
     whole = select.wanted is None and not select.full and raw.digest is not None
-    return tokens, rows, kept, ((raw.size, raw.digest.digest()) if whole else None)
+    return tokens, rows, kept, (chunks if whole else None)
 
 
 class _DigestingFile(io.FileIO):
@@ -306,62 +333,169 @@ def _companion_path(path: str | os.PathLike) -> str:
     return os.fspath(path) + _COMPANION_SUFFIX
 
 
-def _read_companion(path: str | os.PathLike):
-    """(tokens, rows) from `path`'s companion if it holds the parse of the
-    file's current bytes, else None."""
+def _read_companion(path: str | os.PathLike, select: _Selection):
+    """The words and matrix of `select`'s load of `path`, from its companion
+    if that holds the parse of every byte the load reads, else None.
+    `select` is fed the stored tokens up to its stop."""
     try:
         with open(_companion_path(path), "rb") as fh, \
                 np.load(fh, allow_pickle=False) as stored:
-            if (int(stored["version"]) != _COMPANION_VERSION
-                    or int(stored["size"]) != os.stat(path).st_size
-                    or stored["sha256"].tobytes() != _file_sha256(path)):
+            if int(stored["version"]) != _COMPANION_VERSION:
                 return None
             tokens = stored["tokens"].tobytes().decode("utf-8").split("\n")
-            rows = stored["matrix"]
+            ends, sizes = stored["chunk_rows"], stored["chunk_bytes"]
+            digests = stored["chunk_sha256"]
+            if (ends.ndim != 1 or len(ends) == 0 or ends[-1] != len(tokens)
+                    or sizes.shape != ends.shape
+                    or digests.shape != (len(ends), 32)):
+                return None
+            kept, stop = [], len(tokens)
+            for i, token in enumerate(tokens):
+                if select.take(token):
+                    kept.append(i)
+                if select.full:
+                    stop = i + 1
+                    break
+            # the chunk that holds the stop; with none, the whole file is read
+            last = int(np.searchsorted(ends, stop)) if select.full else len(ends) - 1
+            if last == len(ends) - 1 and os.stat(path).st_size != sizes[last]:
+                return None
+            if _prefix_sha256(path, int(sizes[last])) != digests[last].tobytes():
+                return None
+            matrix = _stored_rows(stored.zip, ends[:last + 1],
+                                  np.array(kept, dtype=np.intp))
     except Exception:
         # a damaged zip or array fails in many ways (BadZipFile, KeyError,
         # EOFError, NotImplementedError, RuntimeError, ...); each one means
         # the text is parsed instead
         return None
-    if rows.dtype != np.float64 or rows.ndim != 2 or len(rows) != len(tokens):
-        return None
-    return tokens, rows
+    return tuple([tokens[i] for i in kept]), matrix
 
 
-def _file_sha256(path: str | os.PathLike) -> bytes:
+def _prefix_sha256(path: str | os.PathLike, size: int) -> bytes | None:
+    """The SHA-256 of the first `size` bytes of `path`; None if it is shorter."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
+        while size > 0:
+            if not (block := fh.read(min(size, 1 << 20))):
+                return None
             digest.update(block)
+            size -= len(block)
     return digest.digest()
 
 
-def _write_companion(path: str | os.PathLike, digest: tuple[int, bytes],
-                     tokens: list[str], rows: np.ndarray) -> None:
-    """Write `path`'s companion through a temporary file in its directory;
-    on an OSError, write none and leave no temporary file. A token holds no
-    line break, so the tokens are stored joined by one."""
-    target = _companion_path(path)
-    directory, name = os.path.split(target)
-    try:
-        fd, temporary = tempfile.mkstemp(prefix=name + ".", suffix=".tmp",
-                                         dir=directory or os.curdir)
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
+def _stored_rows(archive: zipfile.ZipFile, ends: np.ndarray,
+                 kept: np.ndarray) -> np.ndarray:
+    """The stored rows at the sorted positions `kept`, from the chunks whose
+    rows end at `ends`. Only chunks that hold a kept row are read (with none
+    kept, the first, for the width), each in full, so that zipfile checks
+    its CRC."""
+    matrix = None
+    start = 0
+    for j, end in enumerate(ends):
+        first, last = np.searchsorted(kept, (start, end))
+        if first < last or (j == 0 and not len(kept)):
+            with archive.open(f"rows{j}.npy") as member:
+                if np.lib.format.read_magic(member) != (1, 0):
+                    raise ValueError("unknown npy version")
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+                if matrix is None:
+                    matrix = np.empty((len(kept), shape[-1]))
+                if (fortran or dtype != np.float64
+                        or shape != (end - start, matrix.shape[1])):
+                    raise ValueError("stored rows of the wrong shape")
+                whole = last - first == end - start
+                block = matrix[first:last] if whole else np.empty(shape)
+                data = block.reshape(-1).view(np.uint8)
+                for at in range(0, len(data), _READ_BYTES):
+                    piece = data[at:at + _READ_BYTES]
+                    if member.readinto(piece) != len(piece):
+                        raise ValueError("stored rows cut short")
+                if member.read(1):
+                    raise ValueError("stored rows run on")
+            if not whole:
+                matrix[first:last] = block[kept[first:last] - start]
+        start = end
+    return matrix
+
+
+class _CompanionWriter:
+    """Writes `path`'s companion chunk by chunk into a temporary file in its
+    directory, which `commit` moves into place with the permission bits of
+    `path`. An OSError at any step, or leaving the `with` block without a
+    commit, abandons it: no companion is written and no temporary file is
+    left."""
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = path
+        self.chunks: list[tuple[int, int, bytes]] = []
+        self.archive = None
+        directory, name = os.path.split(_companion_path(path))
+        try:
+            fd, self.temporary = tempfile.mkstemp(prefix=name + ".", suffix=".tmp",
+                                                  dir=directory or os.curdir)
+        except OSError:
+            return
+        self.file = os.fdopen(fd, "wb")
+        self.archive = zipfile.ZipFile(self.file, "w")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.abandon()
+
+    def _member(self, name: str, array: np.ndarray) -> None:
+        info = zipfile.ZipInfo(name + ".npy", date_time=_MEMBER_TIME)
+        with self.archive.open(info, "w", force_zip64=True) as member:
+            np.lib.format.write_array(member, array, allow_pickle=False)
+
+    def add(self, rows: np.ndarray, size: int, sha256: bytes) -> None:
+        """Store the next chunk: its float64 rows, and the size and SHA-256
+        of the text's bytes through it."""
+        if self.archive is None:
+            return
+        try:
+            self._member(f"rows{len(self.chunks)}", rows)
+        except OSError:
+            self.abandon()
+            return
+        through = len(rows) + (self.chunks[-1][0] if self.chunks else 0)
+        self.chunks.append((through, size, sha256))
+
+    def commit(self, tokens: Sequence[str]) -> None:
+        """Store the tokens of the rows added, and move the file into place.
+        A token holds no line break, so the tokens are stored joined by one."""
+        if self.archive is None:
+            return
+        ends, sizes, digests = zip(*self.chunks)
+        try:
+            self._member("version", np.int64(_COMPANION_VERSION))
+            self._member("tokens", np.frombuffer("\n".join(tokens).encode("utf-8"),
+                                                 dtype=np.uint8))
+            self._member("chunk_rows", np.array(ends, dtype=np.int64))
+            self._member("chunk_bytes", np.array(sizes, dtype=np.int64))
+            self._member("chunk_sha256", np.frombuffer(b"".join(digests),
+                                                       dtype=np.uint8).reshape(-1, 32))
+            self.archive.close()
             # as readable as the text file, not only by its writer
-            os.fchmod(fh.fileno(), os.stat(path).st_mode & 0o666)
-            size, sha256 = digest
-            np.savez(fh, version=np.int64(_COMPANION_VERSION), size=np.int64(size),
-                     sha256=np.frombuffer(sha256, dtype=np.uint8),
-                     tokens=np.frombuffer("\n".join(tokens).encode("utf-8"),
-                                          dtype=np.uint8),
-                     matrix=rows)
-        os.replace(temporary, target)
-    except OSError:
+            os.fchmod(self.file.fileno(), os.stat(self.path).st_mode & 0o666)
+            self.file.close()
+            os.replace(self.temporary, _companion_path(self.path))
+        except OSError:
+            self.abandon()
+        self.archive = None
+
+    def abandon(self) -> None:
+        if self.archive is None:
+            return
         with suppress(OSError):
-            os.remove(temporary)
+            self.archive.close()
+        with suppress(OSError):
+            self.file.close()
+        with suppress(OSError):
+            os.remove(self.temporary)
+        self.archive = None
 
 
 def _parse_values(values: list[str], linenos: list[int],
@@ -386,13 +520,21 @@ def _parse_rows(values: list[str]) -> np.ndarray:
 
 def save_text_embeddings(space: WordVectorSpace,
                          path: str | os.PathLike) -> None:
-    """Write the space back out with a header line and 6 significant digits.
+    """Write the space back out with a header line and 6 significant digits,
+    and write its companion, `<path>.clembed.npz`.
 
     Each value is written as `%.6g` (`_DIGITS` = 6), byte for byte what
     `f"{v:.6g}"` gives, from one row format applied to `_CHUNK_LINES` rows
     per write. Round-trips through `load_text_embeddings` to within 6
     significant digits. A word holding a space or a line break, which the
     format cannot hold, is a ValueError before the file is opened.
+
+    The companion is the one a whole load of the file would write, with the
+    size and SHA-256 of the bytes written through each chunk. Its values
+    are those the loader's parser reads from the value text written, so a
+    load served from it returns what a parse of the file returns. One
+    chunk's values are held at a time. A companion that cannot be written
+    is not written; the text file is written all the same.
     """
     if len(space) == 0:
         raise ValueError("refusing to save an empty space")
@@ -400,14 +542,24 @@ def save_text_embeddings(space: WordVectorSpace,
         if " " in word or "\n" in word or "\r" in word:
             raise ValueError(f"word {word!r} holds a space or a line break; "
                              "the text format cannot hold it")
-    row_format = "%s " + " ".join([f"%.{_DIGITS}g"] * space.dim) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(space)} {space.dim}\n")
-        for start in range(0, len(space), _CHUNK_LINES):
-            stop = start + _CHUNK_LINES
-            rows = space.matrix[start:stop].tolist()
-            fh.write("".join([row_format % (word, *row) for word, row
-                              in zip(space.words[start:stop], rows)]))
+    row_format = " ".join([f"%.{_DIGITS}g"] * space.dim)
+    digest = hashlib.sha256()
+    with _CompanionWriter(path) as companion:
+        with open(path, "wb") as fh:
+            data = f"{len(space)} {space.dim}\n".encode("utf-8")
+            for start in range(0, len(space), _CHUNK_LINES):
+                stop = start + _CHUNK_LINES
+                values = [row_format % tuple(row)
+                          for row in space.matrix[start:stop].tolist()]
+                data += "".join([f"{word} {text}\n" for word, text
+                                 in zip(space.words[start:stop], values)]
+                                ).encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+                companion.add(_parse_rows(values), fh.tell(),
+                              digest.copy().digest())
+                data = b""
+        companion.commit(space.words)
 
 
 def _apply_step(matrix: np.ndarray, step: str) -> np.ndarray:

@@ -96,12 +96,15 @@ def load_matrix_text(path: str | os.PathLike) -> np.ndarray:
 def write_staged(outdir: str | os.PathLike, writers: dict) -> None:
     """Write files into `outdir`, all of them or none: each writer(path) fills
     a file in a temporary directory there, and only once every writer has
-    returned are the files renamed into place, in the given order."""
+    returned are the files renamed into place, in the given order. A file a
+    writer leaves beside its own, such as the companion of an embedding
+    file, is renamed into place first."""
     os.makedirs(outdir, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=outdir, prefix=".tmp-") as staging:
         for name, write in writers.items():
             write(os.path.join(staging, name))
-        for name in writers:
+        extras = sorted(set(os.listdir(staging)) - writers.keys())
+        for name in [*extras, *writers]:
             os.replace(os.path.join(staging, name), os.path.join(outdir, name))
 
 

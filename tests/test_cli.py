@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from conftest import RotatedPair
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Embedding files plus a train/test dictionary for a small noisy pair."""
+    """Embedding files plus a train/test dictionary for a small noisy pair.
+    The saves leave each embedding file's companion, so loads of these
+    files are served from it; a test of the text path loads a copy."""
     root = tmp_path_factory.mktemp("cli")
     pair = RotatedPair(sigma=0.05, n=200, d=10, train=150, seed=21)
     save_text_embeddings(pair.src, root / "src.vec")
@@ -247,28 +250,40 @@ def test_eval_clir_reads_only_the_collections_words(collection, tmp_path,
     assert not (tmp_path / "bad-count").exists()
 
 
+def companion_free(argv, tmp_path):
+    """`argv` with its embedding files copied, without their companions, to
+    `tmp_path`/query.vec and doc.vec."""
+    argv = list(argv)
+    for flag, name in (("--query-emb", "query.vec"), ("--doc-emb", "doc.vec")):
+        at = argv.index(flag) + 1
+        argv[at] = shutil.copy(argv[at], tmp_path / name)
+    return argv
+
+
+def counting_parses(monkeypatch):
+    """The row count of each numpy parse of embedding values from now on."""
+    parsed = []
+    parse_rows = embeddings._parse_rows
+
+    def counting_parse_rows(values):
+        parsed.append(len(values))
+        return parse_rows(values)
+
+    monkeypatch.setattr(embeddings, "_parse_rows", counting_parse_rows)
+    return parsed
+
+
 def test_eval_clir_parses_just_the_collections_words(collection, tmp_path,
                                                      monkeypatch):
     """Each load parses the rows of its side's distinct in-vocabulary
     collection words and no other. The loads read copies of the embedding
     files, which have no companion yet; once a whole load of each has
     written one, the same command parses no row and writes the same files."""
-    argv = list(collection)
-    copies = [tmp_path / "query.vec", tmp_path / "doc.vec"]
-    for flag, copy in zip(("--query-emb", "--doc-emb"), copies):
-        at = argv.index(flag) + 1
-        shutil.copy(argv[at], copy)
-        argv[at] = copy
-    parsed = []
-
-    def counting_parse_rows(values):
-        parsed.append(len(values))
-        return parse_rows(values)
-
+    argv = companion_free(collection, tmp_path)
+    copies = [argv[argv.index(flag) + 1] for flag in ("--query-emb", "--doc-emb")]
     vocab = set(load_text_embeddings(shutil.copy(
         copies[0], tmp_path / "vocab.vec")).words)    # the words of both files
-    parse_rows = embeddings._parse_rows
-    monkeypatch.setattr(embeddings, "_parse_rows", counting_parse_rows)
+    parsed = counting_parses(monkeypatch)
     assert run(*argv, "--outdir", tmp_path / "parsed") == 0
     used = []
     for flag in ("--queries", "--docs"):
@@ -288,7 +303,7 @@ def test_eval_clir_out_of_vocabulary_queries(collection, tmp_path,
                                              monkeypatch):
     """A query side with no word in its file loads as an empty space and
     writes what a whole-file load writes: every query is an empty query."""
-    argv = list(collection)
+    argv = companion_free(collection, tmp_path)
     queries = tmp_path / "queries.tsv"
     queries.write_text("".join(f"q{i}\tzzz yyy\n" for i in range(6)))
     argv[argv.index("--queries") + 1] = queries
@@ -361,6 +376,67 @@ def test_preprocess_unsavable_word_leaves_no_file(workspace, tmp_path,
 ALIGN_FLAGS = ("--iters", "--search-cap", "--csls-n", "--learning-rate",
                "--epochs", "--pca-dim", "--restarts", "--gw-lambda",
                "--keep-dims", "--max-vocab")
+
+
+def test_commands_after_preprocess_parse_no_row(workspace, collection,
+                                                tmp_path, monkeypatch):
+    """`preprocess` leaves its output and that file's companion, and no
+    staging directory. `align`, cosine and CSLS `eval-bli` and `eval-clir`
+    on that output and the workspace's tgt.vec then parse no row (the CSLS
+    load stops in the third of four 64-line chunks), and write the files
+    they write from copies of both with no companion, each run with none."""
+    monkeypatch.setattr(embeddings, "_CHUNK_LINES", 64)
+    norm = tmp_path / "out" / "norm.vec"
+    assert run("preprocess", "--input", workspace / "src.vec", "--output", norm,
+               "--steps", "unit-length,mean-center") == 0
+    assert sorted(os.listdir(norm.parent)) == ["norm.vec", "norm.vec.clembed.npz"]
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    shutil.copy(norm, plain / "src.vec")
+    shutil.copy(workspace / "tgt.vec", plain / "tgt.vec")
+
+    def commands(src, tgt, out):
+        spaces = ["--src-emb", src, "--tgt-emb", tgt]
+        clir = list(collection)
+        for flag, value in (("--proj", out / "proj"), ("--query-emb", src),
+                            ("--doc-emb", tgt)):
+            clir[clir.index(flag) + 1] = value
+        bli = ["eval-bli", "--proj", out / "proj", *spaces,
+               "--test-dict", workspace / "test.txt"]
+        return {"proj": ["align", "--method", "proc", *spaces, "--dict",
+                         workspace / "train.txt", "--outdir", out / "proj"],
+                "cosine": [*bli, "--outdir", out / "cosine"],
+                "csls": [*bli, "--metric", "csls", "--max-vocab", "180",
+                         "--outdir", out / "csls"],
+                "clir": [*clir, "--outdir", out / "clir"]}
+
+    parsed = counting_parses(monkeypatch)
+    for argv in commands(plain / "src.vec", plain / "tgt.vec",
+                         tmp_path / "parsed").values():
+        for path in plain.glob("*.clembed.npz"):
+            path.unlink()
+        assert run(*argv) == 0
+        assert parsed != []
+        parsed.clear()
+    for name, argv in commands(norm, workspace / "tgt.vec",
+                               tmp_path / "served").items():
+        assert run(*argv) == 0
+        assert parsed == []
+        assert outputs(tmp_path / "served" / name) == \
+            outputs(tmp_path / "parsed" / name)
+
+
+def test_preprocess_writes_its_output_when_its_companion_cannot_be(
+        workspace, tmp_path, monkeypatch):
+    norm = tmp_path / "out" / "norm.vec"
+    monkeypatch.setattr(np.lib.format, "write_array",
+                        mock.Mock(side_effect=OSError("disk full")))
+    assert run("preprocess", "--input", workspace / "src.vec", "--output", norm,
+               "--steps", "unit-length") == 0
+    assert os.listdir(norm.parent) == ["norm.vec"]
+    monkeypatch.undo()
+    assert np.allclose(np.linalg.norm(load_text_embeddings(norm).matrix, axis=1),
+                       1.0, atol=1e-5)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

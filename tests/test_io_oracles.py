@@ -17,15 +17,16 @@ float syntax. Spellings that only Python's `float` reads (`1_0`, non-ASCII
 digits) are "unparseable float", and numbers padded with the control
 characters \\x1c-\\x1f are read. The generated files use neither.
 
-A whole-file load writes a binary companion next to its file, and later
-loads of the same bytes are served from it: they must give the oracle's
-outcome too, without parsing a value.
+A whole-file load, and a save, write a binary companion next to the file,
+and later loads that read unchanged bytes are served from it: they must
+give the oracle's outcome too, without parsing a value.
 """
 
 import io
 import os
 import re
 import warnings
+import zipfile
 from contextlib import contextmanager
 from unittest import mock
 
@@ -380,6 +381,37 @@ def companion(path):
     return path.with_name(path.name + ".clembed.npz")
 
 
+# any token a saved file can hold: no space, no line break
+savable_word = st.text(st.characters(blacklist_characters=" \n\r",
+                                     blacklist_categories=("Cs",)), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=st.integers(1, 5).flatmap(lambda d: arrays(
+           np.float64, st.tuples(st.integers(1, 7), st.just(d)), elements=value)),
+       chunk=st.sampled_from((2, 3, 4096)), data=st.data())
+def test_a_saved_files_companion_serves_its_loads(tmp_path_factory, matrix,
+                                                  chunk, data):
+    """A save writes the companion of the text it writes: every whole,
+    `max_vocab` and `needed` load of the saved file is then served without
+    a parse, with the oracle's outcome for that text."""
+    words = data.draw(st.lists(savable_word, min_size=len(matrix),
+                               max_size=len(matrix), unique=True))
+    path = tmp_path_factory.mktemp("saved") / "vec.txt"
+    with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+        save_text_embeddings(WordVectorSpace(tuple(words), matrix), path)
+    max_vocab = data.draw(st.integers(1, len(words) + 1))
+    needed = data.draw(st.sets(st.sampled_from([*words, "absent"])))
+    for kwargs in (dict(), dict(max_vocab=max_vocab), dict(needed=needed),
+                   dict(needed=needed, max_vocab=max_vocab)):
+        with counting_parses() as counts:
+            got = load_outcome(load_text_embeddings, path, **kwargs)
+        assert counts == []
+        assert got == oracle_outcome(path, **kwargs)
+
+
+
+
 @contextmanager
 def counting_parses():
     """The row counts of each numpy parse made inside the block."""
@@ -515,39 +547,159 @@ def with_member(name, change):
     return spoil
 
 
+def at_last(change):
+    """A change to the last entry (row) of a companion's chunk array."""
+    def change_last(array):
+        array = array.copy()
+        array[-1] = change(array[-1])
+        return array
+    return change_last
+
+
 @pytest.mark.parametrize("spoil", [
     lambda data: data[:len(data) // 2], lambda data: b"garbage", lambda data: b"",
     lambda data: data.replace(b"w1", b"w9"),
     with_member("version", lambda v: v + 1),
-    with_member("size", lambda v: v + 1),
-    with_member("sha256", lambda d: d[::-1]),
-    with_member("matrix", lambda m: m[:-1]),
-    with_member("matrix", lambda m: m.astype(np.float32))])
+    with_member("chunk_bytes", at_last(lambda size: size + 1)),
+    with_member("chunk_sha256", at_last(lambda digest: digest ^ 1)),
+    with_member("rows0", lambda m: m[:-1]),
+    with_member("rows0", lambda m: m.astype(np.float32)),
+    with_member("rows0", lambda m: m.astype(np.int64)),
+    with_member("rows0", np.asfortranarray),
+    with_member("chunk_rows", lambda ends: np.concatenate([ends[:1] - 1, ends[1:]])),
+    with_member("tokens", lambda t: t[:-3])])   # drops "\nw7"
 def test_a_spoiled_companion_is_ignored_and_replaced(tmp_path, spoil):
+    """A whole load checks the last chunk's size and digest against the
+    whole file, and every chunk's rows; with one chunk, and with five."""
     path = tmp_path / "vec.txt"
-    want = assert_loads_like_oracle(path, clean_file())
-    good = companion(path).read_bytes()
-    companion(path).write_bytes(spoil(good))
-    with counting_parses() as counts:
-        assert load_outcome(load_text_embeddings, path) == want
-    assert counts != [] and companion(path).read_bytes() == good
+    for chunk in (4096, 2):
+        companion(path).unlink(missing_ok=True)
+        with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+            want = assert_loads_like_oracle(path, clean_file())
+            good = companion(path).read_bytes()
+            companion(path).write_bytes(spoil(good))
+            with counting_parses() as counts:
+                assert load_outcome(load_text_embeddings, path) == want
+        assert counts != [] and companion(path).read_bytes() == good
 
 
 def test_a_companion_with_a_byte_changed_never_changes_a_load(tmp_path):
     """A companion is checked by its zip CRCs, its shapes and the text's
-    digest; whatever one changed byte breaks, the load is the text's."""
+    digest; whatever one changed byte breaks, the load is the text's. So
+    for a whole load, and for a prefix load (two lines per chunk; it reads
+    two of the five chunks)."""
+    path = tmp_path / "vec.txt"
+    for chunk, kwargs in ((4096, {}), (2, dict(max_vocab=3))):
+        companion(path).unlink(missing_ok=True)
+        with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, clean_file())
+        want = oracle_outcome(path, **kwargs)
+        good = companion(path).read_bytes()
+        for at in np.random.default_rng(0).choice(len(good), 300, replace=False):
+            spoiled = bytearray(good)
+            spoiled[at] ^= 0x5A
+            companion(path).write_bytes(bytes(spoiled))
+            assert load_outcome(load_text_embeddings, path, **kwargs) == want
+
+
+def test_stored_rows_are_read_to_the_end_of_their_member(tmp_path):
+    """zipfile checks a member's CRC once it is read to its end: a rows
+    member 8 KiB longer than its header says (more than zipfile reads
+    ahead), with a value then changed, is refused."""
     path = tmp_path / "vec.txt"
     want = assert_loads_like_oracle(path, clean_file())
-    good = companion(path).read_bytes()
-    for at in np.random.default_rng(0).choice(len(good), 300, replace=False):
-        spoiled = bytearray(good)
-        spoiled[at] ^= 0x5A
-        companion(path).write_bytes(bytes(spoiled))
+    with np.load(companion(path)) as stored:
+        members = {name: stored[name] for name in stored.files}
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as archive:
+        for name, array in members.items():
+            member = io.BytesIO()
+            np.lib.format.write_array(member, array)
+            archive.writestr(name + ".npy", member.getvalue()
+                             + (bytes(8192) if name == "rows0" else b""))
+    spoiled = bytearray(out.getvalue())
+    spoiled[spoiled.index(np.float64(0.05).tobytes())] ^= 1    # w0's first value
+    companion(path).write_bytes(bytes(spoiled))
+    with counting_parses() as counts:
         assert load_outcome(load_text_embeddings, path) == want
+    assert counts != []
 
 
-@pytest.mark.parametrize("failing", ["tempfile.mkstemp", "os.fchmod",
-                                     "numpy.savez", "os.replace"])
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_a_longer_file_is_parsed_again(tmp_path, end):
+    """A file longer than the text reader's read-ahead, whole-loaded at two
+    lines per chunk, is served from its companion by the next whole load.
+    Once bytes are appended (to its last line, when that has no line
+    break), a whole load parses it again, while a load that stops in the
+    second chunk is still served."""
+    rng = np.random.default_rng(3)
+    text = "\n".join(" ".join([f"w{i}", *map(repr, rng.random(40).tolist())])
+                     for i in range(300)) + end
+    path = tmp_path / "vec.txt"
+    with mock.patch.object(embeddings, "_CHUNK_LINES", 2):
+        assert_loads_like_oracle(path, text)
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path) == oracle_outcome(path)
+    assert counts == []
+    write_raw(path, text + ("w300" + " 1" * 40 + "\n" if end else "5"))
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path, max_vocab=3) == \
+            oracle_outcome(path, max_vocab=3)
+    assert counts == []
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path) == oracle_outcome(path)
+    assert counts != []
+
+
+def with_line_changed(text, index):
+    """`text` with the last byte of its line `index` (from 0), a digit, made 7."""
+    lines = text.split("\n")
+    assert lines[index][-1] != "7"
+    lines[index] = lines[index][:-1] + "7"
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("max_vocab, needed", [(3, None), (None, ["w2", "w0"])])
+@pytest.mark.parametrize("line, served", [
+    (0, False),                 # the header
+    (1, False),                 # w0, in chunk 0
+    (4, False),                 # w3, after the stop in its chunk
+    (5, True),                  # w4, the first line after the stop's chunk
+    (8, True)])                 # w7, in the last chunk
+def test_a_prefix_load_checks_only_the_chunks_it_reads(tmp_path, max_vocab,
+                                                       needed, line, served):
+    """A file of 8 words saved at two lines per chunk: a load that stops at
+    w2 reads chunks 0 and 1 of its four. It is served from the companion
+    while the bytes through chunk 1 are unchanged, and gives the text's
+    outcome either way (with `needed` a one-shot iterator, too); a whole
+    load afterwards rewrites the companion."""
+    path = tmp_path / "vec.txt"
+    space = WordVectorSpace(tuple(f"w{i}" for i in range(8)),
+                            np.add.outer(np.arange(8.0), [0.05, 0.15, 0.25]))
+    with mock.patch.object(embeddings, "_CHUNK_LINES", 2):
+        save_text_embeddings(space, path)
+    good = companion(path).read_bytes()
+    write_raw(path, with_line_changed(path.read_text(), line))
+    with counting_parses() as counts:
+        got = load_outcome(load_text_embeddings, path, max_vocab=max_vocab,
+                           needed=None if needed is None else iter(needed))
+    assert got == oracle_outcome(path, None if needed is None else set(needed),
+                                 max_vocab)
+    assert (counts == []) == served
+    assert companion(path).read_bytes() == good
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path) == oracle_outcome(path)
+    assert counts != [] and companion(path).read_bytes() != good
+    with counting_parses() as counts:
+        load_text_embeddings(path, max_vocab=max_vocab, needed=needed)
+    assert counts == []
+
+
+COMPANION_STEPS = ["tempfile.mkstemp", "os.fchmod", "numpy.lib.format.write_array",
+                   "os.replace"]
+
+
+@pytest.mark.parametrize("failing", COMPANION_STEPS)
 def test_a_companion_that_cannot_be_written_changes_nothing(tmp_path, failing):
     path = tmp_path / "vec.txt"
     write_raw(path, clean_file())
@@ -557,6 +709,29 @@ def test_a_companion_that_cannot_be_written_changes_nothing(tmp_path, failing):
     assert [p.name for p in tmp_path.iterdir()
             if not p.name.endswith(".oracle")] == ["vec.txt"]
     assert load_outcome(load_text_embeddings, path) == want
+
+
+def test_a_save_that_fails_leaves_no_companion(tmp_path):
+    """A word the text cannot encode, in the second chunk, stops the save
+    after the first chunk has gone to the companion's temporary file."""
+    space = WordVectorSpace(("a", "b", "\ud800"), np.eye(3))
+    with mock.patch.object(embeddings, "_CHUNK_LINES", 2), \
+            pytest.raises(UnicodeEncodeError):
+        save_text_embeddings(space, tmp_path / "vec.txt")
+    assert [p.name for p in tmp_path.iterdir()] == ["vec.txt"]
+
+
+@pytest.mark.parametrize("failing", COMPANION_STEPS)
+def test_a_save_whose_companion_cannot_be_written_writes_the_text(tmp_path,
+                                                                 failing):
+    space = WordVectorSpace(("a", "b", "c"), np.arange(6.0).reshape(3, 2) / 7)
+    oracle_save_text_embeddings(space, tmp_path / "old.txt")
+    with mock.patch.object(embeddings, "_CHUNK_LINES", 2), \
+            mock.patch(failing, side_effect=OSError("disk full")):
+        save_text_embeddings(space, tmp_path / "new.txt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "old.txt"]
+    assert (tmp_path / "new.txt").read_bytes() == \
+        (tmp_path / "old.txt").read_bytes()
 
 
 def trec_run(n_queries, n_docs):

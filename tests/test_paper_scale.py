@@ -9,7 +9,9 @@ words per side) and 30 outer iterations. Another takes VecMap's seed
 dictionary at its default cap (4000 words) and one CSLS self-learning round
 over the 20000 most frequent words. The last runs an idf-weighted
 `clir_run` of 200 queries over 50k documents of 100 tokens each, with 5
-relevant documents per query. Each process's peak resident
+relevant documents per query. Another saves a 200k x 300 space, which
+writes its companion, then loads the 20000 most frequent words, and 1000
+of them by `needed`, from that companion. Each process's peak resident
 set must stay under 6 GiB, so that the paper's configuration runs on a
 7 GB machine.
 
@@ -172,13 +174,52 @@ CLIR_SCRIPT = textwrap.dedent("""
 """)
 
 
-def run_script(script: str) -> dict:
-    """Run `script` in a fresh interpreter; its last stdout line, as JSON."""
+# The paper's 200k-word prefix of a saved file: the save writes the text
+# and its companion, one chunk at a time; the loads that follow are served
+# from the companion's first chunks.
+SAVE_SCRIPT = textwrap.dedent("""
+    import json, os, resource, sys, time
+    import numpy as np
+    from clembed.embeddings import (WordVectorSpace, load_text_embeddings,
+                                    save_text_embeddings)
+
+    vocab, dim, prefix, needed = 200_000, 300, 20_000, 1000
+    rng = np.random.default_rng(0)
+    words = tuple(f"w{i}" for i in range(vocab))
+    space = WordVectorSpace(words, rng.standard_normal((vocab, dim)))
+    path = os.path.join(sys.argv[1], "vec.txt")
+    start = time.perf_counter()
+    save_text_embeddings(space, path)
+    save_s = time.perf_counter() - start
+    start = time.perf_counter()
+    head = load_text_embeddings(path, max_vocab=prefix)
+    prefix_s = time.perf_counter() - start
+    wanted = {words[i] for i in rng.choice(prefix, needed, replace=False)}
+    start = time.perf_counter()
+    kept = load_text_embeddings(path, needed=iter(wanted))
+    needed_s = time.perf_counter() - start
+    print(json.dumps({
+        "save_s": save_s, "prefix_s": prefix_s, "needed_s": needed_s,
+        "prefix_words": head.words == words[:prefix],
+        "prefix_close": bool(np.allclose(head.matrix, space.matrix[:prefix],
+                                         rtol=1e-5, atol=0)),
+        "needed_words": set(kept.words) == wanted,
+        "needed_rows": bool(np.array_equal(
+            kept.matrix, head.matrix[[head.index[w] for w in kept.words]])),
+        "text_mb": os.path.getsize(path) / 2 ** 20,
+        "companion_mb": os.path.getsize(path + ".clembed.npz") / 2 ** 20,
+        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+""")
+
+
+def run_script(script: str, *args: str) -> dict:
+    """Run `script` with `args` in a fresh interpreter; its last stdout
+    line, as JSON."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(clembed.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=3600)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -229,4 +270,13 @@ def test_paper_shape_clir_runs_within_the_memory_budget():
     assert report["relevant_ranks"] == 1000
     assert report["docs_ranked"] == 50_000
     assert report["clir_map"] > 0.5    # a random ranking averages ~2e-4
+    assert report["maxrss_kib"] < RSS_BUDGET_KIB
+
+
+@pytest.mark.slow
+def test_paper_shape_save_and_prefix_loads_run_within_the_memory_budget(
+        tmp_path):
+    report = run_script(SAVE_SCRIPT, str(tmp_path))
+    assert report["prefix_words"] and report["prefix_close"]
+    assert report["needed_words"] and report["needed_rows"]
     assert report["maxrss_kib"] < RSS_BUDGET_KIB
