@@ -11,9 +11,10 @@ companion beside the file, `<path>.clembed.npz`: every non-empty line's
 token, and for each chunk of `_CHUNK_LINES` lines its rows and the size
 and SHA-256 of the file's bytes through it. A later load is served from it
 without parsing when the bytes it would read are unchanged (see
-`load_text_embeddings`). A save stores the values the loader's own parser
-reads from the text it writes, so a companion always holds what a parse
-gives; it is a cache, safe to delete.
+`load_text_embeddings`). A save stores the values a parse of the text it
+writes gives: computed exactly from the digits written, and parsed for
+the rows outside that exact range. So a companion always holds what a
+parse gives; it is a cache, safe to delete.
 """
 
 from __future__ import annotations
@@ -27,19 +28,20 @@ import tempfile
 import warnings
 import zipfile
 from collections.abc import Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import similarity
 from .similarity import unit_rows
 
 VALID_STEPS = ("unit-length", "mean-center", "zca-whiten")
 MAX_STEPS = 3
 # Lines per chunk of a text load or save: one numpy parse, or one write, each.
 _CHUNK_LINES = 4096
-_DIGITS = 6  # significant digits of each value a save writes
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 # A file's binary companion is `<path>` + _COMPANION_SUFFIX
@@ -360,10 +362,14 @@ def _read_companion(path: str | os.PathLike, select: _Selection):
             last = int(np.searchsorted(ends, stop)) if select.full else len(ends) - 1
             if last == len(ends) - 1 and os.stat(path).st_size != sizes[last]:
                 return None
-            if _prefix_sha256(path, int(sizes[last])) != digests[last].tobytes():
-                return None
-            matrix = _stored_rows(stored.zip, ends[:last + 1],
-                                  np.array(kept, dtype=np.intp))
+            # the text is hashed on another thread while the rows are read;
+            # leaving the `with` block waits for it
+            with ThreadPoolExecutor(max_workers=1) as hasher:
+                digest = hasher.submit(_prefix_sha256, path, int(sizes[last]))
+                matrix = _stored_rows(stored.zip, ends[:last + 1],
+                                      np.array(kept, dtype=np.intp))
+                if digest.result() != digests[last].tobytes():
+                    return None
     except Exception:
         # a damaged zip or array fails in many ways (BadZipFile, KeyError,
         # EOFError, NotImplementedError, RuntimeError, ...); each one means
@@ -518,23 +524,141 @@ def _parse_rows(values: list[str]) -> np.ndarray:
                       quotechar=None, ndmin=2)
 
 
+# `_format_g6` writes a value v as `%.6g` from its digits m (10^5 <= m <
+# 10^6) and decimal exponent e, |v| ~ m * 10^(e-5). For |e - 5| <= 22 both
+# directions are one multiply or divide by an exact power of ten, so each
+# is correctly rounded (Clinger 1990's fast path): m rounds |v| * 10^(5-e)
+# as `%.6g` does, and m * 10^(e-5) is what a parse of the text gives.
+_EXACT_POWER = 22           # 10^22 is the largest power of ten float64 holds
+_E_MIN, _E_MAX = 5 - _EXACT_POWER, 5 + _EXACT_POWER
+# One rounding of a scaled value below 10^6 errs by at most 2^-34: a value
+# within this of a half-integer may round to the wrong digit
+_TIE_BAND = 1e-9
+# Most values a formatting block holds, in rows of at most 1024
+_FORMAT_CELLS = 1 << 15
+
+
+def _ascii(text: str) -> int:
+    """`text` as a little-endian integer: its first byte is the lowest."""
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+def _g6_layouts() -> tuple[np.ndarray, ...]:
+    """Per layout (e - _E_MIN, n, negative), with n a value's significant
+    digits (0 for a zero), the uint64 words `_format_g6` builds its text
+    from: the head (sign, and "0." and zeros in fixed notation below 1),
+    the masks of the digits kept before and from the point, the point, and
+    the tail ("e+XX" in exponential notation). Then the scale and unscale
+    of each exponent: 10^(5-e) or 1, and 10^(e-5) or 1."""
+    exponents = range(_E_MIN, _E_MAX + 1)
+    words = np.zeros((len(exponents), 7, 2, 5), dtype="<u8")
+    for i, e in enumerate(exponents):
+        if -4 <= e < 0:             # 0.000ddd
+            lead, point, tail = "0." + "0" * (-e - 1), 0, ""
+        elif 0 <= e < 6:            # ddd.ddd
+            lead, point, tail = "", e + 1, ""
+        else:                       # d.ddddde+XX
+            lead, point, tail = "", 1, f"e{e:+03d}"
+        before = (1 << 8 * point) - 1
+        for n in range(7):
+            kept = (1 << 8 * max(n, point)) - 1
+            dot = _ascii(".") << 8 * point if 0 < point < n else 0
+            for negative in (0, 1):
+                words[i, n, negative] = (_ascii("-" * negative + lead),
+                                         kept & before, kept & ~before, dot,
+                                         _ascii(tail))
+    scale = np.array([10.0 ** max(5 - e, 0) for e in exponents])
+    unscale = np.array([10.0 ** max(e - 5, 0) for e in exponents])
+    return (*words.reshape(-1, 5).T.copy(), scale, unscale)
+
+
+_HEAD, _BEFORE, _FROM, _POINT, _TAIL, _SCALE, _UNSCALE = _g6_layouts()
+# the digits of 0-999, as 3 ASCII bytes, and how many are significant
+_THREE_DIGITS = np.array([_ascii(f"{i:03d}") for i in range(1000)], dtype="<u8")
+_SIGNIFICANT = np.array([len(f"{i:03d}".rstrip("0")) for i in range(1000)])
+
+
+def _format_g6(block: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """`%.6g` for a row block, in numpy: the block's value text (fields
+    joined by spaces, each row ending in a line break), the float64 each
+    field denotes, and a mask of the rows it cannot vouch for.
+
+    Outside the mask the text is byte for byte `f"{v:.6g}"` and the values
+    are bit for bit what numpy's parser reads from it. A row is in the mask
+    when one of its values has an exponent outside _E_MIN.._E_MAX (every
+    subnormal among them) or a scaled value within `_TIE_BAND` of a
+    half-integer; the text and values of such a row are not to be used.
+
+    Each value's text is laid out in three uint64 words (head, digits with
+    the point, tail and separator) with NUL bytes wherever a field is
+    shorter; dropping the NULs gives the text.
+    """
+    a = np.abs(block, dtype=np.float64)
+    zero = a == 0
+    a[zero] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    ei = np.clip(e - _E_MIN, 0, _E_MAX - _E_MIN)
+    scaled = a * _SCALE[ei] / _UNSCALE[ei]
+    # log10 may be one off next to a power of ten: one step corrects it. A
+    # clipped exponent stays out of range, so its row is not vouched for
+    off = ((scaled < 1e5) | (scaled >= 1e6)).nonzero()
+    e[off] += np.where(scaled[off] < 1e5, -1, 1)
+    ei[off] = np.clip(e[off] - _E_MIN, 0, _E_MAX - _E_MIN)
+    scaled[off] = a[off] * _SCALE[ei[off]] / _UNSCALE[ei[off]]
+    m = np.rint(scaled)
+    slow = np.abs(scaled - m) > 0.5 - _TIE_BAND
+    # a value that rounds up to 10^6 has the next exponent, as %g counts it
+    up = m == 1e6
+    m[up] = 1e5
+    e += up
+    slow |= (e < _E_MIN) | (e > _E_MAX)
+    # zeros, and the values of rows not vouched for, get the exponent 0
+    reset = slow | zero
+    m[reset] = np.where(zero[reset], 0.0, 1e5)
+    e[reset] = 0
+    ei = e - _E_MIN
+    values = m / _SCALE[ei]
+    values *= _UNSCALE[ei]
+    np.copysign(values, block, out=values)
+
+    high, low = np.divmod(m.astype(np.intp), 1000)
+    digits = _THREE_DIGITS[high] | (_THREE_DIGITS[low] << np.uint64(24))
+    n = np.where(low == 0, _SIGNIFICANT[high], 3 + _SIGNIFICANT[low])
+    layout = ei * 14 + n * 2 + np.signbit(block)
+    words = np.empty(block.shape + (3,), dtype="<u8")
+    words[..., 0] = _HEAD[layout]
+    words[..., 1] = ((digits & _BEFORE[layout])
+                     | (digits & _FROM[layout]) << np.uint64(8) | _POINT[layout])
+    tail = _TAIL[layout]
+    tail[:, :-1] |= np.uint64(_ascii(" ") << 32)
+    tail[:, -1] |= np.uint64(_ascii("\n") << 32)
+    words[..., 2] = tail
+    text = words.view(np.uint8).reshape(-1)
+    return np.compress(text != 0, text).tobytes(), values, slow.any(axis=1)
+
+
 def save_text_embeddings(space: WordVectorSpace,
                          path: str | os.PathLike) -> None:
     """Write the space back out with a header line and 6 significant digits,
     and write its companion, `<path>.clembed.npz`.
 
-    Each value is written as `%.6g` (`_DIGITS` = 6), byte for byte what
-    `f"{v:.6g}"` gives, from one row format applied to `_CHUNK_LINES` rows
-    per write. Round-trips through `load_text_embeddings` to within 6
-    significant digits. A word holding a space or a line break, which the
-    format cannot hold, is a ValueError before the file is opened.
+    Each value is written as `%.6g`, byte for byte what `f"{v:.6g}"` gives.
+    Round-trips through `load_text_embeddings` to within 6 significant
+    digits. A word holding a space or a line break, which the format cannot
+    hold, is a ValueError before the file is opened.
 
     The companion is the one a whole load of the file would write, with the
-    size and SHA-256 of the bytes written through each chunk. Its values
-    are those the loader's parser reads from the value text written, so a
-    load served from it returns what a parse of the file returns. One
-    chunk's values are held at a time. A companion that cannot be written
-    is not written; the text file is written all the same.
+    size and SHA-256 of the bytes written through each chunk of
+    `_CHUNK_LINES` rows. Its values are those the loader's parser reads from
+    the value text written, so a load served from it returns what a parse
+    of the file returns. `_format_g6` computes both the text and those
+    values exactly from the digits written, on row blocks spread over one
+    thread per core (`similarity._workers`). A row it cannot vouch for (a
+    nonzero value below 1e-17 or written as 1e28 or more, or one next to a
+    rounding tie of its sixth digit) is formatted with one `%`-format, and
+    its text parsed. One chunk is held at a time, and the bytes written do
+    not depend on the thread count. A companion that cannot be written is
+    not written; the text file is written all the same.
     """
     if len(space) == 0:
         raise ValueError("refusing to save an empty space")
@@ -542,23 +666,38 @@ def save_text_embeddings(space: WordVectorSpace,
         if " " in word or "\n" in word or "\r" in word:
             raise ValueError(f"word {word!r} holds a space or a line break; "
                              "the text format cannot hold it")
-    row_format = " ".join([f"%.{_DIGITS}g"] * space.dim)
+    row_format = " ".join(["%.6g"] * space.dim)
+    step = min(1024, max(1, _FORMAT_CELLS // space.dim))
     digest = hashlib.sha256()
-    with _CompanionWriter(path) as companion:
-        with open(path, "wb") as fh:
-            data = f"{len(space)} {space.dim}\n".encode("utf-8")
-            for start in range(0, len(space), _CHUNK_LINES):
-                stop = start + _CHUNK_LINES
-                values = [row_format % tuple(row)
-                          for row in space.matrix[start:stop].tolist()]
-                data += "".join([f"{word} {text}\n" for word, text
-                                 in zip(space.words[start:stop], values)]
-                                ).encode("utf-8")
-                fh.write(data)
-                digest.update(data)
-                companion.add(_parse_rows(values), fh.tell(),
-                              digest.copy().digest())
-                data = b""
+    with _CompanionWriter(path) as companion, \
+            ThreadPoolExecutor(max_workers=similarity._workers()) as pool, \
+            open(path, "wb") as fh:
+        data = f"{len(space)} {space.dim}\n".encode("utf-8")
+        for start in range(0, len(space), _CHUNK_LINES):
+            rows = space.matrix[start:start + _CHUNK_LINES]
+            starts = range(0, len(rows), step)
+            # each block's results are copied out as they come, so that a
+            # chunk's results are not all held twice
+            text, values, slow = bytearray(), np.empty(rows.shape), []
+            for at, (block_text, block, mask) in zip(starts, pool.map(
+                    _format_g6, [rows[at:at + step] for at in starts])):
+                text += block_text
+                values[at:at + step] = block
+                slow.extend(np.flatnonzero(mask) + at)
+            lines = bytes(text).split(b"\n")
+            if slow:
+                texts = [row_format % tuple(rows[i].tolist()) for i in slow]
+                values[slow] = _parse_rows(texts)
+                for i, row_text in zip(slow, texts):
+                    lines[i] = row_text.encode("ascii")
+            words = [word.encode("utf-8")
+                     for word in space.words[start:start + _CHUNK_LINES]]
+            data += b"".join(itertools.chain.from_iterable(zip(
+                words, itertools.repeat(b" "), lines, itertools.repeat(b"\n"))))
+            fh.write(data)
+            digest.update(data)
+            companion.add(values, fh.tell(), digest.copy().digest())
+            data = b""
         companion.commit(space.words)
 
 

@@ -1,11 +1,12 @@
-"""The chunked embedding loader, the row-format saver and the TREC writer
+"""The chunked embedding loader, the vectorised saver and the TREC writer
 against the line-at-a-time code they replaced.
 
 `oracle_load_text_embeddings` and `oracle_save_text_embeddings` are the
 earlier implementations: one `np.array(values, dtype=float)` per line, and
 one f-string per value. The library checks each line's structure in Python
-but parses a chunk of lines in one numpy call, and formats a row with one
-`%`-format. The loader must return an equal space (same words, bit-equal
+but parses a chunk of lines in one numpy call, and formats row blocks with
+the numpy kernel `_format_g6` (a row it does not vouch for with one
+`%`-format). The loader must return an equal space (same words, bit-equal
 matrix, same duplicate warning) or raise the same message with the same line
 number; the savers must write the same bytes. Loader files span several
 chunks because the chunk size is patched down to 2 or 3 lines. A load with
@@ -23,6 +24,7 @@ give the oracle's outcome too, without parsing a value.
 """
 
 import io
+import itertools
 import os
 import re
 import warnings
@@ -36,10 +38,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clembed import clir, embeddings
+from clembed import clir, embeddings, similarity
 from clembed.clir import ClirRun, write_trec_run
 from clembed.embeddings import (WordVectorSpace, load_text_embeddings,
                                 save_text_embeddings)
+from clembed.similarity import unit_rows
 
 
 def oracle_load_text_embeddings(path, max_vocab=None):
@@ -375,6 +378,99 @@ def test_saver_writes_the_oracles_bytes(tmp_path_factory, matrix, chunk):
     with mock.patch.object(embeddings, "_CHUNK_LINES", chunk):
         save_text_embeddings(space, tmp / "new.txt")
     assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
+
+
+def assert_vouched_rows_match(matrix):
+    """`_format_g6`'s text of each row it vouches for is the f-string
+    oracle's, and its values are bit for bit the parse of that text."""
+    text, values, slow = embeddings._format_g6(matrix)
+    lines = text.decode("ascii").split("\n")
+    assert lines[-1] == "" and len(lines) == len(matrix) + 1
+    assert values.shape == matrix.shape and values.dtype == np.float64
+    assert slow.shape == (len(matrix),)
+    for row, line, row_values, skip in zip(matrix.tolist(), lines, values, slow):
+        if not skip:
+            assert line == " ".join(f"{v:.6g}" for v in row)
+            assert row_values.tobytes() == \
+                embeddings._parse_rows([line])[0].tobytes()
+    return slow
+
+
+def with_neighbours(v):
+    """`v` and the floats one ulp either side of it."""
+    return (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+
+
+# 6-digit decimal ties d.ddddd5 * 10^k, and 10^k
+TIES = st.builds(lambda digits, k: float(f"{digits}5e{k}"),
+                 st.integers(100000, 999999), st.integers(-30, 30))
+POWERS = st.integers(-30, 30).map(lambda k: float(f"1e{k}"))
+ROUND_UP = (9.999995e-05, 999999.5, 9999995.0)
+hard_value = st.tuples(
+    st.one_of(st.one_of(TIES, POWERS).flatmap(
+                  lambda v: st.sampled_from(with_neighbours(v))),
+              st.sampled_from(ROUND_UP + (0.0,)),
+              st.floats(0, 2.2250738585072014e-308, allow_subnormal=True),
+              st.floats(1e17, 1e300), st.floats(0, 1e17)),
+    st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=st.integers(1, 6).flatmap(lambda d: arrays(
+           np.float64, st.tuples(st.integers(1, 6), st.just(d)),
+           elements=hard_value)))
+def test_format_g6_rows_it_vouches_for_match_the_oracle_and_the_parser(matrix):
+    assert_vouched_rows_match(matrix)
+
+
+def test_format_g6_vouches_for_every_exact_value_it_can():
+    """One value per row: powers of ten and their neighbours, ties and
+    values that round up to the next power. The kernel vouches for every
+    value from 1e-17 to 1e27 not next to a tie, and for zeros; it leaves
+    every tie, and every value below 1e-17 or written as 1e28 or more, to
+    the parse."""
+    ties = [v for k in (-20, -9, 0, 9, 20)
+            for v in with_neighbours(float(f"1234565e{k}"))]
+    column = [*(v for k in range(-30, 31) for v in with_neighbours(float(f"1e{k}"))),
+              *ties, *ROUND_UP, 0.0, -0.0, 5e-324, 1e-310, 9.9999996e-18,
+              1e17, 3e27, 9.9999996e27, 1e28, 1e300]
+    matrix = np.array(column + [-v for v in column])[:, None]
+    slow = assert_vouched_rows_match(matrix)
+    magnitude = np.abs(matrix[:, 0])
+    near_tie = np.isin(magnitude, ties + list(ROUND_UP))
+    inside = (magnitude == 0) | ((magnitude >= 1e-17) & (magnitude <= 1e27))
+    assert not slow[inside & ~near_tie].any()
+    assert slow[near_tie].all()
+    written = np.abs([float(f"{v:.6g}") for v in matrix[:, 0]])
+    assert slow[(magnitude != 0) & ((magnitude < 1e-17) | (written >= 1e28))].all()
+
+
+def test_a_save_parses_no_value_and_its_bytes_do_not_depend_on_threads(
+        tmp_path):
+    """A save of unit rows computes every value from its digits: no value
+    is parsed. Its text is the oracle's whatever the thread count, chunk
+    and block size, and its companion depends on the chunk size alone."""
+    rng = np.random.default_rng(5)
+    matrix = unit_rows(rng.standard_normal((300, 50)))
+    space = WordVectorSpace(tuple(f"w{i}é" for i in range(300)), matrix)
+    oracle_save_text_embeddings(space, tmp_path / "oracle.txt")
+    companions = {}
+    for workers, chunk, cells in itertools.product((1, 3), (2, 3, 4096),
+                                                   (1 << 15, 350)):
+        path = tmp_path / f"{workers}-{chunk}-{cells}.txt"
+        with counting_parses() as counts, \
+                mock.patch.object(similarity, "_workers", lambda: workers), \
+                mock.patch.object(embeddings, "_CHUNK_LINES", chunk), \
+                mock.patch.object(embeddings, "_FORMAT_CELLS", cells):
+            save_text_embeddings(space, path)
+        assert counts == []
+        assert path.read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+        companions.setdefault(chunk, set()).add(companion(path).read_bytes())
+    assert all(len(stored) == 1 for stored in companions.values())
+    with counting_parses() as counts:
+        assert load_outcome(load_text_embeddings, path) == \
+            load_outcome(oracle_load_text_embeddings, tmp_path / "oracle.txt")
+    assert counts == []
 
 
 def companion(path):
