@@ -164,10 +164,15 @@ def aggregate_texts(texts, space: WordVectorSpace,
     if idf:
         if any(v < 0 for v in idf.values()):
             raise ValueError("idf values must be nonnegative")
-        vocab_rows, slot = np.unique(rows, return_inverse=True)
+        # a presence map over the vocabulary, O(N + V): np.unique sorts the
+        # N tokens
+        present = np.zeros(len(space), dtype=bool)
+        present[rows] = True
+        vocab_rows = np.flatnonzero(present)
         words = space.words
-        weights = np.array([idf.get(words[r], 1.0)
-                            for r in vocab_rows.tolist()], dtype=float)[slot]
+        table = np.empty(len(space))
+        table[vocab_rows] = [idf.get(words[r], 1.0) for r in vocab_rows.tolist()]
+        weights = table[rows]
     else:
         weights = np.ones(len(rows))
     indptr = np.zeros(len(texts) + 1, dtype=np.intp)

@@ -7,23 +7,29 @@ return float64 results with no approximate nearest-neighbor shortcuts.
 rows (of up to `_MIN_ROWS` rows within _CELLS cells against wider ones),
 each written into the one buffer the sweep allocates, so a consumer may
 keep a block only until it asks for the next; hubness, argmaxes and gold
-ranks are reductions over those blocks, never a full matrix. One
-certified top-n kernel, `_top_neighbors`, finds each row's n nearest pool
-rows for CSLS hubness (`csls_hubness`) and for RCSLS's neighbourhoods
-(`supervised.rcsls_neighbor_sets`). It alone uses float32, and only to
-choose candidates: it screens each block in float32, rescores the chosen
-columns in float64 and recomputes in full in float64 any row whose choice a
-proven error bound cannot certify (see `csls_hubness`), so its columns and
-means are the float64 ones. Beside its inputs it holds one float32 copy of
-the pool, the row norms of both sides, and per thread one float32 screen
-block and three blocks of the block's rows: no float64 copy of either side,
-and no float32 copy of the queries. Its row blocks run on one thread per
-core (`_map_blocks`); the threads run numpy and private helpers only, never
-a public function of the package.
+ranks are reductions over those blocks, never a full matrix. A block is
+filled in tiles of `_TILE` pool rows on one thread per core (`_threads`),
+each thread making its tile's unit rows in its own scratch: beside that
+one block the sweep holds per thread one tile of unit rows, and no float64
+unit copy of the pool. One certified top-n kernel, `_top_neighbors`, finds
+each row's n nearest pool rows for CSLS hubness (`csls_hubness`) and for
+RCSLS's neighbourhoods (`supervised.rcsls_neighbor_sets`). It alone uses
+float32, and only to choose candidates: it screens each block in float32,
+rescores the chosen columns in float64 and recomputes in full in float64
+any row whose choice a proven error bound cannot certify (see
+`csls_hubness`), so its columns and means are the float64 ones. Beside its
+inputs it holds one float32 copy of the pool, the row norms of both sides,
+and per thread one float32 screen block and three blocks of the block's
+rows: no float64 copy of either side, and no float32 copy of the queries.
+Its row blocks run on one thread per core (`_map_blocks`). The threads of
+both run numpy and private helpers only, never a public function of the
+package.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +60,14 @@ _GROUP = 16
 # Columns the float32 screen keeps beyond the n it needs, so that a near
 # tie at the n-th place seldom sends a row to the float64 fallback.
 _SPARE = 6
+# Pool rows per tile of a `similarity_sweep` block. The tile, not the
+# thread count, sets how a block's product is split, so scores do not depend
+# on the thread count. On 2 cores (one BLAS thread each), sweeps of 104 x
+# 20000, 5000 x 5000 and 20000 x 20000 rows (d = 300) took 33 ms, 196 ms and
+# 3.62 s in tiles of 1024 rows, 32 ms, 181 ms and 3.65 s in tiles of 2048;
+# tiles of 512 were 9-11% slower, and tiles of 4096, two for two threads at
+# 5000 rows, 45% slower there.
+_TILE = 1024
 
 
 def row_blocks(n_rows: int, pool_rows: int,
@@ -70,13 +84,52 @@ def row_blocks(n_rows: int, pool_rows: int,
 
 
 def _workers() -> int:
-    """Threads `_map_blocks` runs on: one per core this process may use."""
+    """Threads `_threads` runs on: one per core this process may use."""
     return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _threads(scratch: list[list[np.ndarray]]):
+    """Yield run(fn, items), which calls fn(item, *arrays) for each item on
+    len(scratch) threads, or in this thread when that is one, each call
+    with one of the `scratch` sets, used by no other call while it runs.
+
+    The scratch is allocated by the caller, in the calling thread, and
+    handed out through a queue: memory a worker thread allocates stays in
+    its own malloc arena after it is freed. The threads take items as they
+    finish the last; run returns when every item is done. An exception in
+    fn is raised by run, and the items not yet started are dropped. No
+    thread outlives the with block, however it is left (a generator that
+    runs one and is closed early leaves it too). fn must be safe to run on
+    any thread: numpy and private helpers only, writing disjoint memory.
+    """
+    sets = queue.SimpleQueue()
+    for arrays in scratch:
+        sets.put(arrays)
+
+    def call(fn, item) -> None:
+        arrays = sets.get()
+        try:
+            fn(item, *arrays)
+        finally:
+            sets.put(arrays)
+
+    if len(scratch) <= 1:
+        def run(fn, items) -> None:
+            for item in items:
+                call(fn, item)
+        yield run
+        return
+    with ThreadPoolExecutor(max_workers=len(scratch)) as executor:
+        def run(fn, items) -> None:
+            for _ in executor.map(functools.partial(call, fn), items):
+                pass
+        yield run
 
 
 def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
     """Call fn(rows, screen, *blocks) over row blocks of range(n_rows), on
-    one thread per core (`_workers`), or in this thread when that is one.
+    `_threads`' threads, one per core (`_workers`).
 
     `screen` is a float32 (rows, pool_rows) scratch block for fn to fill,
     and `blocks` holds one (rows, width) scratch block of that dtype for
@@ -87,14 +140,9 @@ def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
     so wide that this leaves blocks shorter than `_MIN_ROWS`, they are made
     as tall as `_MIN_ROWS` allows (save the last) while every thread still
     has a block and each screen stays within 2 * _CELLS cells (128 MiB).
-    All scratch is allocated here, in the calling thread, one set per
-    thread, and handed out through a queue: memory a worker thread
-    allocates stays in its own malloc arena after it is freed, which is
-    also why `_MAX_ROWS` bounds fn's own temporaries. The threads take
-    blocks as they finish the last, and none outlives the call; an
-    exception in fn is raised here, and the blocks not yet started are
-    dropped. fn must be safe to run on any thread: numpy and private
-    helpers only, writing disjoint rows.
+    All scratch is allocated here, one set per thread; fn's own temporaries
+    stay in the worker threads' malloc arenas, which is why `_MAX_ROWS`
+    bounds them. fn runs under `_threads`' rules.
     """
     workers = _workers()
     budget = max(1, _CELLS // workers // max(1, pool_rows))
@@ -105,27 +153,16 @@ def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
                                   2 * _CELLS // max(1, pool_rows))))
     blocks = [slice(start, min(start + step, n_rows))
               for start in range(0, n_rows, step)]
-    workers = min(workers, len(blocks))
-    scratch = queue.SimpleQueue()
-    for _ in range(workers):
-        scratch.put([np.empty((step, pool_rows), dtype=np.float32)]
-                    + [np.empty((step, width), dtype=dtype)
-                       for width, dtype in widths])
+    scratch = [[np.empty((step, pool_rows), dtype=np.float32)]
+               + [np.empty((step, width), dtype=dtype)
+                  for width, dtype in widths]
+               for _ in range(min(workers, len(blocks)))]
 
-    def run(rows: slice) -> None:
-        arrays = scratch.get()
-        try:
-            fn(rows, *(a[:rows.stop - rows.start] for a in arrays))
-        finally:
-            scratch.put(arrays)
+    def block(rows: slice, *arrays) -> None:
+        fn(rows, *(a[:rows.stop - rows.start] for a in arrays))
 
-    if workers <= 1:
-        for rows in blocks:
-            run(rows)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for _ in executor.map(run, blocks):
-            pass
+    with _threads(scratch) as run:
+        run(block, blocks)
 
 
 # A norm below this is the root of a subnormal sum of squares: underflow
@@ -274,11 +311,14 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return np.concatenate(norms) if norms else np.linalg.norm(matrix, axis=1)
 
 
-def _unit_divisors(matrix: np.ndarray) -> np.ndarray | None:
+def _unit_divisors(matrix: np.ndarray,
+                   norms: np.ndarray | None = None) -> np.ndarray | None:
     """What `unit_rows` divides each row of `matrix` by: its norm, or 1 for
     a row of zeros. None when a nonzero row's norm is below `_TINY_NORM`,
-    which `unit_rows` rescales first."""
-    norms = _row_norms(matrix)
+    which `unit_rows` rescales first. `norms` are the `_row_norms` of
+    `matrix`, when they are taken already."""
+    if norms is None:
+        norms = _row_norms(matrix)
     small = norms < _TINY_NORM
     if matrix[small].any():
         return None
@@ -375,13 +415,22 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
                      r_pool: np.ndarray | None = None):
     """Yield (rows, scores of queries[rows] against every pool row) over row
     blocks (`row_blocks`, at least `_MIN_ROWS` rows tall where _CELLS cells
-    allow); metric is one of {cosine, csls}.
+    allow); metric is one of {cosine, csls}. Scores are those of
+    unit_rows(queries) with unit_rows(pool).
 
     Every block is written into one buffer, allocated once for the first
     (the tallest) block: a yielded block is valid only until the next one
     is requested, so a consumer that keeps a block past that must copy it.
-    It may change the block in place. Beside the unit rows of both sides,
-    the sweep holds that one block.
+    It may change the block in place. A block is filled tile by tile, each
+    tile `_TILE` pool rows, on `_threads`' threads, one per core
+    (`_workers`): a tile's unit rows are made in that thread's scratch and
+    multiplied into the tile's columns of the block. So beside its inputs
+    the sweep holds that one block, the block's own unit rows and per
+    thread one tile of unit rows, and no float64 unit copy of either side
+    unless that side has a nonzero row below `_TINY_NORM`: such a side goes
+    through `unit_rows` whole. A tile's product may differ from a product
+    with the whole pool in the last bits, but never with the thread count.
+    No thread outlives the sweep, even when a consumer closes it early.
 
     CSLS is 2*cos - r_q[rows, None] - r_p[None, :]: r_q, each query's mean
     cosine to its csls_n nearest pool rows, comes from the block itself;
@@ -392,21 +441,51 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
         raise ValueError(f"unknown similarity metric: {metric!r}")
     if metric == "csls" and r_pool is None:
         r_pool = csls_hubness(pool, queries, csls_n)
-    qu = unit_rows(queries)
-    pu = unit_rows(pool)
-    buffer = None
-    for rows in row_blocks(len(qu), len(pu), _MIN_ROWS):
-        block = qu[rows]
-        if buffer is None:
-            buffer = np.empty((len(block), len(pu)),
-                              dtype=np.result_type(qu, pu))
-        scores = np.matmul(block, pu.T, out=buffer[:len(block)])
-        if metric == "csls":
-            r_rows = topk_mean(scores, csls_n)
-            scores *= 2.0
-            scores -= r_rows[:, None]
-            scores -= r_pool
-        yield rows, scores
+    queries = np.asarray(queries, dtype=float)
+    pool = np.asarray(pool, dtype=float)
+    d = queries.shape[1]
+    tiles = [slice(start, min(start + _TILE, len(pool)))
+             for start in range(0, len(pool), _TILE)]
+    scratch = [[np.empty((min(_TILE, len(pool)), d))]
+               for _ in range(min(_workers(), max(1, len(tiles))))]
+    q_norms, p_norms = np.empty(len(queries)), np.empty(len(pool))
+
+    def take_norms(item: tuple, _) -> None:
+        matrix, norms, rows = item  # at most _TILE rows: `_row_norms`' bits
+        norms[rows] = np.linalg.norm(matrix[rows], axis=1)
+
+    def fill(tile: slice, tile_units: np.ndarray) -> None:
+        tile_units = _gather(tile_units[:tile.stop - tile.start], pool,
+                             np.arange(tile.start, tile.stop), p_div)
+        np.matmul(block, tile_units.T, out=scores[:, tile])
+
+    with _threads(scratch) as run:
+        # the row norms too: against a 20k-row pool, taking them on the
+        # threads cut a 45 ms cosine `bli_evaluate` by 3-4 ms (2 cores)
+        run(take_norms, [(queries, q_norms, slice(start, start + _TILE))
+                         for start in range(0, len(queries), _TILE)]
+            + [(pool, p_norms, tile) for tile in tiles])
+        q_div = _unit_divisors(queries, q_norms)
+        p_div = _unit_divisors(pool, p_norms)
+        if q_div is None:
+            queries = unit_rows(queries)
+        if p_div is None:
+            pool = unit_rows(pool)
+        blocks = row_blocks(len(queries), len(pool), _MIN_ROWS)
+        if blocks:
+            units = np.empty((min(blocks[0].stop, len(queries)), d))
+            buffer = np.empty((len(units), len(pool)))
+        for rows in blocks:
+            index = np.arange(rows.start, min(rows.stop, len(queries)))
+            block = _gather(units[:len(index)], queries, index, q_div)
+            scores = buffer[:len(index)]
+            run(fill, tiles)
+            if metric == "csls":
+                r_rows = topk_mean(scores, csls_n)
+                scores *= 2.0
+                scores -= r_rows[:, None]
+                scores -= r_pool
+            yield rows, scores
 
 
 def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:

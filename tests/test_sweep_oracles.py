@@ -18,6 +18,17 @@ exactly (zero, signed-axis and +-1 vectors, duplicated rows; see
 `conftest.exact_row`): then equal scores are equal in both codes,
 and the tie rule is what gets compared.
 
+`oracle_similarity_sweep` is the sweep as it was before it filled each
+block in tiles of pool rows (`similarity._TILE`) on threads: the unit rows
+of both sides made whole, and one product per row block. A tile's product
+may change a score's last bits, so on generic rows the library's scores
+are compared bit for bit across thread counts and to the oracle within a
+tolerance. On exact rows, a pool row copied across a tile boundary among
+them, they are the oracle's bit for bit; and on the fixtures every consumer
+(BLI, proc-b, self-learning, ICP, mutual pairs) gets from the library what
+it gets from the oracle, at tile widths 1, 3 and the default, on 1-3
+threads.
+
 `oracle_csls_hubness` and `oracle_topk_mean` are the float64 hubness and
 the full-width partition it used. The library screens hubness in float32
 and rescores in float64 (`similarity.csls_hubness`), and selects top-n
@@ -72,7 +83,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clembed
-from clembed import similarity, supervised
+from clembed import evaluation, similarity, supervised, unsupervised
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import bli_evaluate, shuffling_test
 from clembed.lexicon import build_aligned_matrices, make_lexicon
@@ -160,6 +171,25 @@ def oracle_similarity_matrix(src, tgt, metric="cosine", csls_n=10):
     if metric == "csls":
         return oracle_csls_matrix(src, tgt, csls_n)
     raise ValueError(f"unknown similarity metric: {metric!r}")
+
+
+def oracle_similarity_sweep(queries, pool, metric="cosine", csls_n=10,
+                            r_pool=None):
+    """The sweep as it was before tiles: the unit rows of both sides made
+    whole, and each row block scored by one product with all of the pool."""
+    if metric not in ("cosine", "csls"):
+        raise ValueError(f"unknown similarity metric: {metric!r}")
+    if metric == "csls" and r_pool is None:
+        r_pool = csls_hubness(pool, queries, csls_n)
+    qu, pu = unit_rows(queries), unit_rows(pool)
+    for rows in row_blocks(len(qu), len(pu), similarity._MIN_ROWS):
+        scores = qu[rows] @ pu.T
+        if metric == "csls":
+            r_rows = topk_mean(scores, csls_n)
+            scores *= 2.0
+            scores -= r_rows[:, None]
+            scores -= r_pool
+        yield rows, scores
 
 
 def oracle_mutual_argmax_pairs(sim):
@@ -1170,6 +1200,7 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
                     stack.enter_context(
                         mock.patch.object(module, name, publics[value]))
         stack.enter_context(mock.patch.object(similarity, "_CELLS", 3000))
+        stack.enter_context(tiles(3))
         stack.enter_context(threads(2))
         pair = supervised.align_rcsls(aligned, noisy_pair.src.matrix,
                                       noisy_pair.tgt.matrix,
@@ -1177,6 +1208,225 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
         bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, noisy_pair.test_lex,
                      metric="csls")
     assert seen == {threading.get_ident()}
+
+
+# --- the sweep's tiles against the row-block sweep ----------------------------------
+
+TILES = (1, 3, similarity._TILE)
+
+
+def tiles(width):
+    return mock.patch.object(similarity, "_TILE", width)
+
+
+def oracle_swept(queries, pool, metric="cosine", csls_n=10):
+    return np.vstack([s for _, s in oracle_similarity_sweep(
+        queries, pool, metric, csls_n)])
+
+
+def sweep_consumers(pair, spiral):
+    """What every consumer of the sweep makes of the fixtures: BLI under
+    both metrics, proc-b under CSLS, self-learning with its random dropout
+    under cosine, ICP, and the mutual pairs of a CSLS sweep."""
+    proc = align_proc(build_aligned_matrices(pair.train_lex, pair.src,
+                                             pair.tgt))
+    queries, pool = pair.src.matrix @ proc.w_src, pair.tgt.matrix
+    return {
+        "bli-cosine": bli_evaluate(proc, pair.src, pair.tgt, pair.test_lex),
+        "bli-csls": bli_evaluate(proc, pair.src, pair.tgt, pair.test_lex,
+                                 metric="csls", csls_n=5),
+        "pairs": mutual_argmax_pairs(similarity.similarity_sweep(
+            queries, pool, "csls", 3), len(pool)),
+        "proc-b": align_proc_b(pair.src, pair.tgt,
+                               make_lexicon(pair.train_lex[:10]), iters=3,
+                               search_cap=450, metric="csls", csls_n=4),
+        "self-learn": self_learn(
+            pair.src, pair.tgt, vecmap_seed(pair.src, pair.tgt, cap=300),
+            SelfLearnConfig(vocab_cap=300, max_rounds=16, seed=5)),
+        "icp": align_icp(spiral[0], spiral[1], IcpConfig(
+            pca_dim=5, top_n_words=300, restarts=2, max_iters=5, seed=1)),
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_consumers(noisy_pair, spiral_pair):
+    with contextlib.ExitStack() as stack:
+        for module in (similarity, evaluation, supervised, unsupervised):
+            stack.enter_context(mock.patch.object(
+                module, "similarity_sweep", oracle_similarity_sweep))
+        return sweep_consumers(noisy_pair, spiral_pair)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("width", TILES)
+def test_sweep_consumers_match_the_row_block_oracle(
+        noisy_pair, spiral_pair, oracle_consumers, width, workers):
+    with tiles(width), threads(workers):
+        got = sweep_consumers(noisy_pair, spiral_pair)
+    for name in ("bli-cosine", "bli-csls", "pairs"):
+        assert got[name] == oracle_consumers[name], name
+    for name in ("proc-b", "self-learn", "icp"):
+        assert_same_pair(got[name], oracle_consumers[name])
+    assert len(got["pairs"]) > 200
+
+
+@st.composite
+def tiled_sweep_cases(draw):
+    """Exact rows, with a pool drawn from a few base rows, one of them
+    copied across the first tile boundary (or to the end of a pool that
+    is one tile)."""
+    dim = draw(st.integers(1, 4))
+    width = draw(st.sampled_from(TILES))
+    queries = draw(exact_rows(dim, 1, 8))
+    base = draw(exact_rows(dim, 1, 5))
+    pool = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                              max_size=9))]
+    at = min(width, len(pool))
+    pool = np.insert(pool, at, pool[at - 1], axis=0)
+    metric = draw(st.sampled_from(["cosine", "csls"]))
+    return queries, pool, metric, draw(st.integers(1, 4)), width, at
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiled_sweep_cases(), st.sampled_from(CELL_BUDGETS), st.integers(1, 3))
+def test_tiled_sweep_is_bit_equal_to_the_oracle_on_exact_rows(case, cells,
+                                                              workers):
+    queries, pool, metric, csls_n, width, at = case
+    with tiles(width), threads(workers), \
+            mock.patch.object(similarity, "_CELLS", cells):
+        got = swept(queries, pool, metric, csls_n)
+        pairs = mutual_argmax_pairs(
+            similarity_sweep(queries, pool, metric, csls_n), len(pool))
+    want = oracle_swept(queries, pool, metric, csls_n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:, at - 1], got[:, at])
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+    assert np.all(got.argmax(axis=1) != at)      # the copy's tie goes lower
+    assert pairs == mutual_argmax_pairs(
+        oracle_similarity_sweep(queries, pool, metric, csls_n), len(pool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 60),
+       st.integers(1, 40), st.sampled_from(TILES),
+       st.sampled_from(["cosine", "csls"]))
+def test_tiled_sweep_scores_do_not_depend_on_the_thread_count(
+        seed, n, m, dim, width, metric):
+    rng = np.random.default_rng(seed)
+    queries, pool = rng.standard_normal((n, dim)), rng.standard_normal((m, dim))
+    results = []
+    for workers in (1, 2, 3):
+        with tiles(width), threads(workers):
+            results.append(swept(queries, pool, metric, 3))
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
+    assert np.allclose(results[0], oracle_swept(queries, pool, metric, 3),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", TILES)
+def test_tiled_sweep_on_a_fixture_does_not_depend_on_the_thread_count(
+        noisy_pair, width):
+    queries, pool = projected(noisy_pair)
+    results = []
+    for workers in (1, 2, 3):
+        with tiles(width), threads(workers), \
+                mock.patch.object(similarity, "_CELLS", 2 ** 16):
+            results.append(swept(queries, pool, "csls", 5))
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
+
+
+def test_tiled_sweep_under_thread_stress():
+    """Eight threads, more than the cores, switching every 10 us: a tile's
+    scratch handed to two threads at once, or a tile left unfilled, would
+    change the scores."""
+    queries, pool = duplicated_pool(8)
+    with tiles(3), threads(1):
+        want = swept(queries, pool, "csls", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with tiles(3), threads(8):
+            for _ in range(5):
+                assert np.array_equal(swept(queries, pool, "csls", 5), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def assert_oracle_scores(queries, pool, width, metric):
+    """The sweep's scores: the oracle's bit for bit where one tile holds
+    the pool, within the last bits of a product otherwise."""
+    with tiles(width), threads(2):
+        got = swept(queries, pool, metric, 3)
+    want = oracle_swept(queries, pool, metric, 3)
+    if width >= len(pool):
+        assert np.array_equal(got, want)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+    return got
+
+
+@pytest.mark.parametrize("width", TILES)
+@pytest.mark.parametrize("metric", ["cosine", "csls"])
+def test_tiled_sweep_keeps_a_zero_pool_row(width, metric):
+    rng = np.random.default_rng(11)
+    queries, pool = rng.standard_normal((40, 6)), rng.standard_normal((30, 6))
+    pool[7] = 0.0
+    got = assert_oracle_scores(queries, pool, width, metric)
+    if metric == "cosine":
+        assert np.all(got[:, 7] == 0.0)
+
+
+@pytest.mark.parametrize("width", TILES)
+@pytest.mark.parametrize("side", ["pool", "queries"])
+def test_tiled_sweep_rescales_rows_below_the_tiny_norm(width, side):
+    """A nonzero row whose squares underflow: its side goes through
+    `unit_rows` whole, and its scores are those of its unit row."""
+    rng = np.random.default_rng(12)
+    queries, pool = rng.standard_normal((40, 6)), rng.standard_normal((30, 6))
+    tiny = pool if side == "pool" else queries
+    tiny[4] *= 1e-165
+    assert similarity._unit_divisors(tiny) is None
+    got = assert_oracle_scores(queries, pool, width, "cosine")
+    assert np.all(np.abs(got) <= 1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_tile_exception_reaches_the_caller(workers):
+    rng = np.random.default_rng(13)
+    queries, pool = rng.standard_normal((300, 5)), rng.standard_normal((50, 5))
+    gather = similarity._gather
+
+    def failing(out, matrix, index, divisors):
+        if matrix is pool and index[0] >= 21:
+            raise RuntimeError(f"tile at row {index[0]}")
+        return gather(out, matrix, index, divisors)
+
+    before = threading.active_count()
+    with tiles(3), threads(workers), \
+            mock.patch.object(similarity, "_gather", failing):
+        with pytest.raises(RuntimeError, match="tile at row"):
+            for _ in similarity_sweep(queries, pool):
+                pass
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_thread_outlives_a_sweep_closed_early(workers):
+    rng = np.random.default_rng(14)
+    queries, pool = rng.standard_normal((300, 5)), rng.standard_normal((50, 5))
+    before = threading.active_count()
+    with tiles(3), threads(workers), \
+            mock.patch.object(similarity, "_CELLS", 3000):
+        sweep = similarity_sweep(queries, pool, "csls", 3)
+        next(sweep)
+        assert threading.active_count() > before
+        sweep.close()
+        assert threading.active_count() == before
+        for _ in similarity_sweep(queries, pool):
+            break
+        assert threading.active_count() == before
 
 
 # --- memory ------------------------------------------------------------------------
