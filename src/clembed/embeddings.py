@@ -534,8 +534,6 @@ _E_MIN, _E_MAX = 5 - _EXACT_POWER, 5 + _EXACT_POWER
 # One rounding of a scaled value below 10^6 errs by at most 2^-34: a value
 # within this of a half-integer may round to the wrong digit
 _TIE_BAND = 1e-9
-# Most values a formatting block holds, in rows of at most 1024
-_FORMAT_CELLS = 1 << 15
 
 
 def _ascii(text: str) -> int:
@@ -667,7 +665,6 @@ def save_text_embeddings(space: WordVectorSpace,
             raise ValueError(f"word {word!r} holds a space or a line break; "
                              "the text format cannot hold it")
     row_format = " ".join(["%.6g"] * space.dim)
-    step = min(1024, max(1, _FORMAT_CELLS // space.dim))
     digest = hashlib.sha256()
     with _CompanionWriter(path) as companion, \
             ThreadPoolExecutor(max_workers=similarity._workers()) as pool, \
@@ -675,15 +672,16 @@ def save_text_embeddings(space: WordVectorSpace,
         data = f"{len(space)} {space.dim}\n".encode("utf-8")
         for start in range(0, len(space), _CHUNK_LINES):
             rows = space.matrix[start:start + _CHUNK_LINES]
-            starts = range(0, len(rows), step)
+            blocks = similarity._blocks(len(rows), 8 * space.dim,
+                                        similarity._BLOCK_BYTES // 128)
             # each block's results are copied out as they come, so that a
             # chunk's results are not all held twice
             text, values, slow = bytearray(), np.empty(rows.shape), []
-            for at, (block_text, block, mask) in zip(starts, pool.map(
-                    _format_g6, [rows[at:at + step] for at in starts])):
+            for at, (block_text, block, mask) in zip(blocks, pool.map(
+                    _format_g6, [rows[at] for at in blocks])):
                 text += block_text
-                values[at:at + step] = block
-                slow.extend(np.flatnonzero(mask) + at)
+                values[at] = block
+                slow.extend(np.flatnonzero(mask) + at.start)
             lines = bytes(text).split(b"\n")
             if slow:
                 texts = [row_format % tuple(rows[i].tolist()) for i in slow]

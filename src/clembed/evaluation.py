@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import similarity
 from .embeddings import WordVectorSpace, open_text
 from .lexicon import TranslationLexicon
 from .projection import ProjectionPair
-from .similarity import csls_hubness, row_blocks, similarity_sweep
+from .similarity import csls_hubness, similarity_sweep
 
 SUCCESS_MAP_THRESHOLD = 0.05
 P_AT_KS = (1, 5, 10)
@@ -150,8 +151,8 @@ def shuffling_test(labels_a, labels_b, iterations: int = 10000,
     Per-item outcomes are randomly swapped between the two systems; the
     p-value is the add-one-smoothed share of assignments whose absolute
     mean difference reaches the observed one. The swaps are drawn in row
-    blocks (`row_blocks`), the same numbers as one iterations x n draw, so
-    memory does not grow with `iterations`.
+    blocks (`similarity._blocks`), the same numbers as one iterations x n
+    draw, so memory does not grow with `iterations`.
     """
     a = np.asarray(labels_a, dtype=float)
     b = np.asarray(labels_b, dtype=float)
@@ -163,8 +164,9 @@ def shuffling_test(labels_a, labels_b, iterations: int = 10000,
     rng = np.random.default_rng(seed)
     diff = a - b
     count = 0
-    for rows in row_blocks(iterations, a.size):
-        swaps = rng.random((len(range(iterations)[rows]), a.size)) < 0.5
+    for rows in similarity._blocks(iterations, 8 * a.size,
+                                   similarity._BLOCK_BYTES):
+        swaps = rng.random((rows.stop - rows.start, a.size)) < 0.5
         null = np.abs((np.where(swaps, -1.0, 1.0) * diff).mean(axis=1))
         count += int(np.sum(null >= observed - 1e-15))
     return (count + 1) / (iterations + 1)

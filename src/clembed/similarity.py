@@ -2,28 +2,21 @@
 
 All functions operate on row-vector matrices (one embedding per row) and
 return float64 results with no approximate nearest-neighbor shortcuts.
-`similarity_sweep` scores queries against a pool in float64 row blocks
-(`row_blocks`) of _CELLS / 4 cells (32 MiB) against pools of up to 32k
-rows (of up to `_MIN_ROWS` rows within _CELLS cells against wider ones),
-each written into the one buffer the sweep allocates, so a consumer may
-keep a block only until it asks for the next; hubness, argmaxes and gold
-ranks are reductions over those blocks, never a full matrix. A block is
-filled in tiles of `_TILE` pool rows on one thread per core (`_threads`),
-each thread making its tile's unit rows in its own scratch: beside that
-one block the sweep holds per thread one tile of unit rows, and no float64
-unit copy of the pool. One certified top-n kernel, `_top_neighbors`, finds
-each row's n nearest pool rows for CSLS hubness (`csls_hubness`) and for
-RCSLS's neighbourhoods (`supervised.rcsls_neighbor_sets`). It alone uses
-float32, and only to choose candidates: it screens each block in float32,
-rescores the chosen columns in float64 and recomputes in full in float64
-any row whose choice a proven error bound cannot certify (see
-`csls_hubness`), so its columns and means are the float64 ones. Beside its
-inputs it holds one float32 copy of the pool, the row norms of both sides,
-and per thread one float32 screen block and three blocks of the block's
-rows: no float64 copy of either side, and no float32 copy of the queries.
-Its row blocks run on one thread per core (`_map_blocks`). The threads of
-both run numpy and private helpers only, never a public function of the
-package.
+Every blocked loop of the package takes its blocks from one planner,
+`_blocks`, which states each loop's byte budget. `similarity_sweep` scores
+queries against a pool in float64 row blocks, each filled in tiles of pool
+rows on one thread per core (`_threads`) and written into the one buffer
+the sweep allocates; hubness, argmaxes and gold ranks are reductions over
+those blocks, never a full matrix. One certified top-n kernel,
+`_top_neighbors`, finds each row's n nearest pool rows for CSLS hubness
+(`csls_hubness`) and for RCSLS's neighbourhoods
+(`supervised.rcsls_neighbor_sets`). It alone uses float32, and only to
+choose candidates: it screens each block in float32, rescores the chosen
+columns in float64 and recomputes in full in float64 any row whose choice
+a proven error bound cannot certify (see `csls_hubness`), so its columns
+and means are the float64 ones. Its row blocks run on one thread per core
+(`_map_blocks`). The threads of both run numpy and private helpers only,
+never a public function of the package.
 """
 
 from __future__ import annotations
@@ -36,17 +29,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Cells (rows x pool rows) of the working blocks: the top-n kernel's
-# float32 screens in flight on `_map_blocks`' threads hold _CELLS cells
-# together (64 MiB), and a float64 block of `row_blocks` holds _CELLS / 4
-# (32 MiB), each save against pools too wide for `_MIN_ROWS` rows.
-_CELLS = 2 ** 24
-# Rows a `_map_blocks` screen block holds at least, up to pools of
-# 2 * _CELLS / _MIN_ROWS rows (262k), and a float64 product's block
-# (`row_blocks` given `min_rows`) up to pools of _CELLS / _MIN_ROWS rows
-# (131k). Each block's product reads the whole pool, so shorter blocks
-# leave it bound by memory: against a 200k x 300 pool, on one thread,
-# float32 screens of 41 rows took 1.6 times as long as screens of 128.
+# Bytes of a float64 block, from which `_blocks` states every budget.
+_BLOCK_BYTES = 2 ** 25
+# Rows a float64 product's block and a `_map_blocks` screen hold at least
+# where their budgets allow (`_blocks`): against a 200k x 300 pool, on one
+# thread, float32 screens of 41 rows took 1.6 times as long as of 128.
 _MIN_ROWS = 128
 # Rows a `_map_blocks` screen block holds at most. The top-n selection's
 # temporaries (index arrays, partitions) are numpy's own, made in the
@@ -70,17 +57,30 @@ _SPARE = 6
 _TILE = 1024
 
 
-def row_blocks(n_rows: int, pool_rows: int,
-               min_rows: int = 1) -> list[slice]:
-    """Slices of range(n_rows) in blocks of _CELLS / 4 cells against
-    `pool_rows` (or one row). Where that leaves fewer than `min_rows` rows,
-    a block takes as many as _CELLS cells allow, up to `min_rows`: a float64
-    product's block packs the whole pool again, and against a 200k-row pool
-    blocks of 20 rows took 1.7 times as long as blocks of 83."""
-    pool_rows = max(1, pool_rows)
-    step = max(1, _CELLS // 4 // pool_rows,
-               min(min_rows, _CELLS // pool_rows))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+def _blocks(n_rows: int, row_bytes: int, budget: int,
+            floor: int = 1) -> list[slice]:
+    """Slices of range(n_rows), the last clipped to it, of as many rows of
+    `row_bytes` bytes as `budget` bytes hold (at least one), or, where that
+    is fewer than `floor`, as many as 4 * budget hold, up to `floor`. Every
+    blocked loop of the package is planned here, within:
+
+    - _BLOCK_BYTES (32 MiB): `similarity_sweep`'s and the top-n fallback's
+      float64 blocks against the whole pool, at least `_MIN_ROWS` rows
+      within 128 MiB (against a 200k-row pool, products of 20-row blocks
+      took 1.7 times as long as of 83); `unsupervised.vecmap_seed`'s
+      profiles and `evaluation.shuffling_test`'s draws;
+    - _BLOCK_BYTES / 8 (4 MiB) of float64 rows: `_row_norms`, the top-n
+      kernel's float32 pool fill and `supervised._candidate_mask`;
+    - _BLOCK_BYTES / 64 (512 KiB) of bool columns: `mutual_argmax_pairs`;
+    - _BLOCK_BYTES / 128 (256 KiB) of float64 rows:
+      `embeddings.save_text_embeddings`' format blocks;
+    - 2 * _BLOCK_BYTES (64 MiB) of float32 screens in flight together:
+      `_map_blocks`, under its own rule for balancing the threads.
+    """
+    row_bytes = max(1, row_bytes)
+    step = max(1, budget // row_bytes, min(floor, 4 * budget // row_bytes))
+    return [slice(start, min(start + step, n_rows))
+            for start in range(0, n_rows, step)]
 
 
 def _workers() -> int:
@@ -134,25 +134,22 @@ def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
     `screen` is a float32 (rows, pool_rows) scratch block for fn to fill,
     and `blocks` holds one (rows, width) scratch block of that dtype for
     each (width, dtype) in `widths`. The blocks are of near-equal size, at
-    least one per thread and each of at most _CELLS / threads cells (or one
-    row) and at most `_MAX_ROWS` rows (save the last), so that the screens
-    in flight together stay within `_CELLS` float32 cells. Where a pool is
-    so wide that this leaves blocks shorter than `_MIN_ROWS`, they are made
-    as tall as `_MIN_ROWS` allows (save the last) while every thread still
-    has a block and each screen stays within 2 * _CELLS cells (128 MiB).
-    All scratch is allocated here, one set per thread; fn's own temporaries
+    least one per thread, at most `_MAX_ROWS` rows, and each screen within
+    an equal share of 2 * _BLOCK_BYTES (one row at least); against pools
+    too wide for `_MIN_ROWS` rows, of as many rows up to `_MIN_ROWS` as
+    4 * _BLOCK_BYTES hold while every thread has a block (`_blocks`). All
+    scratch is allocated here, one set per thread; fn's own temporaries
     stay in the worker threads' malloc arenas, which is why `_MAX_ROWS`
     bounds them. fn runs under `_threads`' rules.
     """
     workers = _workers()
-    budget = max(1, _CELLS // workers // max(1, pool_rows))
-    n_blocks = -(-n_rows // budget)
+    row_bytes = 4 * max(1, pool_rows)
+    n_blocks = len(_blocks(n_rows, row_bytes, 2 * _BLOCK_BYTES // workers))
     n_blocks += -n_blocks % workers
     step = min(_MAX_ROWS, max(1, -(-n_rows // max(1, n_blocks)),
                               min(_MIN_ROWS, n_rows // workers,
-                                  2 * _CELLS // max(1, pool_rows))))
-    blocks = [slice(start, min(start + step, n_rows))
-              for start in range(0, n_rows, step)]
+                                  4 * _BLOCK_BYTES // row_bytes)))
+    blocks = _blocks(n_rows, row_bytes, step * row_bytes)
     scratch = [[np.empty((step, pool_rows), dtype=np.float32)]
                + [np.empty((step, width), dtype=dtype)
                   for width, dtype in widths]
@@ -178,15 +175,11 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     are left unchanged.
     """
     matrix = np.asarray(matrix)
-    norms = _row_norms(matrix)[:, None]
-    small = norms < _TINY_NORM
-    out = matrix / np.where(small, 1.0, norms)
-    if small.any():
-        tiny = np.flatnonzero(small)
-        tiny = tiny[matrix[tiny].any(axis=1)]
-        if tiny.size:
-            rows = matrix[tiny] / np.abs(matrix[tiny]).max(axis=1, keepdims=True)
-            out[tiny] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    divisors, tiny = _unit_divisors(matrix)
+    out = matrix / divisors[:, None]
+    if tiny.size:
+        rows = matrix[tiny] / np.abs(matrix[tiny]).max(axis=1, keepdims=True)
+        out[tiny] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return out
 
 
@@ -303,26 +296,34 @@ def _norms(matrix: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(matrix, axis=1), bit for bit, taken in row blocks of
-    _CELLS / 32 cells: np.linalg.norm squares its whole input into a
-    temporary, 46 MiB for a 20k x 300 matrix."""
-    norms = [np.linalg.norm(matrix[rows], axis=1)
-             for rows in row_blocks(len(matrix), 8 * matrix.shape[1])]
+    """np.linalg.norm(matrix, axis=1), bit for bit, taken in `_blocks`:
+    np.linalg.norm squares its whole input into a temporary, 46 MiB for a
+    20k x 300 matrix."""
+    norms = [np.linalg.norm(matrix[rows], axis=1) for rows in _blocks(
+        len(matrix), 8 * matrix.shape[1], _BLOCK_BYTES // 8)]
     return np.concatenate(norms) if norms else np.linalg.norm(matrix, axis=1)
 
 
-def _unit_divisors(matrix: np.ndarray,
-                   norms: np.ndarray | None = None) -> np.ndarray | None:
-    """What `unit_rows` divides each row of `matrix` by: its norm, or 1 for
-    a row of zeros. None when a nonzero row's norm is below `_TINY_NORM`,
+def _unit_divisors(matrix: np.ndarray, norms: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """What `unit_rows` divides each row of `matrix` by: its norm, or 1
+    where that is below `_TINY_NORM`; and the nonzero rows among those,
     which `unit_rows` rescales first. `norms` are the `_row_norms` of
     `matrix`, when they are taken already."""
     if norms is None:
         norms = _row_norms(matrix)
     small = norms < _TINY_NORM
-    if matrix[small].any():
-        return None
-    return np.where(small, 1.0, norms)
+    tiny = np.flatnonzero(small)
+    return np.where(small, 1.0, norms), tiny[matrix[tiny].any(axis=1)]
+
+
+def _unit_side(matrix: np.ndarray, norms: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """`matrix` and its `_unit_divisors`, or, when it has a nonzero row
+    below `_TINY_NORM`, unit_rows(matrix) and None: what `_gather` makes
+    unit rows from."""
+    divisors, tiny = _unit_divisors(matrix, norms)
+    return (unit_rows(matrix), None) if tiny.size else (matrix, divisors)
 
 
 def _gather(out: np.ndarray, matrix: np.ndarray, index: np.ndarray,
@@ -347,7 +348,7 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
     rows the band cannot certify are those of `csls_hubness`, whose
     docstring holds the proof. Screened blocks run on `_map_blocks`'
     threads, each on its own rows gathered (and made unit rows) into
-    scratch; the fallback runs after them, in this thread, in `row_blocks`
+    scratch; the fallback runs after them, in this thread, in `_blocks`
     of the uncertified rows, so its blocks do not depend on the thread
     count. Only when a row reaches the fallback, or a nonzero pool row is
     below `_TINY_NORM`, is a float64 copy of the pool made.
@@ -358,14 +359,10 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
     d = queries.shape[1]
     q_div = p_div = None
     if unit:
-        q_div, p_div = _unit_divisors(queries), _unit_divisors(pool)
-        if q_div is None:
-            queries = unit_rows(queries)
-        if p_div is None:
-            pool = unit_rows(pool)
+        (queries, q_div), (pool, p_div) = _unit_side(queries), _unit_side(pool)
     p32 = np.empty(pool.shape, dtype=np.float32)
     p_max = 0.0
-    for rows in row_blocks(len(pool), 8 * d):
+    for rows in _blocks(len(pool), 8 * d, _BLOCK_BYTES // 8):
         block = pool[rows] if p_div is None else pool[rows] / p_div[rows, None]
         p32[rows] = block
         p_max = max(p_max, _norms(block).max(initial=0.0))
@@ -397,7 +394,7 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
     redo = np.flatnonzero(unsure)
     if redo.size and p_div is not None:
         pool = pool / p_div[:, None]
-    for rows in row_blocks(len(redo), len(pool), _MIN_ROWS):
+    for rows in _blocks(len(redo), 8 * len(pool), _BLOCK_BYTES, _MIN_ROWS):
         at = redo[rows]
         cols[at], means[at] = _exact_top(
             _gather(np.empty((len(at), d)), queries, at, q_div), pool, k)
@@ -414,9 +411,9 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
                      metric: str = "cosine", csls_n: int = 10,
                      r_pool: np.ndarray | None = None):
     """Yield (rows, scores of queries[rows] against every pool row) over row
-    blocks (`row_blocks`, at least `_MIN_ROWS` rows tall where _CELLS cells
-    allow); metric is one of {cosine, csls}. Scores are those of
-    unit_rows(queries) with unit_rows(pool).
+    blocks (`_blocks`) that tile range(len(queries)); metric is one of
+    {cosine, csls}. Scores are those of unit_rows(queries) with
+    unit_rows(pool).
 
     Every block is written into one buffer, allocated once for the first
     (the tallest) block: a yielded block is valid only until the next one
@@ -450,9 +447,9 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
                for _ in range(min(_workers(), max(1, len(tiles))))]
     q_norms, p_norms = np.empty(len(queries)), np.empty(len(pool))
 
-    def take_norms(item: tuple, _) -> None:
-        matrix, norms, rows = item  # at most _TILE rows: `_row_norms`' bits
-        norms[rows] = np.linalg.norm(matrix[rows], axis=1)
+    def tile_norms(item: tuple, _) -> None:
+        matrix, norms, tile = item
+        norms[tile] = _row_norms(matrix[tile])
 
     def fill(tile: slice, tile_units: np.ndarray) -> None:
         tile_units = _gather(tile_units[:tile.stop - tile.start], pool,
@@ -462,23 +459,19 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
     with _threads(scratch) as run:
         # the row norms too: against a 20k-row pool, taking them on the
         # threads cut a 45 ms cosine `bli_evaluate` by 3-4 ms (2 cores)
-        run(take_norms, [(queries, q_norms, slice(start, start + _TILE))
+        run(tile_norms, [(queries, q_norms, slice(start, start + _TILE))
                          for start in range(0, len(queries), _TILE)]
             + [(pool, p_norms, tile) for tile in tiles])
-        q_div = _unit_divisors(queries, q_norms)
-        p_div = _unit_divisors(pool, p_norms)
-        if q_div is None:
-            queries = unit_rows(queries)
-        if p_div is None:
-            pool = unit_rows(pool)
-        blocks = row_blocks(len(queries), len(pool), _MIN_ROWS)
+        queries, q_div = _unit_side(queries, q_norms)
+        pool, p_div = _unit_side(pool, p_norms)
+        blocks = _blocks(len(queries), 8 * len(pool), _BLOCK_BYTES, _MIN_ROWS)
         if blocks:
-            units = np.empty((min(blocks[0].stop, len(queries)), d))
+            units = np.empty((blocks[0].stop, d))
             buffer = np.empty((len(units), len(pool)))
         for rows in blocks:
-            index = np.arange(rows.start, min(rows.stop, len(queries)))
-            block = _gather(units[:len(index)], queries, index, q_div)
-            scores = buffer[:len(index)]
+            block = _gather(units[:rows.stop - rows.start], queries,
+                            np.arange(rows.start, rows.stop), q_div)
+            scores = buffer[:len(block)]
             run(fill, tiles)
             if metric == "csls":
                 r_rows = topk_mean(scores, csls_n)
@@ -498,11 +491,10 @@ def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
     first maximum in row-major order is its row's and its column's argmax.
 
     A block's column argmax is its first row equal to the column maximum,
-    read off a boolean mask one group of columns at a time, each group of
-    at most _CELLS / 32 cells or one column. np.argmax over axis 0 copies
-    its input transposed, so what it copies is one group's mask, not the
-    float64 block: one more O(rows x n_pool) pass over the scores per
-    block, and two masks of a group allocated at a time.
+    read off a boolean mask one group of columns at a time (`_blocks`).
+    np.argmax over axis 0 copies its input transposed, so what it copies is
+    one group's mask, not the float64 block: one more O(rows x n_pool) pass
+    over the scores per block, and two masks of a group allocated at a time.
     """
     fwd = []
     col_best = np.full(n_pool, -np.inf)
@@ -511,7 +503,7 @@ def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
         fwd.append(scores.argmax(axis=1))
         top = scores.max(axis=0)
         first = np.empty(n_pool, dtype=np.intp)
-        for cols in row_blocks(n_pool, 8 * len(scores)):
+        for cols in _blocks(n_pool, len(scores), _BLOCK_BYTES // 64):
             first[cols] = (scores[:, cols] == top[cols]).argmax(axis=0)
         better = top > col_best          # strict: a lower row keeps a tie
         col_best[better] = top[better]

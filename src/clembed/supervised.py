@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import similarity
 from .embeddings import WordVectorSpace
 from .lexicon import (AlignedMatrices, TranslationLexicon,
                       build_aligned_matrices, make_lexicon)
 from .linalg import _procrustes, solve_cca, solve_procrustes
 from .projection import ProjectionPair
 from .similarity import (_top_columns, _top_neighbors, mutual_pairs,
-                         row_blocks, similarity_sweep, unit_rows)
+                         similarity_sweep, unit_rows)
 
 _DLV_PAD = -1e6  # weight for non-candidate edges in the sparsified assignment
 _DLV_CANDIDATES = 10  # highest-cosine edges kept per node in dlv's assignment
@@ -118,11 +119,12 @@ def _candidate_mask(sim: np.ndarray) -> np.ndarray:
     """True at each row's and each column's `_DLV_CANDIDATES` largest
     entries (every entry of a shorter row or column); of entries tied at
     the last place either may be kept. Rows and columns are selected by
-    `_top_columns` in `row_blocks` of about _CELLS / 32 cells; a block of
-    columns as the rows of its contiguous transpose."""
+    `_top_columns` in blocks (`similarity._blocks`); a block of columns as
+    the rows of its contiguous transpose."""
     mask = np.zeros_like(sim, dtype=bool)
     for scores, kept in ((sim, mask), (sim.T, mask.T)):
-        for rows in row_blocks(len(scores), 8 * scores.shape[1]):
+        for rows in similarity._blocks(len(scores), 8 * scores.shape[1],
+                                       similarity._BLOCK_BYTES // 8):
             block = np.ascontiguousarray(scores[rows])
             np.put_along_axis(kept[rows], _top_columns(
                 block, _DLV_CANDIDATES)[0], True, axis=1)

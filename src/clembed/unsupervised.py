@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import similarity
 from .embeddings import WordVectorSpace
 from .lexicon import TranslationLexicon, build_aligned_matrices, make_lexicon
 from .linalg import _procrustes, pca_project, sinkhorn_scale, solve_procrustes
 from .projection import ProjectionPair
 from .similarity import (_unit_divisors, mutual_argmax_pairs, mutual_pairs,
-                         row_blocks, similarity_sweep, unit_rows)
+                         similarity_sweep, unit_rows)
 
 _CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
 # stochastic dictionary induction (Artetxe et al. 2018): the share of
@@ -63,8 +64,8 @@ def vecmap_seed(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     output unchanged.
 
     Profiles are cut to the shorter side's length and compared by cosine.
-    They are made in row blocks (`row_blocks`): the target's are held
-    whole, as unit rows, and each block of source profiles is matched
+    They are made in row blocks (`similarity._blocks`): the target's are
+    held whole, as unit rows, and each block of source profiles is matched
     against them as it is made, so that beside one cap x cap profile matrix
     the working set is a few blocks.
     """
@@ -72,10 +73,12 @@ def vecmap_seed(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     tgt_unit = unit_rows(tgt_space.matrix[:cap])
     width = min(len(src_unit), len(tgt_unit))
     tgt_profiles = np.empty((len(tgt_unit), width))
-    for rows in row_blocks(len(tgt_unit), len(tgt_unit)):
+    for rows in similarity._blocks(len(tgt_unit), 8 * len(tgt_unit),
+                                   similarity._BLOCK_BYTES):
         _unit_profiles(tgt_unit[rows] @ tgt_unit.T, tgt_profiles[rows])
     best = np.empty(len(src_unit), dtype=np.intp)
-    for rows in row_blocks(len(src_unit), len(src_unit)):
+    for rows in similarity._blocks(len(src_unit), 8 * len(src_unit),
+                                   similarity._BLOCK_BYTES):
         profiles = src_unit[rows] @ src_unit.T
         profiles = _unit_profiles(profiles, np.empty((len(profiles), width)))
         best[rows] = np.argmax(profiles @ tgt_profiles.T, axis=1)
@@ -89,9 +92,9 @@ def _unit_profiles(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
     `scores` is sorted in place."""
     scores.sort(axis=1)
     out[...] = scores[:, ::-1][:, :out.shape[1]]
-    # never None: a profile starts with its unit row's self-cosine (about
-    # 1), or is a row of zeros
-    out /= _unit_divisors(out)[:, None]
+    # no row to rescale: a profile starts with its unit row's self-cosine
+    # (about 1), or is a row of zeros
+    out /= _unit_divisors(out)[0][:, None]
     return out
 
 

@@ -5,13 +5,35 @@ spiral pair exists because iterative-closest-point restarts need a cloud
 whose shape constrains the rotation at every scale.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from clembed import similarity
 from clembed.embeddings import WordVectorSpace
 from clembed.lexicon import TranslationLexicon, make_lexicon
 from clembed.similarity import mutual_argmax_pairs, similarity_sweep
+
+
+def cell_budget(cells):
+    """Patch the library's block budget to `cells` float32 cells of the
+    top-n screens in flight together (`similarity._map_blocks`): a
+    `similarity._BLOCK_BYTES` of 2 * cells, whose float64 blocks hold
+    cells / 4 cells."""
+    return mock.patch.object(similarity, "_BLOCK_BYTES", 2 * cells)
+
+
+def oracle_row_blocks(n_rows, pool_rows, min_rows=1):
+    """Row blocks of float64 products against `pool_rows` columns, by the
+    formula of the cell budget: max(1, cells / 4 / pool_rows,
+    min(min_rows, cells / pool_rows)) rows each, the last not clipped. The
+    oracles plan their blocks with it, not with `similarity._blocks`."""
+    cells = similarity._BLOCK_BYTES // 2
+    pool_rows = max(1, pool_rows)
+    step = max(1, cells // 4 // pool_rows, min(min_rows, cells // pool_rows))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

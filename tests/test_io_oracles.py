@@ -455,13 +455,14 @@ def test_a_save_parses_no_value_and_its_bytes_do_not_depend_on_threads(
     space = WordVectorSpace(tuple(f"w{i}é" for i in range(300)), matrix)
     oracle_save_text_embeddings(space, tmp_path / "oracle.txt")
     companions = {}
-    for workers, chunk, cells in itertools.product((1, 3), (2, 3, 4096),
-                                                   (1 << 15, 350)):
-        path = tmp_path / f"{workers}-{chunk}-{cells}.txt"
+    # format blocks of 655 rows (the library's 256 KiB) and of 7 rows
+    for workers, chunk, budget in itertools.product((1, 3), (2, 3, 4096),
+                                                    (2 ** 25, 128 * 2800)):
+        path = tmp_path / f"{workers}-{chunk}-{budget}.txt"
         with counting_parses() as counts, \
                 mock.patch.object(similarity, "_workers", lambda: workers), \
                 mock.patch.object(embeddings, "_CHUNK_LINES", chunk), \
-                mock.patch.object(embeddings, "_FORMAT_CELLS", cells):
+                mock.patch.object(similarity, "_BLOCK_BYTES", budget):
             save_text_embeddings(space, path)
         assert counts == []
         assert path.read_bytes() == (tmp_path / "oracle.txt").read_bytes()

@@ -26,14 +26,12 @@ here; `clir_run` now scores each distinct document once, and
 """
 
 from collections import OrderedDict
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clembed import similarity
 from clembed.clir import (ClirRun, DocumentCollection, _descending_order,
                           aggregate_texts, clir_run, idf_weighting)
 from clembed.embeddings import WordVectorSpace
@@ -44,7 +42,7 @@ from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.projection import ProjectionPair, identity_pair
 from clembed.similarity import topk_mean, unit_rows
 from clembed.supervised import align_proc
-from conftest import exact_rows
+from conftest import cell_budget, exact_rows
 
 CELL_BUDGETS = (1, 40, 2 ** 24)
 
@@ -199,7 +197,7 @@ def test_bli_matches_oracle_on_fixture(noisy_pair, metric, cells):
     test = make_lexicon(list(noisy_pair.test_lex)
                         + [("w0400", "w0001"), ("w0400", "w0450"),
                            ("w0010", "zzz"), ("zzz", "w0402")])
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         new = bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, test,
                            metric=metric, csls_n=5)
     old = oracle_bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, test,
@@ -237,7 +235,7 @@ def bli_cases(draw):
 @given(bli_cases(), st.sampled_from(CELL_BUDGETS))
 def test_bli_matches_oracle_on_ties(case, cells):
     pair, src, tgt, lex, metric, csls_n = case
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         new = outcome(bli_evaluate, pair, src, tgt, lex, metric=metric,
                       csls_n=csls_n)
     old = outcome(oracle_bli_evaluate, pair, src, tgt, lex, metric=metric,

@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -6,15 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clembed import similarity
-from clembed.embeddings import WordVectorSpace
-from clembed.evaluation import average_precision_from_ranks, bli_evaluate
+from clembed import similarity, supervised, unsupervised
+from clembed.embeddings import WordVectorSpace, save_text_embeddings
+from clembed.evaluation import (average_precision_from_ranks, bli_evaluate,
+                                shuffling_test)
 from clembed.lexicon import make_lexicon
 from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
-                                mutual_argmax_pairs, mutual_pairs, row_blocks,
+                                mutual_argmax_pairs, mutual_pairs,
                                 similarity_sweep, topk_mean, unit_rows)
-from conftest import capped_mutual_pairs
+from conftest import capped_mutual_pairs, cell_budget, oracle_row_blocks
 
 
 def swept(queries, pool, metric="cosine", csls_n=10):
@@ -77,7 +79,7 @@ def test_unit_rows_equals_the_whole_matrix_quotient(cells):
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     want = m / np.where(norms < similarity._TINY_NORM, 1.0, norms)
     want[200] = 1 / np.sqrt(300)
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = unit_rows(m)
     assert np.array_equal(got, want)
 
@@ -229,22 +231,190 @@ def test_csls_hubness_rejects_nonpositive_neighbours():
         csls_hubness(np.eye(3), np.eye(3), 0)
 
 
-def test_row_blocks_size_rows_by_the_cell_budget():
-    # rows per block = max(1, 2**22 // pool rows, min(min_rows, 2**24 //
-    # pool rows)): float64 blocks of 32 MiB, or up to min_rows rows within
-    # 128 MiB
-    assert row_blocks(300, 2 ** 14) == [slice(0, 256), slice(256, 512)]
-    assert row_blocks(300, 2 ** 14, 128) == row_blocks(300, 2 ** 14)
-    assert row_blocks(150, 2 ** 16) == [slice(0, 64), slice(64, 128),
-                                        slice(128, 192)]
-    assert row_blocks(300, 2 ** 16, 128) == [slice(0, 128), slice(128, 256),
-                                             slice(256, 384)]
-    assert row_blocks(20, 2 ** 21, 128) == [slice(0, 8), slice(8, 16),
-                                            slice(16, 24)]
-    assert row_blocks(2, 2 ** 30) == [slice(0, 1), slice(1, 2)]
-    assert row_blocks(2, 2 ** 30, 128) == [slice(0, 1), slice(1, 2)]
-    assert row_blocks(5, 1) == [slice(0, 2 ** 22)]
-    assert row_blocks(0, 100) == []
+def test_blocks_size_rows_by_the_byte_budget():
+    # rows per block = max(1, budget // row bytes, min(floor, 4 * budget //
+    # row bytes)), the last block clipped to the rows
+    blocks = similarity._blocks
+    assert blocks(300, 8 * 2 ** 14, 2 ** 25) == [slice(0, 256),
+                                                 slice(256, 300)]
+    assert blocks(300, 8 * 2 ** 14, 2 ** 25, 128) == \
+        blocks(300, 8 * 2 ** 14, 2 ** 25)
+    assert blocks(150, 8 * 2 ** 16, 2 ** 25) == [slice(0, 64), slice(64, 128),
+                                                 slice(128, 150)]
+    assert blocks(300, 8 * 2 ** 16, 2 ** 25, 128) == [
+        slice(0, 128), slice(128, 256), slice(256, 300)]
+    assert blocks(20, 8 * 2 ** 21, 2 ** 25, 128) == [slice(0, 8), slice(8, 16),
+                                                     slice(16, 20)]
+    assert blocks(2, 8 * 2 ** 30, 2 ** 25) == [slice(0, 1), slice(1, 2)]
+    assert blocks(2, 8 * 2 ** 30, 2 ** 25, 128) == [slice(0, 1), slice(1, 2)]
+    assert blocks(5, 8, 2 ** 25) == [slice(0, 5)]
+    assert blocks(7, 0, 10) == [slice(0, 7)]
+    assert blocks(0, 800, 2 ** 25) == []
+
+
+# --- every block plan, pinned to the formulas the planner replaced -----------
+
+PLAN_ROWS = (0, 1, 2, 3, 7, 100, 127, 128, 129, 209, 1000, 4096, 20000,
+             200000)
+PLAN_WIDTHS = (1, 2, 3, 7, 31, 32, 33, 50, 300, 1000, 4096, 20000, 32768,
+               32769, 131072, 131073, 200000, 10 ** 6)
+
+
+def budget():
+    return similarity._BLOCK_BYTES
+
+
+def oracle_save_blocks(n_rows, width):
+    """The save's format blocks: at most 2**15 values, in rows of at most
+    1024."""
+    step = min(1024, max(1, 2 ** 15 // width))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def oracle_map_blocks(n_rows, pool_rows, workers):
+    """`_map_blocks`' row blocks by its formula of the cell budget."""
+    cells = similarity._BLOCK_BYTES // 2
+    per_thread = max(1, cells // workers // max(1, pool_rows))
+    n_blocks = -(-n_rows // per_thread)
+    n_blocks += -n_blocks % workers
+    step = min(similarity._MAX_ROWS,
+               max(1, -(-n_rows // max(1, n_blocks)),
+                   min(similarity._MIN_ROWS, n_rows // workers,
+                       2 * cells // max(1, pool_rows))))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def clipped(blocks, n_rows):
+    return [slice(rows.start, min(rows.stop, n_rows)) for rows in blocks]
+
+
+def rows_of(n, width, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, width))
+
+
+def save_rows(n, width, path):
+    space = WordVectorSpace(tuple(f"w{i}" for i in range(n)), rows_of(n, width))
+    save_text_embeddings(space, path / "saved.txt")
+
+
+# Each caller of `similarity._blocks`: (the row bytes, budget and floor of
+# its blocks of rows `width` wide; its plan by the formula it had before
+# the planner; a run of it on (n, width) rows; that n and width). The run
+# must ask the planner for exactly those settings.
+PLAN_SITES = {
+    "similarity_sweep": (
+        lambda width: (8 * width, budget(), similarity._MIN_ROWS),
+        lambda n, width: oracle_row_blocks(n, width, similarity._MIN_ROWS),
+        lambda n, width, _: list(similarity_sweep(rows_of(n, 3),
+                                                  rows_of(width, 3))),
+        (5, 3)),
+    # every score of a row against a pool of equal rows ties: all n rows
+    # fall back
+    "top-n fallback": (
+        lambda width: (8 * width, budget(), similarity._MIN_ROWS),
+        lambda n, width: oracle_row_blocks(n, width, similarity._MIN_ROWS),
+        lambda n, width, _: csls_hubness(rows_of(n, 3), np.ones((width, 3)),
+                                         2),
+        (5, 20)),
+    "vecmap_seed": (
+        lambda width: (8 * width, budget(), 1),
+        oracle_row_blocks,
+        lambda n, width, _: unsupervised.vecmap_seed(
+            *[WordVectorSpace(tuple(f"w{i}" for i in range(n)),
+                              rows_of(n, 3, seed)) for seed in (1, 2)],
+            cap=width),
+        (6, 6)),
+    "shuffling_test": (
+        lambda width: (8 * width, budget(), 1),
+        oracle_row_blocks,
+        lambda n, width, _: shuffling_test(rows_of(1, width)[0],
+                                           rows_of(1, width, 1)[0], n),
+        (150, 4)),
+    "_row_norms": (
+        lambda width: (8 * width, budget() // 8, 1),
+        lambda n, width: oracle_row_blocks(n, 8 * width),
+        lambda n, width, _: similarity._row_norms(rows_of(n, width)),
+        (5, 3)),
+    "float32 pool fill": (
+        lambda width: (8 * width, budget() // 8, 1),
+        lambda n, width: oracle_row_blocks(n, 8 * width),
+        lambda n, width, _: similarity._top_neighbors(
+            rows_of(2, width), rows_of(n, width, 1), 1),
+        (5, 3)),
+    "_candidate_mask": (
+        lambda width: (8 * width, budget() // 8, 1),
+        lambda n, width: oracle_row_blocks(n, 8 * width),
+        lambda n, width, _: supervised._candidate_mask(rows_of(n, width)),
+        (5, 3)),
+    # a row is one bool of each row of the scores block: `width` of them
+    "mutual_argmax_pairs": (
+        lambda width: (width, budget() // 64, 1),
+        lambda n, width: oracle_row_blocks(n, 8 * width),
+        lambda n, width, _: mutual_argmax_pairs(
+            [(slice(0, width), rows_of(width, n))], n),
+        (5, 3)),
+    "save_text_embeddings": (
+        lambda width: (8 * width, budget() // 128, 1),
+        oracle_save_blocks,
+        save_rows,
+        (5, 3)),
+}
+
+
+@pytest.mark.parametrize("site", PLAN_SITES)
+def test_every_block_plan_is_the_one_before_the_planner(site, tmp_path):
+    """At the library's budget, over rows 0-200k and widths 1-10**6, each
+    caller's plan is the one its earlier formula made, the last block
+    clipped; the save's, for rows of 32 values or more (its earlier cap of
+    1024 rows binds only below that). And each caller asks for it."""
+    settings, oracle, run, (n, width) = PLAN_SITES[site]
+    for n_rows in PLAN_ROWS:
+        for w in PLAN_WIDTHS:
+            if site == "save_text_embeddings" and w < 32:
+                continue
+            assert similarity._blocks(n_rows, *settings(w)) == \
+                clipped(oracle(n_rows, w), n_rows), (n_rows, w)
+    with mock.patch.object(similarity, "_blocks",
+                           wraps=similarity._blocks) as planner:
+        run(n, width, tmp_path)
+    asked = [call.args + (1,) * (4 - len(call.args))
+             for call in planner.call_args_list]
+    assert (n, *settings(width)) in asked
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_blocks_plan_is_the_one_before_the_planner(workers):
+    """`_map_blocks`' blocks, over the same grid, are the ones its own
+    formula made, the last block clipped. No block is run: its scratch is
+    allocated and not touched."""
+    planned = []
+
+    @contextlib.contextmanager
+    def recording(scratch):
+        yield lambda fn, blocks: planned.extend(blocks)
+
+    with mock.patch.object(similarity, "_threads", recording), \
+            mock.patch.object(similarity, "_workers", lambda: workers):
+        for n_rows in PLAN_ROWS:
+            for w in PLAN_WIDTHS:
+                planned.clear()
+                similarity._map_blocks(None, n_rows, w)
+                assert planned == clipped(
+                    oracle_map_blocks(n_rows, w, workers), n_rows), (n_rows, w)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "csls"])
+@pytest.mark.parametrize("n_queries", [1, 5, 79, 80, 81, 300])
+def test_sweep_rows_tile_the_queries(metric, n_queries):
+    """The yielded rows cover range(len(queries)) once, in order, and none
+    stops past its end, also where one block would hold more rows than
+    there are queries (blocks of 80 rows here)."""
+    queries, pool = rows_of(n_queries, 4), rows_of(50, 4, 1)
+    with cell_budget(4000):
+        rows = [rows for rows, _ in similarity_sweep(queries, pool, metric, 3)]
+    assert all(block.stop <= n_queries for block in rows)
+    assert [i for block in rows for i in range(block.start, block.stop)] == \
+        list(range(n_queries))
 
 
 @settings(max_examples=40, deadline=None)

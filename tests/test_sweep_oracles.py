@@ -6,9 +6,11 @@ hubness terms from its rows and its columns), `oracle_mutual_argmax_pairs`
 takes both argmaxes of that matrix, and `oracle_align_proc_b`,
 `oracle_self_learn` and `oracle_rcsls_neighbor_sets` are the aligner steps
 that used them. The library scores queries in row blocks
-(`similarity.similarity_sweep`, `similarity.row_blocks`) and reduces the
+(`similarity.similarity_sweep`, `similarity._blocks`) and reduces the
 blocks one at a time. Indices, pairs and projection pairs must be equal, not
-close, at three cell budgets, so that sweeps split into many blocks.
+close, at three cell budgets (`conftest.cell_budget`), so that sweeps split
+into many blocks. The oracles plan their row blocks by the formula in
+`conftest.oracle_row_blocks`, not by the library's planner.
 
 On generic vectors a one-row block (a matrix-vector product) and the
 transposed product that gives the pool-side hubness may differ from the
@@ -90,7 +92,7 @@ from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.linalg import sinkhorn_scale, solve_procrustes
 from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
-                                mutual_argmax_pairs, mutual_pairs, row_blocks,
+                                mutual_argmax_pairs, mutual_pairs,
                                 similarity_sweep, topk_mean, unit_rows)
 from clembed.supervised import (RcslsConfig, align_dlv, align_proc,
                                 align_proc_b, align_rcsls, rcsls_gradient,
@@ -99,8 +101,8 @@ from clembed.unsupervised import (IcpConfig, SelfLearnConfig, _dropout,
                                   _nearest_rows, align_icp,
                                   gromov_wasserstein_plan, self_learn,
                                   vecmap_seed)
-from conftest import (RotatedPair, capped_mutual_pairs, exact_rows,
-                      oracle_rcsls_objective)
+from conftest import (RotatedPair, capped_mutual_pairs, cell_budget,
+                      exact_rows, oracle_rcsls_objective, oracle_row_blocks)
 
 # one row per block, a few rows per block against the fixtures' 500-row
 # pools, and the library's own budget
@@ -121,7 +123,7 @@ def oracle_topk_mean(scores, k, axis=1):
 def oracle_csls_hubness(vectors, pool, n_neighbors):
     vu, pu = unit_rows(vectors), unit_rows(pool)
     return np.concatenate([oracle_topk_mean(vu[rows] @ pu.T, n_neighbors)
-                           for rows in row_blocks(len(vu), len(pu))])
+                           for rows in oracle_row_blocks(len(vu), len(pu))])
 
 
 def oracle_top_neighbors(queries, pool, n):
@@ -152,7 +154,7 @@ def oracle_top_neighbors(queries, pool, n):
 
     similarity._map_blocks(screen_block, len(queries), len(pool))
     redo = np.flatnonzero(unsure)
-    for rows in row_blocks(len(redo), len(pool)):
+    for rows in oracle_row_blocks(len(redo), len(pool)):
         cols[redo[rows]], means[redo[rows]] = similarity._exact_top(
             queries[redo[rows]], pool, k)
     return cols, means
@@ -182,7 +184,7 @@ def oracle_similarity_sweep(queries, pool, metric="cosine", csls_n=10,
     if metric == "csls" and r_pool is None:
         r_pool = csls_hubness(pool, queries, csls_n)
     qu, pu = unit_rows(queries), unit_rows(pool)
-    for rows in row_blocks(len(qu), len(pu), similarity._MIN_ROWS):
+    for rows in oracle_row_blocks(len(qu), len(pu), similarity._MIN_ROWS):
         scores = qu[rows] @ pu.T
         if metric == "csls":
             r_rows = topk_mean(scores, csls_n)
@@ -472,7 +474,7 @@ def projected(pair_fixture):
 def test_sweep_matches_dense_matrix(noisy_pair, metric, cells):
     queries, pool = projected(noisy_pair)
     queries = queries[:300]                      # queries and pool differ in size
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = swept(queries, pool, metric, 5)
         pairs = mutual_argmax_pairs(
             similarity_sweep(queries, pool, metric, 5), len(pool))
@@ -495,7 +497,7 @@ def test_sweep_rejects_unknown_metric():
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
 def test_mutual_nearest_neighbors_match_oracle(noisy_pair, metric, cells):
     queries, pool = projected(noisy_pair)
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = capped_mutual_pairs(queries, pool, 400, metric, 3)
     sim = oracle_similarity_matrix(queries[:400], pool[:400], metric, 3)
     assert got == oracle_mutual_argmax_pairs(sim)
@@ -508,7 +510,7 @@ def test_mutual_nearest_neighbors_match_oracle(noisy_pair, metric, cells):
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
 def test_proc_b_matches_oracle(noisy_pair, metric, cells):
     seed = make_lexicon(noisy_pair.train_lex[:10])
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         new = align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=3,
                            search_cap=450, metric=metric, csls_n=4)
     old = oracle_align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=3,
@@ -526,7 +528,7 @@ def test_self_learn_matches_oracle(noisy_pair, metric, cells):
     # run, and both metrics converge within 16 rounds
     cfg = SelfLearnConfig(vocab_cap=300, metric=metric, csls_n=4,
                           max_rounds=16, seed=5)
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         new = self_learn(noisy_pair.src, noisy_pair.tgt, seed_lex, cfg)
     old = oracle_self_learn(noisy_pair.src, noisy_pair.tgt, seed_lex, cfg)
     assert_same_pair(new, old)
@@ -541,7 +543,7 @@ def test_rcsls_neighbor_sets_match_oracle(noisy_pair, cells):
     src_pool = unit_rows(noisy_pair.src.matrix)
     tgt_pool = unit_rows(noisy_pair.tgt.matrix)
     w = solve_procrustes(x_s, x_t)
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = rcsls_neighbor_sets(w, x_s, x_t, src_pool, tgt_pool, 7)
     assert_same_neighbor_sets(got, w, x_s, x_t, src_pool, tgt_pool, 7)
 
@@ -549,7 +551,7 @@ def test_rcsls_neighbor_sets_match_oracle(noisy_pair, cells):
 @pytest.mark.parametrize("cells", CELL_BUDGETS)
 def test_align_dlv_matches_oracle(noisy_pair, cells):
     seed = make_lexicon(noisy_pair.train_lex[:30])
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         pair = align_dlv(noisy_pair.src, noisy_pair.tgt, seed, em_iters=2,
                          match_cap=400)
     w, sizes = oracle_align_dlv(noisy_pair.src, noisy_pair.tgt, seed,
@@ -566,7 +568,7 @@ def test_vecmap_seed_matches_oracle(noisy_pair, cells, tgt_words):
     profiles are 350 long: the source's are cut to that."""
     tgt = WordVectorSpace(noisy_pair.tgt.words[:tgt_words],
                           noisy_pair.tgt.matrix[:tgt_words])
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = vecmap_seed(noisy_pair.src, tgt, cap=400)
     assert got == oracle_vecmap_seed(noisy_pair.src, tgt, cap=400)
     assert len(got) == 400
@@ -577,7 +579,7 @@ def test_icp_is_independent_of_the_cell_budget(spiral_pair, cells):
     src, tgt, _ = spiral_pair
     cfg = IcpConfig(pca_dim=5, top_n_words=300, restarts=2, max_iters=5,
                     seed=1)
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         new = align_icp(src, tgt, cfg)
     assert_same_pair(new, align_icp(src, tgt, cfg))
 
@@ -600,7 +602,7 @@ def sweep_cases(draw):
 @given(sweep_cases(), st.sampled_from(CELL_BUDGETS))
 def test_sweep_reductions_match_oracle_on_ties(case, cells):
     queries, pool, metric, csls_n = case
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = swept(queries, pool, metric, csls_n)
         pairs = mutual_argmax_pairs(
             similarity_sweep(queries, pool, metric, csls_n), len(pool))
@@ -643,7 +645,7 @@ def rcsls_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(rcsls_cases(), st.sampled_from(CELL_BUDGETS))
 def test_rcsls_neighbor_sets_match_oracle_on_ties(case, cells):
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = rcsls_neighbor_sets(*case)
     assert_same_neighbor_sets(got, *case)
     # exact scores: each row is in descending order of its float64 score
@@ -792,7 +794,7 @@ def test_nearest_rows_match_oracle(seed, n, m, dim, copies):
 @pytest.mark.parametrize("cells", CELL_BUDGETS)
 def test_dropout_matches_oracle(noisy_pair, cells, keep_prob):
     queries, pool = projected(noisy_pair)
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         best, want_best = np.empty(len(queries)), np.empty(len(queries))
         got = kept(_dropout(similarity_sweep(queries, pool, "csls", 5),
                             best, keep_prob, np.random.default_rng(3)))
@@ -831,7 +833,7 @@ def test_csls_hubness_matches_oracle(pool_rows, n, cells):
     vectors = rng.standard_normal((120, 30))
     pool = rng.standard_normal((pool_rows, 30))
     fallback, patch = count_fallback_rows()
-    with mock.patch.object(similarity, "_CELLS", cells), patch:
+    with cell_budget(cells), patch:
         got = csls_hubness(vectors, pool, n)
     want = oracle_csls_hubness(vectors, pool, n)
     assert np.allclose(got, want, rtol=0, atol=1e-15)
@@ -885,7 +887,7 @@ def hubness_cases(draw):
 @given(hubness_cases(), st.sampled_from(CELL_BUDGETS))
 def test_csls_hubness_matches_oracle_on_exact_rows(case, cells):
     vectors, pool, n = case
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         got = csls_hubness(vectors, pool, n)
     assert np.array_equal(got, oracle_csls_hubness(vectors, pool, n))
 
@@ -923,7 +925,7 @@ def scaled_rcsls_cases(draw):
 @given(scaled_rcsls_cases(), st.sampled_from(CELL_BUDGETS),
        st.sampled_from([1, 2]))
 def test_rcsls_neighbor_sets_match_oracle_on_scaled_rows(case, cells, workers):
-    with mock.patch.object(similarity, "_CELLS", cells), \
+    with cell_budget(cells), \
             mock.patch.object(similarity, "_workers", lambda: workers):
         got = rcsls_neighbor_sets(*case)
     assert_same_neighbor_sets(got, *case)
@@ -978,7 +980,7 @@ def top_neighbor_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(top_neighbor_cases(), st.sampled_from(CELL_BUDGETS), st.integers(1, 3))
 def test_top_neighbors_match_oracle_bit_for_bit(case, cells, workers):
-    with mock.patch.object(similarity, "_CELLS", cells), threads(workers):
+    with cell_budget(cells), threads(workers):
         assert_same_top(*top_neighbors_against_oracle(*case))
 
 
@@ -993,7 +995,7 @@ def test_top_neighbors_match_oracle_at_every_budget(cells, workers):
              (vectors, rng.standard_normal((500, 30)), 5, True),
              (1000.0 * vectors, 1000.0 * duplicated, 4, False)]
     fallback, patch = count_fallback_rows()
-    with patch, mock.patch.object(similarity, "_CELLS", cells), \
+    with patch, cell_budget(cells), \
             threads(workers):
         for case in cases:
             assert_same_top(*top_neighbors_against_oracle(*case))
@@ -1029,7 +1031,7 @@ def test_top_neighbors_match_oracle_with_rows_below_the_tiny_norm(tiny):
         rows[3] *= 1e-160
         rows[11] *= 1e-170
     for cells, workers in ((3000, 2), (2 ** 24, 1)):
-        with mock.patch.object(similarity, "_CELLS", cells), threads(workers):
+        with cell_budget(cells), threads(workers):
             assert_same_top(*top_neighbors_against_oracle(vectors, pool, 10,
                                                           True))
             got = csls_hubness(vectors, pool, 10)
@@ -1046,7 +1048,7 @@ def test_candidate_mask_matches_oracle(seed, n, m):
     sim = np.random.default_rng(seed).permutation(n * m).reshape(n, m) / (n * m)
     want = oracle_candidate_mask(sim)
     for cells in CELL_BUDGETS:
-        with mock.patch.object(similarity, "_CELLS", cells):
+        with cell_budget(cells):
             assert np.array_equal(supervised._candidate_mask(sim), want)
 
 
@@ -1060,7 +1062,7 @@ def test_candidate_mask_keeps_the_top_of_each_row_and_column_on_ties(
     at each cell budget."""
     sim = np.random.default_rng(seed).integers(-values, values + 1, (n, m)) / 4
     for cells in CELL_BUDGETS:
-        with mock.patch.object(similarity, "_CELLS", cells):
+        with cell_budget(cells):
             mask = supervised._candidate_mask(sim)
         for scores, kept in ((sim, mask), (sim.T, mask.T)):
             k = min(10, scores.shape[1])
@@ -1089,7 +1091,7 @@ def test_csls_hubness_is_independent_of_the_thread_count(cells):
     results = []
     for workers in (1, 2, 3):
         fallback, patch = count_fallback_rows()
-        with mock.patch.object(similarity, "_CELLS", cells), \
+        with cell_budget(cells), \
                 threads(workers), patch:
             results.append(csls_hubness(vectors, pool, 10))
         assert 0 < sum(fallback) < len(vectors)
@@ -1104,12 +1106,12 @@ def test_csls_hubness_under_thread_stress():
     block handed to two threads at once, or a row written by two blocks,
     would change the result."""
     vectors, pool = duplicated_pool(7)
-    with mock.patch.object(similarity, "_CELLS", 3000), threads(1):
+    with cell_budget(3000), threads(1):
         want = csls_hubness(vectors, pool, 10)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with mock.patch.object(similarity, "_CELLS", 3000), threads(8):
+        with cell_budget(3000), threads(8):
             for _ in range(5):
                 assert np.array_equal(csls_hubness(vectors, pool, 10), want)
     finally:
@@ -1138,7 +1140,7 @@ def test_map_blocks_covers_every_row_once_within_the_budget(workers, cells):
         idents.add(threading.get_ident())
 
     before = threading.active_count()
-    with mock.patch.object(similarity, "_CELLS", cells), threads(workers):
+    with cell_budget(cells), threads(workers):
         similarity._map_blocks(fn, 1000, 70, (5, np.float64), (2, np.int8))
     assert sorted(rows_seen) == list(range(1000))
     assert len(heights) >= workers
@@ -1157,7 +1159,7 @@ def test_a_worker_exception_reaches_the_caller():
             raise RuntimeError(f"block at row {rows.start}")
 
     before = threading.active_count()
-    with mock.patch.object(similarity, "_CELLS", 5000), threads(2):
+    with cell_budget(5000), threads(2):
         with pytest.raises(RuntimeError, match="block at row"):
             similarity._map_blocks(fn, 1000, 70)
     assert threading.active_count() == before
@@ -1166,7 +1168,7 @@ def test_a_worker_exception_reaches_the_caller():
 def test_no_thread_outlives_a_call():
     vectors, pool = duplicated_pool(6)
     before = threading.active_count()
-    with mock.patch.object(similarity, "_CELLS", 3000), threads(3):
+    with cell_budget(3000), threads(3):
         csls_hubness(vectors, pool, 10)
     assert threading.active_count() == before
 
@@ -1175,7 +1177,9 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
     """Every public function of every clembed module is wrapped, under each
     name that refers to it, as a span tracer wraps them, and records the
     thread it runs on. A tracer that keeps one span stack per process is
-    only correct if that is always the calling thread."""
+    only correct if that is always the calling thread. The run must reach
+    the helpers that do run on the workers: the sweep's tile norms, taken
+    through `_row_norms` and the planner, there."""
     modules = [clembed] + [importlib.import_module(f"clembed.{info.name}")
                            for info in pkgutil.iter_modules(clembed.__path__)]
     seen = set()
@@ -1191,6 +1195,12 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
                for name, fn in vars(module).items()
                if not name.startswith("_") and inspect.isfunction(fn)
                and fn.__module__ == module.__name__}
+    row_norms, norm_threads = similarity._row_norms, set()
+
+    def recording_norms(matrix):
+        norm_threads.add(threading.get_ident())
+        return row_norms(matrix)
+
     aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
                                      noisy_pair.tgt)
     with contextlib.ExitStack() as stack:
@@ -1199,15 +1209,20 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
                 if inspect.isfunction(value) and value in publics:
                     stack.enter_context(
                         mock.patch.object(module, name, publics[value]))
-        stack.enter_context(mock.patch.object(similarity, "_CELLS", 3000))
+        stack.enter_context(cell_budget(3000))
         stack.enter_context(tiles(3))
         stack.enter_context(threads(2))
+        stack.enter_context(mock.patch.object(similarity, "_row_norms",
+                                              recording_norms))
         pair = supervised.align_rcsls(aligned, noisy_pair.src.matrix,
                                       noisy_pair.tgt.matrix,
                                       RcslsConfig(neighborhood=5, epochs=2))
         bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, noisy_pair.test_lex,
                      metric="csls")
     assert seen == {threading.get_ident()}
+    # the sweep's tiles took their row norms (`_row_norms`, and through it
+    # the planner) on the worker threads
+    assert norm_threads - {threading.get_ident()}
 
 
 # --- the sweep's tiles against the row-block sweep ----------------------------------
@@ -1293,7 +1308,7 @@ def test_tiled_sweep_is_bit_equal_to_the_oracle_on_exact_rows(case, cells,
                                                               workers):
     queries, pool, metric, csls_n, width, at = case
     with tiles(width), threads(workers), \
-            mock.patch.object(similarity, "_CELLS", cells):
+            cell_budget(cells):
         got = swept(queries, pool, metric, csls_n)
         pairs = mutual_argmax_pairs(
             similarity_sweep(queries, pool, metric, csls_n), len(pool))
@@ -1331,7 +1346,7 @@ def test_tiled_sweep_on_a_fixture_does_not_depend_on_the_thread_count(
     results = []
     for workers in (1, 2, 3):
         with tiles(width), threads(workers), \
-                mock.patch.object(similarity, "_CELLS", 2 ** 16):
+                cell_budget(2 ** 16):
             results.append(swept(queries, pool, "csls", 5))
     for got in results[1:]:
         assert np.array_equal(got, results[0])
@@ -1387,7 +1402,7 @@ def test_tiled_sweep_rescales_rows_below_the_tiny_norm(width, side):
     queries, pool = rng.standard_normal((40, 6)), rng.standard_normal((30, 6))
     tiny = pool if side == "pool" else queries
     tiny[4] *= 1e-165
-    assert similarity._unit_divisors(tiny) is None
+    assert similarity._unit_side(tiny)[1] is None
     got = assert_oracle_scores(queries, pool, width, "cosine")
     assert np.all(np.abs(got) <= 1.0 + 1e-15)
 
@@ -1418,7 +1433,7 @@ def test_no_thread_outlives_a_sweep_closed_early(workers):
     queries, pool = rng.standard_normal((300, 5)), rng.standard_normal((50, 5))
     before = threading.active_count()
     with tiles(3), threads(workers), \
-            mock.patch.object(similarity, "_CELLS", 3000):
+            cell_budget(3000):
         sweep = similarity_sweep(queries, pool, "csls", 3)
         next(sweep)
         assert threading.active_count() > before
@@ -1437,7 +1452,7 @@ def test_mutual_nearest_neighbors_stays_within_its_blocks(metric):
     rng = np.random.default_rng(0)
     src = rng.standard_normal((2000, 20))
     tgt = src + 0.01 * rng.standard_normal((2000, 20))
-    with mock.patch.object(similarity, "_CELLS", 2 ** 16):
+    with cell_budget(2 ** 16):
         tracemalloc.start()
         try:
             pairs = capped_mutual_pairs(src, tgt, 20000, metric)
@@ -1456,7 +1471,7 @@ def test_mutual_argmax_pairs_adds_under_a_quarter_of_a_block(queries):
     pool = rng.standard_normal((1024, 20))
     near = pool[rng.integers(0, len(pool), queries)]
     near += 0.01 * rng.standard_normal(near.shape)
-    with mock.patch.object(similarity, "_CELLS", 2 ** 22):
+    with cell_budget(2 ** 22):
         blocks = kept(similarity_sweep(near, pool))
         tracemalloc.start()
         try:
@@ -1481,13 +1496,13 @@ def traced(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
 def test_sweep_blocks_share_one_buffer(metric):
-    """130 queries in blocks of 40 rows: each block, the short last one
-    too, is written into the first one's memory."""
+    """130 queries in blocks of 40 rows (as many as 4 * 4000 bytes hold
+    against 50 pool rows): each block, the short last one too, is written
+    into the first one's memory."""
     rng = np.random.default_rng(8)
     queries = rng.standard_normal((130, 6))
     pool = rng.standard_normal((50, 6))
-    with mock.patch.object(similarity, "row_blocks", lambda n, *_: [
-            slice(i, i + 40) for i in range(0, n, 40)]):
+    with cell_budget(2000):
         blocks = similarity_sweep(queries, pool, metric, 3)
         _, first = next(blocks)
         got = [first.copy()]
@@ -1501,15 +1516,16 @@ def test_sweep_blocks_share_one_buffer(metric):
 
 
 def test_sweep_blocks_keep_min_rows_within_the_cell_budget():
-    """_CELLS of 4000 against 50 pool rows: _CELLS / 4 cells would give 20
-    rows, but a sweep's block keeps as many rows as _CELLS allow (80) up to
-    `_MIN_ROWS`, where a plain `row_blocks` budget does not."""
+    """A budget of 8000 bytes against 50 pool rows: it holds 20 float64
+    rows, but a sweep's block keeps as many rows as 4 * 8000 bytes hold (80)
+    up to `_MIN_ROWS`, where a plan with no floor does not."""
     rng = np.random.default_rng(9)
     queries = rng.standard_normal((200, 6))
     pool = rng.standard_normal((50, 6))
-    with mock.patch.object(similarity, "_CELLS", 4000):
+    with cell_budget(4000):
         heights = [len(scores) for _, scores in similarity_sweep(queries, pool)]
-        assert row_blocks(200, 50)[0] == slice(0, 20)
+        assert similarity._blocks(200, 8 * 50,
+                                  similarity._BLOCK_BYTES)[0] == slice(0, 20)
     assert heights == [80, 80, 40]
 
 
@@ -1554,7 +1570,7 @@ def test_align_dlv_holds_one_similarity_matrix():
     import scipy.optimize  # noqa: F401  (imported before the tracing)
     pair_fixture = RotatedPair(sigma=0.05, n=1000)
     seed = make_lexicon(pair_fixture.train_lex[:30])
-    with mock.patch.object(similarity, "_CELLS", 2 ** 16):
+    with cell_budget(2 ** 16):
         pair, peak = traced(align_dlv, pair_fixture.src, pair_fixture.tgt,
                             seed, em_iters=2, match_cap=1000)
     n = 1000
@@ -1565,7 +1581,7 @@ def test_align_dlv_holds_one_similarity_matrix():
 def test_vecmap_seed_holds_under_two_profile_matrices(noisy_pair):
     """cap 500: one 500 x 500 float64 profile matrix is 2 MB; blocks of
     32 rows are 0.125 MB."""
-    with mock.patch.object(similarity, "_CELLS", 2 ** 14):
+    with cell_budget(2 ** 14):
         got, peak = traced(vecmap_seed, noisy_pair.src, noisy_pair.tgt,
                            cap=500)
     assert got == oracle_vecmap_seed(noisy_pair.src, noisy_pair.tgt, cap=500)
@@ -1577,7 +1593,7 @@ def test_csls_hubness_stays_within_its_blocks():
     rng = np.random.default_rng(1)
     vectors = rng.standard_normal((2000, 20))
     pool = rng.standard_normal((2000, 20))
-    with mock.patch.object(similarity, "_CELLS", 2 ** 16):
+    with cell_budget(2 ** 16):
         tracemalloc.start()
         try:
             got = csls_hubness(vectors, pool, 10)
@@ -1596,7 +1612,7 @@ def test_csls_hubness_holds_one_float32_copy_of_its_pool():
     rng = np.random.default_rng(6)
     vectors = rng.standard_normal((4096, 64))
     pool = rng.standard_normal((4096, 64))
-    with mock.patch.object(similarity, "_CELLS", 2 ** 16), threads(1):
+    with cell_budget(2 ** 16), threads(1):
         tracemalloc.start()
         try:
             got = csls_hubness(vectors, pool, 10)
@@ -1625,7 +1641,7 @@ def test_shuffling_test_matches_its_one_shot_draw(cells):
     rng = np.random.default_rng(4)
     a = rng.random(50)
     b = a + 0.05 * rng.standard_normal(50)
-    with mock.patch.object(similarity, "_CELLS", cells):
+    with cell_budget(cells):
         for seed in range(3):
             assert shuffling_test(a, b, iterations=1001, seed=seed) == \
                 oracle_shuffling_test(a, b, 1001, seed)
@@ -1636,7 +1652,7 @@ def test_shuffling_test_stays_within_its_blocks():
     rng = np.random.default_rng(2)
     a = rng.random(200)
     b = a + 0.01 * rng.standard_normal(200)
-    with mock.patch.object(similarity, "_CELLS", 2 ** 16):
+    with cell_budget(2 ** 16):
         tracemalloc.start()
         try:
             got = shuffling_test(a, b, iterations=20000, seed=3)
