@@ -3,18 +3,19 @@
 We fabricate a 'source language' as a Gaussian cloud, make the 'target
 language' a noisy rotation of it, and then pretend we only know a seed
 dictionary. Every aligner should approximately undo the rotation; the
-held-out MAP tells us how well each one did.
+held-out MAP tells us how well each one did. Each aligner runs through
+`clembed.align`, which takes its parameters by the `clembed align` flags'
+names.
 
 Run:  python3 demos/01_supervised_alignment.py
 """
 
 import numpy as np
 
+from clembed import align
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import bli_evaluate
-from clembed.lexicon import build_aligned_matrices, make_lexicon
-from clembed.supervised import (RcslsConfig, align_cca, align_dlv, align_proc,
-                                align_proc_b, align_rcsls)
+from clembed.lexicon import make_lexicon
 
 rng = np.random.default_rng(7)
 n, d = 500, 20
@@ -30,7 +31,6 @@ tgt = WordVectorSpace(words, y)
 # the last 100 as the held-out test dictionary.
 train = make_lexicon((w, w) for w in words[:400])
 test = make_lexicon((w, w) for w in words[400:])
-aligned = build_aligned_matrices(train, src, tgt)
 
 
 def score(pair):
@@ -38,26 +38,25 @@ def score(pair):
 
 
 print("Procrustes (closed form, orthogonal):")
-proc = align_proc(aligned)
+proc = align("proc", src, tgt, train)
 print(f"  held-out MAP = {score(proc):.3f}, "
       f"||W - R||_F = {np.linalg.norm(proc.w_src - rotation):.2e}")
 
 print("Bootstrapped Procrustes from only 10 seed pairs:")
 seed = train[:10]
-seed_aligned = build_aligned_matrices(seed, src, tgt)
-plain_small = align_proc(seed_aligned)
-boot = align_proc_b(src, tgt, seed, iters=2)
+plain_small = align("proc", src, tgt, seed)
+boot = align("proc-b", src, tgt, seed, iters=2)
 print(f"  plain 10-pair MAP = {score(plain_small):.3f}")
 print(f"  bootstrapped MAP  = {score(boot):.3f} "
       f"(dictionary grew to {boot.metadata['dict_sizes'][-1]} pairs)")
 
 print("CCA (projects both spaces into the shared correlated basis):")
-print(f"  held-out MAP = {score(align_cca(aligned)):.3f}")
+print(f"  held-out MAP = {score(align('cca', src, tgt, train)):.3f}")
 
 print("Latent-variable EM refinement from a 50-pair seed:")
-dlv = align_dlv(src, tgt, train[:50], em_iters=2, match_cap=300)
+dlv = align("dlv", src, tgt, train[:50], iters=2, search_cap=300)
 print(f"  held-out MAP = {score(dlv):.3f}")
 
 print("RCSLS (relaxed retrieval criterion, non-orthogonal map):")
-rcsls = align_rcsls(aligned, src.matrix, tgt.matrix, RcslsConfig(epochs=3))
+rcsls = align("rcsls", src, tgt, train, epochs=3)
 print(f"  held-out MAP = {score(rcsls):.3f}")

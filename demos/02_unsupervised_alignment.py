@@ -4,18 +4,19 @@ No seed dictionary at all here. The similarity-profile heuristic plus
 stochastic self-learning recovers a rotated noisy cloud; point-cloud ICP
 with random restarts handles a spiral-shaped cloud (its shape pins down
 the rotation); the transport-based aligner works from intra-space cosine
-matrices alone.
+matrices alone. Each aligner runs through `clembed.align`, which takes its
+parameters by the `clembed align` flags' names, and by the aligner's own
+name where no flag sets one (ICP's `max_iters` below).
 
 Run:  python3 demos/02_unsupervised_alignment.py   (takes ~1 minute)
 """
 
 import numpy as np
 
+from clembed import align
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import bli_evaluate
 from clembed.lexicon import make_lexicon
-from clembed.unsupervised import (IcpConfig, SelfLearnConfig, align_gwa,
-                                  align_icp, self_learn, vecmap_seed)
 
 rng = np.random.default_rng(7)
 
@@ -35,8 +36,7 @@ def spaces_from(x, y):
 print("Self-learning from the similarity-profile seed:")
 x = rng.standard_normal((500, 20))
 src, tgt, test = spaces_from(x, rotated(x, 0.05))
-seed = vecmap_seed(src, tgt, cap=500)
-pair = self_learn(src, tgt, seed, SelfLearnConfig(vocab_cap=500, seed=0))
+pair = align("vecmap", src, tgt, search_cap=500, seed=0)
 res = bli_evaluate(pair, src, tgt, test)
 print(f"  held-out MAP = {res.map_score:.3f} after "
       f"{pair.metadata['rounds']} rounds")
@@ -48,9 +48,8 @@ cloud[:, 0] = 0.3 * theta * np.cos(theta)
 cloud[:, 1] = 0.3 * theta * np.sin(theta)
 cloud += 0.05 * rng.standard_normal((400, 20))
 src, tgt, test = spaces_from(cloud, rotated(cloud, 0.0))
-cfg = IcpConfig(pca_dim=3, top_n_words=300, restarts=20, max_iters=400,
-                seed=0)
-pair = align_icp(src, tgt, cfg)
+pair = align("icp", src, tgt, pca_dim=3, search_cap=300, restarts=20,
+             max_iters=400, seed=0)
 res = bli_evaluate(pair, src, tgt, test)
 print(f"  held-out MAP = {res.map_score:.3f} "
       f"(best restart loss {pair.metadata['best_loss']:.3g})")
@@ -58,6 +57,6 @@ print(f"  held-out MAP = {res.map_score:.3f} "
 print("Gromov-Wasserstein transport (rotation-invariant by construction):")
 x = rng.standard_normal((120, 10))
 src, tgt, test = spaces_from(x, rotated(x, 0.0))
-pair = align_gwa(src, tgt, cap=120)
+pair = align("gwa", src, tgt, search_cap=120)
 res = bli_evaluate(pair, src, tgt, test)
 print(f"  held-out MAP = {res.map_score:.3f}")

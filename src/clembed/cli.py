@@ -21,23 +21,15 @@ from itertools import chain
 
 import numpy as np
 
+from . import ALIGNERS, align
 from . import clir as clir_mod
 from .embeddings import (load_text_embeddings, normalize, open_text,
                          save_text_embeddings)
 from .evaluation import (bli_evaluate, bli_summary, bonferroni, paired_ttest,
                          read_bli_report, shuffling_test, write_bli_report)
-from .lexicon import (build_aligned_matrices, frequency_split, load_lexicon,
-                      save_lexicon)
+from .lexicon import frequency_split, load_lexicon, save_lexicon
 from .projection import (load_projection, read_json, save_projection,
                          write_json, write_staged)
-from .supervised import (RcslsConfig, align_cca, align_dlv, align_proc,
-                         align_proc_b, align_rcsls)
-from .unsupervised import (IcpConfig, SelfLearnConfig, align_gwa, align_icp,
-                           self_learn, vecmap_seed)
-
-METHODS = ("proc", "proc-b", "cca", "dlv", "rcsls", "vecmap", "icp", "gwa")
-SUPERVISED_METHODS = ("proc", "proc-b", "cca", "dlv", "rcsls")
-STOCHASTIC_METHODS = ("vecmap", "icp")
 
 
 def _require_file(path: str, what: str) -> str:
@@ -76,65 +68,24 @@ def cmd_dict_split(args) -> int:
     return 0
 
 
-# The library parameter of each flag, per align method and for the other
-# library calls a command tunes; a flag that was not given is left out.
-LIBRARY_PARAMS = {
-    "proc": {}, "cca": {"keep_dims": "keep_dims"},
-    "proc-b": {"iters": "iters", "search_cap": "search_cap",
-               "metric": "metric", "csls_n": "csls_n"},
-    "dlv": {"iters": "em_iters", "search_cap": "match_cap"},
-    "rcsls": {"csls_n": "neighborhood", "learning_rate": "learning_rate",
-              "epochs": "epochs"},
-    "vecmap": {"search_cap": "vocab_cap", "metric": "metric",
-               "csls_n": "csls_n", "seed": "seed"},
-    "icp": {"pca_dim": "pca_dim", "search_cap": "top_n_words",
-            "restarts": "restarts", "seed": "seed"},
-    "gwa": {"search_cap": "cap", "gw_lambda": "lam", "iters": "outer_iters"},
-    "bli_evaluate": {"metric": "metric", "csls_n": "csls_n"},
-    "shuffling_test": {"iterations": "iterations", "seed": "seed"},
-}
 # command -> (flag, value, flags): the command reads `flags` only when
 # `flag` has `value`
 READ_ONLY_UNDER = {"eval-bli": ("metric", "csls", ("csls_n",)),
                    "compare": ("test", "shuffle", ("iterations", "seed"))}
 
 
-def _given(args, key: str) -> dict:
-    return {param: getattr(args, flag)
-            for flag, param in LIBRARY_PARAMS[key].items()
-            if getattr(args, flag) is not None}
-
-
-def _run_aligner(args, src_space, tgt_space, lex):
-    method, kwargs = args.method, _given(args, args.method)
-    if method == "vecmap":
-        cfg = SelfLearnConfig(**kwargs)
-        seed_lex = vecmap_seed(src_space, tgt_space, cap=cfg.vocab_cap)
-        return self_learn(src_space, tgt_space, seed_lex, cfg)
-    if method == "icp":
-        return align_icp(src_space, tgt_space, IcpConfig(**kwargs))
-    if method == "gwa":
-        return align_gwa(src_space, tgt_space, **kwargs)
-    if method == "proc-b":
-        return align_proc_b(src_space, tgt_space, lex, **kwargs)
-    if method == "dlv":
-        return align_dlv(src_space, tgt_space, lex, **kwargs)
-    aligned = build_aligned_matrices(lex, src_space, tgt_space)
-    if method == "proc":
-        return align_proc(aligned)
-    if method == "cca":
-        return align_cca(aligned, **kwargs)
-    return align_rcsls(aligned, src_space.matrix, tgt_space.matrix,
-                       RcslsConfig(**kwargs))
+def _given(args, *flags) -> dict:
+    """{flag: value} of those of `flags` (dests) that were given."""
+    return {flag: value for flag in flags
+            if (value := getattr(args, flag, None)) is not None}
 
 
 def cmd_align(args) -> int:
-    if args.method in STOCHASTIC_METHODS and args.seed is None:
+    _, supervised, params = ALIGNERS[args.method]
+    if "seed" in params and args.seed is None:
         raise ValueError(f"--seed is mandatory for method {args.method}")
-    if args.seed is None:
-        args.seed = 0
     lex = (load_lexicon(_require_file(args.dict, "training dictionary"))
-           if args.method in SUPERVISED_METHODS else None)
+           if supervised else None)
     # proc and cca read only the dictionary's rows, so each load keeps just
     # the dictionary words of its side
     src_needed = tgt_needed = None
@@ -146,9 +97,10 @@ def cmd_align(args) -> int:
     tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target",
                             needed=tgt_needed)
     start = time.monotonic()
-    pair = _run_aligner(args, src_space, tgt_space, lex)
+    pair = align(args.method, src_space, tgt_space, lex,
+                 **_given(args, *params))
     wall = time.monotonic() - start
-    pair = replace(pair, metadata={**pair.metadata, "seed": args.seed})
+    pair = replace(pair, metadata={**pair.metadata, "seed": args.seed or 0})
     save_projection(pair, args.outdir, timing={"wall_time_s": round(wall, 3)})
     print(f"method={pair.method} dict_size={pair.metadata.get('dict_size')} "
           f"orthogonal={pair.orthogonal_src} wall_time={wall:.2f}s")
@@ -167,7 +119,7 @@ def cmd_eval_bli(args) -> int:
                             needed=src_needed)
     tgt_space = _load_space(args.tgt_emb, args.max_vocab, "target")
     result = bli_evaluate(pair, src_space, tgt_space, test_lex,
-                          **_given(args, "bli_evaluate"))
+                          **_given(args, "metric", "csls_n"))
     summary = bli_summary(result)
     summary["method"] = args.method_label or pair.method
     summary["pair"] = args.pair_label or "source-target"
@@ -188,7 +140,7 @@ def cmd_compare(args) -> int:
         raise ValueError("per-query reports cover different query sets")
     a = [r.average_precision for r in recs_a]
     b = [r.average_precision for r in recs_b]
-    p = (shuffling_test(a, b, **_given(args, "shuffling_test"))
+    p = (shuffling_test(a, b, **_given(args, "iterations", "seed"))
          if args.test == "shuffle" else paired_ttest(a, b))
     threshold = bonferroni(args.alpha, args.m_comparisons)
     decision = "significant" if p < threshold else "not significant"
@@ -325,7 +277,7 @@ def build_parser(config: str | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("align", help="learn a projection pair")
     common(p)
-    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--method", required=True, choices=ALIGNERS)
     for flag in ("--src-emb", "--tgt-emb", "--dict"):
         p.add_argument(flag)
     p.add_argument("--outdir", required=True)
@@ -391,17 +343,15 @@ def _refuse_unread_flags(parser, given, args) -> None:
     of methods may set any of these flags; `args` is the final parse, whose
     metric or test may come from the config."""
     if given.command == "align":
-        read = LIBRARY_PARAMS[given.method].keys() | {"seed"}
-        if given.method in SUPERVISED_METHODS:
-            read |= {"dict"}
-        flags = {"dict"}.union(*(LIBRARY_PARAMS[m] for m in METHODS)) - read
-        unread = sorted(f for f in flags if getattr(given, f) is not None)
-        if unread:
+        _, supervised, params = ALIGNERS[given.method]
+        read = {"seed", *params} | ({"dict"} if supervised else set())
+        flags = {"dict"}.union(*(row[2] for row in ALIGNERS.values()))
+        if unread := sorted(_given(given, *flags - read)):
             parser.error(f"method {given.method} does not read "
                          f"{_flag_names(unread)}")
     elif given.command in READ_ONLY_UNDER:
         flag, value, flags = READ_ONLY_UNDER[given.command]
-        unread = [f for f in flags if getattr(given, f) is not None]
+        unread = list(_given(given, *flags))
         if unread and getattr(args, flag) != value:
             parser.error(f"{given.command} reads {_flag_names(unread)} only "
                          f"under --{flag} {value}")

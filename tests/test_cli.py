@@ -8,7 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from clembed import cli, embeddings, projection
+import clembed
+from clembed import ALIGNERS, cli, embeddings, projection
 from clembed.cli import main
 from clembed.embeddings import WordVectorSpace, load_text_embeddings, \
     save_text_embeddings
@@ -106,8 +107,9 @@ def test_csls_n_reaches_proc_b_and_vecmap(workspace, tmp_path, monkeypatch):
         seen["vecmap"] = cfg.csls_n
         return identity_pair(10)
 
-    monkeypatch.setattr(cli, "align_proc_b", fake_proc_b)
-    monkeypatch.setattr(cli, "self_learn", fake_self_learn)
+    monkeypatch.setitem(ALIGNERS, "proc-b",
+                        (fake_proc_b, *ALIGNERS["proc-b"][1:]))
+    monkeypatch.setattr(clembed, "self_learn", fake_self_learn)
     for method in ("proc-b", "vecmap"):
         assert run("align", "--method", method, *spaces(workspace, method),
                    "--seed", "1", "--metric", "csls", "--csls-n", "7",
@@ -591,7 +593,7 @@ def spaces(workspace, method="proc"):
     one."""
     flags = ["--src-emb", workspace / "src.vec", "--tgt-emb",
              workspace / "tgt.vec"]
-    if method in cli.SUPERVISED_METHODS:
+    if ALIGNERS[method][1]:
         flags += ["--dict", workspace / "train.txt"]
     return flags
 
@@ -682,7 +684,7 @@ def test_config_unknown_key_or_section_is_a_usage_error(tmp_path, text):
     assert not (tmp_path / "proj").exists()
 
 
-@pytest.mark.parametrize("method", cli.METHODS)
+@pytest.mark.parametrize("method", ALIGNERS)
 def test_align_defaults_are_the_library_defaults(workspace, tmp_path, method):
     src = load_text_embeddings(workspace / "src.vec")
     tgt = load_text_embeddings(workspace / "tgt.vec")
