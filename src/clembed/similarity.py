@@ -7,7 +7,10 @@ Every blocked loop of the package takes its blocks from one planner,
 queries against a pool in float64 row blocks, each filled in tiles of pool
 rows on one thread per core (`_threads`) and written into the one buffer
 the sweep allocates; hubness, argmaxes and gold ranks are reductions over
-those blocks, never a full matrix. One certified top-n kernel,
+those blocks, never a full matrix. What follows the fill of a block, CSLS's
+terms and the reductions that induce a dictionary (`mutual_argmax_pairs`:
+dropout, row and column argmaxes), runs on the same threads, in stripes of
+the block's rows. One certified top-n kernel,
 `_top_neighbors`, finds each row's n nearest pool rows for CSLS hubness
 (`csls_hubness`) and for RCSLS's neighbourhoods
 (`supervised.rcsls_neighbor_sets`). It alone uses float32, and only to
@@ -70,8 +73,8 @@ def _blocks(n_rows: int, row_bytes: int, budget: int,
       took 1.7 times as long as of 83); `unsupervised.vecmap_seed`'s
       profiles and `evaluation.shuffling_test`'s draws;
     - _BLOCK_BYTES / 8 (4 MiB) of float64 rows: `_row_norms`, the top-n
-      kernel's float32 pool fill and `supervised._candidate_mask`;
-    - _BLOCK_BYTES / 64 (512 KiB) of bool columns: `mutual_argmax_pairs`;
+      kernel's float32 pool fill, the stripes in which a thread finishes a
+      `similarity_sweep` block, and `supervised._candidate_mask`;
     - _BLOCK_BYTES / 128 (256 KiB) of float64 rows:
       `embeddings.save_text_embeddings`' format blocks;
     - 2 * _BLOCK_BYTES (64 MiB) of float32 screens in flight together:
@@ -90,9 +93,11 @@ def _workers() -> int:
 
 @contextlib.contextmanager
 def _threads(scratch: list[list[np.ndarray]]):
-    """Yield run(fn, items), which calls fn(item, *arrays) for each item on
-    len(scratch) threads, or in this thread when that is one, each call
-    with one of the `scratch` sets, used by no other call while it runs.
+    """Yield run(fn, items, meanwhile=None), which calls fn(item, *arrays)
+    for each item on len(scratch) threads, or in this thread when that is
+    one, each call with one of the `scratch` sets, used by no other call
+    while it runs; and meanwhile(), when given, in this thread while they
+    run.
 
     The scratch is allocated by the caller, in the calling thread, and
     handed out through a queue: memory a worker thread allocates stays in
@@ -115,14 +120,19 @@ def _threads(scratch: list[list[np.ndarray]]):
             sets.put(arrays)
 
     if len(scratch) <= 1:
-        def run(fn, items) -> None:
+        def run(fn, items, meanwhile=None) -> None:
             for item in items:
                 call(fn, item)
+            if meanwhile is not None:
+                meanwhile()
         yield run
         return
     with ThreadPoolExecutor(max_workers=len(scratch)) as executor:
-        def run(fn, items) -> None:
-            for _ in executor.map(functools.partial(call, fn), items):
+        def run(fn, items, meanwhile=None) -> None:
+            done = executor.map(functools.partial(call, fn), items)
+            if meanwhile is not None:
+                meanwhile()
+            for _ in done:
                 pass
         yield run
 
@@ -237,11 +247,6 @@ def _top(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """`_descending` of each row's k largest entries of `scores`."""
     cols, _ = _top_columns(scores, k)
     return _descending(cols, np.take_along_axis(scores, cols, axis=1), k)
-
-
-def topk_mean(scores: np.ndarray, k: int) -> np.ndarray:
-    """Mean of each row's k largest entries; k is clamped to the row length."""
-    return _top(scores, min(k, scores.shape[1]))[1]
 
 
 def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -432,29 +437,128 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
     CSLS is 2*cos - r_q[rows, None] - r_p[None, :]: r_q, each query's mean
     cosine to its csls_n nearest pool rows, comes from the block itself;
     r_p (`r_pool`), each pool row's to its nearest queries, from one
-    `csls_hubness` pass before the sweep unless given.
+    `csls_hubness` pass before the sweep unless given. Once a block is
+    filled, the threads take it in stripes of its rows, contiguous, of at
+    most _BLOCK_BYTES / 8 (elementwise numpy on a tile's strided columns
+    took 2.5-3 times as long), and apply the terms to each stripe, r_q from
+    `_top`: the mean of a row's csls_n largest cosines, summed in
+    descending order, so that it depends neither on the tiles nor on the
+    stripes.
     """
+    return _sweep(queries, pool, metric, csls_n, r_pool)
+
+
+def mutual_argmax_pairs(queries: np.ndarray, pool: np.ndarray,
+                        metric: str = "cosine", csls_n: int = 10,
+                        best: np.ndarray | None = None,
+                        keep_prob: float = 1.0,
+                        rng: np.random.Generator | None = None
+                        ) -> list[tuple[int, int]]:
+    """Index pairs (i, j), in row order, that are each other's row and
+    column argmax in the `similarity_sweep` of queries against pool.
+
+    Ties resolve to the lowest index (np.argmax convention), which for
+    frequency-ordered vocabularies prefers the more frequent word. Over
+    finite scores with a row and a column the result is never empty: the
+    first maximum in row-major order is its row's and its column's argmax.
+
+    `best`, when given, receives each row's largest score. With keep_prob
+    below 1 each score is then zeroed with probability 1 - keep_prob before
+    the argmaxes are taken (`_dropout`; stochastic dictionary induction,
+    Artetxe et al. 2018): the draws come from `rng`, block by block in row
+    order, the same numbers as one draw over the whole matrix, each block's
+    drawn by this thread into one buffer while the block's tiles fill.
+
+    The reductions run on the sweep's threads, in the stripes of rows that
+    follow each fill (`_sweep`), into scratch allocated in this thread: a
+    stripe holds whole rows, so it takes their argmaxes itself, and it
+    merges its columns' maxima and first rows at them into its thread's
+    running ones, which this thread merges at the end, each time keeping a
+    larger maximum or an equal one at a lower row (`_keep_first_max`), an
+    outcome that no order of the merges changes.
+    """
+    fwd = np.zeros(len(queries), dtype=np.intp)
+    bwd = np.zeros(len(pool), dtype=np.intp)
+    for _ in _sweep(queries, pool, metric, csls_n, None, (fwd, bwd, best),
+                    keep_prob, rng):
+        pass
+    return mutual_pairs(fwd, bwd)
+
+
+def _sweep(queries, pool, metric, csls_n, r_pool, argmaxes=None,
+           keep_prob=1.0, rng=None):
+    """`similarity_sweep`'s blocks; with `argmaxes` = (fwd, bwd, best),
+    each block reduced on the threads as `mutual_argmax_pairs` states, after
+    the dropout, which the yielded block then holds too: fwd[i] is row i's
+    first column at its maximum, bwd[j] column j's first row at its, and
+    best (when not None) each row's maximum before the dropout."""
     if metric not in ("cosine", "csls"):
         raise ValueError(f"unknown similarity metric: {metric!r}")
     if metric == "csls" and r_pool is None:
         r_pool = csls_hubness(pool, queries, csls_n)
     queries = np.asarray(queries, dtype=float)
     pool = np.asarray(pool, dtype=float)
-    d = queries.shape[1]
-    tiles = [slice(start, min(start + _TILE, len(pool)))
-             for start in range(0, len(pool), _TILE)]
-    scratch = [[np.empty((min(_TILE, len(pool)), d))]
-               for _ in range(min(_workers(), max(1, len(tiles))))]
-    q_norms, p_norms = np.empty(len(queries)), np.empty(len(pool))
+    (n, d), k = pool.shape, min(csls_n, len(pool)) if metric == "csls" else 0
+    tiles = [slice(start, min(start + _TILE, n))
+             for start in range(0, n, _TILE)]
+    blocks = _blocks(len(queries), 8 * n, _BLOCK_BYTES, _MIN_ROWS)
+    height = blocks[0].stop if blocks else 0
+    # a thread finishes a filled block in stripes of its rows
+    stripes = _blocks(height, 8 * n, _BLOCK_BYTES // 8)
+    cells = stripes[0].stop * n if stripes else 0
+    reduce, drop = argmaxes is not None, argmaxes is not None and keep_prob < 1
+    # per thread: a tile's unit rows; for the reductions, a stripe's bool
+    # masks (the dropout's; a column maximum's, and its transpose, in which
+    # np.argmax finds a column's first row without copying the stripe) and
+    # the thread's running column maxima and first rows at them
+    scratch = [[np.empty((min(_TILE, n), d))]
+               + ([np.empty(cells, dtype=bool), np.empty(cells, dtype=bool),
+                   np.empty(n), np.full(n, -np.inf),
+                   np.zeros(n, dtype=np.intp)] if reduce else [])
+               for _ in range(min(_workers(),
+                                  max(1, len(tiles), len(stripes))))]
+    if reduce:
+        fwd, bwd, best = argmaxes
+        draws = np.empty((height, n)) if drop else None
+    q_norms, p_norms = np.empty(len(queries)), np.empty(n)
 
-    def tile_norms(item: tuple, _) -> None:
+    def tile_norms(item: tuple, *_) -> None:
         matrix, norms, tile = item
         norms[tile] = _row_norms(matrix[tile])
 
-    def fill(tile: slice, tile_units: np.ndarray) -> None:
+    def fill(tile: slice, tile_units: np.ndarray, *_) -> None:
         tile_units = _gather(tile_units[:tile.stop - tile.start], pool,
                              np.arange(tile.start, tile.stop), p_div)
         np.matmul(block, tile_units.T, out=scores[:, tile])
+
+    def finish(stripe: slice, _, mask=None, flipped=None, top=None,
+               col_top=None, col_row=None) -> None:
+        part = scores[stripe]
+        if k:
+            r_rows = _top(part, k)[1]
+            part *= 2.0
+            part -= r_rows[:, None]
+            part -= r_pool
+        if not reduce:
+            return
+        at = slice(rows.start + stripe.start, rows.start + stripe.stop)
+        mask = mask[:part.size].reshape(part.shape)
+        if drop:
+            if best is not None:
+                np.max(part, axis=1, out=best[at])
+            _dropout(part, draws[stripe], keep_prob, mask)
+        np.argmax(part, axis=1, out=fwd[at])
+        if best is not None and not drop:
+            best[at] = part[np.arange(len(part)), fwd[at]]
+        np.max(part, axis=0, out=top)
+        np.equal(part, top, out=mask)
+        flipped = flipped[:part.size].reshape(part.shape[::-1])
+        np.copyto(flipped, mask.T)
+        _keep_first_max(top, np.argmax(flipped, axis=1) + at.start,
+                        col_top, col_row)
+
+    def draw() -> None:
+        rng.random(out=draws[:len(block)])
 
     with _threads(scratch) as run:
         # the row norms too: against a 20k-row pool, taking them on the
@@ -464,51 +568,44 @@ def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
             + [(pool, p_norms, tile) for tile in tiles])
         queries, q_div = _unit_side(queries, q_norms)
         pool, p_div = _unit_side(pool, p_norms)
-        blocks = _blocks(len(queries), 8 * len(pool), _BLOCK_BYTES, _MIN_ROWS)
         if blocks:
-            units = np.empty((blocks[0].stop, d))
-            buffer = np.empty((len(units), len(pool)))
+            units = np.empty((height, d))
+            buffer = np.empty((height, n))
         for rows in blocks:
             block = _gather(units[:rows.stop - rows.start], queries,
                             np.arange(rows.start, rows.stop), q_div)
             scores = buffer[:len(block)]
-            run(fill, tiles)
-            if metric == "csls":
-                r_rows = topk_mean(scores, csls_n)
-                scores *= 2.0
-                scores -= r_rows[:, None]
-                scores -= r_pool
+            run(fill, tiles, draw if drop else None)
+            if k or reduce:
+                run(finish, _blocks(len(block), 8 * n, _BLOCK_BYTES // 8))
             yield rows, scores
+        if reduce:
+            col_top = np.full(n, -np.inf)
+            for *_, thread_top, thread_row in scratch:
+                _keep_first_max(thread_top, thread_row, col_top, bwd)
 
 
-def mutual_argmax_pairs(blocks, n_pool: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j) that are each other's row/column argmax over a
-    sweep's (rows, scores) blocks, in row order, of `n_pool` columns.
+def _keep_first_max(top: np.ndarray, row: np.ndarray, best: np.ndarray,
+                    best_row: np.ndarray) -> None:
+    """Merge column maxima `top`, first held at rows `row`, into the running
+    `best` and `best_row`, in place: a larger maximum, or an equal one at a
+    lower row, wins. So merges in any order keep each column's first row at
+    its maximum, as np.argmax over the rows finds it for finite scores."""
+    better = (top > best) | ((top == best) & (row < best_row))
+    np.copyto(best, top, where=better)
+    np.copyto(best_row, row, where=better)
 
-    Ties resolve to the lowest index (np.argmax convention), which for
-    frequency-ordered vocabularies prefers the more frequent word. Over
-    finite scores with a row and a column the result is never empty: the
-    first maximum in row-major order is its row's and its column's argmax.
 
-    A block's column argmax is its first row equal to the column maximum,
-    read off a boolean mask one group of columns at a time (`_blocks`).
-    np.argmax over axis 0 copies its input transposed, so what it copies is
-    one group's mask, not the float64 block: one more O(rows x n_pool) pass
-    over the scores per block, and two masks of a group allocated at a time.
-    """
-    fwd = []
-    col_best = np.full(n_pool, -np.inf)
-    col_arg = np.zeros(n_pool, dtype=np.intp)
-    for rows, scores in blocks:
-        fwd.append(scores.argmax(axis=1))
-        top = scores.max(axis=0)
-        first = np.empty(n_pool, dtype=np.intp)
-        for cols in _blocks(n_pool, len(scores), _BLOCK_BYTES // 64):
-            first[cols] = (scores[:, cols] == top[cols]).argmax(axis=0)
-        better = top > col_best          # strict: a lower row keeps a tie
-        col_best[better] = top[better]
-        col_arg[better] = first[better] + rows.start
-    return mutual_pairs(np.concatenate(fwd), col_arg)
+def _dropout(scores: np.ndarray, draws: np.ndarray, keep_prob: float,
+             mask: np.ndarray) -> None:
+    """Zero in place each score whose draw is not below keep_prob, through
+    `mask`, a bool array of their shape. For finite scores the result
+    equals np.copyto(scores, 0.0, where=draws >= keep_prob): a dropped
+    score times 0 is +-0, and +-0 + 0.0 is +0.0. At 2000 x 2000 it took
+    6 ms, against the masked copy's 25 ms."""
+    np.less(draws, keep_prob, out=mask)
+    scores *= mask
+    scores += 0.0
 
 
 def mutual_pairs(fwd: np.ndarray, bwd: np.ndarray) -> list[tuple[int, int]]:

@@ -18,8 +18,8 @@ from .lexicon import (AlignedMatrices, TranslationLexicon,
                       build_aligned_matrices, make_lexicon)
 from .linalg import _procrustes, solve_cca, solve_procrustes
 from .projection import ProjectionPair
-from .similarity import (_top_columns, _top_neighbors, mutual_pairs,
-                         similarity_sweep, unit_rows)
+from .similarity import (_top_columns, _top_neighbors, mutual_argmax_pairs,
+                         mutual_pairs, similarity_sweep, unit_rows)
 
 _DLV_PAD = -1e6  # weight for non-candidate edges in the sparsified assignment
 _DLV_CANDIDATES = 10  # highest-cosine edges kept per node in dlv's assignment
@@ -55,11 +55,20 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
                  csls_n: int = 10) -> ProjectionPair:
     """Bootstrapped orthogonal solve.
 
-    Each iteration but the last learns both directional maps, then augments
-    the dictionary with the mutual nearest neighbours found between the two
-    directionally projected spaces; the last learns the returned source map
-    only. The default of two iterations is one augmentation round; iters=1
-    is the plain solve.
+    Each iteration but the last learns the source map, then augments the
+    dictionary with the mutual nearest neighbours of the projected source
+    and the target space, from one sweep under that map
+    (`mutual_argmax_pairs`); the last learns the returned source map only.
+    The default of two iterations is one augmentation round; iters=1 is the
+    plain solve.
+
+    The backward map of the swapped problem is the source map transposed
+    wherever that problem's solve is unique, and then each direction's
+    argmaxes are the other's in exact arithmetic, for cosine and for CSLS,
+    whose two hubness terms swap roles. A rank-deficient dictionary (a seed
+    of fewer pairs than dimensions) has no unique solve: for it the
+    backward map is solved too, and each row's argmax is taken in a sweep
+    each way.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -79,14 +88,19 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
             break
         # maps that only the next augmentation reads; only the returned
         # map's solve warns of a rank-deficient dictionary
-        w_src, _ = _procrustes(aligned.x_src, aligned.x_tgt)
-        w_tgt, _ = _procrustes(aligned.x_tgt, aligned.x_src)
-        fwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
-            src_cap @ w_src, tgt_cap, metric, csls_n)])
-        bwd = np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
-            tgt_cap @ w_tgt, src_cap, metric, csls_n)])
+        w_src, deficient = _procrustes(aligned.x_src, aligned.x_tgt)
+        if deficient:
+            w_tgt, _ = _procrustes(aligned.x_tgt, aligned.x_src)
+            pairs = mutual_pairs(*(
+                np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
+                    queries, pool, metric, csls_n)])
+                for queries, pool in ((src_cap @ w_src, tgt_cap),
+                                      (tgt_cap @ w_tgt, src_cap))))
+        else:
+            pairs = mutual_argmax_pairs(src_cap @ w_src, tgt_cap, metric,
+                                        csls_n)
         induced = make_lexicon((src_space.words[i], tgt_space.words[j])
-                               for i, j in mutual_pairs(fwd, bwd))
+                               for i, j in pairs)
         empty_augmentation = empty_augmentation or not induced
         lex = make_lexicon(lex + induced)
     residual = float(np.linalg.norm(aligned.x_src @ w_src - aligned.x_tgt))

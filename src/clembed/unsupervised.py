@@ -19,7 +19,7 @@ from .lexicon import TranslationLexicon, build_aligned_matrices, make_lexicon
 from .linalg import _procrustes, pca_project, sinkhorn_scale, solve_procrustes
 from .projection import ProjectionPair
 from .similarity import (_unit_divisors, mutual_argmax_pairs, mutual_pairs,
-                         similarity_sweep, unit_rows)
+                         unit_rows)
 
 _CONVERGENCE_WINDOW = 3  # unchanged rounds at keep_prob = 1 that end self_learn
 # stochastic dictionary induction (Artetxe et al. 2018): the share of
@@ -108,8 +108,11 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     mutual nearest neighbours; similarity entries are independently zeroed
     with probability 1 - keep_prob, and keep_prob (`_KEEP_PROB_INIT` at
     first) grows `_KEEP_PROB_GROWTH`-fold, up to 1, whenever the mean
-    best-match similarity stalls. Converges when the dictionary is stable
-    for `_CONVERGENCE_WINDOW` rounds at keep_prob = 1.
+    best-match similarity (before the zeroing) stalls. Converges when the
+    dictionary is stable for `_CONVERGENCE_WINDOW` rounds at keep_prob = 1.
+    A round is one `mutual_argmax_pairs` sweep: the zeroing, the best
+    matches and the argmaxes are taken on the sweep's threads, the random
+    numbers drawn in row order by this thread while the sweep's tiles fill.
     """
     if len(init_lex) == 0:
         raise ValueError("self_learn: initial lexicon is empty")
@@ -127,10 +130,10 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         # solve, whose map is returned, warns
         w, _ = _procrustes(aligned.x_src, aligned.x_tgt)
         best = np.empty(len(src_cap))
-        sweep = _dropout(similarity_sweep(src_cap @ w, tgt_cap, cfg.metric,
-                                          cfg.csls_n), best, keep_prob, rng)
-        induced = make_lexicon((src_space.words[i], tgt_space.words[j])
-                               for i, j in mutual_argmax_pairs(sweep, len(tgt_cap)))
+        induced = make_lexicon(
+            (src_space.words[i], tgt_space.words[j])
+            for i, j in mutual_argmax_pairs(src_cap @ w, tgt_cap, cfg.metric,
+                                            cfg.csls_n, best, keep_prob, rng))
         objective = float(np.mean(best))
         if keep_prob >= 1.0 and induced == lex:
             stable_rounds += 1
@@ -149,23 +152,6 @@ def self_learn(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True,
         method="self-learn",
         metadata={"dict_size": len(lex), "rounds": rounds})
-
-
-def _dropout(blocks, best: np.ndarray, keep_prob: float,
-             rng: np.random.Generator):
-    """Record each row's best score in `best`, then zero each score with
-    probability 1 - keep_prob (drawn block by block in row order, the same
-    numbers as one draw over the whole matrix), in place in the block. The
-    draws go into one buffer of the first (the tallest) block's shape."""
-    draws = None
-    for rows, scores in blocks:
-        best[rows] = scores.max(axis=1)
-        if keep_prob < 1.0:
-            if draws is None:
-                draws = np.empty(scores.shape)
-            drawn = rng.random(out=draws[:len(scores)])
-            np.copyto(scores, 0.0, where=drawn >= keep_prob)
-        yield rows, scores
 
 
 def _nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,8 +260,7 @@ def align_icp(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         mutual = list(enumerate(best["f1"].tolist()))
     idx_s, idx_t = np.array(mutual).T
     w0, _ = _procrustes(src_top[idx_s], tgt_top[idx_t])  # a seed: no warning
-    idx_s, idx_t = np.array(mutual_argmax_pairs(
-        similarity_sweep(src_top @ w0, tgt_top), len(tgt_top))).T
+    idx_s, idx_t = np.array(mutual_argmax_pairs(src_top @ w0, tgt_top)).T
     w = solve_procrustes(src_top[idx_s], tgt_top[idx_t])
     return ProjectionPair(
         w_src=w, w_tgt=np.eye(w.shape[0]), orthogonal_src=True, method="icp",

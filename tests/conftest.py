@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from clembed import similarity
 from clembed.embeddings import WordVectorSpace
 from clembed.lexicon import TranslationLexicon, make_lexicon
-from clembed.similarity import mutual_argmax_pairs, similarity_sweep
+from clembed.similarity import mutual_argmax_pairs
 
 
 def cell_budget(cells):
@@ -149,7 +149,13 @@ def oracle_rcsls_objective(w, x_s, x_t, src_pool, tgt_pool, neighbors):
 
 def capped_mutual_pairs(queries, pool, cap, metric="cosine", csls_n=10):
     """Mutual nearest neighbours among the first `cap` rows of each side, by
-    the blocked sweep and argmax that `self_learn` and `align_icp` run."""
-    pool = pool[:cap]
-    return mutual_argmax_pairs(
-        similarity_sweep(queries[:cap], pool, metric, csls_n), len(pool))
+    the blocked sweep and argmaxes that `self_learn` and `align_icp` run."""
+    return mutual_argmax_pairs(queries[:cap], pool[:cap], metric, csls_n)
+
+
+def topk_mean(scores, k):
+    """Mean of each row's k largest entries (k clamped to the row length),
+    summed in descending order: the CSLS query term the sweep took of each
+    whole block before its threads took it in stripes, through the same
+    kernel, `similarity._top`."""
+    return similarity._top(scores, min(k, scores.shape[1]))[1]

@@ -3,18 +3,20 @@
 The benchmark's align-grid workload calls each aligner directly, with its
 own settings. `align` must give the same maps from those settings under
 their shared names, so a name in the table that drifts from what the
-benchmark passes fails here. `bench/` is imported read-only, as
+benchmark passes fails here. On the same inputs every method's result must
+not depend on how many threads the similarity kernels run on. `bench/` is imported read-only, as
 `bench/test_bench.py` does.
 """
 
 import os
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from clembed import ALIGNERS, align, cli
+from clembed import ALIGNERS, align, cli, similarity
 from conftest import RotatedPair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +62,23 @@ def test_align_is_bit_equal_to_the_benchmarks_call(grid, method):
     assert got.method == want.method
     np.testing.assert_array_equal(got.w_src, want.w_src)
     np.testing.assert_array_equal(got.w_tgt, want.w_tgt)
+
+
+@pytest.mark.parametrize("method", ALIGNERS)
+def test_align_does_not_depend_on_the_worker_count(grid, method):
+    """Each method gives bit-equal maps and equal metadata on 1, 2 and 3
+    threads of the sweep's tiles and the top-n screen
+    (`similarity._workers`)."""
+    lexicon = grid["train_lex"] if ALIGNERS[method][1] else None
+    got = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(similarity, "_workers", lambda: workers):
+            got.append(align(method, grid["src"], grid["tgt"], lexicon,
+                             **grid_settings(GRID.size)[method]))
+    for pair in got[1:]:
+        np.testing.assert_array_equal(pair.w_src, got[0].w_src)
+        np.testing.assert_array_equal(pair.w_tgt, got[0].w_tgt)
+        assert pair.metadata == got[0].metadata
 
 
 @pytest.fixture(scope="module")

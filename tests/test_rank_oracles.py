@@ -40,9 +40,9 @@ from clembed.evaluation import (BliResult, QueryRecord, P_AT_KS,
                                 gold_ranks)
 from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.projection import ProjectionPair, identity_pair
-from clembed.similarity import topk_mean, unit_rows
+from clembed.similarity import unit_rows
 from clembed.supervised import align_proc
-from conftest import cell_budget, exact_rows
+from conftest import cell_budget, exact_rows, topk_mean
 
 CELL_BUDGETS = (1, 40, 2 ** 24)
 

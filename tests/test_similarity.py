@@ -15,8 +15,9 @@ from clembed.lexicon import make_lexicon
 from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
                                 mutual_argmax_pairs, mutual_pairs,
-                                similarity_sweep, topk_mean, unit_rows)
-from conftest import capped_mutual_pairs, cell_budget, oracle_row_blocks
+                                similarity_sweep, unit_rows)
+from conftest import (capped_mutual_pairs, cell_budget, oracle_row_blocks,
+                      topk_mean)
 
 
 def swept(queries, pool, metric="cosine", csls_n=10):
@@ -166,40 +167,47 @@ def test_similarity_sweep_dispatch():
 
 
 def test_mutual_argmax_pairs_hand_case():
+    """Against the unit axes a query's scores are its unit row: row 2's
+    best is column 0, but column 0 prefers row 0: not mutual."""
     sim = np.array([[0.9, 0.1, 0.0],
                     [0.2, 0.8, 0.3],
                     [0.7, 0.0, 0.1]])
-    # Row 2's best is column 0, but column 0 prefers row 0: not mutual.
-    assert mutual_argmax_pairs([(slice(0, 3), sim)], 3) == [(0, 0), (1, 1)]
-    one_row_blocks = [(slice(i, i + 1), sim[i:i + 1]) for i in range(3)]
-    assert mutual_argmax_pairs(one_row_blocks, 3) == [(0, 0), (1, 1)]
+    assert mutual_argmax_pairs(sim, np.eye(3)) == [(0, 0), (1, 1)]
+    with cell_budget(1):                         # one row per block
+        assert mutual_argmax_pairs(sim, np.eye(3)) == [(0, 0), (1, 1)]
 
 
 def test_mutual_argmax_identity_on_self_similarity():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((10, 4))
-    pairs = mutual_argmax_pairs(similarity_sweep(m, m), 10)
+    pairs = mutual_argmax_pairs(m, m)
     assert pairs == [(i, i) for i in range(10)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
               elements=st.integers(-2, 2), fill=st.nothing()), st.data())
-def test_mutual_argmax_pairs_hold_the_first_global_maximum(scores, data):
+def test_mutual_argmax_pairs_hold_the_first_global_maximum(queries, data):
     """The first maximum in row-major order is its row's lowest-index
     argmax and its column's lowest-index argmax, so a finite score matrix
-    always has a mutual pair, in any blocking and with entries zeroed (as
-    self_learn's dropout does)."""
-    scores = scores.astype(float)
-    scores[data.draw(arrays(np.bool_, scores.shape))] = 0.0
-    blocks, start = [], 0
-    while start < len(scores):
-        step = data.draw(st.integers(1, 4))
-        blocks.append((slice(start, start + step), scores[start:start + step]))
-        start += step
+    always has a mutual pair, in any blocking and tiling and with entries
+    zeroed by self_learn's dropout. Against the unit axes the scores are
+    the queries' unit rows, exactly."""
+    queries = queries.astype(float)
+    keep_prob = data.draw(st.sampled_from([1.0, 0.5, 0.2]))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    scores = unit_rows(queries)
+    if keep_prob < 1.0:
+        draws = np.random.default_rng(seed).random(scores.shape)
+        scores = np.where(draws < keep_prob, scores, 0.0)
     first = np.unravel_index(np.argmax(scores), scores.shape)
-    assert tuple(map(int, first)) in mutual_argmax_pairs(blocks,
-                                                         scores.shape[1])
+    with cell_budget(data.draw(st.sampled_from([1, 100, 2 ** 24]))), \
+            mock.patch.object(similarity, "_TILE",
+                              data.draw(st.integers(1, 4))):
+        pairs = mutual_argmax_pairs(queries, np.eye(queries.shape[1]),
+                                    keep_prob=keep_prob,
+                                    rng=np.random.default_rng(seed))
+    assert tuple(map(int, first)) in pairs
 
 
 def test_mutual_nearest_neighbors_identity():
@@ -346,12 +354,20 @@ PLAN_SITES = {
         lambda n, width: oracle_row_blocks(n, 8 * width),
         lambda n, width, _: supervised._candidate_mask(rows_of(n, width)),
         (5, 3)),
-    # a row is one bool of each row of the scores block: `width` of them
+    # its blocks are the sweep's
     "mutual_argmax_pairs": (
-        lambda width: (width, budget() // 64, 1),
+        lambda width: (8 * width, budget(), similarity._MIN_ROWS),
+        lambda n, width: oracle_row_blocks(n, width, similarity._MIN_ROWS),
+        lambda n, width, _: mutual_argmax_pairs(rows_of(n, 3),
+                                                rows_of(width, 3)),
+        (5, 3)),
+    # the stripes of a block that a thread finishes: CSLS's terms here
+    "sweep stripes": (
+        lambda width: (8 * width, budget() // 8, 1),
         lambda n, width: oracle_row_blocks(n, 8 * width),
-        lambda n, width, _: mutual_argmax_pairs(
-            [(slice(0, width), rows_of(width, n))], n),
+        lambda n, width, _: list(similarity_sweep(rows_of(n, 3),
+                                                  rows_of(width, 3), "csls",
+                                                  2)),
         (5, 3)),
     "save_text_embeddings": (
         lambda width: (8 * width, budget() // 128, 1),

@@ -63,16 +63,29 @@ class TestProcB:
     def test_solves_the_target_map_only_for_a_next_round(self, noisy_pair,
                                                           iters):
         """Every iteration solves the source map; the target map, which only
-        the next augmentation reads, is solved by every iteration but the
-        last. Only the returned map goes through the warning solve."""
+        the next augmentation reads, is solved by an iteration but the last
+        whose dictionary is rank-deficient, and right after its source map.
+        The 10-pair seed in 20 dimensions is; the 90 pairs it grows to are
+        not. Only the returned map goes through the warning solve."""
         seed = self.seed_lexicon(noisy_pair)
+        solves, procrustes = [], supervised._procrustes
+
+        def recording(x_src, x_tgt):
+            w, deficient = procrustes(x_src, x_tgt)
+            solves.append((x_src, x_tgt, deficient))
+            return w, deficient
+
         with mock.patch.object(supervised, "solve_procrustes",
                                wraps=solve_procrustes) as solve, \
-                mock.patch.object(supervised, "_procrustes",
-                                  wraps=supervised._procrustes) as quiet:
+                mock.patch.object(supervised, "_procrustes", recording):
             align_proc_b(noisy_pair.src, noisy_pair.tgt, seed, iters=iters)
         assert solve.call_count == 1
-        assert quiet.call_count == 2 * (iters - 1)
+        # the seed round solves both ways, the next one forward only
+        assert [deficient for *_, deficient in solves] == \
+            [[], [True, True], [True, True, False]][iters - 1]
+        if iters > 1:
+            (x_src, x_tgt, _), (y_src, y_tgt, _) = solves[:2]
+            assert y_src is x_tgt and y_tgt is x_src
 
     def test_warns_only_about_the_returned_map(self, noisy_pair):
         """A 10-pair seed in 20 dimensions is rank-deficient; the maps

@@ -3,7 +3,10 @@
 The oracles below are the earlier implementations: `oracle_csls_matrix` and
 `oracle_similarity_matrix` build the full queries x pool matrix (the CSLS
 hubness terms from its rows and its columns), `oracle_mutual_argmax_pairs`
-takes both argmaxes of that matrix, and `oracle_align_proc_b`,
+takes both argmaxes of that matrix, `oracle_block_mutual_pairs` takes them
+over a sweep's blocks in this thread, as `mutual_argmax_pairs` did before
+the sweep's threads took them (`oracle_induced` drops a sweep's blocks out
+and reduces them so), and `oracle_align_proc_b`,
 `oracle_self_learn` and `oracle_rcsls_neighbor_sets` are the aligner steps
 that used them. The library scores queries in row blocks
 (`similarity.similarity_sweep`, `similarity._blocks`) and reduces the
@@ -26,15 +29,20 @@ of both sides made whole, and one product per row block. A tile's product
 may change a score's last bits, so on generic rows the library's scores
 are compared bit for bit across thread counts and to the oracle within a
 tolerance. On exact rows, a pool row copied across a tile boundary among
-them, they are the oracle's bit for bit; and on the fixtures every consumer
-(BLI, proc-b, self-learning, ICP, mutual pairs) gets from the library what
-it gets from the oracle, at tile widths 1, 3 and the default, on 1-3
-threads.
+them, they are the oracle's bit for bit, and so are the pairs, the best
+scores and the dropped-out blocks that the threads reduce; and on the
+fixtures every consumer (BLI, proc-b, self-learning, ICP, mutual pairs)
+gets from the library what it gets from the oracle, at tile widths 1, 3
+and the default, on 1-3 threads. proc-b takes its pairs from one forward
+sweep where its dictionary has full rank, and `oracle_align_proc_b` from a
+sweep each way: the pairs are the forward scores' mutual argmaxes, and the
+oracle's wherever no deciding score is within 1e-9 of the next.
 
 `oracle_csls_hubness` and `oracle_topk_mean` are the float64 hubness and
 the full-width partition it used. The library screens hubness in float32
 and rescores in float64 (`similarity.csls_hubness`), and selects top-n
-columns through strided group maxima (`similarity.topk_mean`): on generic
+columns through strided group maxima (`similarity._top`, tested through
+`conftest.topk_mean`): on generic
 inputs the means may differ from the oracles only in the last bits of a
 float64 sum, and on exact inputs not at all. `oracle_top_neighbors` is the
 certified kernel itself as it was when it took float64 unit rows of both
@@ -81,7 +89,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import clembed
@@ -93,16 +101,17 @@ from clembed.linalg import sinkhorn_scale, solve_procrustes
 from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
                                 mutual_argmax_pairs, mutual_pairs,
-                                similarity_sweep, topk_mean, unit_rows)
+                                similarity_sweep, unit_rows)
 from clembed.supervised import (RcslsConfig, align_dlv, align_proc,
                                 align_proc_b, align_rcsls, rcsls_gradient,
                                 rcsls_neighbor_sets)
-from clembed.unsupervised import (IcpConfig, SelfLearnConfig, _dropout,
+from clembed.unsupervised import (IcpConfig, SelfLearnConfig,
                                   _nearest_rows, align_icp,
                                   gromov_wasserstein_plan, self_learn,
                                   vecmap_seed)
 from conftest import (RotatedPair, capped_mutual_pairs, cell_budget,
-                      exact_rows, oracle_rcsls_objective, oracle_row_blocks)
+                      exact_rows, oracle_rcsls_objective, oracle_row_blocks,
+                      topk_mean)
 
 # one row per block, a few rows per block against the fixtures' 500-row
 # pools, and the library's own budget
@@ -196,6 +205,32 @@ def oracle_similarity_sweep(queries, pool, metric="cosine", csls_n=10,
 
 def oracle_mutual_argmax_pairs(sim):
     return mutual_pairs(np.argmax(sim, axis=1), np.argmax(sim, axis=0))
+
+
+def oracle_block_mutual_pairs(blocks, n_pool):
+    """`mutual_argmax_pairs` as it was before the sweep's threads took its
+    reductions: both argmaxes taken in this thread over a sweep's (rows,
+    scores) blocks, a column's kept across blocks with a strict >."""
+    fwd = []
+    col_best = np.full(n_pool, -np.inf)
+    col_arg = np.zeros(n_pool, dtype=np.intp)
+    for rows, scores in blocks:
+        fwd.append(scores.argmax(axis=1))
+        top = scores.max(axis=0)
+        better = top > col_best
+        col_best[better] = top[better]
+        col_arg[better] = scores.argmax(axis=0)[better] + rows.start
+    return mutual_pairs(np.concatenate(fwd), col_arg)
+
+
+def oracle_induced(queries, pool, metric="cosine", csls_n=10, best=None,
+                   keep_prob=1.0, rng=None, sweep=oracle_similarity_sweep):
+    """`mutual_argmax_pairs` by the oracles: the blocks of `sweep`, dropped
+    out by `oracle_dropout` and reduced by `oracle_block_mutual_pairs`."""
+    if best is None:
+        best = np.empty(len(queries))
+    return oracle_block_mutual_pairs(oracle_dropout(
+        sweep(queries, pool, metric, csls_n), best, keep_prob, rng), len(pool))
 
 
 def oracle_align_proc_b(src_space, tgt_space, seed_lex, iters=2,
@@ -445,6 +480,19 @@ def kept(blocks):
     return [(rows, scores.copy()) for rows, scores in blocks]
 
 
+def induced(queries, pool, metric="cosine", csls_n=10, keep_prob=1.0,
+            rng=None):
+    """What `mutual_argmax_pairs` makes of a sweep, with what it reduced:
+    its pairs, each row's best score before the dropout, and the sweep's
+    blocks after it (`similarity._sweep`, kept)."""
+    fwd = np.zeros(len(queries), dtype=np.intp)
+    bwd = np.zeros(len(pool), dtype=np.intp)
+    best = np.empty(len(queries))
+    blocks = kept(similarity._sweep(queries, pool, metric, csls_n, None,
+                                    (fwd, bwd, best), keep_prob, rng))
+    return mutual_pairs(fwd, bwd), best, blocks
+
+
 def swept(queries, pool, metric="cosine", csls_n=10):
     """The sweep's blocks stacked back into one matrix, with their rows."""
     blocks = kept(similarity_sweep(queries, pool, metric, csls_n))
@@ -476,8 +524,7 @@ def test_sweep_matches_dense_matrix(noisy_pair, metric, cells):
     queries = queries[:300]                      # queries and pool differ in size
     with cell_budget(cells):
         got = swept(queries, pool, metric, 5)
-        pairs = mutual_argmax_pairs(
-            similarity_sweep(queries, pool, metric, 5), len(pool))
+        pairs = mutual_argmax_pairs(queries, pool, metric, 5)
     want = oracle_similarity_matrix(queries, pool, metric, 5)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
@@ -517,6 +564,65 @@ def test_proc_b_matches_oracle(noisy_pair, metric, cells):
                               search_cap=450, metric=metric, csls_n=4)
     assert_same_pair(new, old)
     assert new.metadata["dict_sizes"][-1] > 10
+
+
+@st.composite
+def proc_b_cases(draw):
+    """A rotated noisy pair with a full-rank seed: at least d + 2 pairs.
+    Some targets are copies of another target row, whose scores tie
+    exactly."""
+    n, d = draw(st.integers(10, 60)), draw(st.integers(2, 6))
+    pair = RotatedPair(sigma=draw(st.sampled_from([0.05, 0.3, 1.0])),
+                       seed=draw(st.integers(0, 2 ** 16)), n=n, d=d, train=n)
+    tgt = pair.tgt.matrix.copy()
+    for i in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+        tgt[i] = tgt[i - 1]
+    seed = make_lexicon(pair.train_lex[:draw(st.integers(d + 2, n))])
+    return (pair.src, WordVectorSpace(pair.tgt.words, tgt), seed,
+            draw(st.sampled_from(["cosine", "csls"])))
+
+
+def decided_by(scores) -> float:
+    """The smallest gap between a row's or a column's best and second-best
+    score: what the forward and the backward argmaxes turn on."""
+    gaps = [np.inf]
+    for side in (scores, scores.T):
+        if side.shape[1] > 1:
+            top = -np.partition(-side, 1, axis=1)[:, :2]
+            gaps.append((top[:, 0] - top[:, 1]).min())
+    return min(gaps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(proc_b_cases())
+def test_a_full_rank_round_adds_the_forward_mutual_argmaxes(case):
+    """proc-b's full-rank round adds the mutual argmaxes of the forward
+    scores, those of one sweep under the source map, every one. Where each
+    deciding score stands more than 1e-9 clear of the next, the dictionary
+    and the maps are those of the two-sweep oracle."""
+    src, tgt, seed, metric = case
+    rounds = []
+
+    def recording(queries, pool, *args):
+        pairs = mutual_argmax_pairs(queries, pool, *args)
+        rounds.append((queries, pool, pairs))
+        return pairs
+
+    with mock.patch.object(supervised, "mutual_argmax_pairs", recording):
+        new = align_proc_b(src, tgt, seed, iters=2, search_cap=len(src),
+                           metric=metric, csls_n=3)
+    assert len(rounds) == 1                      # one sweep, forward
+    queries, pool, added = rounds[0]
+    scores = swept(queries, pool, metric, 3)
+    assert added == oracle_mutual_argmax_pairs(scores)
+    for i, j in added:
+        assert scores[i].argmax() == j and scores[:, j].argmax() == i
+    clear = decided_by(scores) > 1e-9
+    event("deciding scores clear" if clear else "deciding scores tie")
+    if clear:
+        assert_same_pair(new, oracle_align_proc_b(
+            src, tgt, seed, iters=2, search_cap=len(src), metric=metric,
+            csls_n=3))
 
 
 @pytest.mark.parametrize("cells", CELL_BUDGETS)
@@ -604,8 +710,7 @@ def test_sweep_reductions_match_oracle_on_ties(case, cells):
     queries, pool, metric, csls_n = case
     with cell_budget(cells):
         got = swept(queries, pool, metric, csls_n)
-        pairs = mutual_argmax_pairs(
-            similarity_sweep(queries, pool, metric, csls_n), len(pool))
+        pairs = mutual_argmax_pairs(queries, pool, metric, csls_n)
     want = oracle_similarity_matrix(queries, pool, metric, csls_n)
     assert np.array_equal(got, want)
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
@@ -616,14 +721,23 @@ def test_sweep_reductions_match_oracle_on_ties(case, cells):
 @given(st.integers(1, 6).flatmap(lambda m: st.tuples(
     st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
              min_size=1, max_size=9),
-    st.integers(1, 4))))
+    st.integers(1, 4), st.integers(1, 4))))
 def test_mutual_argmax_pairs_match_dense_on_integer_blocks(case):
-    rows, step = case
-    sim = np.array(rows, dtype=float)
+    """Integer rows against the unit axes, whose scores are the rows' unit
+    rows exactly, in blocks of `step` rows (a budget of step * m cells) and
+    tiles of `width` columns."""
+    rows, step, width = case
+    queries = np.array(rows, dtype=float)
+    m = queries.shape[1]
+    sim = unit_rows(queries)
     blocks = [(slice(i, i + step), sim[i:i + step])
               for i in range(0, len(sim), step)]
-    assert mutual_argmax_pairs(blocks, sim.shape[1]) == \
-        oracle_mutual_argmax_pairs(sim)
+    with cell_budget(step * m), tiles(width):
+        assert [len(s) for _, s in similarity_sweep(queries, np.eye(m))] == \
+            [len(s) for _, s in blocks]
+        pairs = mutual_argmax_pairs(queries, np.eye(m))
+    assert pairs == oracle_mutual_argmax_pairs(sim)
+    assert pairs == oracle_block_mutual_pairs(blocks, m)
 
 
 @st.composite
@@ -795,17 +909,20 @@ def test_nearest_rows_match_oracle(seed, n, m, dim, copies):
 def test_dropout_matches_oracle(noisy_pair, cells, keep_prob):
     queries, pool = projected(noisy_pair)
     with cell_budget(cells):
-        best, want_best = np.empty(len(queries)), np.empty(len(queries))
-        got = kept(_dropout(similarity_sweep(queries, pool, "csls", 5),
-                            best, keep_prob, np.random.default_rng(3)))
+        pairs, best, got = induced(queries, pool, "csls", 5, keep_prob,
+                                   np.random.default_rng(3))
+        want_best = np.empty(len(queries))
         want = kept(oracle_dropout(similarity_sweep(queries, pool, "csls", 5),
                                    want_best, keep_prob,
                                    np.random.default_rng(3)))
+        assert mutual_argmax_pairs(queries, pool, "csls", 5, None, keep_prob,
+                                   np.random.default_rng(3)) == pairs
     assert np.array_equal(best, want_best)
     assert len(got) == len(want)
     for (rows, scores), (want_rows, want_scores) in zip(got, want):
         assert rows == want_rows
         assert np.array_equal(scores, want_scores)
+    assert pairs == oracle_block_mutual_pairs(want, len(pool))
 
 
 # --- hubness and top-n means -----------------------------------------------------
@@ -1179,7 +1296,8 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
     thread it runs on. A tracer that keeps one span stack per process is
     only correct if that is always the calling thread. The run must reach
     the helpers that do run on the workers: the sweep's tile norms, taken
-    through `_row_norms` and the planner, there."""
+    through `_row_norms` and the planner, there, and the reductions of
+    proc-b's and self-learning's sweeps (`_dropout`, `_keep_first_max`)."""
     modules = [clembed] + [importlib.import_module(f"clembed.{info.name}")
                            for info in pkgutil.iter_modules(clembed.__path__)]
     seen = set()
@@ -1195,11 +1313,16 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
                for name, fn in vars(module).items()
                if not name.startswith("_") and inspect.isfunction(fn)
                and fn.__module__ == module.__name__}
-    row_norms, norm_threads = similarity._row_norms, set()
+    helper_threads = {name: set() for name in ("_row_norms", "_dropout",
+                                                "_keep_first_max")}
 
-    def recording_norms(matrix):
-        norm_threads.add(threading.get_ident())
-        return row_norms(matrix)
+    def recording_helper(name):
+        helper = getattr(similarity, name)
+
+        def wrapper(*args):
+            helper_threads[name].add(threading.get_ident())
+            return helper(*args)
+        return wrapper
 
     aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
                                      noisy_pair.tgt)
@@ -1212,17 +1335,30 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
         stack.enter_context(cell_budget(3000))
         stack.enter_context(tiles(3))
         stack.enter_context(threads(2))
-        stack.enter_context(mock.patch.object(similarity, "_row_norms",
-                                              recording_norms))
+        for name in helper_threads:
+            stack.enter_context(mock.patch.object(similarity, name,
+                                                  recording_helper(name)))
         pair = supervised.align_rcsls(aligned, noisy_pair.src.matrix,
                                       noisy_pair.tgt.matrix,
                                       RcslsConfig(neighborhood=5, epochs=2))
         bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, noisy_pair.test_lex,
                      metric="csls")
+        # a 40-pair seed in 20 dimensions has full rank: one forward sweep
+        boot = supervised.align_proc_b(
+            noisy_pair.src, noisy_pair.tgt,
+            make_lexicon(noisy_pair.train_lex[:40]), iters=2, search_cap=300,
+            metric="csls", csls_n=4)
+        # the first round drops out 90% of the scores
+        unsupervised.self_learn(
+            noisy_pair.src, noisy_pair.tgt,
+            make_lexicon(noisy_pair.train_lex[:40]),
+            SelfLearnConfig(vocab_cap=300, max_rounds=1, seed=5))
+    assert boot.metadata["dict_sizes"][-1] > 40
     assert seen == {threading.get_ident()}
     # the sweep's tiles took their row norms (`_row_norms`, and through it
-    # the planner) on the worker threads
-    assert norm_threads - {threading.get_ident()}
+    # the planner), their argmaxes and their dropout on the worker threads
+    for name, idents in helper_threads.items():
+        assert idents - {threading.get_ident()}, name
 
 
 # --- the sweep's tiles against the row-block sweep ----------------------------------
@@ -1250,8 +1386,7 @@ def sweep_consumers(pair, spiral):
         "bli-cosine": bli_evaluate(proc, pair.src, pair.tgt, pair.test_lex),
         "bli-csls": bli_evaluate(proc, pair.src, pair.tgt, pair.test_lex,
                                  metric="csls", csls_n=5),
-        "pairs": mutual_argmax_pairs(similarity.similarity_sweep(
-            queries, pool, "csls", 3), len(pool)),
+        "pairs": similarity.mutual_argmax_pairs(queries, pool, "csls", 3),
         "proc-b": align_proc_b(pair.src, pair.tgt,
                                make_lexicon(pair.train_lex[:10]), iters=3,
                                search_cap=450, metric="csls", csls_n=4),
@@ -1265,10 +1400,15 @@ def sweep_consumers(pair, spiral):
 
 @pytest.fixture(scope="module")
 def oracle_consumers(noisy_pair, spiral_pair):
+    """The consumers on the row-block sweep, reduced and dropped out by the
+    oracles in this thread."""
     with contextlib.ExitStack() as stack:
-        for module in (similarity, evaluation, supervised, unsupervised):
+        for module in (similarity, evaluation, supervised):
             stack.enter_context(mock.patch.object(
                 module, "similarity_sweep", oracle_similarity_sweep))
+        for module in (similarity, supervised, unsupervised):
+            stack.enter_context(mock.patch.object(
+                module, "mutual_argmax_pairs", oracle_induced))
         return sweep_consumers(noisy_pair, spiral_pair)
 
 
@@ -1302,22 +1442,47 @@ def tiled_sweep_cases(draw):
     return queries, pool, metric, draw(st.integers(1, 4)), width, at
 
 
+def assert_induced_as_the_oracle(queries, pool, metric, csls_n, keep_prob,
+                                 seed, sweep=oracle_similarity_sweep):
+    """The pairs, the best scores and the blocks after the dropout that
+    `mutual_argmax_pairs` takes are, bit for bit, those that the oracles
+    make of `sweep`'s blocks in this thread (`oracle_dropout`,
+    `oracle_block_mutual_pairs`): of the row-block oracle's by default."""
+    pairs, best, got = induced(queries, pool, metric, csls_n, keep_prob,
+                               np.random.default_rng(seed))
+    want_best = np.empty(len(queries))
+    want = kept(oracle_dropout(sweep(queries, pool, metric, csls_n),
+                               want_best, keep_prob,
+                               np.random.default_rng(seed)))
+    assert [rows.start for rows, _ in got] == [rows.start for rows, _ in want]
+    assert np.array_equal(np.vstack([s for _, s in got]),
+                          np.vstack([s for _, s in want]))
+    assert np.array_equal(best, want_best)
+    assert pairs == oracle_block_mutual_pairs(want, len(pool))
+    assert pairs == mutual_argmax_pairs(queries, pool, metric, csls_n, None,
+                                        keep_prob,
+                                        np.random.default_rng(seed))
+
+
 @settings(max_examples=300, deadline=None)
-@given(tiled_sweep_cases(), st.sampled_from(CELL_BUDGETS), st.integers(1, 3))
-def test_tiled_sweep_is_bit_equal_to_the_oracle_on_exact_rows(case, cells,
-                                                              workers):
+@given(tiled_sweep_cases(), st.sampled_from(CELL_BUDGETS), st.integers(1, 3),
+       st.sampled_from([1.0, 0.5]), st.integers(0, 2 ** 16))
+def test_tiled_sweep_is_bit_equal_to_the_oracle_on_exact_rows(
+        case, cells, workers, keep_prob, seed):
     queries, pool, metric, csls_n, width, at = case
     with tiles(width), threads(workers), \
             cell_budget(cells):
         got = swept(queries, pool, metric, csls_n)
-        pairs = mutual_argmax_pairs(
-            similarity_sweep(queries, pool, metric, csls_n), len(pool))
+        pairs = mutual_argmax_pairs(queries, pool, metric, csls_n)
+        # the dropout path, with the reductions it feeds
+        assert_induced_as_the_oracle(queries, pool, metric, csls_n,
+                                     keep_prob, seed)
     want = oracle_swept(queries, pool, metric, csls_n)
     assert np.array_equal(got, want)
     assert np.array_equal(got[:, at - 1], got[:, at])
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
     assert np.all(got.argmax(axis=1) != at)      # the copy's tie goes lower
-    assert pairs == mutual_argmax_pairs(
+    assert pairs == oracle_block_mutual_pairs(
         oracle_similarity_sweep(queries, pool, metric, csls_n), len(pool))
 
 
@@ -1354,8 +1519,9 @@ def test_tiled_sweep_on_a_fixture_does_not_depend_on_the_thread_count(
 
 def test_tiled_sweep_under_thread_stress():
     """Eight threads, more than the cores, switching every 10 us: a tile's
-    scratch handed to two threads at once, or a tile left unfilled, would
-    change the scores."""
+    or a stripe's scratch handed to two threads at once, a tile left
+    unfilled or a stripe reduced twice would change the scores, the dropout
+    or the pairs."""
     queries, pool = duplicated_pool(8)
     with tiles(3), threads(1):
         want = swept(queries, pool, "csls", 5)
@@ -1365,6 +1531,11 @@ def test_tiled_sweep_under_thread_stress():
         with tiles(3), threads(8):
             for _ in range(5):
                 assert np.array_equal(swept(queries, pool, "csls", 5), want)
+            # generic rows: the oracles reduce the library's own blocks,
+            # whose scores the loop above holds to one thread's
+            for seed in range(2):
+                assert_induced_as_the_oracle(queries, pool, "csls", 5, 0.5,
+                                             seed, similarity_sweep)
     finally:
         sys.setswitchinterval(interval)
 
@@ -1463,25 +1634,28 @@ def test_mutual_nearest_neighbors_stays_within_its_blocks(metric):
     assert peak < 4 * 2 ** 20
 
 
+def drained(blocks):
+    for _ in blocks:
+        pass
+
+
 @pytest.mark.parametrize("queries", [1024, 4096])
 def test_mutual_argmax_pairs_adds_under_a_quarter_of_a_block(queries):
     """Blocks of 1024 x 1024 float64 (8 MB) under a 2**22-cell budget: the
-    column argmax may not copy a block, as np.argmax over axis 0 would."""
+    reductions add under a quarter of a block to the sweep's own peak: the
+    column argmax may not copy a block, or a stripe of one, as np.argmax
+    over axis 0 would."""
     rng = np.random.default_rng(3)
     pool = rng.standard_normal((1024, 20))
     near = pool[rng.integers(0, len(pool), queries)]
     near += 0.01 * rng.standard_normal(near.shape)
     with cell_budget(2 ** 22):
         blocks = kept(similarity_sweep(near, pool))
-        tracemalloc.start()
-        try:
-            pairs = mutual_argmax_pairs(iter(blocks), len(pool))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, sweep_peak = traced(drained, similarity_sweep(near, pool))
+        pairs, peak = traced(mutual_argmax_pairs, near, pool)
     assert len(blocks) == queries // 1024
     assert pairs == oracle_mutual_argmax_pairs(np.vstack([s for _, s in blocks]))
-    assert peak <= blocks[0][1].nbytes / 4
+    assert peak - sweep_peak <= blocks[0][1].nbytes / 4
 
 
 def traced(fn, *args, **kwargs):
@@ -1542,25 +1716,33 @@ class RecordingRng:
 
 
 def test_dropout_draws_one_matrix_into_one_block_buffer():
-    """650 x 500 scores in blocks of 100 rows (400 KB) and a last of 50:
-    the draws are those of one 650 x 500 draw, each block's made into the
-    same buffer, and nothing near the 2.6 MB matrix is allocated."""
+    """650 x 500 scores in blocks of 100 rows (400 KB; a budget of 50000
+    cells) and a last of 50: the draws are those of one 650 x 500 draw,
+    each block's made into the same buffer, and the dropout adds under 1.5
+    blocks to the peak of the reductions without it, nothing near the
+    2.6 MB matrix."""
     rng = np.random.default_rng(9)
-    scores = rng.standard_normal((650, 500))
-    blocks = [(rows, scores[rows].copy())
-              for rows in (slice(i, i + 100) for i in range(0, 650, 100))]
-    best = np.empty(650)
-    recorder = RecordingRng(3)
-    _, peak = traced(lambda: [b for b in _dropout(iter(blocks), best, 0.3,
-                                                  recorder)])
+    queries, pool = rng.standard_normal((650, 8)), rng.standard_normal((500, 8))
+    with cell_budget(50000):
+        blocks = kept(similarity_sweep(queries, pool))
+        scores = np.vstack([s for _, s in blocks])
+        _, dropped, got = induced(queries, pool, keep_prob=0.3,
+                                  rng=np.random.default_rng(3))
+        _, plain_peak = traced(mutual_argmax_pairs, queries, pool,
+                               best=np.empty(650))
+        best, recorder = np.empty(650), RecordingRng(3)
+        _, peak = traced(mutual_argmax_pairs, queries, pool, best=best,
+                         keep_prob=0.3, rng=recorder)
     draws = np.random.default_rng(3).random(scores.shape)
-    assert np.array_equal(np.vstack([b for _, b in blocks]),
+    assert [len(s) for _, s in blocks] == [100] * 6 + [50]
+    assert np.array_equal(np.vstack([s for _, s in got]),
                           np.where(draws < 0.3, scores, 0.0))
     assert np.array_equal(best, scores.max(axis=1))
+    assert np.array_equal(dropped, best)
     assert len(recorder.outs) == 7
     assert all(out is not None and np.shares_memory(out, recorder.outs[0])
                for out in recorder.outs)
-    assert peak < 1.5 * blocks[0][1].nbytes
+    assert peak - plain_peak < 1.5 * blocks[0][1].nbytes
 
 
 def test_align_dlv_holds_one_similarity_matrix():
