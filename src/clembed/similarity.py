@@ -18,8 +18,8 @@ choose candidates: it screens each block in float32, rescores the chosen
 columns in float64 and recomputes in full in float64 any row whose choice
 a proven error bound cannot certify (see `csls_hubness`), so its columns
 and means are the float64 ones. Its row blocks run on one thread per core
-(`_map_blocks`). The threads of both run numpy and private helpers only,
-never a public function of the package.
+too. Both kernels run their threads through `_threads`, whose threads run
+numpy and private helpers only, never a public function of the package.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ import numpy as np
 
 # Bytes of a float64 block, from which `_blocks` states every budget.
 _BLOCK_BYTES = 2 ** 25
-# Rows a float64 product's block and a `_map_blocks` screen hold at least
+# Rows a float64 product's block and a `_top_neighbors` screen hold at least
 # where their budgets allow (`_blocks`): against a 200k x 300 pool, on one
 # thread, float32 screens of 41 rows took 1.6 times as long as of 128.
 _MIN_ROWS = 128
-# Rows a `_map_blocks` screen block holds at most. The top-n selection's
+# Rows a `_top_neighbors` screen block holds at most. The top-n selection's
 # temporaries (index arrays, partitions) are numpy's own, made in the
 # worker thread, whose malloc arena keeps what they took: across a
 # 5000-word proc-b and CSLS evaluation, two threads peaked 36 MiB above
@@ -78,7 +78,7 @@ def _blocks(n_rows: int, row_bytes: int, budget: int,
     - _BLOCK_BYTES / 128 (256 KiB) of float64 rows:
       `embeddings.save_text_embeddings`' format blocks;
     - 2 * _BLOCK_BYTES (64 MiB) of float32 screens in flight together:
-      `_map_blocks`, under its own rule for balancing the threads.
+      `_top_neighbors`, under its own rule for balancing the threads.
     """
     row_bytes = max(1, row_bytes)
     step = max(1, budget // row_bytes, min(floor, 4 * budget // row_bytes))
@@ -94,10 +94,10 @@ def _workers() -> int:
 @contextlib.contextmanager
 def _threads(scratch: list[list[np.ndarray]]):
     """Yield run(fn, items, meanwhile=None), which calls fn(item, *arrays)
-    for each item on len(scratch) threads, or in this thread when that is
-    one, each call with one of the `scratch` sets, used by no other call
-    while it runs; and meanwhile(), when given, in this thread while they
-    run.
+    for each item on a pool of len(scratch) threads (at least one), never
+    in this one, each call with one of the `scratch` sets, used by no other
+    call while it runs; and meanwhile(), when given, in this thread while
+    they run.
 
     The scratch is allocated by the caller, in the calling thread, and
     handed out through a queue: memory a worker thread allocates stays in
@@ -119,14 +119,6 @@ def _threads(scratch: list[list[np.ndarray]]):
         finally:
             sets.put(arrays)
 
-    if len(scratch) <= 1:
-        def run(fn, items, meanwhile=None) -> None:
-            for item in items:
-                call(fn, item)
-            if meanwhile is not None:
-                meanwhile()
-        yield run
-        return
     with ThreadPoolExecutor(max_workers=len(scratch)) as executor:
         def run(fn, items, meanwhile=None) -> None:
             done = executor.map(functools.partial(call, fn), items)
@@ -135,41 +127,6 @@ def _threads(scratch: list[list[np.ndarray]]):
             for _ in done:
                 pass
         yield run
-
-
-def _map_blocks(fn, n_rows: int, pool_rows: int, *widths) -> None:
-    """Call fn(rows, screen, *blocks) over row blocks of range(n_rows), on
-    `_threads`' threads, one per core (`_workers`).
-
-    `screen` is a float32 (rows, pool_rows) scratch block for fn to fill,
-    and `blocks` holds one (rows, width) scratch block of that dtype for
-    each (width, dtype) in `widths`. The blocks are of near-equal size, at
-    least one per thread, at most `_MAX_ROWS` rows, and each screen within
-    an equal share of 2 * _BLOCK_BYTES (one row at least); against pools
-    too wide for `_MIN_ROWS` rows, of as many rows up to `_MIN_ROWS` as
-    4 * _BLOCK_BYTES hold while every thread has a block (`_blocks`). All
-    scratch is allocated here, one set per thread; fn's own temporaries
-    stay in the worker threads' malloc arenas, which is why `_MAX_ROWS`
-    bounds them. fn runs under `_threads`' rules.
-    """
-    workers = _workers()
-    row_bytes = 4 * max(1, pool_rows)
-    n_blocks = len(_blocks(n_rows, row_bytes, 2 * _BLOCK_BYTES // workers))
-    n_blocks += -n_blocks % workers
-    step = min(_MAX_ROWS, max(1, -(-n_rows // max(1, n_blocks)),
-                              min(_MIN_ROWS, n_rows // workers,
-                                  4 * _BLOCK_BYTES // row_bytes)))
-    blocks = _blocks(n_rows, row_bytes, step * row_bytes)
-    scratch = [[np.empty((step, pool_rows), dtype=np.float32)]
-               + [np.empty((step, width), dtype=dtype)
-                  for width, dtype in widths]
-               for _ in range(min(workers, len(blocks)))]
-
-    def block(rows: slice, *arrays) -> None:
-        fn(rows, *(a[:rows.stop - rows.start] for a in arrays))
-
-    with _threads(scratch) as run:
-        run(block, blocks)
 
 
 # A norm below this is the root of a subnormal sum of squares: underflow
@@ -259,7 +216,7 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     rows beside the row norms of both sides, each row block's own unit rows
     are made in scratch, and a kept pool row's unit row is divided out of
     the pool when it is rescored. Beside its inputs, the working set is
-    that float32 pool, one float32 screen block per thread (`_map_blocks`)
+    that float32 pool, one float32 screen block per thread (`_top_neighbors`)
     and three (rows, d) blocks per thread. The float32 screen is certified
     as follows.
 
@@ -285,7 +242,7 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     its float64 n-th largest score from below by s_n - delta_i, and a column
     screened below s_n - 2 * delta_i cannot reach it. A row whose largest
     left-out score is not that far below s_n (near ties, e.g. duplicated
-    pool rows) is scored again in full in float64 (`_exact_top`), so the
+    pool rows) is scored again in full in float64 (`_top`), so the
     result is always the float64 top-n mean. The same bound certifies
     RCSLS's neighbourhoods, whose queries and pool rows, projections through
     a map, are not unit rows: there the band grows with |q_i| and P.
@@ -351,12 +308,17 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
 
     The float32 screen, the float64 rescoring and the float64 fallback of
     rows the band cannot certify are those of `csls_hubness`, whose
-    docstring holds the proof. Screened blocks run on `_map_blocks`'
-    threads, each on its own rows gathered (and made unit rows) into
-    scratch; the fallback runs after them, in this thread, in `_blocks`
-    of the uncertified rows, so its blocks do not depend on the thread
-    count. Only when a row reaches the fallback, or a nonzero pool row is
-    below `_TINY_NORM`, is a float64 copy of the pool made.
+    docstring holds the proof. The screen's row blocks are of near-equal
+    size, at least one per thread (`_workers`) and at most `_MAX_ROWS` rows,
+    each screen within an equal share of 2 * _BLOCK_BYTES (one row at
+    least, or, against pools too wide for `_MIN_ROWS` rows, as many up to
+    `_MIN_ROWS` as 4 * _BLOCK_BYTES hold while every thread has a block).
+    They run on `_threads`, each gathering (and making unit rows of) its
+    rows into scratch allocated here, one set per thread. The fallback runs
+    after them, in this thread, in `_blocks` of the uncertified rows, so
+    its blocks do not depend on the thread count. Only when a row reaches
+    the fallback, or a nonzero pool row is below `_TINY_NORM`, is a float64
+    copy of the pool made.
     """
     queries = np.asarray(queries, dtype=float)
     pool = np.asarray(pool, dtype=float)
@@ -374,9 +336,22 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
     cols = np.empty((len(queries), k), dtype=np.intp)
     means = np.empty(len(queries))
     unsure = np.empty(len(queries), dtype=bool)
+    workers, row_bytes = _workers(), 4 * max(1, len(pool))
+    n_blocks = len(_blocks(len(queries), row_bytes,
+                           2 * _BLOCK_BYTES // workers))
+    n_blocks += -n_blocks % workers
+    step = min(_MAX_ROWS, max(1, -(-len(queries) // max(1, n_blocks)),
+                              min(_MIN_ROWS, len(queries) // workers,
+                                  4 * _BLOCK_BYTES // row_bytes)))
+    blocks = _blocks(len(queries), row_bytes, step * row_bytes)
+    # per thread: a block's float32 screen, its unit rows in float64 and in
+    # float32, and the pool rows it keeps in one column of its choice
+    scratch = [[np.empty((step, len(pool)), dtype=np.float32),
+                np.empty((step, d)), np.empty((step, d), dtype=np.float32),
+                np.empty((step, d))] for _ in range(min(workers, len(blocks)))]
 
-    def screen_block(rows: slice, screen: np.ndarray, q64: np.ndarray,
-                     q32: np.ndarray, picked: np.ndarray) -> None:
+    def screen_block(rows: slice, *arrays) -> None:
+        screen, q64, q32, picked = (a[:rows.stop - rows.start] for a in arrays)
         _gather(q64, queries, np.arange(rows.start, rows.stop), q_div)
         q32[...] = q64
         np.matmul(q32, p32.T, out=screen)
@@ -394,22 +369,17 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
                                     _gather(picked, pool, c, p_div))
         cols[rows], means[rows] = _descending(kept_cols, exact, k)
 
-    _map_blocks(screen_block, len(queries), len(pool),
-                (d, np.float64), (d, np.float32), (d, np.float64))
+    if blocks:  # no rows, no threads: a pool of none cannot start
+        with _threads(scratch) as run:
+            run(screen_block, blocks)
     redo = np.flatnonzero(unsure)
     if redo.size and p_div is not None:
         pool = pool / p_div[:, None]
     for rows in _blocks(len(redo), 8 * len(pool), _BLOCK_BYTES, _MIN_ROWS):
         at = redo[rows]
-        cols[at], means[at] = _exact_top(
-            _gather(np.empty((len(at), d)), queries, at, q_div), pool, k)
+        cols[at], means[at] = _top(
+            _gather(np.empty((len(at), d)), queries, at, q_div) @ pool.T, k)
     return cols, means
-
-
-def _exact_top(queries: np.ndarray, pool: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_top_neighbors`' result for these rows, scored in full in float64."""
-    return _top(queries @ pool.T, k)
 
 
 def similarity_sweep(queries: np.ndarray, pool: np.ndarray,

@@ -19,7 +19,7 @@ from clembed.similarity import mutual_argmax_pairs
 
 def cell_budget(cells):
     """Patch the library's block budget to `cells` float32 cells of the
-    top-n screens in flight together (`similarity._map_blocks`): a
+    top-n screens in flight together (`similarity._top_neighbors`): a
     `similarity._BLOCK_BYTES` of 2 * cells, whose float64 blocks hold
     cells / 4 cells."""
     return mock.patch.object(similarity, "_BLOCK_BYTES", 2 * cells)

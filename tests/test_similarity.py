@@ -280,7 +280,7 @@ def oracle_save_blocks(n_rows, width):
 
 
 def oracle_map_blocks(n_rows, pool_rows, workers):
-    """`_map_blocks`' row blocks by its formula of the cell budget."""
+    """The top-n screen's row blocks by its formula of the cell budget."""
     cells = similarity._BLOCK_BYTES // 2
     per_thread = max(1, cells // workers // max(1, pool_rows))
     n_blocks = -(-n_rows // per_thread)
@@ -398,25 +398,40 @@ def test_every_block_plan_is_the_one_before_the_planner(site, tmp_path):
     assert (n, *settings(width)) in asked
 
 
+class Planned(Exception):
+    """Raised in place of running a plan's blocks."""
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_blocks_plan_is_the_one_before_the_planner(workers):
-    """`_map_blocks`' blocks, over the same grid, are the ones its own
-    formula made, the last block clipped. No block is run: its scratch is
-    allocated and not touched."""
-    planned = []
+    """The top-n screen's blocks (`_top_neighbors`), over the same grid,
+    are the ones its own formula made, the last block clipped, with one
+    scratch set per thread that has a block. No block is run: the scratch
+    is allocated and not touched, and the kernel stops at its threads."""
+    planned, sets = [], []
 
     @contextlib.contextmanager
     def recording(scratch):
-        yield lambda fn, blocks: planned.extend(blocks)
+        sets.append(len(scratch))
+
+        def run(fn, blocks):
+            planned.extend(blocks)
+            raise Planned
+        yield run
 
     with mock.patch.object(similarity, "_threads", recording), \
             mock.patch.object(similarity, "_workers", lambda: workers):
         for n_rows in PLAN_ROWS:
             for w in PLAN_WIDTHS:
                 planned.clear()
-                similarity._map_blocks(None, n_rows, w)
-                assert planned == clipped(
-                    oracle_map_blocks(n_rows, w, workers), n_rows), (n_rows, w)
+                sets.clear()
+                with contextlib.suppress(Planned):
+                    similarity._top_neighbors(np.ones((n_rows, 1)),
+                                              np.ones((w, 1)), 1)
+                want = clipped(oracle_map_blocks(n_rows, w, workers), n_rows)
+                assert planned == want, (n_rows, w)
+                assert sets == ([min(workers, len(want))] if want else []), \
+                    (n_rows, w)
 
 
 @pytest.mark.parametrize("metric", ["cosine", "csls"])

@@ -46,9 +46,10 @@ columns through strided group maxima (`similarity._top`, tested through
 inputs the means may differ from the oracles only in the last bits of a
 float64 sum, and on exact inputs not at all. `oracle_top_neighbors` is the
 certified kernel itself as it was when it took float64 unit rows of both
-sides and cast each side to float32 whole; the library holds one float32
-copy of the pool and makes each block's unit rows in scratch, and its
-columns and means must equal the oracle's bit for bit, on exact and on
+sides and cast each side to float32 whole, run in this thread over the
+oracles' row blocks; the library holds one float32 copy of the pool, runs
+its own blocks on threads and makes each block's unit rows in scratch, and
+its columns and means must equal the oracle's bit for bit, on exact and on
 generic rows, at every cell budget and thread count.
 
 `oracle_rcsls_neighbor_sets`, the float64 product and full-width partition
@@ -57,9 +58,10 @@ full-width partitions, now go through the certified float32 screen of
 hubness (`similarity._top_neighbors`) and through `similarity._top_columns`.
 Of entries tied at the n-th place either code may keep either, so sets are
 compared where no two entries tie there, and the float64 scores kept as
-multisets everywhere. The screen's row blocks run on one thread per core
-(`similarity._map_blocks`); hubness is bit-equal at any thread count, no
-thread outlives a call and no public function runs on a worker thread.
+multisets everywhere. The screen's row blocks, like the sweep's tiles, run
+on one thread per core (`similarity._threads`, which runs even one on a
+worker thread); hubness is bit-equal at any thread count, no thread
+outlives a call and no public function runs on a worker thread.
 
 The aligner loops reduce through thin factors where the oracles build the
 wide intermediates: `conftest.oracle_rcsls_objective` scores every frozen
@@ -135,9 +137,15 @@ def oracle_csls_hubness(vectors, pool, n_neighbors):
                            for rows in oracle_row_blocks(len(vu), len(pu))])
 
 
+# the float64 top-n of the oracles, as the library's fallback takes it; held
+# here so that `count_fallback_rows` counts the library's rows only
+oracle_top = similarity._top
+
+
 def oracle_top_neighbors(queries, pool, n):
     """The top-n kernel as it was when it took float64 rows of both sides
-    (unit rows for hubness) and made a float32 copy of each."""
+    (unit rows for hubness) and made a float32 copy of each, in this
+    thread, over the oracles' row blocks, each screen a new array."""
     k = min(n, len(pool))
     d = queries.shape[1]
     q32, p32 = queries.astype(np.float32), pool.astype(np.float32)
@@ -148,9 +156,8 @@ def oracle_top_neighbors(queries, pool, n):
     cols = np.empty((len(queries), k), dtype=np.intp)
     means = np.empty(len(queries))
     unsure = np.empty(len(queries), dtype=bool)
-
-    def screen_block(rows, screen):
-        np.matmul(q32[rows], p32.T, out=screen)
+    for rows in oracle_row_blocks(len(queries), len(pool)):
+        screen = q32[rows] @ p32.T
         kept_cols, left_out = similarity._top_columns(
             screen, k + similarity._SPARE)
         kept = np.take_along_axis(screen, kept_cols, axis=1)
@@ -160,12 +167,10 @@ def oracle_top_neighbors(queries, pool, n):
         exact = np.stack([np.einsum("bd,bd->b", queries[rows], pool[c])
                           for c in kept_cols.T], axis=1)
         cols[rows], means[rows] = similarity._descending(kept_cols, exact, k)
-
-    similarity._map_blocks(screen_block, len(queries), len(pool))
     redo = np.flatnonzero(unsure)
     for rows in oracle_row_blocks(len(redo), len(pool)):
-        cols[redo[rows]], means[redo[rows]] = similarity._exact_top(
-            queries[redo[rows]], pool, k)
+        cols[redo[rows]], means[redo[rows]] = oracle_top(
+            queries[redo[rows]] @ pool.T, k)
     return cols, means
 
 
@@ -569,15 +574,19 @@ def test_proc_b_matches_oracle(noisy_pair, metric, cells):
 @st.composite
 def proc_b_cases(draw):
     """A rotated noisy pair with a full-rank seed: at least d + 2 pairs.
-    Some targets are copies of another target row, whose scores tie
-    exactly."""
+    Some targets past the seed are copies of the row before, whose scores
+    tie exactly; the seed's own rows are not copied, which could leave it
+    rank-deficient (four seed targets copied from one)."""
     n, d = draw(st.integers(10, 60)), draw(st.integers(2, 6))
     pair = RotatedPair(sigma=draw(st.sampled_from([0.05, 0.3, 1.0])),
                        seed=draw(st.integers(0, 2 ** 16)), n=n, d=d, train=n)
+    size = draw(st.integers(d + 2, n))
     tgt = pair.tgt.matrix.copy()
-    for i in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+    copies = st.lists(st.integers(size, n - 1), max_size=3) if size < n \
+        else st.just([])
+    for i in draw(copies):
         tgt[i] = tgt[i - 1]
-    seed = make_lexicon(pair.train_lex[:draw(st.integers(d + 2, n))])
+    seed = make_lexicon(pair.train_lex[:size])
     return (pair.src, WordVectorSpace(pair.tgt.words, tgt), seed,
             draw(st.sampled_from(["cosine", "csls"])))
 
@@ -928,15 +937,15 @@ def test_dropout_matches_oracle(noisy_pair, cells, keep_prob):
 # --- hubness and top-n means -----------------------------------------------------
 
 def count_fallback_rows():
-    """Patch the float64 fallback of the top-n kernel (`csls_hubness`,
-    `rcsls_neighbor_sets`) to count the rows it gets."""
+    """Patch `similarity._top` to count the rows it gets: in the top-n
+    kernel (`csls_hubness`, `rcsls_neighbor_sets`), the rows of its float64
+    fallback."""
     rows = []
-    exact = similarity._exact_top
 
-    def counted(vectors, pool, k):
-        rows.append(len(vectors))
-        return exact(vectors, pool, k)
-    return rows, mock.patch.object(similarity, "_exact_top", counted)
+    def counted(scores, k):
+        rows.append(len(scores))
+        return oracle_top(scores, k)
+    return rows, mock.patch.object(similarity, "_top", counted)
 
 
 # pools of one row and of fewer rows than n; pools too narrow for groups of
@@ -1235,51 +1244,128 @@ def test_csls_hubness_under_thread_stress():
         sys.setswitchinterval(interval)
 
 
+def recorded_screen(sets, rows_seen):
+    """A `similarity._threads` that runs as it does, after putting each
+    scratch set it gets in `sets` and each row a block covers in
+    `rows_seen`."""
+    runner = similarity._threads
+
+    @contextlib.contextmanager
+    def recording(scratch):
+        sets.extend(scratch)
+        with runner(scratch) as run:
+            def recorded(fn, blocks):
+                def block(rows, *arrays):
+                    rows_seen.append(range(rows.start, rows.stop))
+                    fn(rows, *arrays)
+                run(block, blocks)
+            yield recorded
+    return mock.patch.object(similarity, "_threads", recording)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("cells", [1, 5000, 2 ** 24])
 def test_map_blocks_covers_every_row_once_within_the_budget(workers, cells):
-    """Blocks of at most cells / workers cells, but where that is fewer
-    than `_MIN_ROWS` rows, as tall as `_MIN_ROWS`, one block per thread and
-    2 * cells allow, save the last; never more than `_MAX_ROWS` rows; and a
-    scratch block of each requested width and dtype beside the screen."""
-    rows_seen, heights, idents = [], [], set()
-
-    def fn(rows, screen, wide, narrow):
-        height = rows.stop - rows.start
-        assert screen.shape == (height, 70)
-        assert screen.dtype == np.float32
-        assert wide.shape == (height, 5) and wide.dtype == np.float64
-        assert narrow.shape == (height, 2) and narrow.dtype == np.int8
-        assert screen.size <= max(70, cells // workers,
-                                  min(similarity._MIN_ROWS * 70, 2 * cells))
-        rows_seen.extend(range(rows.start, rows.stop))
-        heights.append(height)
-        idents.add(threading.get_ident())
-
+    """The top-n screen's row blocks (`similarity._top_neighbors`): blocks
+    of at most cells / workers cells, but where that is fewer than
+    `_MIN_ROWS` rows, as tall as `_MIN_ROWS`, one block per thread and
+    2 * cells allow, save the last; never more than `_MAX_ROWS` rows; and
+    one scratch set per thread at most, allocated for the tallest block:
+    its float32 screen, and its rows in float64 and in float32 beside the
+    float64 pool rows it keeps in one column."""
+    rng = np.random.default_rng(workers)
+    vectors, pool = rng.standard_normal((1000, 5)), rng.standard_normal((70, 5))
+    sets, rows_seen = [], []
     before = threading.active_count()
-    with cell_budget(cells), threads(workers):
-        similarity._map_blocks(fn, 1000, 70, (5, np.float64), (2, np.int8))
-    assert sorted(rows_seen) == list(range(1000))
+    with cell_budget(cells), threads(workers), \
+            recorded_screen(sets, rows_seen):
+        got = similarity._top_neighbors(vectors, pool, 3)
+    assert threading.active_count() == before
+    assert sorted(i for rows in rows_seen for i in rows) == list(range(1000))
+    heights = [len(rows) for rows in rows_seen]
     assert len(heights) >= workers
     assert sorted(heights)[1:] == [max(heights)] * (len(heights) - 1)
     assert max(heights) >= min(similarity._MIN_ROWS, 1000 // workers,
                                2 * cells // 70)
     assert max(heights) <= similarity._MAX_ROWS
-    assert threading.active_count() == before
-    if workers == 1:
-        assert idents == {threading.get_ident()}
+    assert len(sets) == min(workers, len(heights))
+    for screen, q64, q32, picked in sets:
+        assert screen.shape == (max(heights), 70) and screen.dtype == np.float32
+        assert screen.size <= max(70, cells // workers,
+                                  min(similarity._MIN_ROWS * 70, 2 * cells))
+        assert q64.shape == q32.shape == picked.shape == (max(heights), 5)
+        assert q64.dtype == picked.dtype == np.float64
+        assert q32.dtype == np.float32
+    assert_same_top(got, oracle_top_neighbors(vectors, pool, 3))
 
 
 def test_a_worker_exception_reaches_the_caller():
-    def fn(rows, screen):
-        if rows.start >= 500:
-            raise RuntimeError(f"block at row {rows.start}")
-
+    """An exception in a screen block of the top-n kernel is raised by the
+    kernel, and no thread outlives it."""
+    vectors, pool = duplicated_pool(4)
     before = threading.active_count()
-    with cell_budget(5000), threads(2):
-        with pytest.raises(RuntimeError, match="block at row"):
-            similarity._map_blocks(fn, 1000, 70)
+    with cell_budget(5000), threads(2), \
+            mock.patch.object(similarity, "_top_columns",
+                              side_effect=RuntimeError("screen block")):
+        with pytest.raises(RuntimeError, match="screen block"):
+            csls_hubness(vectors, pool, 10)
     assert threading.active_count() == before
+
+
+def test_one_scratch_set_runs_its_items_on_a_worker_thread():
+    """`_threads` has one path: with one scratch set too, its items run on
+    a pool thread, while meanwhile() runs in this thread; an item's
+    exception reaches the caller; and no thread outlives the with block."""
+    here, started = threading.get_ident(), threading.Event()
+    item_threads, waited, meanwhile_threads = set(), [], set()
+
+    def item(_, scratch):
+        item_threads.add(threading.get_ident())
+        waited.append(started.wait(5))
+        scratch += 1
+
+    def meanwhile():
+        meanwhile_threads.add(threading.get_ident())
+        started.set()
+
+    def failing(n, _):
+        if n == 2:
+            raise RuntimeError(f"item {n}")
+
+    scratch = np.zeros(1)
+    before = threading.active_count()
+    with similarity._threads([[scratch]]) as run:
+        run(item, range(4), meanwhile)
+        with pytest.raises(RuntimeError, match="item 2"):
+            run(failing, range(4))
+    assert threading.active_count() == before
+    assert len(item_threads) == 1 and here not in item_threads
+    assert meanwhile_threads == {here}
+    assert waited == [True] * 4 and scratch[0] == 4
+
+
+def test_no_rows_start_no_pool():
+    """An empty query set gives `csls_hubness` an empty result and starts
+    no thread pool, which could not start: ThreadPoolExecutor(max_workers=0)
+    raises. So does the hubness pass of a CSLS sweep against an empty pool,
+    whose one pool of threads is the sweep's own."""
+    made = []
+    executor = similarity.ThreadPoolExecutor
+
+    def recording(max_workers):
+        made.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    rng = np.random.default_rng(3)
+    with mock.patch.object(similarity, "ThreadPoolExecutor", recording), \
+            threads(2):
+        assert csls_hubness(np.empty((0, 5)), rng.standard_normal((7, 5)),
+                            3).shape == (0,)
+        assert made == []
+        blocks = [(rows, scores.shape) for rows, scores in similarity_sweep(
+            rng.standard_normal((4, 5)), np.empty((0, 5)), "csls", 3)]
+    assert blocks == [(slice(0, 4), (4, 0))]
+    assert made == [1]
 
 
 def test_no_thread_outlives_a_call():

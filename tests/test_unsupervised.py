@@ -71,6 +71,18 @@ def rank_warnings(align, *args):
     return pair, [w for w in caught if "rank-deficient" in str(w.message)]
 
 
+def shifted_axes(space, seed=5):
+    """A rotated copy of `space` with noise of std 3 added along its third
+    coordinate: that noise is the copy's first principal axis, so the copy's
+    PCA axes do not correspond to the source's, and ICP's signed start
+    fails there as a random start does."""
+    rng = np.random.default_rng(seed)
+    matrix = space.matrix.copy()
+    matrix[:, 2] += 3.0 * rng.standard_normal(len(matrix))
+    return WordVectorSpace(space.words,
+                           matrix @ random_rotation(space.dim, rng))
+
+
 def flattened(space):
     """`space` with its last coordinate zeroed: every cross-covariance of
     two such spaces is rank-deficient."""
@@ -97,9 +109,9 @@ class TestRankDeficiencyWarning:
         assert len(caught) == 1
 
     def test_icp_seed_solve_is_silent(self, spiral_pair):
-        src, tgt, _ = spiral_pair
+        src, _, _ = spiral_pair
         cfg = IcpConfig(pca_dim=5, top_n_words=300, restarts=1)
-        pair, caught = rank_warnings(align_icp, src, tgt, cfg)
+        pair, caught = rank_warnings(align_icp, src, shifted_axes(src), cfg)
         # the seed dictionary has fewer pairs than dimensions, the final one
         # more
         assert pair.metadata["assignment_pairs"] < src.dim
@@ -139,6 +151,68 @@ class TestIcp:
         res = bli_evaluate(pair, src, tgt, test_lex)
         assert res.map_score >= 0.8
         assert pair.metadata["best_loss"] < 1.0
+
+    def test_restart_zero_starts_from_the_signed_pca_identity(
+            self, spiral_pair):
+        """Restart 0 starts from diag(sign(sum p1**3) * sign(sum p2**3));
+        restart i >= 1 from the random rotation drawn from stream i of the
+        seed."""
+        src, tgt, _ = spiral_pair
+        cfg = IcpConfig(pca_dim=5, top_n_words=300, restarts=3, seed=4)
+        starts = []
+
+        def recording(p1, p2, w_init, *args):
+            starts.append(w_init)
+            return icp_restart(p1, p2, w_init, *args)
+
+        with mock.patch.object(unsupervised, "icp_restart", recording):
+            align_icp(src, tgt, cfg)
+        p1 = pca_project(src.matrix[:300], 5)
+        p2 = pca_project(tgt.matrix[:300], 5)
+        signs = np.sign(np.sum(p1 ** 3, axis=0)) * np.sign(
+            np.sum(p2 ** 3, axis=0))
+        assert np.array_equal(starts[0], np.diag(signs))
+        for start, stream in zip(starts[1:], np.random.SeedSequence(
+                4).spawn(3)[1:]):
+            rng = np.random.default_rng(stream)
+            assert np.array_equal(start, np.linalg.qr(
+                rng.standard_normal((5, 5)))[0])
+
+    def test_a_random_restart_with_a_lower_loss_wins(self, spiral_pair):
+        """Where the PCA axes do not correspond, the signed start ends
+        higher than one of the random restarts, which then wins."""
+        src, _, _ = spiral_pair
+        tgt = shifted_axes(src)
+        signed = align_icp(src, tgt, IcpConfig(pca_dim=5, top_n_words=300,
+                                               restarts=1))
+        pair = align_icp(src, tgt, IcpConfig(pca_dim=5, top_n_words=300,
+                                             restarts=8))
+        assert pair.metadata["best_restart"] > 0
+        assert pair.metadata["best_loss"] < signed.metadata["best_loss"]
+
+    @pytest.mark.parametrize("rotate", ["src", "tgt", "both"])
+    def test_restart_zero_does_not_change_when_a_space_is_rotated(
+            self, spiral_pair, rotate):
+        """Rotating the source by R and the target by T gives restart 0 the
+        same assignments and loss, so the same dictionary, the map
+        R' W T and the same held-out MAP."""
+        src, tgt, test_lex = spiral_pair
+        cfg = IcpConfig(pca_dim=5, top_n_words=300, restarts=1)
+        rng = np.random.default_rng(8)
+        r = random_rotation(20, rng) if rotate != "tgt" else np.eye(20)
+        t = random_rotation(20, rng) if rotate != "src" else np.eye(20)
+        moved_src = WordVectorSpace(src.words, src.matrix @ r)
+        moved_tgt = WordVectorSpace(tgt.words, tgt.matrix @ t)
+        want = align_icp(src, tgt, cfg)
+        got = align_icp(moved_src, moved_tgt, cfg)
+        for key in ("dict_size", "assignment_pairs", "best_restart"):
+            assert got.metadata[key] == want.metadata[key]
+        assert got.metadata["loss_history"] == pytest.approx(
+            want.metadata["loss_history"], rel=1e-9)
+        np.testing.assert_allclose(got.w_src, r.T @ want.w_src @ t,
+                                   atol=1e-12)
+        assert bli_evaluate(got, moved_src, moved_tgt, test_lex).map_score \
+            == bli_evaluate(want, src, tgt, test_lex).map_score
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
