@@ -82,7 +82,9 @@ def _given(args, *flags) -> dict:
 
 def cmd_align(args) -> int:
     _, supervised, params = ALIGNERS[args.method]
-    if "seed" in params and args.seed is None:
+    # icp with one restart runs only the signed start, which reads no seed
+    if ("seed" in params and args.seed is None
+            and (args.method, args.restarts) != ("icp", 1)):
         raise ValueError(f"--seed is mandatory for method {args.method}")
     lex = (load_lexicon(_require_file(args.dict, "training dictionary"))
            if supervised else None)

@@ -16,7 +16,7 @@ from . import similarity
 from .embeddings import WordVectorSpace, open_text
 from .lexicon import TranslationLexicon
 from .projection import ProjectionPair
-from .similarity import csls_hubness, similarity_sweep
+from .similarity import csls_hubness
 
 SUCCESS_MAP_THRESHOLD = 0.05
 P_AT_KS = (1, 5, 10)
@@ -52,16 +52,6 @@ def average_precision_from_ranks(ranks) -> float:
     return float(np.mean([(i + 1) / r for i, r in enumerate(ordered)]))
 
 
-def gold_ranks(scores: np.ndarray, cols) -> np.ndarray:
-    """1-based rank of column g = cols[i] in row i of `scores`, ties going to
-    the lowest index: 1 + #{j: s_j > s_g} + #{j < g: s_j == s_g}."""
-    cols = np.asarray(cols, dtype=np.intp)[:, None]
-    gold = np.take_along_axis(scores, cols, axis=1)
-    ahead = (scores > gold) | ((scores == gold)
-                               & (np.arange(scores.shape[1]) < cols))
-    return 1 + np.count_nonzero(ahead, axis=1)
-
-
 def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
                  tgt_space: WordVectorSpace, test_lex: TranslationLexicon,
                  metric: str = "cosine", csls_n: int = 10) -> BliResult:
@@ -70,7 +60,8 @@ def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
     Queries whose source word or all of whose gold targets are out of
     vocabulary are skipped and counted. Gold targets are never removed
     from the candidate pool. For the csls metric the target-side hubness
-    pool is the full projected source vocabulary.
+    pool is the full projected source vocabulary. Gold ranks are counted
+    on the similarity sweep's threads (`similarity._gold_ranks`).
     """
     if metric not in ("cosine", "csls"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -91,25 +82,14 @@ def bli_evaluate(pair: ProjectionPair, src_space: WordVectorSpace,
     cand_hub = (csls_hubness(tgt_proj, pair.project_src(src_space.matrix),
                              csls_n) if metric == "csls" else None)
     src_rows = [src_space.index[w] for w, _ in queries]
-    records = []
-    for rows, scores in similarity_sweep(
-            pair.project_src(src_space.matrix[src_rows]), tgt_proj, metric,
-            csls_n, cand_hub):
-        block = queries[rows]
-        # each row's first gold is ranked on the block itself; a row with
-        # further golds is gathered once for each of them
-        first = gold_ranks(scores, [gold_idx[0] for _, gold_idx in block])
-        again = [i for i, (_, gold_idx) in enumerate(block)
-                 for _ in gold_idx[1:]]
-        further = iter(gold_ranks(scores[again], [
-            g for _, gold_idx in block for g in gold_idx[1:]]).tolist())
-        for (src_word, gold_idx), rank in zip(block, first.tolist()):
-            query_ranks = [rank] + [next(further) for _ in gold_idx[1:]]
-            records.append(QueryRecord(
-                source=src_word,
-                golds=tuple(tgt_space.words[g] for g in gold_idx),
-                best_rank=min(query_ranks),
-                average_precision=average_precision_from_ranks(query_ranks)))
+    ranks = similarity._gold_ranks(
+        pair.project_src(src_space.matrix[src_rows]), tgt_proj,
+        [gold_idx for _, gold_idx in queries], metric, csls_n, cand_hub)
+    records = [QueryRecord(
+        source=src_word, golds=tuple(tgt_space.words[g] for g in gold_idx),
+        best_rank=min(query_ranks),
+        average_precision=average_precision_from_ranks(query_ranks))
+        for (src_word, gold_idx), query_ranks in zip(queries, ranks)]
     aps = [r.average_precision for r in records]
     p_at_k = {k: float(np.mean([r.best_rank <= k for r in records]))
               for k in P_AT_KS}

@@ -3,22 +3,21 @@
 All functions operate on row-vector matrices (one embedding per row) and
 return float64 results with no approximate nearest-neighbor shortcuts.
 Every blocked loop of the package takes its blocks from one planner,
-`_blocks`, which states each loop's byte budget. `similarity_sweep` scores
-queries against a pool in float64 row blocks, each filled in tiles of pool
-rows on one thread per core (`_threads`) and written into the one buffer
-the sweep allocates; hubness, argmaxes and gold ranks are reductions over
-those blocks, never a full matrix. What follows the fill of a block, CSLS's
-terms and the reductions that induce a dictionary (`mutual_argmax_pairs`:
-dropout, row and column argmaxes), runs on the same threads, in stripes of
-the block's rows. One certified top-n kernel,
-`_top_neighbors`, finds each row's n nearest pool rows for CSLS hubness
-(`csls_hubness`) and for RCSLS's neighbourhoods
-(`supervised.rcsls_neighbor_sets`). It alone uses float32, and only to
-choose candidates: it screens each block in float32, rescores the chosen
-columns in float64 and recomputes in full in float64 any row whose choice
-a proven error bound cannot certify (see `csls_hubness`), so its columns
-and means are the float64 ones. Its row blocks run on one thread per core
-too. Both kernels run their threads through `_threads`, whose threads run
+`_blocks`, which states each loop's byte budget. The sweep (`_sweep`)
+scores queries against a pool in float64 row blocks, filled in tiles of
+pool rows on one thread per core (`_threads`); the same threads apply
+CSLS's terms and one reduction to stripes of each block's rows, never to a
+full matrix. The reductions sit here, so no other module sees a block, a
+stripe or a thread: `mutual_argmax_pairs` (dropout, row and column
+argmaxes), BLI's gold ranks (`_gold_ranks`) and proc-b's rank-deficient
+row argmaxes (`_row_argmax`). One certified top-n kernel, `_top_neighbors`,
+finds each row's n nearest pool rows for CSLS hubness (`csls_hubness`) and
+for RCSLS's neighbourhoods (`supervised.rcsls_neighbor_sets`). It alone
+uses float32, and only to choose candidates: it screens each block in
+float32, rescores the chosen columns in float64 and recomputes in full in
+float64 any row whose choice a proven error bound cannot certify (see
+`csls_hubness`), so its columns and means are the float64 ones. Both
+kernels run on one thread per core through `_threads`, whose threads run
 numpy and private helpers only, never a public function of the package.
 """
 
@@ -50,7 +49,7 @@ _GROUP = 16
 # Columns the float32 screen keeps beyond the n it needs, so that a near
 # tie at the n-th place seldom sends a row to the float64 fallback.
 _SPARE = 6
-# Pool rows per tile of a `similarity_sweep` block. The tile, not the
+# Pool rows per tile of a `_sweep` block. The tile, not the
 # thread count, sets how a block's product is split, so scores do not depend
 # on the thread count. On 2 cores (one BLAS thread each), sweeps of 104 x
 # 20000, 5000 x 5000 and 20000 x 20000 rows (d = 300) took 33 ms, 196 ms and
@@ -67,14 +66,14 @@ def _blocks(n_rows: int, row_bytes: int, budget: int,
     is fewer than `floor`, as many as 4 * budget hold, up to `floor`. Every
     blocked loop of the package is planned here, within:
 
-    - _BLOCK_BYTES (32 MiB): `similarity_sweep`'s and the top-n fallback's
+    - _BLOCK_BYTES (32 MiB): `_sweep`'s and the top-n fallback's
       float64 blocks against the whole pool, at least `_MIN_ROWS` rows
       within 128 MiB (against a 200k-row pool, products of 20-row blocks
       took 1.7 times as long as of 83); `unsupervised.vecmap_seed`'s
       profiles and `evaluation.shuffling_test`'s draws;
     - _BLOCK_BYTES / 8 (4 MiB) of float64 rows: `_row_norms`, the top-n
       kernel's float32 pool fill, the stripes in which a thread finishes a
-      `similarity_sweep` block, and `supervised._candidate_mask`;
+      `_sweep` block, and `supervised._candidate_mask`;
     - _BLOCK_BYTES / 128 (256 KiB) of float64 rows:
       `embeddings.save_text_embeddings`' format blocks;
     - 2 * _BLOCK_BYTES (64 MiB) of float32 screens in flight together:
@@ -104,9 +103,8 @@ def _threads(scratch: list[list[np.ndarray]]):
     its own malloc arena after it is freed. The threads take items as they
     finish the last; run returns when every item is done. An exception in
     fn is raised by run, and the items not yet started are dropped. No
-    thread outlives the with block, however it is left (a generator that
-    runs one and is closed early leaves it too). fn must be safe to run on
-    any thread: numpy and private helpers only, writing disjoint memory.
+    thread outlives the with block, however it is left. fn must be safe
+    on any thread: numpy and private helpers only, writing disjoint memory.
     """
     sets = queue.SimpleQueue()
     for arrays in scratch:
@@ -382,86 +380,33 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
     return cols, means
 
 
-def similarity_sweep(queries: np.ndarray, pool: np.ndarray,
-                     metric: str = "cosine", csls_n: int = 10,
-                     r_pool: np.ndarray | None = None):
-    """Yield (rows, scores of queries[rows] against every pool row) over row
-    blocks (`_blocks`) that tile range(len(queries)); metric is one of
-    {cosine, csls}. Scores are those of unit_rows(queries) with
-    unit_rows(pool).
+def _sweep(queries, pool, metric, csls_n, r_pool, reduce, scratch=None,
+           meanwhile=None) -> list[list[np.ndarray]]:
+    """Call reduce(rows, scores, *arrays) once per stripe of query rows, on
+    the sweep's threads in no set order: `scores` are those of
+    unit_rows(queries)[rows] with unit_rows(pool) under metric cosine or
+    csls, to change in place at will but not to keep, and `arrays` the
+    thread's `scratch(cells)`, made here for stripes of at most `cells`
+    scores and returned, one list per thread. meanwhile(rows), if given,
+    runs in this thread while the tiles of row block `rows` fill.
 
-    Every block is written into one buffer, allocated once for the first
-    (the tallest) block: a yielded block is valid only until the next one
-    is requested, so a consumer that keeps a block past that must copy it.
-    It may change the block in place. A block is filled tile by tile, each
-    tile `_TILE` pool rows, on `_threads`' threads, one per core
-    (`_workers`): a tile's unit rows are made in that thread's scratch and
-    multiplied into the tile's columns of the block. So beside its inputs
-    the sweep holds that one block, the block's own unit rows and per
-    thread one tile of unit rows, and no float64 unit copy of either side
-    unless that side has a nonzero row below `_TINY_NORM`: such a side goes
-    through `unit_rows` whole. A tile's product may differ from a product
-    with the whole pool in the last bits, but never with the thread count.
-    No thread outlives the sweep, even when a consumer closes it early.
+    Row blocks (`_blocks`) share one buffer, allocated for the first (the
+    tallest), and are filled tile by tile, each tile `_TILE` pool rows, on
+    `_threads`' threads, one per core (`_workers`): a tile's unit rows are
+    made in its thread's scratch, so no float64 unit copy of either side is
+    made unless it has a nonzero row below `_TINY_NORM` (then it goes
+    through `unit_rows` whole). A tile's product may differ from one with
+    the whole pool in the last bits, never with the thread count. The
+    threads then take the block in contiguous stripes of at most
+    _BLOCK_BYTES / 8 (numpy on a tile's strided columns took 2.5-3 times as
+    long).
 
-    CSLS is 2*cos - r_q[rows, None] - r_p[None, :]: r_q, each query's mean
-    cosine to its csls_n nearest pool rows, comes from the block itself;
-    r_p (`r_pool`), each pool row's to its nearest queries, from one
-    `csls_hubness` pass before the sweep unless given. Once a block is
-    filled, the threads take it in stripes of its rows, contiguous, of at
-    most _BLOCK_BYTES / 8 (elementwise numpy on a tile's strided columns
-    took 2.5-3 times as long), and apply the terms to each stripe, r_q from
-    `_top`: the mean of a row's csls_n largest cosines, summed in
-    descending order, so that it depends neither on the tiles nor on the
-    stripes.
+    CSLS, 2*cos - r_q[rows, None] - r_p[None, :], is applied per stripe:
+    r_q, each query's mean cosine to its csls_n nearest pool rows, from
+    `_top`, summed in descending order so that it depends neither on tiles
+    nor on stripes; r_p (`r_pool`), each pool row's to its nearest queries,
+    from one `csls_hubness` pass before the sweep unless given.
     """
-    return _sweep(queries, pool, metric, csls_n, r_pool)
-
-
-def mutual_argmax_pairs(queries: np.ndarray, pool: np.ndarray,
-                        metric: str = "cosine", csls_n: int = 10,
-                        best: np.ndarray | None = None,
-                        keep_prob: float = 1.0,
-                        rng: np.random.Generator | None = None
-                        ) -> list[tuple[int, int]]:
-    """Index pairs (i, j), in row order, that are each other's row and
-    column argmax in the `similarity_sweep` of queries against pool.
-
-    Ties resolve to the lowest index (np.argmax convention), which for
-    frequency-ordered vocabularies prefers the more frequent word. Over
-    finite scores with a row and a column the result is never empty: the
-    first maximum in row-major order is its row's and its column's argmax.
-
-    `best`, when given, receives each row's largest score. With keep_prob
-    below 1 each score is then zeroed with probability 1 - keep_prob before
-    the argmaxes are taken (`_dropout`; stochastic dictionary induction,
-    Artetxe et al. 2018): the draws come from `rng`, block by block in row
-    order, the same numbers as one draw over the whole matrix, each block's
-    drawn by this thread into one buffer while the block's tiles fill.
-
-    The reductions run on the sweep's threads, in the stripes of rows that
-    follow each fill (`_sweep`), into scratch allocated in this thread: a
-    stripe holds whole rows, so it takes their argmaxes itself, and it
-    merges its columns' maxima and first rows at them into its thread's
-    running ones, which this thread merges at the end, each time keeping a
-    larger maximum or an equal one at a lower row (`_keep_first_max`), an
-    outcome that no order of the merges changes.
-    """
-    fwd = np.zeros(len(queries), dtype=np.intp)
-    bwd = np.zeros(len(pool), dtype=np.intp)
-    for _ in _sweep(queries, pool, metric, csls_n, None, (fwd, bwd, best),
-                    keep_prob, rng):
-        pass
-    return mutual_pairs(fwd, bwd)
-
-
-def _sweep(queries, pool, metric, csls_n, r_pool, argmaxes=None,
-           keep_prob=1.0, rng=None):
-    """`similarity_sweep`'s blocks; with `argmaxes` = (fwd, bwd, best),
-    each block reduced on the threads as `mutual_argmax_pairs` states, after
-    the dropout, which the yielded block then holds too: fwd[i] is row i's
-    first column at its maximum, bwd[j] column j's first row at its, and
-    best (when not None) each row's maximum before the dropout."""
     if metric not in ("cosine", "csls"):
         raise ValueError(f"unknown similarity metric: {metric!r}")
     if metric == "csls" and r_pool is None:
@@ -476,20 +421,9 @@ def _sweep(queries, pool, metric, csls_n, r_pool, argmaxes=None,
     # a thread finishes a filled block in stripes of its rows
     stripes = _blocks(height, 8 * n, _BLOCK_BYTES // 8)
     cells = stripes[0].stop * n if stripes else 0
-    reduce, drop = argmaxes is not None, argmaxes is not None and keep_prob < 1
-    # per thread: a tile's unit rows; for the reductions, a stripe's bool
-    # masks (the dropout's; a column maximum's, and its transpose, in which
-    # np.argmax finds a column's first row without copying the stripe) and
-    # the thread's running column maxima and first rows at them
-    scratch = [[np.empty((min(_TILE, n), d))]
-               + ([np.empty(cells, dtype=bool), np.empty(cells, dtype=bool),
-                   np.empty(n), np.full(n, -np.inf),
-                   np.zeros(n, dtype=np.intp)] if reduce else [])
-               for _ in range(min(_workers(),
-                                  max(1, len(tiles), len(stripes))))]
-    if reduce:
-        fwd, bwd, best = argmaxes
-        draws = np.empty((height, n)) if drop else None
+    # per thread: a tile's unit rows, then the reduction's own scratch
+    sets = [[np.empty((min(_TILE, n), d))] + (scratch(cells) if scratch else [])
+            for _ in range(min(_workers(), max(1, len(tiles), len(stripes))))]
     q_norms, p_norms = np.empty(len(queries)), np.empty(n)
 
     def tile_norms(item: tuple, *_) -> None:
@@ -501,36 +435,17 @@ def _sweep(queries, pool, metric, csls_n, r_pool, argmaxes=None,
                              np.arange(tile.start, tile.stop), p_div)
         np.matmul(block, tile_units.T, out=scores[:, tile])
 
-    def finish(stripe: slice, _, mask=None, flipped=None, top=None,
-               col_top=None, col_row=None) -> None:
+    def finish(stripe: slice, _, *arrays) -> None:
         part = scores[stripe]
         if k:
             r_rows = _top(part, k)[1]
             part *= 2.0
             part -= r_rows[:, None]
             part -= r_pool
-        if not reduce:
-            return
-        at = slice(rows.start + stripe.start, rows.start + stripe.stop)
-        mask = mask[:part.size].reshape(part.shape)
-        if drop:
-            if best is not None:
-                np.max(part, axis=1, out=best[at])
-            _dropout(part, draws[stripe], keep_prob, mask)
-        np.argmax(part, axis=1, out=fwd[at])
-        if best is not None and not drop:
-            best[at] = part[np.arange(len(part)), fwd[at]]
-        np.max(part, axis=0, out=top)
-        np.equal(part, top, out=mask)
-        flipped = flipped[:part.size].reshape(part.shape[::-1])
-        np.copyto(flipped, mask.T)
-        _keep_first_max(top, np.argmax(flipped, axis=1) + at.start,
-                        col_top, col_row)
+        reduce(slice(rows.start + stripe.start, rows.start + stripe.stop),
+               part, *arrays)
 
-    def draw() -> None:
-        rng.random(out=draws[:len(block)])
-
-    with _threads(scratch) as run:
+    with _threads(sets) as run:
         # the row norms too: against a 20k-row pool, taking them on the
         # threads cut a 45 ms cosine `bli_evaluate` by 3-4 ms (2 cores)
         run(tile_norms, [(queries, q_norms, slice(start, start + _TILE))
@@ -545,14 +460,117 @@ def _sweep(queries, pool, metric, csls_n, r_pool, argmaxes=None,
             block = _gather(units[:rows.stop - rows.start], queries,
                             np.arange(rows.start, rows.stop), q_div)
             scores = buffer[:len(block)]
-            run(fill, tiles, draw if drop else None)
-            if k or reduce:
-                run(finish, _blocks(len(block), 8 * n, _BLOCK_BYTES // 8))
-            yield rows, scores
-        if reduce:
-            col_top = np.full(n, -np.inf)
-            for *_, thread_top, thread_row in scratch:
-                _keep_first_max(thread_top, thread_row, col_top, bwd)
+            run(fill, tiles, meanwhile and functools.partial(meanwhile, rows))
+            run(finish, _blocks(len(block), 8 * n, _BLOCK_BYTES // 8))
+    return [arrays[1:] for arrays in sets]
+
+
+def mutual_argmax_pairs(queries: np.ndarray, pool: np.ndarray,
+                        metric: str = "cosine", csls_n: int = 10,
+                        best: np.ndarray | None = None,
+                        keep_prob: float = 1.0,
+                        rng: np.random.Generator | None = None
+                        ) -> list[tuple[int, int]]:
+    """Index pairs (i, j), in row order, that are each other's row and
+    column argmax in the sweep (`_sweep`) of queries against pool.
+
+    Ties resolve to the lowest index (np.argmax convention), which for
+    frequency-ordered vocabularies prefers the more frequent word. Over
+    finite scores with a row and a column the result is never empty: the
+    first maximum in row-major order is its row's and its column's argmax.
+
+    `best`, when given, receives each row's largest score. With keep_prob
+    below 1 each score is then zeroed with probability 1 - keep_prob before
+    the argmaxes are taken (`_dropout`; stochastic dictionary induction,
+    Artetxe et al. 2018): the draws come from `rng`, block by block in row
+    order, the same numbers as one draw over the whole matrix, each block's
+    drawn by this thread into one buffer while the block's tiles fill.
+
+    On the sweep's threads a stripe takes its rows' argmaxes and merges its
+    columns' maxima and first rows at them into its thread's running ones,
+    which this thread merges at the end (`_keep_first_max`: no order of the
+    merges changes the outcome).
+    """
+    n, drop = len(pool), keep_prob < 1
+    fwd = np.zeros(len(queries), dtype=np.intp)
+    draws, drawn = None, 0
+
+    def draw(rows: slice) -> None:
+        nonlocal draws, drawn
+        if draws is None:  # the first block is the tallest
+            draws = np.empty((rows.stop - rows.start, n))
+        drawn = rows.start
+        rng.random(out=draws[:rows.stop - rows.start])
+
+    def scratch(cells: int) -> list[np.ndarray]:
+        # per stripe: a bool mask, its transpose (np.argmax finds a column's
+        # first maximum in it without a copy) and column maxima; per thread:
+        # running column maxima and the first rows at them
+        return [np.empty(cells, dtype=bool), np.empty(cells, dtype=bool),
+                np.empty(n), np.full(n, -np.inf), np.zeros(n, dtype=np.intp)]
+
+    def reduce(rows: slice, part: np.ndarray, mask, flipped, top, col_top,
+               col_row) -> None:
+        mask = mask[:part.size].reshape(part.shape)
+        if drop:
+            if best is not None:
+                np.max(part, axis=1, out=best[rows])
+            _dropout(part, draws[rows.start - drawn:rows.stop - drawn],
+                     keep_prob, mask)
+        np.argmax(part, axis=1, out=fwd[rows])
+        if best is not None and not drop:
+            best[rows] = part[np.arange(len(part)), fwd[rows]]
+        np.max(part, axis=0, out=top)
+        np.equal(part, top, out=mask)
+        flipped = flipped[:part.size].reshape(part.shape[::-1])
+        np.copyto(flipped, mask.T)
+        _keep_first_max(top, np.argmax(flipped, axis=1) + rows.start,
+                        col_top, col_row)
+
+    sets = _sweep(queries, pool, metric, csls_n, None, reduce, scratch,
+                  draw if drop else None)
+    col_top, bwd = np.full(n, -np.inf), np.zeros(n, dtype=np.intp)
+    for *_, thread_top, thread_row in sets:
+        _keep_first_max(thread_top, thread_row, col_top, bwd)
+    return mutual_pairs(fwd, bwd)
+
+
+def _row_argmax(queries: np.ndarray, pool: np.ndarray, metric: str,
+                csls_n: int) -> np.ndarray:
+    """Each query row's first pool column at its largest score in the sweep
+    (`_sweep`) of queries against pool, taken on the sweep's threads."""
+    fwd = np.empty(len(queries), dtype=np.intp)
+    _sweep(queries, pool, metric, csls_n, None,
+           lambda rows, part: np.argmax(part, axis=1, out=fwd[rows]))
+    return fwd
+
+
+def _gold_ranks(queries: np.ndarray, pool: np.ndarray, golds, metric: str,
+                csls_n: int, r_pool: np.ndarray | None) -> list[list[int]]:
+    """The 1-based rank of each gold pool column golds[i] in row i of the
+    sweep (`_sweep`) of queries against pool, ties going to the lowest
+    index: 1 + #{j: s_j > s_g} + #{j < g: s_j == s_g}. Counted on the
+    sweep's threads: a stripe ranks its rows' first golds on itself, and
+    further golds on a gather of one row per gold."""
+    starts = np.cumsum([0] + [len(cols) for cols in golds])
+    owner = np.repeat(np.arange(len(golds)), np.diff(starts))
+    first = np.diff(owner, prepend=-1) != 0
+    cols = np.array([g for row in golds for g in row], dtype=np.intp)
+    ranks = np.empty(len(cols), dtype=np.intp)
+
+    def rank(rows: slice, part: np.ndarray) -> None:
+        at = np.arange(starts[rows.start], starts[rows.stop])
+        for group in (at[first[at]], at[~first[at]]):
+            which = owner[group] - rows.start
+            scores = (part if np.array_equal(which, np.arange(len(part)))
+                      else part[which])
+            gold = scores[np.arange(len(group)), cols[group]][:, None]
+            ahead = (scores > gold) | ((scores == gold) & (
+                np.arange(scores.shape[1]) < cols[group, None]))
+            ranks[group] = 1 + np.count_nonzero(ahead, axis=1)
+
+    _sweep(queries, pool, metric, csls_n, r_pool, rank)
+    return [ranks[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])]
 
 
 def _keep_first_max(top: np.ndarray, row: np.ndarray, best: np.ndarray,

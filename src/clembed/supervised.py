@@ -19,7 +19,7 @@ from .lexicon import (AlignedMatrices, TranslationLexicon,
 from .linalg import _procrustes, solve_cca, solve_procrustes
 from .projection import ProjectionPair
 from .similarity import (_top_columns, _top_neighbors, mutual_argmax_pairs,
-                         mutual_pairs, similarity_sweep, unit_rows)
+                         mutual_pairs, unit_rows)
 
 _DLV_PAD = -1e6  # weight for non-candidate edges in the sparsified assignment
 _DLV_CANDIDATES = 10  # highest-cosine edges kept per node in dlv's assignment
@@ -68,7 +68,7 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
     whose two hubness terms swap roles. A rank-deficient dictionary (a seed
     of fewer pairs than dimensions) has no unique solve: for it the
     backward map is solved too, and each row's argmax is taken in a sweep
-    each way.
+    each way (`similarity._row_argmax`); either way on the sweep's threads.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -92,8 +92,7 @@ def align_proc_b(src_space: WordVectorSpace, tgt_space: WordVectorSpace,
         if deficient:
             w_tgt, _ = _procrustes(aligned.x_tgt, aligned.x_src)
             pairs = mutual_pairs(*(
-                np.concatenate([s.argmax(axis=1) for _, s in similarity_sweep(
-                    queries, pool, metric, csls_n)])
+                similarity._row_argmax(queries, pool, metric, csls_n)
                 for queries, pool in ((src_cap @ w_src, tgt_cap),
                                       (tgt_cap @ w_tgt, src_cap))))
         else:

@@ -159,3 +159,34 @@ def topk_mean(scores, k):
     whole block before its threads took it in stripes, through the same
     kernel, `similarity._top`."""
     return similarity._top(scores, min(k, scores.shape[1]))[1]
+
+
+def swept(queries, pool, metric="cosine", csls_n=10, r_pool=None,
+          blocks=None):
+    """The scores of the sweep (`similarity._sweep`) of queries against
+    pool, each stripe copied into one matrix by a test-local reducer, which
+    must get every row once; each row block, in order, appended to `blocks`
+    when given, as its tiles fill."""
+    scores = np.full((len(queries), len(pool)), np.nan)
+    times = np.zeros(len(queries), dtype=int)
+
+    def copy(rows, part):
+        scores[rows] = part
+        times[rows] += 1
+
+    similarity._sweep(queries, pool, metric, csls_n, r_pool, copy,
+                      meanwhile=None if blocks is None else blocks.append)
+    assert np.all(times == 1)
+    return scores
+
+
+def oracle_gold_ranks(scores, cols):
+    """1-based rank of column g = cols[i] in row i of `scores`, ties going to
+    the lowest index: 1 + #{j: s_j > s_g} + #{j < g: s_j == s_g}. The gold
+    ranks as `evaluation.bli_evaluate` counted them on whole blocks, in the
+    calling thread, before the sweep's threads took them."""
+    cols = np.asarray(cols, dtype=np.intp)[:, None]
+    gold = np.take_along_axis(scores, cols, axis=1)
+    ahead = (scores > gold) | ((scores == gold)
+                               & (np.arange(scores.shape[1]) < cols))
+    return 1 + np.count_nonzero(ahead, axis=1)

@@ -24,7 +24,7 @@ from clembed.lexicon import (build_aligned_matrices, load_lexicon,
                              make_lexicon)
 from clembed.linalg import pca_project
 from clembed.projection import identity_pair
-from clembed.similarity import cosine_matrix, similarity_sweep, unit_rows
+from clembed.similarity import cosine_matrix, unit_rows
 from clembed.supervised import (RcslsConfig, align_proc, align_proc_b,
                                 align_rcsls, rcsls_gradient,
                                 rcsls_neighbor_sets)
@@ -32,7 +32,7 @@ from clembed.unsupervised import (IcpConfig, align_gwa, align_icp,
                                   gromov_wasserstein_plan, icp_restart,
                                   self_learn, vecmap_seed, SelfLearnConfig)
 from conftest import (RotatedPair, make_spiral_pair, oracle_rcsls_objective,
-                      random_rotation, words_for)
+                      random_rotation, swept, words_for)
 
 
 def report(n: int, text: str) -> None:
@@ -87,7 +87,7 @@ def test_criterion_4_csls_oracle():
     tgt = rng.standard_normal((50, 12))
     su, tu = unit_rows(src), unit_rows(tgt)
     for n in (1, 5, 10):
-        got = np.vstack([s for _, s in similarity_sweep(src, tgt, "csls", n)])
+        got = swept(src, tgt, "csls", n)
         for i in range(50):
             for j in range(50):
                 cos_ij = float(su[i] @ tu[j])

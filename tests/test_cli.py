@@ -486,11 +486,22 @@ def test_compare_identical_runs(workspace, tmp_path, capsys):
 
 
 def test_seed_mandatory_for_stochastic_methods(workspace, tmp_path, capsys):
-    code = run("align", "--method", "icp", "--src-emb", workspace / "src.vec",
-               "--tgt-emb", workspace / "tgt.vec",
-               "--outdir", tmp_path / "p")
-    assert code == 1
-    assert "--seed is mandatory" in capsys.readouterr().err
+    """vecmap, and icp unless its one restart is the signed start, which
+    draws nothing, refuse to run without --seed."""
+    spaces = ("--src-emb", workspace / "src.vec",
+              "--tgt-emb", workspace / "tgt.vec")
+    for method, flags in (("icp", ()), ("icp", ("--restarts", "2")),
+                          ("vecmap", ())):
+        code = run("align", "--method", method, *spaces, *flags,
+                   "--outdir", tmp_path / "p")
+        assert code == 1
+        assert "--seed is mandatory" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+    assert run("align", "--method", "icp", *spaces, "--restarts", "1",
+               "--pca-dim", "4", "--search-cap", "200",
+               "--outdir", tmp_path / "p") == 0
+    record = json.loads((tmp_path / "p" / "projection.json").read_text())
+    assert record["metadata"]["seed"] == 0
 
 
 def test_unknown_method_fails_cleanly(workspace, tmp_path, capsys):

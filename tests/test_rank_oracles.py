@@ -6,8 +6,10 @@ rank read off the inverse permutation (BLI) or off a walk down the ranking
 (CLIR); `oracle_aggregate_text` is the per-token loop that averaged one
 text's word vectors. The library scores queries in row blocks, aggregates
 a whole collection side with one sparse product, ranks with an unstable
-sort that only tied rows redo stably, and counts ranks with `gold_ranks`
-(BLI) or off the inverse of the ranking permutation (CLIR).
+sort that only tied rows redo stably, and counts ranks on the sweep's
+threads (`similarity._gold_ranks`, whose block-by-block predecessor is
+`conftest.oracle_gold_ranks`; BLI) or off the inverse of the ranking
+permutation (CLIR).
 Results must be equal, not close, including on inputs built to tie:
 small-integer vectors, duplicated target rows and documents, zero vectors,
 multi-gold and out-of-vocabulary queries. Every BLI comparison also runs
@@ -35,14 +37,14 @@ from hypothesis import strategies as st
 from clembed.clir import (ClirRun, DocumentCollection, _descending_order,
                           aggregate_texts, clir_run, idf_weighting)
 from clembed.embeddings import WordVectorSpace
+from clembed import similarity
 from clembed.evaluation import (BliResult, QueryRecord, P_AT_KS,
-                                average_precision_from_ranks, bli_evaluate,
-                                gold_ranks)
+                                average_precision_from_ranks, bli_evaluate)
 from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.projection import ProjectionPair, identity_pair
 from clembed.similarity import unit_rows
 from clembed.supervised import align_proc
-from conftest import cell_budget, exact_rows, topk_mean
+from conftest import cell_budget, exact_rows, oracle_gold_ranks, topk_mean
 
 CELL_BUDGETS = (1, 40, 2 ** 24)
 
@@ -169,7 +171,7 @@ def assert_same(new, old):
             assert type(a.best_rank) is type(b.best_rank) is int
 
 
-# --- gold_ranks -----------------------------------------------------------------
+# --- gold ranks -----------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda m: st.tuples(
@@ -177,12 +179,17 @@ def assert_same(new, old):
              min_size=1, max_size=5),
     st.lists(st.integers(0, m - 1), min_size=5, max_size=5))))
 def test_gold_ranks_match_stable_argsort(case):
+    """The oracle's ranks, and the library's of the rows against the unit
+    axes, whose scores are the rows' unit rows, in the rows' own order."""
     rows, cols = case
     scores = np.array(rows, dtype=float)
     cols = cols[:len(rows)]
     want = [int(np.flatnonzero(np.argsort(-row, kind="stable") == c)[0]) + 1
             for row, c in zip(scores, cols)]
-    assert gold_ranks(scores, cols).tolist() == want
+    assert oracle_gold_ranks(scores, cols).tolist() == want
+    assert similarity._gold_ranks(scores, np.eye(scores.shape[1]),
+                                  [[c] for c in cols], "cosine", 10,
+                                  None) == [[rank] for rank in want]
 
 
 # --- BLI -------------------------------------------------------------------------

@@ -14,16 +14,9 @@ from clembed.evaluation import (average_precision_from_ranks, bli_evaluate,
 from clembed.lexicon import make_lexicon
 from clembed.projection import ProjectionPair
 from clembed.similarity import (cosine_matrix, csls_hubness,
-                                mutual_argmax_pairs, mutual_pairs,
-                                similarity_sweep, unit_rows)
+                                mutual_argmax_pairs, mutual_pairs, unit_rows)
 from conftest import (capped_mutual_pairs, cell_budget, oracle_row_blocks,
-                      topk_mean)
-
-
-def swept(queries, pool, metric="cosine", csls_n=10):
-    """The sweep's row blocks stacked into one matrix."""
-    return np.vstack([s for _, s in similarity_sweep(queries, pool, metric,
-                                                     csls_n)])
+                      swept, topk_mean)
 
 
 def brute_hubness(vectors, pool, n):
@@ -310,11 +303,10 @@ def save_rows(n, width, path):
 # the planner; a run of it on (n, width) rows; that n and width). The run
 # must ask the planner for exactly those settings.
 PLAN_SITES = {
-    "similarity_sweep": (
+    "sweep blocks": (
         lambda width: (8 * width, budget(), similarity._MIN_ROWS),
         lambda n, width: oracle_row_blocks(n, width, similarity._MIN_ROWS),
-        lambda n, width, _: list(similarity_sweep(rows_of(n, 3),
-                                                  rows_of(width, 3))),
+        lambda n, width, _: swept(rows_of(n, 3), rows_of(width, 3)),
         (5, 3)),
     # every score of a row against a pool of equal rows ties: all n rows
     # fall back
@@ -365,9 +357,8 @@ PLAN_SITES = {
     "sweep stripes": (
         lambda width: (8 * width, budget() // 8, 1),
         lambda n, width: oracle_row_blocks(n, 8 * width),
-        lambda n, width, _: list(similarity_sweep(rows_of(n, 3),
-                                                  rows_of(width, 3), "csls",
-                                                  2)),
+        lambda n, width, _: swept(rows_of(n, 3), rows_of(width, 3), "csls",
+                                  2),
         (5, 3)),
     "save_text_embeddings": (
         lambda width: (8 * width, budget() // 128, 1),
@@ -437,12 +428,14 @@ def test_map_blocks_plan_is_the_one_before_the_planner(workers):
 @pytest.mark.parametrize("metric", ["cosine", "csls"])
 @pytest.mark.parametrize("n_queries", [1, 5, 79, 80, 81, 300])
 def test_sweep_rows_tile_the_queries(metric, n_queries):
-    """The yielded rows cover range(len(queries)) once, in order, and none
+    """The row blocks cover range(len(queries)) once, in order, and none
     stops past its end, also where one block would hold more rows than
-    there are queries (blocks of 80 rows here)."""
+    there are queries (blocks of 80 rows here); the stripes reduce every
+    row once (`swept`)."""
     queries, pool = rows_of(n_queries, 4), rows_of(50, 4, 1)
+    rows = []
     with cell_budget(4000):
-        rows = [rows for rows, _ in similarity_sweep(queries, pool, metric, 3)]
+        swept(queries, pool, metric, 3, blocks=rows)
     assert all(block.stop <= n_queries for block in rows)
     assert [i for block in rows for i in range(block.start, block.stop)] == \
         list(range(n_queries))

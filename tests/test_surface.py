@@ -81,6 +81,25 @@ def test_allowed_names_are_defined():
     assert set(ALLOWED) <= defined
 
 
+# the sweep's private machinery, which only `similarity` may name
+SWEEP_INTERNALS = {"_sweep", "_threads", "similarity_sweep"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                          if p.stem != "similarity"))
+def test_only_similarity_knows_the_sweep(module):
+    """Blocks, stripes and threads stay inside `similarity`: every other
+    module reaches the sweep through one of its reductions
+    (`mutual_argmax_pairs`, `_gold_ranks`, `_row_argmax`), and names
+    neither the sweep, nor its thread runner, nor a sweep generator."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set(used_names(tree)) | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & SWEEP_INTERNALS, f"clembed.{module} names " \
+        f"{sorted(names & SWEEP_INTERNALS)}"
+
+
 # benchmark per-layer metric -> why it may name no function of clembed
 DEAD_METRICS = {
     name: "ROADMAP item 1: the benchmark change renames this metric"

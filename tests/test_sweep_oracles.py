@@ -6,11 +6,16 @@ hubness terms from its rows and its columns), `oracle_mutual_argmax_pairs`
 takes both argmaxes of that matrix, `oracle_block_mutual_pairs` takes them
 over a sweep's blocks in this thread, as `mutual_argmax_pairs` did before
 the sweep's threads took them (`oracle_induced` drops a sweep's blocks out
-and reduces them so), and `oracle_align_proc_b`,
-`oracle_self_learn` and `oracle_rcsls_neighbor_sets` are the aligner steps
-that used them. The library scores queries in row blocks
-(`similarity.similarity_sweep`, `similarity._blocks`) and reduces the
-blocks one at a time. Indices, pairs and projection pairs must be equal, not
+and reduces them so), `oracle_swept_gold_ranks` and `oracle_row_argmax`
+are the block loops in which `bli_evaluate` counted gold ranks
+(`conftest.oracle_gold_ranks`) and proc-b took a rank-deficient round's
+argmaxes, and `oracle_align_proc_b`, `oracle_self_learn` and
+`oracle_rcsls_neighbor_sets` are the aligner steps that used them. The
+library scores queries in row blocks (`similarity._sweep`,
+`similarity._blocks`) and reduces them on its threads, a stripe of rows at
+a time; the tests read its scores through a reducer of their own that
+copies each stripe (`conftest.swept`, `copied_sweeps`). Indices, gold
+ranks, pairs and projection pairs must be equal, not
 close, at three cell budgets (`conftest.cell_budget`), so that sweeps split
 into many blocks. The oracles plan their row blocks by the formula in
 `conftest.oracle_row_blocks`, not by the library's planner.
@@ -30,7 +35,8 @@ may change a score's last bits, so on generic rows the library's scores
 are compared bit for bit across thread counts and to the oracle within a
 tolerance. On exact rows, a pool row copied across a tile boundary among
 them, they are the oracle's bit for bit, and so are the pairs, the best
-scores and the dropped-out blocks that the threads reduce; and on the
+scores, the dropped-out blocks, the gold ranks and the row argmaxes that
+the threads reduce; and on the
 fixtures every consumer (BLI, proc-b, self-learning, ICP, mutual pairs)
 gets from the library what it gets from the oracle, at tile widths 1, 3
 and the default, on 1-3 threads. proc-b takes its pairs from one forward
@@ -95,15 +101,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import clembed
-from clembed import evaluation, similarity, supervised, unsupervised
+from clembed import similarity, supervised, unsupervised
 from clembed.embeddings import WordVectorSpace
 from clembed.evaluation import bli_evaluate, shuffling_test
 from clembed.lexicon import build_aligned_matrices, make_lexicon
 from clembed.linalg import sinkhorn_scale, solve_procrustes
-from clembed.projection import ProjectionPair
+from clembed.projection import ProjectionPair, identity_pair
 from clembed.similarity import (cosine_matrix, csls_hubness,
-                                mutual_argmax_pairs, mutual_pairs,
-                                similarity_sweep, unit_rows)
+                                mutual_argmax_pairs, mutual_pairs, unit_rows)
 from clembed.supervised import (RcslsConfig, align_dlv, align_proc,
                                 align_proc_b, align_rcsls, rcsls_gradient,
                                 rcsls_neighbor_sets)
@@ -112,8 +117,8 @@ from clembed.unsupervised import (IcpConfig, SelfLearnConfig,
                                   gromov_wasserstein_plan, self_learn,
                                   vecmap_seed)
 from conftest import (RotatedPair, capped_mutual_pairs, cell_budget,
-                      exact_rows, oracle_rcsls_objective, oracle_row_blocks,
-                      topk_mean)
+                      exact_rows, oracle_gold_ranks, oracle_rcsls_objective,
+                      oracle_row_blocks, swept, topk_mean)
 
 # one row per block, a few rows per block against the fixtures' 500-row
 # pools, and the library's own budget
@@ -236,6 +241,37 @@ def oracle_induced(queries, pool, metric="cosine", csls_n=10, best=None,
         best = np.empty(len(queries))
     return oracle_block_mutual_pairs(oracle_dropout(
         sweep(queries, pool, metric, csls_n), best, keep_prob, rng), len(pool))
+
+
+def oracle_swept_gold_ranks(queries, pool, golds, metric="cosine",
+                            csls_n=10, r_pool=None,
+                            sweep=oracle_similarity_sweep):
+    """`bli_evaluate`'s gold ranks as it counted them before the sweep's
+    threads did: in this thread, over `sweep`'s blocks, each row's first
+    gold ranked on the block's rows (`oracle_gold_ranks`), and a row with
+    further golds gathered once for each of them. A row with no gold, which
+    `bli_evaluate` never has, gets no rank."""
+    ranks = []
+    for rows, scores in sweep(queries, pool, metric, csls_n, r_pool):
+        block = golds[rows]
+        has = [i for i, cols in enumerate(block) if cols]
+        first = iter(oracle_gold_ranks(scores[has], [
+            block[i][0] for i in has]).tolist())
+        again = [i for i, cols in enumerate(block) for _ in cols[1:]]
+        further = iter(oracle_gold_ranks(scores[again], [
+            g for cols in block for g in cols[1:]]).tolist())
+        ranks += [[next(first)] + [next(further) for _ in cols[1:]]
+                  if cols else [] for cols in block]
+    return ranks
+
+
+def oracle_row_argmax(queries, pool, metric="cosine", csls_n=10,
+                      sweep=oracle_similarity_sweep):
+    """proc-b's row argmaxes of a rank-deficient round as it took them
+    before the sweep's threads did: block by block, in this thread."""
+    return np.concatenate([np.empty(0, dtype=np.intp)] + [
+        scores.argmax(axis=1) for _, scores in sweep(queries, pool, metric,
+                                                     csls_n)])
 
 
 def oracle_align_proc_b(src_space, tgt_space, seed_lex, iters=2,
@@ -479,31 +515,57 @@ def oracle_dropout(blocks, best, keep_prob, rng):
         yield rows, scores
 
 
-def kept(blocks):
-    """A sweep's (rows, scores) blocks, each copied as it comes: a block is
-    valid only until the next one is asked for."""
-    return [(rows, scores.copy()) for rows, scores in blocks]
+def swept_blocks(queries, pool, metric="cosine", csls_n=10):
+    """The library's sweep as the (rows, scores) blocks it fills, which
+    must tile the queries in order: each stripe copied by `swept`'s
+    reducer, each block's rows recorded while its tiles fill."""
+    blocks = []
+    scores = swept(queries, pool, metric, csls_n, blocks=blocks)
+    assert [rows.start for rows in blocks] == \
+        [0] + [rows.stop for rows in blocks[:-1]]
+    assert (blocks[-1].stop if blocks else 0) == len(queries)
+    return [(rows, scores[rows]) for rows in blocks]
+
+
+@contextlib.contextmanager
+def copied_sweeps():
+    """Patch `similarity._sweep` so that each sweep also copies every
+    stripe, after its own reducer has run (and a dropout changed it), into
+    a matrix, and records its row blocks as their tiles fill. Yields the
+    list of each sweep's (matrix, blocks)."""
+    sweep, made = similarity._sweep, []
+
+    def copying(queries, pool, metric, csls_n, r_pool, reduce, scratch=None,
+                meanwhile=None):
+        scores, blocks = np.full((len(queries), len(pool)), np.nan), []
+        made.append((scores, blocks))
+
+        def block(rows):
+            blocks.append(rows)
+            if meanwhile is not None:
+                meanwhile(rows)
+
+        def copy(rows, part, *arrays):
+            reduce(rows, part, *arrays)
+            scores[rows] = part
+        return sweep(queries, pool, metric, csls_n, r_pool, copy, scratch,
+                     block)
+
+    with mock.patch.object(similarity, "_sweep", copying):
+        yield made
 
 
 def induced(queries, pool, metric="cosine", csls_n=10, keep_prob=1.0,
             rng=None):
     """What `mutual_argmax_pairs` makes of a sweep, with what it reduced:
     its pairs, each row's best score before the dropout, and the sweep's
-    blocks after it (`similarity._sweep`, kept)."""
-    fwd = np.zeros(len(queries), dtype=np.intp)
-    bwd = np.zeros(len(pool), dtype=np.intp)
+    scores after it, with its row blocks (`copied_sweeps`)."""
     best = np.empty(len(queries))
-    blocks = kept(similarity._sweep(queries, pool, metric, csls_n, None,
-                                    (fwd, bwd, best), keep_prob, rng))
-    return mutual_pairs(fwd, bwd), best, blocks
-
-
-def swept(queries, pool, metric="cosine", csls_n=10):
-    """The sweep's blocks stacked back into one matrix, with their rows."""
-    blocks = kept(similarity_sweep(queries, pool, metric, csls_n))
-    rows = [r for r, _ in blocks]
-    assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
-    return np.vstack([s for _, s in blocks])
+    with copied_sweeps() as made:
+        pairs = mutual_argmax_pairs(queries, pool, metric, csls_n, best,
+                                    keep_prob, rng)
+    (scores, blocks), = made
+    return pairs, best, scores, blocks
 
 
 def assert_same_pair(new, old):
@@ -542,7 +604,7 @@ def test_sweep_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown similarity metric"):
         oracle_similarity_matrix(a, a, "euclid")
     with pytest.raises(ValueError, match="unknown similarity metric"):
-        next(similarity_sweep(a, a, "euclid"))
+        swept(a, a, "euclid")
 
 
 @pytest.mark.parametrize("cells", CELL_BUDGETS)
@@ -742,7 +804,7 @@ def test_mutual_argmax_pairs_match_dense_on_integer_blocks(case):
     blocks = [(slice(i, i + step), sim[i:i + step])
               for i in range(0, len(sim), step)]
     with cell_budget(step * m), tiles(width):
-        assert [len(s) for _, s in similarity_sweep(queries, np.eye(m))] == \
+        assert [len(s) for _, s in swept_blocks(queries, np.eye(m))] == \
             [len(s) for _, s in blocks]
         pairs = mutual_argmax_pairs(queries, np.eye(m))
     assert pairs == oracle_mutual_argmax_pairs(sim)
@@ -918,19 +980,17 @@ def test_nearest_rows_match_oracle(seed, n, m, dim, copies):
 def test_dropout_matches_oracle(noisy_pair, cells, keep_prob):
     queries, pool = projected(noisy_pair)
     with cell_budget(cells):
-        pairs, best, got = induced(queries, pool, "csls", 5, keep_prob,
-                                   np.random.default_rng(3))
+        pairs, best, got, blocks = induced(queries, pool, "csls", 5,
+                                           keep_prob, np.random.default_rng(3))
         want_best = np.empty(len(queries))
-        want = kept(oracle_dropout(similarity_sweep(queries, pool, "csls", 5),
+        want = list(oracle_dropout(swept_blocks(queries, pool, "csls", 5),
                                    want_best, keep_prob,
                                    np.random.default_rng(3)))
         assert mutual_argmax_pairs(queries, pool, "csls", 5, None, keep_prob,
                                    np.random.default_rng(3)) == pairs
     assert np.array_equal(best, want_best)
-    assert len(got) == len(want)
-    for (rows, scores), (want_rows, want_scores) in zip(got, want):
-        assert rows == want_rows
-        assert np.array_equal(scores, want_scores)
+    assert blocks == [rows for rows, _ in want]
+    assert np.array_equal(got, np.vstack([s for _, s in want]))
     assert pairs == oracle_block_mutual_pairs(want, len(pool))
 
 
@@ -1362,7 +1422,7 @@ def test_no_rows_start_no_pool():
         assert csls_hubness(np.empty((0, 5)), rng.standard_normal((7, 5)),
                             3).shape == (0,)
         assert made == []
-        blocks = [(rows, scores.shape) for rows, scores in similarity_sweep(
+        blocks = [(rows, scores.shape) for rows, scores in swept_blocks(
             rng.standard_normal((4, 5)), np.empty((0, 5)), "csls", 3)]
     assert blocks == [(slice(0, 4), (4, 0))]
     assert made == [1]
@@ -1382,8 +1442,12 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
     thread it runs on. A tracer that keeps one span stack per process is
     only correct if that is always the calling thread. The run must reach
     the helpers that do run on the workers: the sweep's tile norms, taken
-    through `_row_norms` and the planner, there, and the reductions of
-    proc-b's and self-learning's sweeps (`_dropout`, `_keep_first_max`)."""
+    through `_row_norms` and the planner, there, the reductions of
+    proc-b's and self-learning's sweeps (`_dropout`, `_keep_first_max`),
+    and every reducer the sweep hands stripes to, each recorded by its
+    name: BLI's gold ranks (multi-gold, under cosine and CSLS), the row
+    argmaxes of a rank-deficient proc-b round and the mutual argmaxes.
+    That they run there is why none of them may be public."""
     modules = [clembed] + [importlib.import_module(f"clembed.{info.name}")
                            for info in pkgutil.iter_modules(clembed.__path__)]
     seen = set()
@@ -1410,8 +1474,21 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
             return helper(*args)
         return wrapper
 
+    reducer_threads = {}
+    sweep = similarity._sweep
+
+    def recording_sweep(queries, pool, metric, csls_n, r_pool, reduce,
+                        *args):
+        def recorded(rows, part, *arrays):
+            reducer_threads.setdefault(reduce.__qualname__, set()).add(
+                threading.get_ident())
+            reduce(rows, part, *arrays)
+        return sweep(queries, pool, metric, csls_n, r_pool, recorded, *args)
+
     aligned = build_aligned_matrices(noisy_pair.train_lex, noisy_pair.src,
                                      noisy_pair.tgt)
+    multi_gold = make_lexicon(list(noisy_pair.test_lex)
+                              + [("w0400", "w0001"), ("w0400", "w0450")])
     with contextlib.ExitStack() as stack:
         for module in modules:
             for name, value in list(vars(module).items()):
@@ -1424,11 +1501,18 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
         for name in helper_threads:
             stack.enter_context(mock.patch.object(similarity, name,
                                                   recording_helper(name)))
+        stack.enter_context(mock.patch.object(similarity, "_sweep",
+                                              recording_sweep))
         pair = supervised.align_rcsls(aligned, noisy_pair.src.matrix,
                                       noisy_pair.tgt.matrix,
                                       RcslsConfig(neighborhood=5, epochs=2))
-        bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, noisy_pair.test_lex,
-                     metric="csls")
+        for metric in ("cosine", "csls"):
+            bli_evaluate(pair, noisy_pair.src, noisy_pair.tgt, multi_gold,
+                         metric=metric)
+        # a 10-pair seed in 20 dimensions is rank-deficient: a sweep each way
+        deficient = supervised.align_proc_b(
+            noisy_pair.src, noisy_pair.tgt,
+            make_lexicon(noisy_pair.train_lex[:10]), iters=2, search_cap=300)
         # a 40-pair seed in 20 dimensions has full rank: one forward sweep
         boot = supervised.align_proc_b(
             noisy_pair.src, noisy_pair.tgt,
@@ -1440,7 +1524,13 @@ def test_no_public_function_runs_off_the_calling_thread(noisy_pair):
             make_lexicon(noisy_pair.train_lex[:40]),
             SelfLearnConfig(vocab_cap=300, max_rounds=1, seed=5))
     assert boot.metadata["dict_sizes"][-1] > 40
+    assert deficient.metadata["dict_sizes"][-1] > 10
     assert seen == {threading.get_ident()}
+    assert sorted(reducer_threads) == [
+        "_gold_ranks.<locals>.rank", "_row_argmax.<locals>.<lambda>",
+        "mutual_argmax_pairs.<locals>.reduce"]
+    for name, idents in reducer_threads.items():
+        assert threading.get_ident() not in idents, name
     # the sweep's tiles took their row norms (`_row_norms`, and through it
     # the planner), their argmaxes and their dropout on the worker threads
     for name, idents in helper_threads.items():
@@ -1487,11 +1577,13 @@ def sweep_consumers(pair, spiral):
 @pytest.fixture(scope="module")
 def oracle_consumers(noisy_pair, spiral_pair):
     """The consumers on the row-block sweep, reduced and dropped out by the
-    oracles in this thread."""
+    oracles in this thread: BLI's gold ranks, proc-b's row argmaxes in its
+    rank-deficient rounds and the induced dictionaries."""
     with contextlib.ExitStack() as stack:
-        for module in (similarity, evaluation, supervised):
-            stack.enter_context(mock.patch.object(
-                module, "similarity_sweep", oracle_similarity_sweep))
+        stack.enter_context(mock.patch.object(similarity, "_gold_ranks",
+                                              oracle_swept_gold_ranks))
+        stack.enter_context(mock.patch.object(similarity, "_row_argmax",
+                                              oracle_row_argmax))
         for module in (similarity, supervised, unsupervised):
             stack.enter_context(mock.patch.object(
                 module, "mutual_argmax_pairs", oracle_induced))
@@ -1534,15 +1626,14 @@ def assert_induced_as_the_oracle(queries, pool, metric, csls_n, keep_prob,
     `mutual_argmax_pairs` takes are, bit for bit, those that the oracles
     make of `sweep`'s blocks in this thread (`oracle_dropout`,
     `oracle_block_mutual_pairs`): of the row-block oracle's by default."""
-    pairs, best, got = induced(queries, pool, metric, csls_n, keep_prob,
-                               np.random.default_rng(seed))
+    pairs, best, got, blocks = induced(queries, pool, metric, csls_n,
+                                       keep_prob, np.random.default_rng(seed))
     want_best = np.empty(len(queries))
-    want = kept(oracle_dropout(sweep(queries, pool, metric, csls_n),
+    want = list(oracle_dropout(sweep(queries, pool, metric, csls_n),
                                want_best, keep_prob,
                                np.random.default_rng(seed)))
-    assert [rows.start for rows, _ in got] == [rows.start for rows, _ in want]
-    assert np.array_equal(np.vstack([s for _, s in got]),
-                          np.vstack([s for _, s in want]))
+    assert [rows.start for rows in blocks] == [rows.start for rows, _ in want]
+    assert np.array_equal(got, np.vstack([s for _, s in want]))
     assert np.array_equal(best, want_best)
     assert pairs == oracle_block_mutual_pairs(want, len(pool))
     assert pairs == mutual_argmax_pairs(queries, pool, metric, csls_n, None,
@@ -1570,6 +1661,76 @@ def test_tiled_sweep_is_bit_equal_to_the_oracle_on_exact_rows(
     assert np.all(got.argmax(axis=1) != at)      # the copy's tie goes lower
     assert pairs == oracle_block_mutual_pairs(
         oracle_similarity_sweep(queries, pool, metric, csls_n), len(pool))
+
+
+@st.composite
+def gold_rank_cases(draw):
+    """Exact query rows (none at all under cosine, whose sweep has no
+    hubness pass) against a pool of a few base rows, one copied across the
+    first tile boundary, and for each query 0-3 distinct gold columns:
+    queries with no gold, and multi-gold queries in runs that stripes of
+    1-3 rows cut (a budget of 32 * stripe rows * pool rows cells; blocks of
+    8 stripes, or of up to `_MIN_ROWS` rows) or one-row blocks (a budget of
+    one cell) cut."""
+    dim = draw(st.integers(1, 4))
+    width = draw(st.sampled_from(TILES))
+    metric = draw(st.sampled_from(["cosine", "csls"]))
+    n = draw(st.integers(0 if metric == "cosine" else 1, 24))
+    queries = draw(exact_rows(dim, n, n)) if n else np.empty((0, dim))
+    base = draw(exact_rows(dim, 1, 5))
+    pool = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                              max_size=9))]
+    at = min(width, len(pool))
+    pool = np.insert(pool, at, pool[at - 1], axis=0)
+    golds = [draw(st.lists(st.integers(0, len(pool) - 1), max_size=3,
+                           unique=True)) for _ in range(n)]
+    stripe = draw(st.sampled_from([0, 1, 2, 3]))
+    cells = 32 * stripe * len(pool) if stripe else 1
+    return (queries, pool, golds, metric, draw(st.integers(1, 4)), width,
+            cells, draw(st.sampled_from([1, similarity._MIN_ROWS])))
+
+
+def gold_lexicon(golds, n_pool):
+    """The test dictionary of `golds` between words q<i> and p<j>, with an
+    out-of-vocabulary source word and an out-of-vocabulary gold."""
+    pairs = [(f"q{i}", f"p{g}") for i, cols in enumerate(golds) for g in cols]
+    return make_lexicon(pairs + [("q-oov", "p0"), ("q0", f"p{n_pool}")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gold_rank_cases(), st.integers(1, 3))
+def test_gold_ranks_and_row_argmaxes_match_the_block_oracles(case, workers):
+    """The reductions that replaced a consumer's block loop in the calling
+    thread, on the sweep's threads, give what those loops give on the
+    row-block oracle's scores (`oracle_similarity_sweep`), exactly: the gold
+    ranks (`similarity._gold_ranks`), also through `bli_evaluate` with
+    out-of-vocabulary queries, and the row argmaxes
+    (`similarity._row_argmax`)."""
+    queries, pool, golds, metric, csls_n, width, cells, min_rows = case
+    with tiles(width), threads(workers), cell_budget(cells), \
+            mock.patch.object(similarity, "_MIN_ROWS", min_rows):
+        ranks = similarity._gold_ranks(queries, pool, golds, metric, csls_n,
+                                       None)
+        argmaxes = similarity._row_argmax(queries, pool, metric, csls_n)
+        want_ranks = oracle_swept_gold_ranks(queries, pool, golds, metric,
+                                             csls_n)
+        want_argmaxes = oracle_row_argmax(queries, pool, metric, csls_n)
+        if any(golds):
+            spaces = [WordVectorSpace(tuple(f"{side}{i}"
+                                            for i in range(len(rows))), rows)
+                      for side, rows in (("q", queries), ("p", pool))]
+            args = (identity_pair(queries.shape[1]), *spaces,
+                    gold_lexicon(golds, len(pool)), metric, csls_n)
+            got = bli_evaluate(*args)
+            with mock.patch.object(similarity, "_gold_ranks",
+                                   oracle_swept_gold_ranks):
+                assert got == bli_evaluate(*args)
+            # q0's gold beyond the pool is dropped, or is its only one
+            assert got.oov_skipped == 1 + (not golds[0])
+    assert ranks == want_ranks
+    assert [len(r) for r in ranks] == [len(cols) for cols in golds]
+    assert np.array_equal(argmaxes, want_argmaxes)
+    assert argmaxes.dtype == np.intp
 
 
 @settings(max_examples=100, deadline=None)
@@ -1606,22 +1767,32 @@ def test_tiled_sweep_on_a_fixture_does_not_depend_on_the_thread_count(
 def test_tiled_sweep_under_thread_stress():
     """Eight threads, more than the cores, switching every 10 us: a tile's
     or a stripe's scratch handed to two threads at once, a tile left
-    unfilled or a stripe reduced twice would change the scores, the dropout
-    or the pairs."""
+    unfilled or a stripe reduced twice would change the scores, the dropout,
+    the pairs, the gold ranks (1-3 golds a row, written into one shared
+    array) or the row argmaxes."""
     queries, pool = duplicated_pool(8)
-    with tiles(3), threads(1):
+    golds = [list(range(i % 3 + 1)) for i in range(len(queries))]
+    # stripes of one row, in blocks of 9
+    with tiles(3), threads(1), cell_budget(3000):
         want = swept(queries, pool, "csls", 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with tiles(3), threads(8):
+        with tiles(3), threads(8), cell_budget(3000):
             for _ in range(5):
                 assert np.array_equal(swept(queries, pool, "csls", 5), want)
             # generic rows: the oracles reduce the library's own blocks,
             # whose scores the loop above holds to one thread's
             for seed in range(2):
                 assert_induced_as_the_oracle(queries, pool, "csls", 5, 0.5,
-                                             seed, similarity_sweep)
+                                             seed, swept_blocks)
+            assert similarity._gold_ranks(queries, pool, golds, "csls", 5,
+                                          None) == oracle_swept_gold_ranks(
+                queries, pool, golds, "csls", 5, sweep=lambda *args: [
+                    (slice(0, len(queries)), want)])
+            assert np.array_equal(
+                similarity._row_argmax(queries, pool, "csls", 5),
+                want.argmax(axis=1))
     finally:
         sys.setswitchinterval(interval)
 
@@ -1679,26 +1850,29 @@ def test_a_tile_exception_reaches_the_caller(workers):
     with tiles(3), threads(workers), \
             mock.patch.object(similarity, "_gather", failing):
         with pytest.raises(RuntimeError, match="tile at row"):
-            for _ in similarity_sweep(queries, pool):
-                pass
+            swept(queries, pool)
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_no_thread_outlives_a_sweep_closed_early(workers):
+def test_a_reducer_exception_reaches_the_caller(workers):
+    """An exception in a stripe's reduction is raised by the sweep: no
+    later block (of 60 rows here) is reduced, and no thread outlives it."""
     rng = np.random.default_rng(14)
     queries, pool = rng.standard_normal((300, 5)), rng.standard_normal((50, 5))
+    reduced = []
+
+    def failing(rows, part):
+        reduced.append(rows)
+        if rows.start >= 120:
+            raise RuntimeError(f"stripe at row {rows.start}")
+
     before = threading.active_count()
-    with tiles(3), threads(workers), \
-            cell_budget(3000):
-        sweep = similarity_sweep(queries, pool, "csls", 3)
-        next(sweep)
-        assert threading.active_count() > before
-        sweep.close()
-        assert threading.active_count() == before
-        for _ in similarity_sweep(queries, pool):
-            break
-        assert threading.active_count() == before
+    with tiles(3), threads(workers), cell_budget(3000):
+        with pytest.raises(RuntimeError, match="stripe at row"):
+            similarity._sweep(queries, pool, "csls", 3, None, failing)
+    assert threading.active_count() == before
+    assert max(rows.stop for rows in reduced) <= 180
 
 
 # --- memory ------------------------------------------------------------------------
@@ -1720,11 +1894,6 @@ def test_mutual_nearest_neighbors_stays_within_its_blocks(metric):
     assert peak < 4 * 2 ** 20
 
 
-def drained(blocks):
-    for _ in blocks:
-        pass
-
-
 @pytest.mark.parametrize("queries", [1024, 4096])
 def test_mutual_argmax_pairs_adds_under_a_quarter_of_a_block(queries):
     """Blocks of 1024 x 1024 float64 (8 MB) under a 2**22-cell budget: the
@@ -1736,8 +1905,10 @@ def test_mutual_argmax_pairs_adds_under_a_quarter_of_a_block(queries):
     near = pool[rng.integers(0, len(pool), queries)]
     near += 0.01 * rng.standard_normal(near.shape)
     with cell_budget(2 ** 22):
-        blocks = kept(similarity_sweep(near, pool))
-        _, sweep_peak = traced(drained, similarity_sweep(near, pool))
+        blocks = swept_blocks(near, pool)
+        # the sweep with a reducer that does nothing
+        _, sweep_peak = traced(similarity._sweep, near, pool, "cosine", 10,
+                               None, lambda rows, part: None)
         pairs, peak = traced(mutual_argmax_pairs, near, pool)
     assert len(blocks) == queries // 1024
     assert pairs == oracle_mutual_argmax_pairs(np.vstack([s for _, s in blocks]))
@@ -1758,20 +1929,24 @@ def traced(fn, *args, **kwargs):
 def test_sweep_blocks_share_one_buffer(metric):
     """130 queries in blocks of 40 rows (as many as 4 * 4000 bytes hold
     against 50 pool rows): each block, the short last one too, is written
-    into the first one's memory."""
+    into the first one's memory, which every stripe the reducer gets is a
+    view of."""
     rng = np.random.default_rng(8)
     queries = rng.standard_normal((130, 6))
     pool = rng.standard_normal((50, 6))
+    got, blocks, bases = np.empty((130, 50)), [], []
+
+    def copy(rows, part):
+        bases.append(part.base)
+        got[rows] = part
+
     with cell_budget(2000):
-        blocks = similarity_sweep(queries, pool, metric, 3)
-        _, first = next(blocks)
-        got = [first.copy()]
-        for _, scores in blocks:
-            assert np.shares_memory(scores, first)
-            got.append(scores.copy())
-    assert [len(scores) for scores in got] == [40, 40, 40, 10]
-    assert np.allclose(np.vstack(got),
-                       oracle_similarity_matrix(queries, pool, metric, 3),
+        similarity._sweep(queries, pool, metric, 3, None, copy,
+                          meanwhile=blocks.append)
+    assert [rows.stop - rows.start for rows in blocks] == [40, 40, 40, 10]
+    assert bases[0].shape == (40, 50)
+    assert all(base is bases[0] for base in bases)
+    assert np.allclose(got, oracle_similarity_matrix(queries, pool, metric, 3),
                        rtol=0, atol=1e-12)
 
 
@@ -1783,7 +1958,7 @@ def test_sweep_blocks_keep_min_rows_within_the_cell_budget():
     queries = rng.standard_normal((200, 6))
     pool = rng.standard_normal((50, 6))
     with cell_budget(4000):
-        heights = [len(scores) for _, scores in similarity_sweep(queries, pool)]
+        heights = [len(scores) for _, scores in swept_blocks(queries, pool)]
         assert similarity._blocks(200, 8 * 50,
                                   similarity._BLOCK_BYTES)[0] == slice(0, 20)
     assert heights == [80, 80, 40]
@@ -1810,10 +1985,10 @@ def test_dropout_draws_one_matrix_into_one_block_buffer():
     rng = np.random.default_rng(9)
     queries, pool = rng.standard_normal((650, 8)), rng.standard_normal((500, 8))
     with cell_budget(50000):
-        blocks = kept(similarity_sweep(queries, pool))
+        blocks = swept_blocks(queries, pool)
         scores = np.vstack([s for _, s in blocks])
-        _, dropped, got = induced(queries, pool, keep_prob=0.3,
-                                  rng=np.random.default_rng(3))
+        _, dropped, got, _ = induced(queries, pool, keep_prob=0.3,
+                                     rng=np.random.default_rng(3))
         _, plain_peak = traced(mutual_argmax_pairs, queries, pool,
                                best=np.empty(650))
         best, recorder = np.empty(650), RecordingRng(3)
@@ -1821,8 +1996,7 @@ def test_dropout_draws_one_matrix_into_one_block_buffer():
                          keep_prob=0.3, rng=recorder)
     draws = np.random.default_rng(3).random(scores.shape)
     assert [len(s) for _, s in blocks] == [100] * 6 + [50]
-    assert np.array_equal(np.vstack([s for _, s in got]),
-                          np.where(draws < 0.3, scores, 0.0))
+    assert np.array_equal(got, np.where(draws < 0.3, scores, 0.0))
     assert np.array_equal(best, scores.max(axis=1))
     assert np.array_equal(dropped, best)
     assert len(recorder.outs) == 7
