@@ -14,7 +14,9 @@ without parsing when the bytes it would read are unchanged (see
 `load_text_embeddings`). A save stores the values a parse of the text it
 writes gives: computed exactly from the digits written, and parsed for
 the rows outside that exact range. So a companion always holds what a
-parse gives; it is a cache, safe to delete.
+parse gives; it is a cache, safe to delete. A saved text matrix (a
+projection's `w_src.txt`) gets one too, with one chunk and no tokens
+(`projection.save_matrix_text`).
 """
 
 from __future__ import annotations
@@ -56,16 +58,22 @@ _MEMBER_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 @contextmanager
-def open_text(path: str | os.PathLike):
-    """Open `path` to read as UTF-8 text. A byte that is not UTF-8 is a
-    ValueError `<path>: line N: byte 0x.. is not UTF-8` naming the first
-    line that holds one, wherever the read that met it stopped: the
-    decoder reads ahead of the line a reader is on."""
+def open_text(path: str | os.PathLike, data: bytes | None = None):
+    """Open `path` to read as UTF-8 text, or `data`, its bytes already read.
+    A byte that is not UTF-8 is a ValueError `<path>: line N: byte 0x.. is
+    not UTF-8` naming the first line that holds one, wherever the read that
+    met it stopped: the decoder reads ahead of the line a reader is on."""
+    def opened(errors: str = "strict"):
+        if data is None:
+            return open(path, encoding="utf-8", errors=errors)
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                errors=errors)
+
     try:
-        with open(path, encoding="utf-8") as fh:
+        with opened() as fh:
             yield fh
     except UnicodeDecodeError:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with opened("surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if error := _utf8_error(line, path, lineno):
                     raise error from None
@@ -378,6 +386,26 @@ def _read_companion(path: str | os.PathLike, select: _Selection):
     return tuple([tokens[i] for i in kept]), matrix
 
 
+def _stored_matrix(path: str | os.PathLike, data: bytes) -> np.ndarray | None:
+    """The matrix in the tokenless one-chunk companion of `path` (see
+    `_CompanionWriter.commit`), if it was written for text of exactly the
+    bytes `data`, else None."""
+    try:
+        with open(_companion_path(path), "rb") as fh, \
+                np.load(fh, allow_pickle=False) as stored:
+            ends = stored["chunk_rows"]
+            if (int(stored["version"]) != _COMPANION_VERSION
+                    or "tokens" in stored or ends.shape != (1,)
+                    or stored["chunk_bytes"].tolist() != [len(data)]
+                    or stored["chunk_sha256"].tobytes()
+                    != hashlib.sha256(data).digest()):
+                return None
+            return _stored_rows(stored.zip, ends, np.arange(ends[0]))
+    except Exception:
+        # as in `_read_companion`: a damaged companion means a parse
+        return None
+
+
 def _prefix_sha256(path: str | os.PathLike, size: int) -> bytes | None:
     """The SHA-256 of the first `size` bytes of `path`; None if it is shorter."""
     digest = hashlib.sha256()
@@ -469,16 +497,19 @@ class _CompanionWriter:
         through = len(rows) + (self.chunks[-1][0] if self.chunks else 0)
         self.chunks.append((through, size, sha256))
 
-    def commit(self, tokens: Sequence[str]) -> None:
+    def commit(self, tokens: Sequence[str] | None = None) -> None:
         """Store the tokens of the rows added, and move the file into place.
-        A token holds no line break, so the tokens are stored joined by one."""
+        A token holds no line break, so the tokens are stored joined by one.
+        A text matrix has no tokens: its companion stores none, and one
+        chunk (`_stored_matrix`)."""
         if self.archive is None:
             return
         ends, sizes, digests = zip(*self.chunks)
         try:
             self._member("version", np.int64(_COMPANION_VERSION))
-            self._member("tokens", np.frombuffer("\n".join(tokens).encode("utf-8"),
-                                                 dtype=np.uint8))
+            if tokens is not None:
+                self._member("tokens", np.frombuffer(
+                    "\n".join(tokens).encode("utf-8"), dtype=np.uint8))
             self._member("chunk_rows", np.array(ends, dtype=np.int64))
             self._member("chunk_bytes", np.array(sizes, dtype=np.int64))
             self._member("chunk_sha256", np.frombuffer(b"".join(digests),

@@ -9,6 +9,7 @@ where one line is), or of its directory if `ProjectionPair` refuses it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -17,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .embeddings import open_text
+from .embeddings import _CompanionWriter, _stored_matrix, open_text
 
 ORTHOGONALITY_TOL = 1e-6
 
@@ -67,13 +68,37 @@ def identity_pair(dim: int) -> ProjectionPair:
 
 
 def save_matrix_text(matrix: np.ndarray, path: str | os.PathLike) -> None:
-    """Headerless whitespace-separated text matrix (same grammar as embeddings)."""
+    """Write a headerless whitespace-separated text matrix (same grammar as
+    embeddings), each value `%.17g`, and its companion, `<path>.clembed.npz`:
+    the matrix in float64 and the size and SHA-256 of the bytes written,
+    through `embeddings._CompanionWriter`. `%.17g` gives every finite
+    float64 back exactly, -0.0 and subnormals too, so the companion holds
+    what a parse of the text gives; a matrix that is empty or not finite
+    gets none. A companion that cannot be written is not written; the text
+    is written all the same."""
+    matrix = np.asarray(matrix, dtype=float)
     np.savetxt(path, matrix, fmt="%.17g")
+    if matrix.size and np.isfinite(matrix).all():
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with _CompanionWriter(path) as companion:
+            companion.add(matrix, len(data), hashlib.sha256(data).digest())
+            companion.commit()
 
 
 def load_matrix_text(path: str | os.PathLike) -> np.ndarray:
-    """Read a text matrix; an error names the file and its first bad line."""
-    with open_text(path) as fh:
+    """Read a text matrix; an error names the file and its first bad line.
+
+    The file's bytes are read once. If its companion was written for
+    exactly those bytes (their size and SHA-256), the stored matrix is
+    returned, bit for bit what the parse gives; otherwise those bytes are
+    parsed. A companion that is missing, stale or damaged is ignored."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    stored = _stored_matrix(path, data)
+    if stored is not None:
+        return stored
+    with open_text(path, data) as fh:
         lines = fh.read().splitlines()
     try:
         return np.loadtxt(lines, ndmin=2)
@@ -116,7 +141,8 @@ def write_json(record: dict, path: str | os.PathLike) -> None:
 def save_projection(pair: ProjectionPair, out_dir: str | os.PathLike,
                     timing: dict | None = None) -> None:
     """Write w_src.txt, w_tgt.txt, then projection.json (with `timing`, if
-    given), all of them or none."""
+    given), all of them or none; each matrix's companion is renamed into
+    place before its text (`write_staged`)."""
     record = {"method": pair.method, "orthogonal_src": pair.orthogonal_src,
               "metadata": pair.metadata}
     if timing is not None:
@@ -142,6 +168,9 @@ def read_json(path: str | os.PathLike, keys=()) -> dict:
 
 
 def load_projection(out_dir: str | os.PathLike) -> ProjectionPair:
+    """The pair `save_projection` wrote to `out_dir`. Each matrix is read
+    once and, where its companion matches it, not parsed
+    (`load_matrix_text`)."""
     record = read_json(os.path.join(out_dir, "projection.json"),
                        ("orthogonal_src", "method"))
     w_src, w_tgt = (load_matrix_text(os.path.join(out_dir, name))

@@ -14,9 +14,10 @@ row argmaxes (`_row_argmax`). One certified top-n kernel, `_top_neighbors`,
 finds each row's n nearest pool rows for CSLS hubness (`csls_hubness`) and
 for RCSLS's neighbourhoods (`supervised.rcsls_neighbor_sets`). It alone
 uses float32, and only to choose candidates: it screens each block in
-float32, rescores the chosen columns in float64 and recomputes in full in
-float64 any row whose choice a proven error bound cannot certify (see
-`csls_hubness`), so its columns and means are the float64 ones. Both
+float32, rescores in float64 the chosen columns the screen cannot rule
+out and recomputes in full in float64 any row whose choice a proven
+error bound cannot certify (see `csls_hubness`), so its columns and
+means are the float64 ones. Both
 kernels run on one thread per core through `_threads`, whose threads run
 numpy and private helpers only, never a public function of the package.
 """
@@ -208,8 +209,9 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     """Per-row mean cosine of each vector to its n nearest neighbors in `pool`.
 
     This is the local-scaling term r(.) of CSLS. n_neighbors must be
-    positive and is clamped to the pool size. Both sides go through
-    `_top_neighbors` as the unit rows `unit_rows` makes of them, but no
+    positive and is clamped to the pool size; an empty pool is a
+    ValueError. Both sides go through `_top_neighbors` as the unit rows
+    `unit_rows` makes of them, but no
     float64 copy of either side is made: the pool is held as float32 unit
     rows beside the row norms of both sides, each row block's own unit rows
     are made in scratch, and a kept pool row's unit row is divided out of
@@ -222,8 +224,9 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     chooses which ones. Queries q and pool rows p are cast to float32 once,
     and each row block is scored by one float32 product. Per row,
     `_top_columns` keeps the n + _SPARE best-screened columns and bounds
-    every score left out. The kept columns are rescored in float64 and the
-    n largest of those taken.
+    every score left out. The kept columns within the band below (at or
+    above s_n - 2 * delta_i) are rescored in float64, the others score
+    -inf, and the n largest of those taken.
 
     The band: with u = 2**-24, rounding q and p to float32 moves q.p by at
     most (2 + u) * u * |q| |p|, and a float32 dot product of length d errs
@@ -238,15 +241,24 @@ def csls_hubness(vectors: np.ndarray, pool: np.ndarray, n_neighbors: int) -> np.
     P = max_j |p_j|, of the float64 one; for unit rows, as here, the first
     term is (d + 4) * u. The row's n-th kept screened score s_n then bounds
     its float64 n-th largest score from below by s_n - delta_i, and a column
-    screened below s_n - 2 * delta_i cannot reach it. A row whose largest
-    left-out score is not that far below s_n (near ties, e.g. duplicated
-    pool rows) is scored again in full in float64 (`_top`), so the
-    result is always the float64 top-n mean. The same bound certifies
+    screened below s_n - 2 * delta_i cannot reach it: its float64 score is
+    below s_n - delta_i, where each of the n best-screened columns scores
+    at least that, so it can neither enter the top n nor tie there. So a
+    kept column below the band is not rescored, and its -inf, behind the
+    n rescored columns that outscore it, changes no column chosen, its
+    order or the mean (kept columns keep their order, which `_descending`
+    breaks ties by). A row whose largest left-out score is not that far
+    below s_n (near ties, e.g. duplicated pool rows) is scored again in
+    full in float64 (`_top`), so the result is always the float64 top-n
+    mean. The same bound certifies
     RCSLS's neighbourhoods, whose queries and pool rows, projections through
     a map, are not unit rows: there the band grows with |q_i| and P.
     """
     if n_neighbors < 1:
         raise ValueError(f"CSLS needs at least 1 neighbour, got {n_neighbors}")
+    if len(pool) == 0:
+        raise ValueError("CSLS hubness needs a pool of at least one row, "
+                         "got an empty pool")
     return _top_neighbors(vectors, pool, n_neighbors, unit=True)[1]
 
 
@@ -312,7 +324,10 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
     least, or, against pools too wide for `_MIN_ROWS` rows, as many up to
     `_MIN_ROWS` as 4 * _BLOCK_BYTES hold while every thread has a block).
     They run on `_threads`, each gathering (and making unit rows of) its
-    rows into scratch allocated here, one set per thread. The fallback runs
+    rows into scratch allocated here, one set per thread. A block rescores
+    its rows' columns slot by slot, each row's columns to rescore first:
+    slot j gathers one pool row for each row with more than j of them, and
+    where that is not every row, copies those rows too. The fallback runs
     after them, in this thread, in `_blocks` of the uncertified rows, so
     its blocks do not depend on the thread count. Only when a row reaches
     the fallback, or a nonzero pool row is below `_TINY_NORM`, is a float64
@@ -343,7 +358,7 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
                                   4 * _BLOCK_BYTES // row_bytes)))
     blocks = _blocks(len(queries), row_bytes, step * row_bytes)
     # per thread: a block's float32 screen, its unit rows in float64 and in
-    # float32, and the pool rows it keeps in one column of its choice
+    # float32, and the pool rows it rescores in one slot of its columns
     scratch = [[np.empty((step, len(pool)), dtype=np.float32),
                 np.empty((step, d)), np.empty((step, d), dtype=np.float32),
                 np.empty((step, d))] for _ in range(min(workers, len(blocks)))]
@@ -360,11 +375,20 @@ def _top_neighbors(queries: np.ndarray, pool: np.ndarray, n: int,
         q_norms = _norms(q64)
         band = 2.0 * ((d + 4) * 2.0 ** -24 * q_norms * p_max
                       + d * 2.0 ** -149 * (q_norms + p_max + 1.0))
-        unsure[rows] = ~(left_out < kth.astype(float) - band)
-        exact = np.empty(kept_cols.shape)
-        for j, c in enumerate(kept_cols.T):
-            exact[:, j] = np.einsum("bd,bd->b", q64,
-                                    _gather(picked, pool, c, p_div))
+        floor = kth.astype(float) - band
+        unsure[rows] = ~(left_out < floor)
+        # only columns screened within the band of the n-th are rescored,
+        # each row's first and in their kept order; the rest score -inf
+        rescore = ~(kept < floor[:, None])
+        order = np.argsort(~rescore, axis=1, kind="stable")
+        counts = np.count_nonzero(rescore, axis=1)
+        exact = np.full(kept_cols.shape, -np.inf)
+        for j in range(counts.max(initial=0)):
+            at = np.flatnonzero(counts > j)
+            slot = order[at, j]
+            exact[at, slot] = np.einsum(
+                "bd,bd->b", q64 if len(at) == len(q64) else q64[at],
+                _gather(picked[:len(at)], pool, kept_cols[at, slot], p_div))
         cols[rows], means[rows] = _descending(kept_cols, exact, k)
 
     if blocks:  # no rows, no threads: a pool of none cannot start
@@ -409,7 +433,9 @@ def _sweep(queries, pool, metric, csls_n, r_pool, reduce, scratch=None,
     """
     if metric not in ("cosine", "csls"):
         raise ValueError(f"unknown similarity metric: {metric!r}")
-    if metric == "csls" and r_pool is None:
+    if metric == "csls" and r_pool is None and len(queries):
+        # with no query rows there is no CSLS term to apply, nor a pool
+        # for the pool rows' hubness
         r_pool = csls_hubness(pool, queries, csls_n)
     queries = np.asarray(queries, dtype=float)
     pool = np.asarray(pool, dtype=float)

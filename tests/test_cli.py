@@ -428,6 +428,44 @@ def test_commands_after_preprocess_parse_no_row(workspace, collection,
             outputs(tmp_path / "parsed" / name)
 
 
+def test_eval_commands_parse_no_projection_text(workspace, collection,
+                                               tmp_path, monkeypatch):
+    """`align` leaves each matrix's companion beside its text. Cosine and
+    CSLS `eval-bli` and `eval-clir` then read the projection with numpy's
+    text parser patched to raise (the workspace's embedding loads are
+    served from their companions too), and write what they write from a
+    copy of the projection with no companion, which they parse."""
+    proj = tmp_path / "proj"
+    assert run("align", "--method", "proc", *spaces(workspace),
+               "--outdir", proj) == 0
+    assert sorted(os.listdir(proj)) == [
+        "projection.json", "w_src.txt", "w_src.txt.clembed.npz",
+        "w_tgt.txt", "w_tgt.txt.clembed.npz"]
+    plain = tmp_path / "plain"
+    shutil.copytree(proj, plain)
+    for path in plain.glob("*.clembed.npz"):
+        path.unlink()
+
+    def commands(proj, out):
+        bli = ["eval-bli", "--proj", proj, "--src-emb", workspace / "src.vec",
+               "--tgt-emb", workspace / "tgt.vec",
+               "--test-dict", workspace / "test.txt"]
+        clir = list(collection)
+        clir[clir.index("--proj") + 1] = proj
+        return {"cosine": [*bli, "--outdir", out / "cosine"],
+                "csls": [*bli, "--metric", "csls", "--outdir", out / "csls"],
+                "clir": [*clir, "--outdir", out / "clir"]}
+
+    for argv in commands(plain, tmp_path / "parsed").values():
+        assert run(*argv) == 0
+    monkeypatch.setattr(np, "loadtxt", mock.Mock(
+        side_effect=AssertionError("a text was parsed")))
+    for name, argv in commands(proj, tmp_path / "served").items():
+        assert run(*argv) == 0
+        assert outputs(tmp_path / "served" / name) == \
+            outputs(tmp_path / "parsed" / name)
+
+
 def test_preprocess_writes_its_output_when_its_companion_cannot_be(
         workspace, tmp_path, monkeypatch):
     norm = tmp_path / "out" / "norm.vec"

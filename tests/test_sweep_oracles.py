@@ -52,11 +52,13 @@ columns through strided group maxima (`similarity._top`, tested through
 inputs the means may differ from the oracles only in the last bits of a
 float64 sum, and on exact inputs not at all. `oracle_top_neighbors` is the
 certified kernel itself as it was when it took float64 unit rows of both
-sides and cast each side to float32 whole, run in this thread over the
-oracles' row blocks; the library holds one float32 copy of the pool, runs
-its own blocks on threads and makes each block's unit rows in scratch, and
-its columns and means must equal the oracle's bit for bit, on exact and on
-generic rows, at every cell budget and thread count.
+sides and cast each side to float32 whole, and rescored every column it
+kept, run in this thread over the oracles' row blocks; the library
+rescores only the kept columns its band cannot rule out, holds one float32
+copy of the pool, runs its own blocks on threads and makes each block's
+unit rows in scratch, and its columns and means must equal the oracle's
+bit for bit, on exact and on generic rows, at every cell budget and
+thread count.
 
 `oracle_rcsls_neighbor_sets`, the float64 product and full-width partition
 that RCSLS's neighbourhoods used, and `oracle_candidate_mask`, dlv's two
@@ -200,7 +202,7 @@ def oracle_similarity_sweep(queries, pool, metric="cosine", csls_n=10,
     whole, and each row block scored by one product with all of the pool."""
     if metric not in ("cosine", "csls"):
         raise ValueError(f"unknown similarity metric: {metric!r}")
-    if metric == "csls" and r_pool is None:
+    if metric == "csls" and r_pool is None and len(queries):
         r_pool = csls_hubness(pool, queries, csls_n)
     qu, pu = unit_rows(queries), unit_rows(pool)
     for rows in oracle_row_blocks(len(qu), len(pu), similarity._MIN_ROWS):
@@ -1225,6 +1227,75 @@ def test_top_neighbors_match_oracle_with_rows_below_the_tiny_norm(tiny):
             unit_rows(vectors), unit_rows(pool), 10)[1])
 
 
+def count_rescored_rows(pool):
+    """Patch `similarity._gather` to count the rows it gathers from `pool`:
+    in the top-n kernel, the pool rows its screen blocks rescore."""
+    rows = []
+    gather = similarity._gather
+
+    def counted(out, matrix, index, divisors):
+        if matrix is pool:
+            rows.append(len(index))
+        return gather(out, matrix, index, divisors)
+    return rows, mock.patch.object(similarity, "_gather", counted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_screen_rescores_only_what_its_band_cannot_rule_out(workers):
+    """Generic rows, whose kept columns past the n-th screen far below the
+    n-th (the band is 2 * (d + 4) * 2**-24, about 3e-6): each row rescores
+    its n best-screened columns alone, not all n + _SPARE it keeps, and
+    no row reaches the fallback."""
+    rng = np.random.default_rng(16)
+    vectors = unit_rows(rng.standard_normal((300, 20)))
+    pool = unit_rows(rng.standard_normal((500, 20)))
+    rescored, gathers = count_rescored_rows(pool)
+    fallback, tops = count_fallback_rows()
+    with gathers, tops, threads(workers):
+        got, want = top_neighbors_against_oracle(vectors, pool, 10, True)
+    assert sum(rescored) == 300 * 10
+    assert fallback == []
+    assert_same_top(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kept_columns_inside_the_band_are_rescored(workers):
+    """Four pool rows within 1e-9 of one another, every query's nearest:
+    the float32 screen cannot order them, while their float64 scores
+    differ. At n = 2 the two that screen best are not always the two that
+    score best, so the two kept past the n-th inside the band must be
+    rescored too; rows far below the band are not, and no row reaches the
+    fallback. Columns and means equal the oracle's, which rescores all
+    it keeps."""
+    rng = np.random.default_rng(17)
+    centre = rng.standard_normal(20)
+    pool = unit_rows(np.vstack([centre + 1e-9 * rng.standard_normal((4, 20)),
+                                rng.standard_normal((200, 20))]))
+    vectors = unit_rows(centre + 0.3 * rng.standard_normal((60, 20)))
+    rescored, gathers = count_rescored_rows(pool)
+    fallback, tops = count_fallback_rows()
+    with gathers, tops, threads(workers):
+        got, want = top_neighbors_against_oracle(vectors, pool, 2, True)
+    assert_same_top(got, want)
+    assert sum(rescored) == 60 * 4
+    assert fallback == []
+    screened = (unit_rows(vectors).astype(np.float32)
+                @ unit_rows(pool[:4]).T.astype(np.float32))
+    best_screened = np.sort(np.argsort(-screened, axis=1, kind="stable")[:, :2])
+    assert not np.array_equal(best_screened, np.sort(want[0], axis=1))
+
+
+def test_an_empty_pool_is_refused_and_no_queries_need_none():
+    """`csls_hubness` against an empty pool names the problem; a CSLS sweep
+    of no queries, whose pool-side hubness would take them as its pool,
+    skips that pass and finds no pairs, as the cosine sweep does."""
+    pool = np.random.default_rng(18).standard_normal((7, 5))
+    with pytest.raises(ValueError, match="empty pool"):
+        csls_hubness(pool, np.empty((0, 5)), 3)
+    for metric in ("cosine", "csls"):
+        assert mutual_argmax_pairs(np.empty((0, 5)), pool, metric) == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40))
 def test_candidate_mask_matches_oracle(seed, n, m):
@@ -1665,7 +1736,7 @@ def test_tiled_sweep_is_bit_equal_to_the_oracle_on_exact_rows(
 
 @st.composite
 def gold_rank_cases(draw):
-    """Exact query rows (none at all under cosine, whose sweep has no
+    """Exact query rows (none at all too, under CSLS a sweep that skips its
     hubness pass) against a pool of a few base rows, one copied across the
     first tile boundary, and for each query 0-3 distinct gold columns:
     queries with no gold, and multi-gold queries in runs that stripes of
@@ -1675,7 +1746,7 @@ def gold_rank_cases(draw):
     dim = draw(st.integers(1, 4))
     width = draw(st.sampled_from(TILES))
     metric = draw(st.sampled_from(["cosine", "csls"]))
-    n = draw(st.integers(0 if metric == "cosine" else 1, 24))
+    n = draw(st.integers(0, 24))
     queries = draw(exact_rows(dim, n, n)) if n else np.empty((0, dim))
     base = draw(exact_rows(dim, 1, 5))
     pool = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
