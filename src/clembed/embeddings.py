@@ -17,6 +17,8 @@ the rows outside that exact range. So a companion always holds what a
 parse gives; it is a cache, safe to delete. A saved text matrix (a
 projection's `w_src.txt`) gets one too, with one chunk and no tokens
 (`projection.save_matrix_text`).
+Saves format values in numpy, byte for byte as Python's `%` does:
+`_format_g6` an embedding's `%.6g`, `_format_g17` a matrix's `%.17g`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -572,36 +574,49 @@ def _ascii(text: str) -> int:
     return int.from_bytes(text.encode("ascii"), "little")
 
 
-def _g6_layouts() -> tuple[np.ndarray, ...]:
-    """Per layout (e - _E_MIN, n, negative), with n a value's significant
-    digits (0 for a zero), the uint64 words `_format_g6` builds its text
-    from: the head (sign, and "0." and zeros in fixed notation below 1),
-    the masks of the digits kept before and from the point, the point, and
-    the tail ("e+XX" in exponential notation). Then the scale and unscale
-    of each exponent: 10^(5-e) or 1, and 10^(e-5) or 1."""
-    exponents = range(_E_MIN, _E_MAX + 1)
-    words = np.zeros((len(exponents), 7, 2, 5), dtype="<u8")
-    for i, e in enumerate(exponents):
+def _joined(words: np.ndarray) -> bytes:
+    """The text of a block of fields laid out in uint64 words (last axis),
+    NUL where shorter, byte 0 left for the separator before the field."""
+    words[:, 1:, 0] |= np.uint64(_ascii(" "))
+    words[1:, 0, 0] |= np.uint64(_ascii("\n"))
+    text = words.view(np.uint8).reshape(-1)
+    return text[text != 0].tobytes() + b"\n"
+
+
+@cache
+def _layouts(exponents: range, precision: int, first: tuple[int, int],
+             tail_at: int) -> list[np.ndarray]:
+    """Per layout (e - exponents.start, n significant digits, negative), the
+    uint64 words of `%.<precision>g` text: three of text (from byte 1 sign,
+    and "0." and zeros below 1; the point; "e+XX" from byte `tail_at`), and
+    three each of the masks of the digits kept before the point (moved down
+    a byte for it) and from it, digits from byte `first[bool(exponential)]`.
+    Built on first use, as every command imports this module."""
+    words = []
+    for e in exponents:
         if -4 <= e < 0:             # 0.000ddd
             lead, point, tail = "0." + "0" * (-e - 1), 0, ""
-        elif 0 <= e < 6:            # ddd.ddd
+        elif 0 <= e < precision:    # ddd.ddd
             lead, point, tail = "", e + 1, ""
         else:                       # d.ddddde+XX
             lead, point, tail = "", 1, f"e{e:+03d}"
-        before = (1 << 8 * point) - 1
-        for n in range(7):
-            kept = (1 << 8 * max(n, point)) - 1
-            dot = _ascii(".") << 8 * point if 0 < point < n else 0
+        start = 8 * first[bool(tail)]
+        before = ((1 << 8 * point) - 1) << start
+        for n in range(precision + 1):
+            kept = ((1 << 8 * max(n, point)) - 1) << start & ~before
+            dot = _ascii(".") << start + 8 * point - 8 if 0 < point < n else 0
             for negative in (0, 1):
-                words[i, n, negative] = (_ascii("-" * negative + lead),
-                                         kept & before, kept & ~before, dot,
-                                         _ascii(tail))
-    scale = np.array([10.0 ** max(5 - e, 0) for e in exponents])
-    unscale = np.array([10.0 ** max(e - 5, 0) for e in exponents])
-    return (*words.reshape(-1, 5).T.copy(), scale, unscale)
+                text = _ascii("-" * negative + lead) << 8 | dot | _ascii(tail) << 8 * tail_at
+                words.append([mask >> shift & (1 << 64) - 1
+                              for mask in (text, before >> 8, kept)
+                              for shift in (0, 64, 128)])
+    return list(np.array(words, dtype=np.uint64).T.copy())
 
 
-_HEAD, _BEFORE, _FROM, _POINT, _TAIL, _SCALE, _UNSCALE = _g6_layouts()
+# the scale and unscale of each exponent: 10^(5-e) or 1, and 10^(e-5) or 1
+_SCALE, _UNSCALE = (np.array([10.0 ** max(sign * (5 - e), 0)
+                              for e in range(_E_MIN, _E_MAX + 1)])
+                    for sign in (1, -1))
 # the digits of 0-999, as 3 ASCII bytes, and how many are significant
 _THREE_DIGITS = np.array([_ascii(f"{i:03d}") for i in range(1000)], dtype="<u8")
 _SIGNIFICANT = np.array([len(f"{i:03d}".rstrip("0")) for i in range(1000)])
@@ -618,9 +633,9 @@ def _format_g6(block: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
     subnormal among them) or a scaled value within `_TIE_BAND` of a
     half-integer; the text and values of such a row are not to be used.
 
-    Each value's text is laid out in three uint64 words (head, digits with
-    the point, tail and separator) with NUL bytes wherever a field is
-    shorter; dropping the NULs gives the text.
+    Each value's text is laid out in three uint64 words (separator and
+    head, digits with the point, tail) with NUL bytes wherever a field is
+    shorter; dropping the NULs gives the text (`_joined`).
     """
     a = np.abs(block, dtype=np.float64)
     zero = a == 0
@@ -651,19 +666,111 @@ def _format_g6(block: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
     np.copysign(values, block, out=values)
 
     high, low = np.divmod(m.astype(np.intp), 1000)
-    digits = _THREE_DIGITS[high] | (_THREE_DIGITS[low] << np.uint64(24))
+    digits = _THREE_DIGITS[high] << np.uint64(8) | _THREE_DIGITS[low] << np.uint64(32)
     n = np.where(low == 0, _SIGNIFICANT[high], 3 + _SIGNIFICANT[low])
     layout = ei * 14 + n * 2 + np.signbit(block)
     words = np.empty(block.shape + (3,), dtype="<u8")
-    words[..., 0] = _HEAD[layout]
-    words[..., 1] = ((digits & _BEFORE[layout])
-                     | (digits & _FROM[layout]) << np.uint64(8) | _POINT[layout])
-    tail = _TAIL[layout]
-    tail[:, :-1] |= np.uint64(_ascii(" ") << 32)
-    tail[:, -1] |= np.uint64(_ascii("\n") << 32)
-    words[..., 2] = tail
-    text = words.view(np.uint8).reshape(-1)
-    return np.compress(text != 0, text).tobytes(), values, slow.any(axis=1)
+    table = _layouts(range(_E_MIN, _E_MAX + 1), 6, (9, 9), 16)  # digits 9-14
+    words[..., 0] = table[0][layout]
+    words[..., 1] = (table[1][layout] | digits >> np.uint64(8) & table[4][layout]
+                     | digits & table[7][layout])
+    words[..., 2] = table[2][layout]
+    return _joined(words), values, slow.any(axis=1)
+
+
+# `_format_g17` writes a nonzero |v| = m * 2^q (m < 2^53) as `%.17g` from
+# its digits D = |v| * 10^k rounded half to even, k = 16 - e for decimal
+# exponent e. For k <= 27, 5^k < 2^63 and m * 5^k is exact in 128 bits; for
+# s = -(q + k) in 1..63 (10^-11 <= |v| < 2^51) one shift and remainder round
+# D exactly, as the conversion behind Python's `%` does (Gay 1990).
+_POW5 = [np.array([5 ** k >> shift & 0xFFFFFFFF for k in range(28)],
+                  dtype=np.uint64) for shift in (32, 0)]
+# 0-9999 as 4 ASCII bytes; per group of 4 digits after D's first, D's
+# significant digits through it (of zeros: 1 in the first, else 0)
+_FOUR_DIGITS = sum((np.arange(10000, dtype=np.uint64) // 10 ** (3 - j) % 10 + 48)
+                   << 8 * j for j in range(4))
+_THROUGH_GROUP = [np.where(np.arange(10000) == 0, int(i == 0), 4 * i + 5 - sum(
+    np.arange(10000) % 10 ** j == 0 for j in (1, 2, 3))).astype(np.int8) for i in range(4)]
+
+
+def _divmod(x: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod of uint64 `x` by a constant, several times faster."""
+    quotient = x // np.uint64(unit)
+    return quotient, x - quotient * np.uint64(unit)
+
+
+def _format_g17(block: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """`%.17g` for a non-empty 2-D block, in numpy: the text, each row byte
+    for byte `" ".join("%.17g" % v for v in row)` and a line break, and a
+    mask of the rows formatted in Python, as they hold a value the digit
+    step cannot round (nonzero below 10^-11, 2^51 or more, nan or inf).
+    Only nonzero values take the digit step. Text as in `_format_g6`."""
+    a = np.abs(block, dtype=np.float64).reshape(-1)
+    negative = np.signbit(block).reshape(-1)
+    slow = ~np.isfinite(a)
+    a[slow] = 1.0
+    nonzero = a != 0
+    at = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
+    a = a[at]
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -11, 15)
+    bits = a.view(np.uint64)
+    m = bits & np.uint64((1 << 52) - 1) | np.uint64(1 << 52)
+    m_high, m_low = m >> np.uint64(32), m & np.uint64(0xFFFFFFFF)
+    for last in (False, True):  # log10 may be one off next to a power of ten
+        k = 16 - e
+        s = 1075 - (bits >> np.uint64(52)).astype(np.intp) - k
+        fit = (k <= 27) & (s >= 1) & (s <= 63)
+        p_high, p_low = (p[np.clip(k, 0, 27)] for p in _POW5)
+        mid = m_high * p_low + m_low * p_high       # below 2^53 + 2^63
+        high = m_high * p_high + (mid >> np.uint64(32))
+        mid <<= np.uint64(32)
+        low = m_low * p_low + mid
+        high += low < mid                           # the carry
+        s = np.clip(s, 1, 63).astype(np.uint64)
+        t = np.uint64(64) - s
+        d = high << t | low >> s                    # floor(|v| * 10^k)
+        off = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
+        if last or not off.any():
+            break
+        e += off
+    slow[at] |= ~fit
+    e[~fit] = 0                         # any layout: the row is redone
+    # the bits shifted out, moved to the top: above 2^63 is above half
+    d += (low << t) + (d & np.uint64(1)) > np.uint64(1 << 63)
+    carry = d == 10 ** 17           # rounded up into the next exponent
+    d[carry], e[carry] = 10 ** 16, e[carry] + 1
+    # D's digits from byte 7 of three words (3 in exponential notation)
+    top, rest = _divmod(d, 10 ** 16)
+    top += np.uint64(_ascii("0"))
+    groups = [g for half in _divmod(rest, 10 ** 8) for g in _divmod(half, 10 ** 4)]
+    g = [_FOUR_DIGITS[group] for group in groups]
+    digits = [top << np.uint64(56), g[0] | g[1] << np.uint64(32),
+              g[2] | g[3] << np.uint64(32)]
+    if (exponential := np.flatnonzero(e < -4)).size:
+        top, g = top[exponential], [word[exponential] for word in g]
+        digits[0][exponential] = top << np.uint64(24) | g[0] << np.uint64(32)
+        digits[1][exponential] = g[1] | g[2] << np.uint64(32)
+        digits[2][exponential] = g[3]
+    n = np.maximum.reduce([through[group] for through, group
+                           in zip(_THROUGH_GROUP, groups)])
+    layout = ((e + 11) * 18 + n) * 2 + negative[at]
+    words = np.zeros(block.shape + (3,), dtype="<u8")
+    flat = words.reshape(-1, 3)                     # zeros: "0" or "-0"
+    flat[:, 0] = _ascii("0") << 48 | negative * np.uint64(_ascii("-") << 8)
+    digits.append(np.uint64(0))
+    table = _layouts(range(-11, 17), 17, (7, 3), 20)    # digits from byte 7
+    for i in range(3):
+        moved = digits[i] >> np.uint64(8) | digits[i + 1] << np.uint64(56)
+        flat[at, i] = (table[i][layout] | moved & table[3 + i][layout]
+                       | digits[i] & table[6 + i][layout])
+    slow = slow.reshape(block.shape).any(axis=1)
+    data = _joined(words)
+    if not slow.any():
+        return data, slow
+    lines = data.split(b"\n")
+    for i in np.flatnonzero(slow):
+        lines[i] = " ".join("%.17g" % v for v in block[i].tolist()).encode()
+    return b"\n".join(lines), slow
 
 
 def save_text_embeddings(space: WordVectorSpace,
@@ -685,9 +792,10 @@ def save_text_embeddings(space: WordVectorSpace,
     thread per core (`similarity._workers`). A row it cannot vouch for (a
     nonzero value below 1e-17 or written as 1e28 or more, or one next to a
     rounding tie of its sixth digit) is formatted with one `%`-format, and
-    its text parsed. One chunk is held at a time, and the bytes written do
-    not depend on the thread count. A companion that cannot be written is
-    not written; the text file is written all the same.
+    its text parsed. The next chunk is formatted while one is written, so
+    two chunks are held at a time, and the bytes written do not depend on
+    the thread count. A companion that cannot be written is not written;
+    the text file is written all the same.
     """
     if len(space) == 0:
         raise ValueError("refusing to save an empty space")
@@ -700,16 +808,23 @@ def save_text_embeddings(space: WordVectorSpace,
     with _CompanionWriter(path) as companion, \
             ThreadPoolExecutor(max_workers=similarity._workers()) as pool, \
             open(path, "wb") as fh:
-        data = f"{len(space)} {space.dim}\n".encode("utf-8")
-        for start in range(0, len(space), _CHUNK_LINES):
+        def formatting(start: int) -> tuple:  # rows, blocks, their futures
             rows = space.matrix[start:start + _CHUNK_LINES]
             blocks = similarity._blocks(len(rows), 8 * space.dim,
                                         similarity._BLOCK_BYTES // 128)
+            return rows, blocks, [pool.submit(_format_g6, rows[at])
+                                  for at in blocks]
+        data = f"{len(space)} {space.dim}\n".encode("utf-8")
+        chunk = formatting(0)
+        for start in range(0, len(space), _CHUNK_LINES):
+            rows, blocks, futures = chunk
+            if start + _CHUNK_LINES < len(space):   # formatted meanwhile
+                chunk = formatting(start + _CHUNK_LINES)
             # each block's results are copied out as they come, so that a
             # chunk's results are not all held twice
             text, values, slow = bytearray(), np.empty(rows.shape), []
-            for at, (block_text, block, mask) in zip(blocks, pool.map(
-                    _format_g6, [rows[at] for at in blocks])):
+            for at, future in zip(blocks, futures):
+                block_text, block, mask = future.result()
                 text += block_text
                 values[at] = block
                 slow.extend(np.flatnonzero(mask) + at.start)

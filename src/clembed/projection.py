@@ -18,7 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .embeddings import _CompanionWriter, _stored_matrix, open_text
+from . import similarity
+from .embeddings import _CompanionWriter, _format_g17, _stored_matrix, open_text
 
 ORTHOGONALITY_TOL = 1e-6
 
@@ -68,19 +69,20 @@ def identity_pair(dim: int) -> ProjectionPair:
 
 
 def save_matrix_text(matrix: np.ndarray, path: str | os.PathLike) -> None:
-    """Write a headerless whitespace-separated text matrix (same grammar as
-    embeddings), each value `%.17g`, and its companion, `<path>.clembed.npz`:
-    the matrix in float64 and the size and SHA-256 of the bytes written,
-    through `embeddings._CompanionWriter`. `%.17g` gives every finite
-    float64 back exactly, -0.0 and subnormals too, so the companion holds
-    what a parse of the text gives; a matrix that is empty or not finite
-    gets none. A companion that cannot be written is not written; the text
-    is written all the same."""
+    """Write a headerless 2-D text matrix, each row byte for byte
+    `" ".join("%.17g" % v for v in row)` (`embeddings._format_g17`), and
+    its companion, `<path>.clembed.npz`: the matrix in float64 and the size
+    and SHA-256 of the bytes written (`embeddings._CompanionWriter`).
+    `%.17g` gives every finite float64 back exactly, -0.0 and subnormals
+    too, so the companion holds what a parse of the text gives; a matrix
+    that is empty or not finite gets none. A companion that cannot be
+    written is not written; the text is written all the same."""
     matrix = np.asarray(matrix, dtype=float)
-    np.savetxt(path, matrix, fmt="%.17g")
+    data = b"".join(_format_g17(matrix[at])[0] for at in similarity._blocks(
+        len(matrix), 8 * matrix.shape[1], similarity._BLOCK_BYTES // 512))
+    with open(path, "wb") as fh:
+        fh.write(data)
     if matrix.size and np.isfinite(matrix).all():
-        with open(path, "rb") as fh:
-            data = fh.read()
         with _CompanionWriter(path) as companion:
             companion.add(matrix, len(data), hashlib.sha256(data).digest())
             companion.commit()

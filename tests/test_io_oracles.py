@@ -8,7 +8,8 @@ but parses a chunk of lines in one numpy call, and formats row blocks with
 the numpy kernel `_format_g6` (a row it does not vouch for with one
 `%`-format). The loader must return an equal space (same words, bit-equal
 matrix, same duplicate warning) or raise the same message with the same line
-number; the savers must write the same bytes. Loader files span several
+number; the savers must write the same bytes. `_format_g17`, the kernel
+behind saved projection matrices, must write one `%.17g` per value. Loader files span several
 chunks because the chunk size is patched down to 2 or 3 lines. A load with
 `needed` words is compared with the oracle load of a copy of its file, as
 `filtered_oracle_outcome` describes.
@@ -25,11 +26,13 @@ give the oracle's outcome too, without parsing a value.
 
 import io
 import itertools
+import math
 import os
 import re
 import warnings
 import zipfile
 from contextlib import contextmanager
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -43,6 +46,7 @@ from clembed.clir import ClirRun, write_trec_run
 from clembed.embeddings import (WordVectorSpace, load_text_embeddings,
                                 save_text_embeddings)
 from clembed.similarity import unit_rows
+from test_projection import EXTREMES as MATRIX_EXTREMES
 
 
 def oracle_load_text_embeddings(path, max_vocab=None):
@@ -443,6 +447,69 @@ def test_format_g6_vouches_for_every_exact_value_it_can():
     assert slow[near_tie].all()
     written = np.abs([float(f"{v:.6g}") for v in matrix[:, 0]])
     assert slow[(magnitude != 0) & ((magnitude < 1e-17) | (written >= 1e28))].all()
+
+
+def assert_format_g17_matches_the_oracle(matrix):
+    """`_format_g17`'s text is, row for row, the `%`-format oracle's (which
+    `np.savetxt(fmt="%.17g")` writes too), and it formats a row in Python
+    exactly when the row holds a value outside its range: a nonzero below
+    10^-11 (the float 1e-11 is below it), 2^51 or more, nan or inf."""
+    text, slow = embeddings._format_g17(matrix)
+    assert text == "".join(" ".join("%.17g" % v for v in row) + "\n"
+                           for row in matrix.tolist()).encode("ascii")
+    magnitude = np.abs(matrix)
+    inside = (magnitude == 0) | ((magnitude > 1e-11) & (magnitude < 2.0 ** 51))
+    assert slow.tolist() == (~inside.all(axis=1)).tolist()
+
+
+# |v| = j * 2^(e - 17) with j odd is an exact tie of its 18th significant
+# digit when 10^e <= |v| < 10^(e+1) (a 17-digit D with .5 left over)
+G17_TIES = st.builds(lambda e, f: math.ldexp(int(10 ** (e + f) * 2.0 ** (17 - e)) | 1,
+                                             e - 17),
+                     st.integers(-5, 14), st.floats(0, 1, exclude_max=True))
+g17_value = st.tuples(
+    st.one_of(st.integers(-11, 15).flatmap(
+                  lambda e: st.floats(10.0 ** e, 10.0 ** (e + 1))),
+              G17_TIES,
+              st.floats(0, 2.2250738585072014e-308, allow_subnormal=True),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(MATRIX_EXTREMES)),
+    st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=st.integers(1, 6).flatmap(lambda d: arrays(
+           np.float64, st.tuples(st.integers(1, 6), st.just(d)),
+           elements=g17_value)))
+def test_format_g17_writes_the_oracles_bytes(matrix):
+    assert_format_g17_matches_the_oracle(matrix)
+
+
+# values whose 17-digit rounding carries through a run of 9s: the exact
+# value is below the text written, which has fewer than 17 digits
+G17_CARRIES = (0.597688, 0.434556, 83.488, 12.0694, 0.0195888, 0.000112964,
+               3.63784e-06, 4.56239e-09, 1.05838e-08)
+
+
+def test_format_g17_at_its_boundaries():
+    """One value per row: each power of ten from 1e-12 to 1e17 and the
+    floats next to it, where %g switches notation or log10 may be one off;
+    the ends of the range, 1e-11 and 2^51; values whose 17th digit carries;
+    ties of the 18th digit, rounded half to even; zeros."""
+    powers = [v for k in range(-12, 18) for v in with_neighbours(float(f"1e{k}"))]
+    for v in G17_CARRIES:
+        text = "%.17g" % v
+        assert Decimal(v) < Decimal(text) and len(text) < 17
+    ties = [123456789012345.125, 123456789012345.375, 1234567890123456.25,
+            1234567890123456.75, 26215 * 2.0 ** -18, 26217 * 2.0 ** -18]
+    for v in ties:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    column = [*powers, *with_neighbours(2.0 ** 51), *G17_CARRIES, *ties,
+              0.0, -0.0, 5e-324, 1.7976931348623157e308]
+    matrix = np.array(column + [-v for v in column])[:, None]
+    assert_format_g17_matches_the_oracle(matrix)
+    assert_format_g17_matches_the_oracle(matrix.reshape(-1, 8))
 
 
 def test_a_save_parses_no_value_and_its_bytes_do_not_depend_on_threads(

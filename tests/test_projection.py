@@ -198,6 +198,22 @@ def test_a_matrix_a_companion_cannot_hold_exactly_gets_none(tmp_path, matrix):
     assert os.listdir(tmp_path) == ["w.txt"]
 
 
+def test_a_non_finite_matrix_keeps_savetxts_bytes(tmp_path):
+    """Rows holding nan or an infinity are formatted in Python, one
+    `%`-format a row, between rows the numpy kernel formats: the text is
+    np.savetxt's byte for byte, and it gets no companion."""
+    matrix = np.array([[np.nan, 1.5, -0.0, 0.1],
+                       [0.25, -0.0, 3.0, -1e-5],
+                       [np.inf, -np.inf, 0.0, 1e20],
+                       [-np.nan, -2.5, 1e-300, 7.0],
+                       [0.0, 0.0, -0.0, 123456.789]])
+    save_matrix_text(matrix, tmp_path / "w.txt")
+    np.savetxt(tmp_path / "savetxt.txt", matrix, fmt="%.17g")
+    assert (tmp_path / "w.txt").read_bytes() == \
+        (tmp_path / "savetxt.txt").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["savetxt.txt", "w.txt"]
+
+
 @pytest.mark.parametrize("failing", ["tempfile.mkstemp", "os.fchmod",
                                      "numpy.lib.format.write_array",
                                      "os.replace"])

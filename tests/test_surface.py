@@ -100,6 +100,18 @@ def test_only_similarity_knows_the_sweep(module):
         f"{sorted(names & SWEEP_INTERNALS)}"
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_writes_text_with_savetxt(module):
+    """One writer for text matrices: `projection.save_matrix_text`, through
+    the numpy kernel `embeddings._format_g17`. No module names
+    `np.savetxt`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set(used_names(tree)) | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "savetxt" not in names, f"clembed.{module} names savetxt"
+
+
 # benchmark per-layer metric -> why it may name no function of clembed
 DEAD_METRICS = {
     name: "ROADMAP item 1: the benchmark change renames this metric"
